@@ -8,6 +8,12 @@ via guard literals on their sheet-assignment variables.
 
 Clause families are counted separately so tests can audit the formula
 against closed-form sizes.
+
+Every clause is checked to be non-empty and free of repeated variables as it
+is emitted.  The ``link`` family, almost all of the formula, is emitted in
+blocks of guard heads times shared bodies (``CnfFormula.add_block``), which
+checks each head and each body once per block; every other clause goes
+through ``CnfFormula.add``, which checks it on its own.
 """
 
 from __future__ import annotations
@@ -101,6 +107,26 @@ class CnfFormula:
         self.clauses.append(lits)
         self.family_counts[family] = self.family_counts.get(family, 0) + 1
 
+    def add_block(self, family: str, heads: list[list[int]], bodies: list[list[int]]) -> None:
+        """Add ``head + body`` for every head and body, head-major.
+
+        Heads must be non-empty and free of repeated variables.  No
+        variable may occur twice among the bodies, or in a body and a head.
+        Together these make every emitted clause non-empty and free of
+        repeated variables, at the cost of one check per head and body.
+        """
+        head_vars: set[int] = set()
+        for head in heads:
+            assert head, "empty clause emitted"
+            vs = {abs(l) for l in head}
+            assert len(vs) == len(head), "repeated variable in clause"
+            head_vars |= vs
+        body_vars = {abs(l) for body in bodies for l in body}
+        assert len(body_vars) == sum(map(len, bodies)), "repeated variable in clause"
+        assert head_vars.isdisjoint(body_vars), "repeated variable in clause"
+        self.clauses += [head + body for head in heads for body in bodies]
+        self.family_counts[family] = self.family_counts.get(family, 0) + len(heads) * len(bodies)
+
 
 def build_varmap(copies: tuple[Copy, ...], instance: Instance, config: EncodeConfig) -> VarMap:
     return VarMap(len(copies), instance.sheet_width, instance.sheet_height, config)
@@ -173,7 +199,14 @@ def encode_formula(
                     ],
                 )
 
-    # tie the separating directions to coordinates, per sheet and orientation
+    # tie the separating directions to coordinates, per sheet and orientation:
+    # one block per (c, d, axis, orientation) with a guard head per sheet
+    not_sheet = [[-vm.sheet(c, j) for j in range(1, k + 1)] for c in range(n)]
+    xs = [[vm.x_at_most(c, e) for e in range(width - 1)] for c in range(n)]
+    ys = [[vm.y_at_most(c, f) for f in range(height - 1)] for c in range(n)]
+    not_xs = [[-v for v in row] for row in xs]
+    not_ys = [[-v for v in row] for row in ys]
+
     def orientation_cases(c: int):
         copy = copies[c]
         if config.rotation:
@@ -182,28 +215,30 @@ def encode_formula(
             return [(vm.rot(c), copy.width, copy.height), (-vm.rot(c), copy.height, copy.width)]
         return [(0, copy.width, copy.height)]
 
-    def link_axis(c: int, d: int, rel: int, extent: int, limit: int, threshold, orient: int):
-        for j in range(1, k + 1):
-            guard = [-vm.sheet(c, j), -vm.sheet(d, j)]
-            head = guard + ([orient] if orient else []) + [-rel]
-            # x_d >= extent even when x_c = 0
-            if extent - 1 < limit - 1:
-                formula.add("link", head + [-threshold(d, extent - 1)])
-            else:
-                formula.add("link", list(head))
-            for e in range(limit - extent):
-                body = [threshold(c, e)]
-                if e + extent < limit - 1:
-                    body.append(-threshold(d, e + extent))
-                formula.add("link", head + body)
+    def link_bodies(at_c: list[int], not_at_d: list[int], extent: int, limit: int):
+        # x_d >= extent even when x_c = 0; a copy too long to fit leaves the
+        # bare head, which forbids the relation outright
+        bodies = [[not_at_d[extent - 1]]] if extent < limit else [[]]
+        # x_c > e forces x_d > e + extent ...
+        bodies += [[a, b] for a, b in zip(at_c, not_at_d[extent:])]
+        # ... which past the last threshold is impossible
+        if extent < limit:
+            bodies.append([at_c[limit - extent - 1]])
+        return bodies
 
     for c in range(n):
         for d in range(n):
             if c == d:
                 continue
+            guards = list(zip(not_sheet[c], not_sheet[d]))
             for orient, ew, eh in orientation_cases(c):
-                link_axis(c, d, vm.left(c, d), ew, width, vm.x_at_most, orient)
-                link_axis(c, d, vm.below(c, d), eh, height, vm.y_at_most, orient)
+                for rel, bodies in (
+                    (vm.left(c, d), link_bodies(xs[c], not_xs[d], ew, width)),
+                    (vm.below(c, d), link_bodies(ys[c], not_ys[d], eh, height)),
+                ):
+                    tail = [orient, -rel] if orient else [-rel]
+                    heads = [[gc, gd] + tail for gc, gd in guards]
+                    formula.add_block("link", heads, bodies)
 
     # every copy fits inside its sheet
     def domain_clause(selector: int, threshold, c: int, extent: int, limit: int):

@@ -10,6 +10,13 @@ with basic reason-side minimisation, activity-driven branching (exponential
 decay, indexed max-heap), phase saving, Luby restarts and LBD-based
 reduction of the learned-clause database.  Everything is deterministic.
 
+``add_clause`` checks every clause it is given: literals must name declared
+variables, and tautologies, repeated and top-level-false literals are
+dropped, so the engine never relies on the encoder's own clause checks.
+The hot loops (``add_clause``, ``_propagate``, the heap) write out the small
+helpers ``_lit_value``, ``_attach``, ``_enqueue`` and ``_widx`` inline;
+the helpers remain for the colder paths.
+
 This module is the reference implementation; ``cutstock.satcore._engine``
 is a compiled twin with the same interface, preferred at import time when
 present.
@@ -72,6 +79,7 @@ class Solver:
         self._watches: list[list[int]] = [[], []]
         # clause arena: list of literal lists, None = deleted
         self._clauses: list[list[int] | None] = []
+        self._live = 0  # clauses in the arena that are not deleted
         self._lbd: list[int] = []  # -1 for problem clauses
         self._learnt_refs: list[int] = []
         self._trail: list[int] = []
@@ -101,18 +109,19 @@ class Solver:
     def add_vars(self, count: int) -> int:
         """Declare ``count`` new variables; returns the first new index."""
         first = self._nvars + 1
-        for _ in range(count):
-            self._nvars += 1
-            self._assign.append(_UNDEF)
-            self._level.append(0)
-            self._reason.append(_NO_REASON)
-            self._activity.append(0.0)
-            self._phase.append(0)
-            self._seen.append(0)
-            self._watches.append([])
-            self._watches.append([])
-            self._heap_pos.append(-1)
-            self._heap_insert(self._nvars)
+        count = max(count, 0)
+        self._nvars += count
+        self._assign += [_UNDEF] * count
+        self._level += [0] * count
+        self._reason += [_NO_REASON] * count
+        self._activity += [0.0] * count
+        self._phase += [0] * count
+        self._seen += [0] * count
+        self._watches += [[] for _ in range(2 * count)]
+        # activities are never negative, so a new variable (activity 0, the
+        # highest index) belongs at the end of the heap without sifting
+        self._heap_pos += range(len(self._heap), len(self._heap) + count)
+        self._heap += range(first, first + count)
         return first
 
     def _lit_value(self, lit: int) -> int:
@@ -126,20 +135,22 @@ class Solver:
         """Add a problem clause; must be called with no assumptions active."""
         if not self._ok:
             return
+        nvars = self._nvars
+        assign = self._assign
         out = []
         seen = set()
         for lit in lits:
             v = lit if lit > 0 else -lit
-            if v < 1 or v > self._nvars:
-                raise ValueError(f"literal {lit} outside declared variables 1..{self._nvars}")
+            if v < 1 or v > nvars:
+                raise ValueError(f"literal {lit} outside declared variables 1..{nvars}")
             if -lit in seen:
                 return  # tautology
             if lit in seen:
                 continue
-            val = self._lit_value(lit)
-            if val == 1:
-                return  # satisfied at top level
-            if val == 0:
+            a = assign[v]
+            if a >= 0:
+                if (a if lit > 0 else a ^ 1) == 1:
+                    return  # satisfied at top level
                 continue  # falsified at top level
             seen.add(lit)
             out.append(lit)
@@ -151,10 +162,15 @@ class Solver:
             if self._propagate() != _NO_REASON:
                 self._ok = False
             return
-        cref = len(self._clauses)
-        self._clauses.append(out)
+        clauses = self._clauses
+        cref = len(clauses)
+        clauses.append(out)
         self._lbd.append(-1)
-        self._attach(cref, out)
+        self._live += 1
+        a, b = out[0], out[1]
+        watches = self._watches
+        watches[(a << 1) if a > 0 else ((-a) << 1) | 1].extend((cref, b))
+        watches[(b << 1) if b > 0 else ((-b) << 1) | 1].extend((cref, a))
 
     def _attach(self, cref: int, c: list[int]) -> None:
         a, b = c[0], c[1]
@@ -163,14 +179,12 @@ class Solver:
 
     @staticmethod
     def _widx(lit: int) -> int:
+        """Watch-list index of a literal: 2v for +v, 2v+1 for -v."""
         return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
 
     # ------------------------------------------------------------------
-    # activity heap (max-heap keyed by activity, ties to smaller variable)
-
-    def _heap_less(self, u: int, v: int) -> bool:
-        au, av = self._activity[u], self._activity[v]
-        return au > av or (au == av and u < v)
+    # activity heap (max-heap keyed by activity, ties to smaller variable;
+    # the order test is written out in _heap_up and _heap_down)
 
     def _heap_insert(self, v: int) -> None:
         if self._heap_pos[v] >= 0:
@@ -180,12 +194,14 @@ class Solver:
         self._heap_up(len(self._heap) - 1)
 
     def _heap_up(self, i: int) -> None:
-        heap, pos = self._heap, self._heap_pos
+        heap, pos, activity = self._heap, self._heap_pos, self._activity
         v = heap[i]
+        av = activity[v]
         while i > 0:
             parent = (i - 1) >> 1
             p = heap[parent]
-            if not self._heap_less(v, p):
+            ap = activity[p]
+            if not (av > ap or (av == ap and v < p)):
                 break
             heap[i] = p
             pos[p] = i
@@ -194,19 +210,26 @@ class Solver:
         pos[v] = i
 
     def _heap_down(self, i: int) -> None:
-        heap, pos = self._heap, self._heap_pos
+        heap, pos, activity = self._heap, self._heap_pos, self._activity
         v = heap[i]
+        av = activity[v]
         n = len(heap)
         while True:
-            left = 2 * i + 1
-            if left >= n:
+            child = 2 * i + 1
+            if child >= n:
                 break
-            right = left + 1
-            child = right if right < n and self._heap_less(heap[right], heap[left]) else left
-            if not self._heap_less(heap[child], v):
+            c = heap[child]
+            ac = activity[c]
+            right = child + 1
+            if right < n:
+                r = heap[right]
+                ar = activity[r]
+                if ar > ac or (ar == ac and r < c):
+                    child, c, ac = right, r, ar
+            if not (ac > av or (ac == av and c < v)):
                 break
-            heap[i] = heap[child]
-            pos[heap[i]] = i
+            heap[i] = c
+            pos[c] = i
             i = child
         heap[i] = v
         pos[v] = i
@@ -267,13 +290,19 @@ class Solver:
         """Unit propagation; returns a conflicting cref or _NO_REASON."""
         clauses = self._clauses
         assign = self._assign
+        level = self._level
+        reason = self._reason
+        watches = self._watches
         trail = self._trail
-        while self._qhead < len(trail):
-            p = trail[self._qhead]
-            self._qhead += 1
-            self.propagations += 1
+        lvl = len(self._trail_lim)
+        qhead = self._qhead
+        props = 0
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            props += 1
             false_lit = -p
-            wl = self._watches[self._widx(false_lit)]
+            wl = watches[(p << 1) | 1 if p > 0 else (-p) << 1]
             i = j = 0
             n = len(wl)
             while i < n:
@@ -299,32 +328,31 @@ class Solver:
                     wl[j + 1] = first
                     j += 2
                     continue
-                moved = False
                 for k in range(2, len(c)):
                     lk = c[k]
                     kv = assign[lk if lk > 0 else -lk]
                     if kv < 0 or (kv if lk > 0 else kv ^ 1) == 1:
                         c[1] = lk
                         c[k] = false_lit
-                        self._watches[self._widx(lk)].extend((cref, first))
-                        moved = True
+                        watches[(lk << 1) if lk > 0 else ((-lk) << 1) | 1].extend((cref, first))
                         break
-                if moved:
-                    continue
-                wl[j] = cref
-                wl[j + 1] = first
-                j += 2
-                if fv >= 0 and (fv if first > 0 else fv ^ 1) == 0:
-                    while i < n:  # conflict: keep the rest of the list
-                        wl[j] = wl[i]
-                        wl[j + 1] = wl[i + 1]
-                        i += 2
-                        j += 2
-                    del wl[j:]
-                    self._qhead = len(trail)
-                    return cref
-                self._enqueue(first, cref)
+                else:
+                    wl[j] = cref
+                    wl[j + 1] = first
+                    j += 2
+                    if fv >= 0:  # first is not true here, so it is false: conflict
+                        del wl[j:i]  # keep the rest of the list
+                        self._qhead = len(trail)
+                        self.propagations += props
+                        return cref
+                    v = first if first > 0 else -first
+                    assign[v] = 1 if first > 0 else 0
+                    level[v] = lvl
+                    reason[v] = cref
+                    trail.append(first)
             del wl[j:]
+        self._qhead = qhead
+        self.propagations += props
         return _NO_REASON
 
     # ------------------------------------------------------------------
@@ -422,6 +450,7 @@ class Solver:
             if self._lbd[r] <= 2 or len(c) <= 2 or self._locked(r, c):
                 continue
             self._clauses[r] = None
+            self._live -= 1
         self._learnt_refs = [r for r in self._learnt_refs if self._clauses[r] is not None]
         self._max_learnts *= 1.2
 
@@ -479,6 +508,7 @@ class Solver:
                     self._clauses.append(learnt)
                     self._lbd.append(lbd)
                     self._learnt_refs.append(cref)
+                    self._live += 1
                     self._attach(cref, learnt)
                     self._enqueue(learnt[0], cref)
                 self.learned += 1
@@ -516,9 +546,7 @@ class Solver:
                 v = self._pick_branch_var()
                 if v == 0:
                     status = SAT
-                    model = [False] * (self._nvars + 1)
-                    for u in range(1, self._nvars + 1):
-                        model[u] = self._assign[u] == 1
+                    model = [a == 1 for a in self._assign]  # slot 0 is unassigned
                     break
                 self.decisions += 1
                 self._new_level()
@@ -541,6 +569,6 @@ class Solver:
             "propagations": self.propagations,
             "restarts": self.restarts,
             "learned": self.learned,
-            "clauses": sum(1 for c in self._clauses if c is not None),
+            "clauses": self._live,
             "vars": self._nvars,
         }

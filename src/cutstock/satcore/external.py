@@ -9,7 +9,10 @@ with signed literals or a 0/1 string, and optional ``o`` cost lines.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import shlex
+import signal
 import subprocess
 from dataclasses import dataclass
 
@@ -82,17 +85,35 @@ def run_external(
     else:
         argv = shlex.split(command) + [problem_path]
     try:
-        proc = subprocess.run(
-            argv, capture_output=True, text=True, timeout=time_limit
+        # its own session, so that a timeout can end everything it started
+        proc = subprocess.Popen(
+            argv,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
         )
-    except subprocess.TimeoutExpired:
-        return ExternalResult(UNKNOWN, diagnostic=f"timeout after {time_limit}s")
     except OSError as exc:
         return ExternalResult(UNKNOWN, diagnostic=f"failed to run {argv[0]}: {exc}")
-    result = parse_solver_output(proc.stdout)
+    try:
+        stdout, stderr = proc.communicate(timeout=time_limit)
+    except subprocess.TimeoutExpired:
+        _kill_session(proc)
+        return ExternalResult(UNKNOWN, diagnostic=f"timeout after {time_limit}s")
+    except BaseException:
+        _kill_session(proc)
+        raise
+    result = parse_solver_output(stdout)
     if result.status == UNKNOWN and not result.diagnostic:
         result.diagnostic = (
             f"no verdict in solver output (exit {proc.returncode}); "
-            f"stderr: {proc.stderr.strip()[:500]}"
+            f"stderr: {stderr.strip()[:500]}"
         )
     return result
+
+
+def _kill_session(proc: subprocess.Popen) -> None:
+    """Kill the solver's whole process group, then reap the solver."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.communicate()

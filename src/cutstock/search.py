@@ -30,6 +30,8 @@ INFEASIBLE_MODEL_ERROR = "INFEASIBLE_MODEL_ERROR"
 
 STRATEGIES = ("sat", "inc", "maxsat")
 
+LOAD_CHECK_EVERY = 4096  # clauses loaded between deadline checks
+
 
 def config_name(strategy: str, rotation: bool, sb: bool) -> str:
     name = {"sat": "CSP", "inc": "CSP_INC", "maxsat": "CSP_MS"}[strategy]
@@ -123,6 +125,9 @@ class _Run:
         return self.deadline is not None and time.perf_counter() >= self.deadline
 
     def build(self, k: int):
+        """Encode k sheets: (vm, formula), or None when the deadline has passed."""
+        if self.out_of_time():
+            return None
         vm, formula = encode_formula(self.copies, self.instance, self._config(k))
         self.builds += 1
         self.max_vars = max(self.max_vars, formula.num_vars)
@@ -132,11 +137,21 @@ class _Run:
     def _config(self, k: int) -> EncodeConfig:
         return EncodeConfig(sheets=k, rotation=self.rotation, symmetry_breaking=self.sb)
 
-    def new_solver(self, formula):
+    def new_solver(self, k: int):
+        """Encode k sheets into a fresh engine: (vm, solver), or None when
+        the deadline passes before the formula is fully loaded."""
+        built = self.build(k)
+        if built is None:
+            return None
+        vm, formula = built
         solver = self.engine(formula.num_vars, self.seed)
-        for clause in formula.clauses:
-            solver.add_clause(clause)
-        return solver
+        clauses = formula.clauses
+        for start in range(0, len(clauses), LOAD_CHECK_EVERY):
+            if self.out_of_time():
+                return None
+            for clause in clauses[start:start + LOAD_CHECK_EVERY]:
+                solver.add_clause(clause)
+        return vm, solver
 
     def take_witness(self, solution: Solution) -> Solution | None:
         """Compact, verify and adopt a decoded packing; None means bad model."""
@@ -183,8 +198,10 @@ def _solve_binary_search(run: _Run, incremental: bool) -> SolveOutcome:
     solver = None
     vm_top = None
     if incremental and lower < upper:
-        vm_top, formula = run.build(upper)
-        solver = run.new_solver(formula)
+        loaded = run.new_solver(upper)
+        if loaded is None:
+            return run.finish()
+        vm_top, solver = loaded
     while lower < upper:
         if run.out_of_time():
             run.proven_lower = lower
@@ -196,8 +213,11 @@ def _solve_binary_search(run: _Run, incremental: bool) -> SolveOutcome:
             result = solver.solve(assumptions=assumptions, time_limit=run.remaining())
             vm, config = vm_top, run._config(run.upper)
         else:
-            vm, formula = run.build(mid)
-            fresh = run.new_solver(formula)
+            loaded = run.new_solver(mid)
+            if loaded is None:
+                run.proven_lower = lower
+                return run.finish()
+            vm, fresh = loaded
             result = fresh.solve(time_limit=run.remaining())
             config = run._config(mid)
         run.calls.append(CallRecord(mid, result.status, time.perf_counter() - t0))
@@ -219,8 +239,10 @@ def _solve_binary_search(run: _Run, incremental: bool) -> SolveOutcome:
 def _solve_maxsat_internal(run: _Run) -> SolveOutcome:
     if run.lower >= run.upper:
         return run.finish()
-    vm, formula = run.build(run.upper)
-    solver = run.new_solver(formula)
+    loaded = run.new_solver(run.upper)
+    if loaded is None:
+        return run.finish()
+    vm, solver = loaded
     config = run._config(run.upper)
     disabled = run.upper + 1
     while True:
@@ -256,7 +278,10 @@ def soft_unused_sheets(vm, lower: int) -> list[tuple[int, list[int]]]:
 
 def _solve_maxsat_external(run: _Run, solver_cmd: str) -> SolveOutcome | None:
     """Optimise via an external WCNF solver; None means fall back internally."""
-    vm, formula = run.build(run.upper)
+    built = run.build(run.upper)
+    if built is None:
+        return run.finish()
+    vm, formula = built
     config = run._config(run.upper)
     wcnf = format_wcnf(formula.num_vars, formula.clauses, soft_unused_sheets(vm, run.lower))
     fd, path = tempfile.mkstemp(suffix=".wcnf", prefix="cutstock-")

@@ -182,9 +182,14 @@ def test_wide_pair_never_side_by_side():
 
 
 def test_clauses_well_formed(demo):
-    copies = expand_demands(demo)
-    for config in (EncodeConfig(2), EncodeConfig(2, True, True), EncodeConfig(1, False, True)):
-        _, formula = encode_formula(copies, demo, config)
+    cases = [(demo, EncodeConfig(2)), (demo, EncodeConfig(2, True, True)),
+             (demo, EncodeConfig(1, False, True))]
+    rng = random.Random(5)
+    for _ in range(30):
+        inst = random_instance(rng, max_copies=7, max_dim=8)
+        cases.append((inst, EncodeConfig(rng.randint(1, 4), rng.random() < 0.5, rng.random() < 0.5)))
+    for inst, config in cases:
+        _, formula = encode_formula(expand_demands(inst), inst, config)
         for clause in formula.clauses:
             assert clause
             vars_in = [abs(l) for l in clause]

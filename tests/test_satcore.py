@@ -1,6 +1,9 @@
 import itertools
+import os
 import random
+import signal
 import sys
+import time
 
 import pytest
 
@@ -8,6 +11,7 @@ from cutstock.satcore import (
     SAT,
     UNKNOWN,
     UNSAT,
+    PurePythonSolver,
     available_engines,
     format_dimacs,
     format_wcnf,
@@ -17,7 +21,10 @@ from cutstock.satcore import (
     run_external,
 )
 
-from conftest import random_cnf
+from cutstock.encoding import EncodeConfig, encode_formula
+from cutstock.model import expand_demands
+
+from conftest import random_cnf, random_instance
 
 
 def enumerate_sat(n, clauses):
@@ -29,6 +36,17 @@ def enumerate_sat(n, clauses):
 
 def satisfies(model, clauses):
     return all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
+
+
+def php(pigeons, holes):
+    """Pigeonhole formula: unsatisfiable when pigeons > holes, hard to refute."""
+    var = lambda i, j: (i - 1) * holes + j
+    cl = [[var(i, j) for j in range(1, holes + 1)] for i in range(1, pigeons + 1)]
+    for j in range(1, holes + 1):
+        for i1 in range(1, pigeons + 1):
+            for i2 in range(i1 + 1, pigeons + 1):
+                cl.append([-var(i1, j), -var(i2, j)])
+    return pigeons * holes, cl
 
 
 def test_unit_clause(engine_cls):
@@ -122,15 +140,6 @@ def test_assumptions_match_fresh_units(engine_cls):
 
 def test_unsat_under_assumptions_keeps_learned_clauses(engine_cls):
     # needs search to refute, so clauses are learned and must survive
-    def php(pigeons, holes):
-        var = lambda i, j: (i - 1) * holes + j
-        cl = [[var(i, j) for j in range(1, holes + 1)] for i in range(1, pigeons + 1)]
-        for j in range(1, holes + 1):
-            for i1 in range(1, pigeons + 1):
-                for i2 in range(i1 + 1, pigeons + 1):
-                    cl.append([-var(i1, j), -var(i2, j)])
-        return pigeons * holes, cl
-
     n, clauses = php(6, 5)
     gate = n + 1
     s = engine_cls(n)
@@ -160,15 +169,6 @@ def test_determinism(engine_cls):
 
 
 def test_conflict_budget_returns_unknown(engine_cls):
-    def php(pigeons, holes):
-        var = lambda i, j: (i - 1) * holes + j
-        cl = [[var(i, j) for j in range(1, holes + 1)] for i in range(1, pigeons + 1)]
-        for j in range(1, holes + 1):
-            for i1 in range(1, pigeons + 1):
-                for i2 in range(i1 + 1, pigeons + 1):
-                    cl.append([-var(i1, j), -var(i2, j)])
-        return pigeons * holes, cl
-
     n, clauses = php(7, 6)
     s = engine_cls(n)
     for c in clauses:
@@ -176,6 +176,18 @@ def test_conflict_budget_returns_unknown(engine_cls):
     r = s.solve(conflict_limit=10)
     assert r.status == UNKNOWN
     assert s.solve().status == UNSAT
+
+
+def test_live_clause_count_survives_reductions():
+    n, clauses = php(8, 7)
+    s = PurePythonSolver(n)
+    for c in clauses:
+        s.add_clause(c)
+    s._max_learnts = 20.0  # reduce the learned-clause database early and often
+    for budget in (300, 600):
+        r = s.solve(conflict_limit=budget)
+        assert r.stats["clauses"] == sum(1 for c in s._clauses if c is not None)
+    assert any(c is None for c in s._clauses), "no clause was ever deleted"
 
 
 def test_engines_are_lockstep():
@@ -195,6 +207,24 @@ def test_engines_are_lockstep():
             r = s.solve()
             runs.append((r.status, r.model, r.stats))
         assert runs[0] == runs[1]
+    # encoded packing formulas: assumption calls, then permanent unit clauses
+    rng = random.Random(32)
+    for _ in range(12):
+        inst = random_instance(rng, max_copies=7, max_dim=7)
+        k = rng.randint(1, 4)
+        config = EncodeConfig(k, rng.random() < 0.5, rng.random() < 0.5)
+        vm, formula = encode_formula(expand_demands(inst), inst, config)
+        solvers = [cls(formula.num_vars) for cls in engines.values()]
+        for s in solvers:
+            for c in formula.clauses:
+                s.add_clause(c)
+        for m in range(k, 0, -1):
+            assumptions = [-vm.used(j) for j in range(m + 1, k + 1)]
+            for kwargs in ({"assumptions": assumptions}, {}):
+                a, b = [s.solve(**kwargs) for s in solvers]
+                assert (a.status, a.model, a.stats) == (b.status, b.model, b.stats)
+            for s in solvers:
+                s.add_clause([-vm.used(m)])
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +296,35 @@ def test_external_timeout_is_unknown(tmp_path):
     result = run_external("sleep 5", str(slow), time_limit=0.2)
     assert result.status == UNKNOWN
     assert "timeout" in result.diagnostic
+
+
+def test_external_timeout_kills_grandchildren(tmp_path):
+    """A solver that forks must not leave its children running after a timeout."""
+    pid_file = tmp_path / "grandchild.pid"
+    script = tmp_path / "forking-solver.sh"
+    script.write_text(f"sleep 30 &\necho $! > {pid_file}\nwait\n")
+    problem = tmp_path / "p.cnf"
+    problem.write_text("p cnf 1 1\n1 0\n")
+    result = run_external(f"sh {script}", str(problem), time_limit=1)
+    assert result.status == UNKNOWN and "timeout" in result.diagnostic
+    pid = int(pid_file.read_text())
+    try:
+        deadline = time.monotonic() + 5.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid), f"grandchild {pid} outlived the timeout"
+    finally:
+        if _running(pid):
+            os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """True while the process exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def test_external_agrees_with_embedded(tmp_path, engine_cls):

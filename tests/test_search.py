@@ -1,8 +1,10 @@
 import random
 import sys
+import time
 
 import pytest
 
+from cutstock import satcore
 from cutstock.bounds import compute_bounds
 from cutstock.encoding import EncodeConfig, encode_formula
 from cutstock.model import Instance, ItemType, expand_demands
@@ -167,11 +169,48 @@ def test_timeout_returns_feasible_witness(engine_cls):
     for strategy in ("sat", "inc", "maxsat"):
         out = solve_instance(inst, strategy, engine=engine_cls, time_limit=0.0)
         assert out.status == "FEASIBLE", strategy  # no time to improve on FFD
+        assert out.formula_builds == 0, strategy
         assert out.best_solution is not None
         assert verify_solution(inst, out.best_solution, False).ok
         assert out.best_k == 2 and out.lower_bound == 1
     full = solve_instance(inst, "sat", engine=engine_cls, time_limit=60.0)
     assert full.status == OPTIMAL and full.best_k == 1
+
+
+def test_deadline_stops_build_and_load(monkeypatch):
+    """A passed deadline ends the run before encoding, or before loading."""
+    from cutstock import search as search_mod
+
+    inst = Instance(120, 120, (ItemType(61, 61, 6), ItemType(50, 20, 10)))
+    counts = {"clauses": 0, "solves": 0}
+
+    class Counting(satcore.Solver):
+        def add_clause(self, lits):
+            counts["clauses"] += 1
+            super().add_clause(lits)
+
+        def solve(self, *args, **kwargs):
+            counts["solves"] += 1
+            return super().solve(*args, **kwargs)
+
+    started = time.perf_counter() - 2.0  # the deadline passed a second ago
+    out = solve_instance(inst, "inc", engine=Counting, time_limit=1.0, started=started)
+    assert (out.status, out.formula_builds, out.calls) == ("FEASIBLE", 0, [])
+    assert counts == {"clauses": 0, "solves": 0}
+    assert verify_solution(inst, out.best_solution, False).ok
+
+    started = time.perf_counter()
+    real_encode = search_mod.encode_formula
+
+    def slow_encode(*args):
+        result = real_encode(*args)
+        time.sleep(max(0.0, started + 1.0 - time.perf_counter()) + 0.01)
+        return result
+
+    monkeypatch.setattr(search_mod, "encode_formula", slow_encode)
+    out = solve_instance(inst, "inc", engine=Counting, time_limit=1.0, started=started)
+    assert (out.status, out.formula_builds, out.calls) == ("FEASIBLE", 1, [])
+    assert counts == {"clauses": 0, "solves": 0}
 
 
 def test_corrupt_model_reported_not_trusted(engine_cls):
