@@ -3,8 +3,9 @@
 Exit codes for ``solve``: 0 optimal, 10 feasible (no optimality proof),
 20 unknown, 2 bad input.  ``bench`` writes per-run CSV rows and prints a
 summary table aggregated per configuration; it can also re-aggregate an
-existing rows file.  The ``CUTSTOCK_SOLVER_CMD`` environment variable
-supplies a default external MaxSAT solver command.
+existing rows file; a run that raises gives a row with status ``error``,
+and then ``bench`` exits with 1.  The ``CUTSTOCK_SOLVER_CMD`` environment
+variable supplies a default external MaxSAT solver command.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
+import itertools
 import os
 import sys
 import time
@@ -30,10 +33,19 @@ from .model import (
 )
 from .render import render_solution
 from .satcore.dimacs import format_dimacs, format_wcnf
-from .search import FEASIBLE, OPTIMAL, soft_unused_sheets, solve_instance
+from .search import (
+    FEASIBLE,
+    INFEASIBLE_MODEL_ERROR,
+    OPTIMAL,
+    STRATEGIES,
+    UNKNOWN,
+    config_name,
+    soft_unused_sheets,
+    solve_instance,
+)
 from .verify import verify_solution
 
-_EXIT_BY_STATUS = {OPTIMAL: 0, FEASIBLE: 10, "UNKNOWN": 20, "INFEASIBLE_MODEL_ERROR": 1}
+_EXIT_BY_STATUS = {OPTIMAL: 0, FEASIBLE: 10, UNKNOWN: 20, INFEASIBLE_MODEL_ERROR: 1}
 
 
 def _read(path: str) -> str:
@@ -65,7 +77,6 @@ def cmd_solve(args) -> int:
         time_limit=args.time_limit,
         solver_cmd=solver_cmd,
         started=started,
-        seed=args.seed,
     )
     print(f"{outcome.status} k={outcome.best_k}")
     for key, value in outcome.record().items():
@@ -151,6 +162,7 @@ def cmd_render(args) -> int:
 # bench
 
 ROW_FIELDS = ["instance", "config", "status", "k", "vars", "clauses", "ttb"]
+ERROR = "error"  # row status of a run that raised or whose worker died
 
 
 @dataclass
@@ -186,6 +198,17 @@ def _run_one(job) -> dict:
     }
 
 
+def _row(job, result) -> dict:
+    """The row that result() returns for the job, or an error row if it raises."""
+    try:
+        return result()
+    except Exception as exc:  # the job raised, or its worker died (BrokenProcessPool)
+        path, strategy, rotation, sb = job[:4]
+        name, config = Path(path).stem, config_name(strategy, rotation, sb)
+        print(f"error: {name} {config}: {exc!r}", file=sys.stderr)
+        return dict(dict.fromkeys(ROW_FIELDS, ""), instance=name, config=config, status=ERROR)
+
+
 def read_bks(path: str) -> dict[str, int]:
     bks = {}
     with open(path, newline="") as fh:
@@ -205,7 +228,8 @@ def aggregate_rows(rows: list[dict], bks: dict[str, int]) -> list[BenchMetrics]:
     A row counts as optimal when its status says so, and as feasible when
     its sheet count matches the best known value without a proof.  The gap
     averages (k - BKS) / BKS over every instance with a known BKS; the
-    time-to-best averages over the optimal and feasible rows only.
+    time-to-best averages over the optimal and feasible rows only.  Error
+    rows are left out of every count, sum and gap.
     """
     configs: dict[str, list[dict]] = {}
     for row in rows:
@@ -213,7 +237,10 @@ def aggregate_rows(rows: list[dict], bks: dict[str, int]) -> list[BenchMetrics]:
     out = []
     warned: set[str] = set()
     for config in sorted(configs, key=_config_sort_key):
-        group = configs[config]
+        group = [row for row in configs[config] if row["status"] != ERROR]
+        errors = len(configs[config]) - len(group)
+        if errors:
+            print(f"warning: {config}: {errors} errored runs left out", file=sys.stderr)
         n_opt = n_feas = 0
         ttbs: list[float] = []
         gaps: list[float] = []
@@ -259,9 +286,8 @@ def aggregate_rows(rows: list[dict], bks: dict[str, int]) -> list[BenchMetrics]:
 
 
 def _config_sort_key(name: str):
-    order = ["CSP", "CSP_SB", "CSP_R", "CSP_R_SB", "CSP_INC", "CSP_INC_SB",
-             "CSP_INC_R", "CSP_INC_R_SB", "CSP_MS", "CSP_MS_SB", "CSP_MS_R",
-             "CSP_MS_R_SB"]
+    modes = (False, True)
+    order = [config_name(*c) for c in itertools.product(STRATEGIES, modes, modes)]
     return (order.index(name), name) if name in order else (len(order), name)
 
 
@@ -305,12 +331,15 @@ def cmd_bench(args) -> int:
         ]
         if args.jobs > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_run_one, jobs))
+                futures = [pool.submit(_run_one, job) for job in jobs]
+                rows = [_row(job, future.result) for job, future in zip(jobs, futures)]
         else:
-            rows = [_run_one(job) for job in jobs]
+            rows = [_row(job, functools.partial(_run_one, job)) for job in jobs]
         rows.sort(key=lambda r: (r["instance"], _config_sort_key(r["config"])))
         for row in rows:
             status = row["status"]
+            if status == ERROR:
+                continue
             if status == OPTIMAL:
                 row["status"] = "opt"
             elif bks.get(row["instance"]) == int(row["k"]):
@@ -326,7 +355,7 @@ def cmd_bench(args) -> int:
         print(f"rows written to {args.out_csv}")
     metrics = aggregate_rows(rows, bks)
     print(format_metrics_table(metrics))
-    return 0
+    return 1 if any(row["status"] == ERROR for row in rows) else 0
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--solver-cmd", default=None, help="external WCNF solver template")
     solve.add_argument("--out", default=None, help="solution file path")
     solve.add_argument("--svg", default=None, help="SVG path prefix")
-    solve.add_argument("--seed", type=int, default=0)
     solve.set_defaults(func=cmd_solve)
 
     encode = sub.add_parser("encode", help="export the formula for a fixed sheet count")

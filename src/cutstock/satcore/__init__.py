@@ -2,14 +2,11 @@
 
 Two interchangeable engines exist: the compiled extension
 (``cutstock.satcore._engine``, Cython) and the pure-Python reference
-(``cutstock.satcore.engine``).  Import picks the compiled one when it is
-built, unless ``CUTSTOCK_ENGINE=python`` forces the fallback;
-``CUTSTOCK_ENGINE=compiled`` insists on the extension and fails loudly.
+(``cutstock.satcore.engine``).  ``Solver`` is the compiled one when it can
+be imported and the pure-Python one otherwise.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import engine as _engine_py
 from .dimacs import format_dimacs, format_wcnf, parse_dimacs, parse_wcnf
@@ -18,21 +15,13 @@ from .external import ExternalResult, parse_solver_output, run_external
 
 PurePythonSolver = _engine_py.Solver
 
-_forced = os.environ.get("CUTSTOCK_ENGINE", "").strip().lower()
 try:
     from . import _engine as _engine_cy
-
-    CompiledSolver = _engine_cy.Solver
-except ImportError as _exc:
-    if _forced == "compiled":
-        raise ImportError(f"compiled engine requested but unavailable: {_exc}") from _exc
+except ImportError:
     CompiledSolver = None
-
-if _forced == "python" or CompiledSolver is None:
-    Solver = PurePythonSolver
-    ENGINE = "python"
+    Solver, ENGINE = PurePythonSolver, "python"
 else:
-    Solver = CompiledSolver
+    CompiledSolver = Solver = _engine_cy.Solver
     ENGINE = "compiled"
 
 

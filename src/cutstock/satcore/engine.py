@@ -62,10 +62,13 @@ def _luby(i: int) -> int:
 
 
 class Solver:
-    """Incremental CDCL solver over a fixed growable variable range."""
+    """Incremental CDCL solver over a fixed growable variable range.
+
+    ``seed`` is accepted, as by the compiled engine's constructor, and
+    ignored: the search is deterministic.
+    """
 
     def __init__(self, num_vars: int = 0, seed: int = 0):
-        self.seed = seed  # kept for interface parity; the search is deterministic
         self._nvars = 0
         self._ok = True
         # per-variable state, slot 0 unused

@@ -14,6 +14,8 @@ import os
 import shlex
 import signal
 import subprocess
+import tempfile
+import threading
 from dataclasses import dataclass
 
 SAT = "SAT"
@@ -84,25 +86,30 @@ def run_external(
         argv = [a.replace("{input}", problem_path) for a in shlex.split(command)]
     else:
         argv = shlex.split(command) + [problem_path]
-    try:
-        # its own session, so that a timeout can end everything it started
-        proc = subprocess.Popen(
-            argv,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            start_new_session=True,
-        )
-    except OSError as exc:
-        return ExternalResult(UNKNOWN, diagnostic=f"failed to run {argv[0]}: {exc}")
-    try:
-        stdout, stderr = proc.communicate(timeout=time_limit)
-    except subprocess.TimeoutExpired:
-        _kill_session(proc)
-        return ExternalResult(UNKNOWN, diagnostic=f"timeout after {time_limit}s")
-    except BaseException:
-        _kill_session(proc)
-        raise
+    # Output goes to files, not pipes: a child the solver leaves behind would
+    # keep a pipe open, and reading it would wait for that child, not the solver.
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        try:
+            # its own session, so that everything it started can be ended
+            proc = subprocess.Popen(argv, stdout=out, stderr=err, start_new_session=True)
+        except OSError as exc:
+            return ExternalResult(UNKNOWN, diagnostic=f"failed to run {argv[0]}: {exc}")
+        # a blocking wait in a thread sees the exit at once; wait(timeout=...) polls
+        waiter = threading.Thread(target=proc.wait, daemon=True)
+        waiter.start()
+        try:
+            waiter.join(time_limit)
+            if waiter.is_alive():
+                return ExternalResult(UNKNOWN, diagnostic=f"timeout after {time_limit}s")
+        finally:
+            # end whatever is left of its process group, then reap the solver
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        out.seek(0)
+        err.seek(0)
+        stdout = out.read().decode(errors="replace")
+        stderr = err.read().decode(errors="replace")
     result = parse_solver_output(stdout)
     if result.status == UNKNOWN and not result.diagnostic:
         result.diagnostic = (
@@ -111,9 +118,3 @@ def run_external(
         )
     return result
 
-
-def _kill_session(proc: subprocess.Popen) -> None:
-    """Kill the solver's whole process group, then reap the solver."""
-    with contextlib.suppress(ProcessLookupError):
-        os.killpg(proc.pid, signal.SIGKILL)
-    proc.communicate()

@@ -1,10 +1,22 @@
-"""Sheet-count minimisation: binary search (fresh or incremental) and MaxSAT.
+"""Sheet-count minimisation: one search loop for all three strategies.
 
-All strategies share the same skeleton: compute the [lower, upper] window,
-keep the FFD packing as the incumbent witness, and tighten the window with
-feasibility queries.  A result is OPTIMAL only with a certificate: either
-the best k equals the area lower bound, or an UNSAT verdict exists for one
-sheet fewer.
+Every strategy computes the [lower, upper] window, keeps the FFD packing as
+the incumbent witness, and tightens the window with feasibility queries
+until it closes: a SAT answer for k sheets lowers upper, an UNSAT answer
+raises lower to k + 1.  The strategies differ in two choices only:
+
+- which k to ask: ``sat`` and ``inc`` bisect the window; ``maxsat``
+  (model-improving linear search) asks about upper, then about one sheet
+  fewer than its last model used;
+- how to ask: ``sat`` encodes and loads a fresh formula for each k;
+  ``inc`` and ``maxsat`` load the formula for the initial upper bound once,
+  ``inc`` turning surplus sheets off with assumptions and ``maxsat`` with
+  permanent unit clauses.
+
+``maxsat`` can instead hand the soft sheet-usage clauses to an external
+WCNF solver, falling back to the loop when that fails.  A result is
+OPTIMAL only with a certificate: either the best k equals the area lower
+bound, or an UNSAT verdict exists for one sheet fewer.
 """
 
 from __future__ import annotations
@@ -94,13 +106,12 @@ class SolveOutcome:
 class _Run:
     """Shared bookkeeping for one optimisation run."""
 
-    def __init__(self, instance, strategy, rotation, sb, time_limit, engine, started, seed):
+    def __init__(self, instance, strategy, rotation, sb, time_limit, engine, started):
         self.instance = instance
         self.strategy = strategy
         self.rotation = rotation
         self.sb = sb
         self.engine = engine or satcore.Solver
-        self.seed = seed
         self.started = started if started is not None else time.perf_counter()
         self.deadline = self.started + time_limit if time_limit is not None else None
         self.copies = expand_demands(instance)
@@ -144,7 +155,7 @@ class _Run:
         if built is None:
             return None
         vm, formula = built
-        solver = self.engine(formula.num_vars, self.seed)
+        solver = self.engine(formula.num_vars)
         clauses = formula.clauses
         for start in range(0, len(clauses), LOAD_CHECK_EVERY):
             if self.out_of_time():
@@ -153,9 +164,11 @@ class _Run:
                 solver.add_clause(clause)
         return vm, solver
 
-    def take_witness(self, solution: Solution) -> Solution | None:
-        """Compact, verify and adopt a decoded packing; None means bad model."""
-        solution = relabel_sheets(solution)
+    def adopt(self, model, vm) -> Solution | None:
+        """Decode, compact and verify a model of the formula behind vm, and
+        keep it when it beats the incumbent; None means a bad model."""
+        decoded = decode_model(model, vm, self.copies, self.instance, self._config(vm.sheets))
+        solution = relabel_sheets(decoded)
         report = verify_solution(self.instance, solution, self.rotation)
         if not report.ok:
             self.fail_detail = str(report)
@@ -193,82 +206,47 @@ class _Run:
         return self.outcome(UNKNOWN, backend)
 
 
-def _solve_binary_search(run: _Run, incremental: bool) -> SolveOutcome:
+def _search(run: _Run) -> SolveOutcome:
+    """Close the [lower, upper] window with internal solver calls."""
     lower, upper = run.lower, run.upper
-    solver = None
-    vm_top = None
-    if incremental and lower < upper:
+    if run.strategy != "sat" and lower < upper:
         loaded = run.new_solver(upper)
         if loaded is None:
             return run.finish()
-        vm_top, solver = loaded
-    while lower < upper:
-        if run.out_of_time():
-            run.proven_lower = lower
-            return run.finish()
-        mid = (lower + upper) // 2
-        t0 = time.perf_counter()
-        if incremental:
-            assumptions = [-vm_top.used(j) for j in range(mid + 1, run.upper + 1)]
-            result = solver.solve(assumptions=assumptions, time_limit=run.remaining())
-            vm, config = vm_top, run._config(run.upper)
+        vm, solver = loaded
+    first = True  # maxsat asks about upper itself once, even after an external attempt
+    disabled = upper + 1  # maxsat: sheets from here up are off for good
+    while lower < upper and not run.out_of_time():
+        if run.strategy == "maxsat":
+            k = upper if first else upper - 1
+            first = False
         else:
-            loaded = run.new_solver(mid)
+            k = (lower + upper) // 2
+        t0 = time.perf_counter()
+        assumptions = []
+        if run.strategy == "sat":
+            loaded = run.new_solver(k)
             if loaded is None:
-                run.proven_lower = lower
-                return run.finish()
-            vm, fresh = loaded
-            result = fresh.solve(time_limit=run.remaining())
-            config = run._config(mid)
-        run.calls.append(CallRecord(mid, result.status, time.perf_counter() - t0))
-        if result.status == SAT:
-            decoded = decode_model(result.model, vm, run.copies, run.instance, config)
-            if run.take_witness(decoded) is None:
-                return run.outcome(INFEASIBLE_MODEL_ERROR, detail=run.fail_detail)
-            upper = mid
-        elif result.status == UNSAT:
-            lower = mid + 1
-            run.proven_lower = lower
+                break
+            vm, solver = loaded
+        elif run.strategy == "inc":
+            assumptions = [-vm.used(j) for j in range(k + 1, vm.sheets + 1)]
         else:
-            run.proven_lower = lower
-            return run.finish()
-    run.proven_lower = lower
-    return run.finish()
-
-
-def _solve_maxsat_internal(run: _Run) -> SolveOutcome:
-    if run.lower >= run.upper:
-        return run.finish()
-    loaded = run.new_solver(run.upper)
-    if loaded is None:
-        return run.finish()
-    vm, solver = loaded
-    config = run._config(run.upper)
-    disabled = run.upper + 1
-    while True:
-        if run.out_of_time():
-            return run.finish()
-        t0 = time.perf_counter()
-        result = solver.solve(time_limit=run.remaining())
-        run.calls.append(CallRecord(disabled - 1, result.status, time.perf_counter() - t0))
+            for j in range(k + 1, disabled):
+                solver.add_clause([-vm.used(j)])
+            disabled = k + 1
+        result = solver.solve(assumptions=assumptions, time_limit=run.remaining())
+        run.calls.append(CallRecord(k, result.status, time.perf_counter() - t0))
         if result.status == SAT:
-            decoded = decode_model(result.model, vm, run.copies, run.instance, config)
-            witness = run.take_witness(decoded)
+            witness = run.adopt(result.model, vm)
             if witness is None:
                 return run.outcome(INFEASIBLE_MODEL_ERROR, detail=run.fail_detail)
-            used = witness.sheets_used
-            if used <= run.lower:
-                run.proven_lower = run.lower
-                return run.finish()
-            # forbid every sheet index >= used, so the next model is smaller
-            for j in range(used, disabled):
-                solver.add_clause([-vm.used(j)])
-            disabled = used
+            upper = witness.sheets_used if run.strategy == "maxsat" else k
         elif result.status == UNSAT:
-            run.proven_lower = disabled  # no packing into disabled-1 sheets
-            return run.finish()
+            lower = run.proven_lower = k + 1
         else:
-            return run.finish()
+            break
+    return run.finish()
 
 
 def soft_unused_sheets(vm, lower: int) -> list[tuple[int, list[int]]]:
@@ -282,7 +260,6 @@ def _solve_maxsat_external(run: _Run, solver_cmd: str) -> SolveOutcome | None:
     if built is None:
         return run.finish()
     vm, formula = built
-    config = run._config(run.upper)
     wcnf = format_wcnf(formula.num_vars, formula.clauses, soft_unused_sheets(vm, run.lower))
     fd, path = tempfile.mkstemp(suffix=".wcnf", prefix="cutstock-")
     try:
@@ -298,8 +275,7 @@ def _solve_maxsat_external(run: _Run, solver_cmd: str) -> SolveOutcome | None:
     model = result.model
     if len(model) <= formula.num_vars:
         model = model + [False] * (formula.num_vars + 1 - len(model))
-    decoded = decode_model(model, vm, run.copies, run.instance, config)
-    witness = run.take_witness(decoded)
+    witness = run.adopt(model, vm)
     if witness is None:
         return run.outcome(INFEASIBLE_MODEL_ERROR, backend="external", detail=run.fail_detail)
     run.proven_lower = witness.sheets_used  # the solver certified the optimum
@@ -315,7 +291,6 @@ def solve_instance(
     solver_cmd: str | None = None,
     engine=None,
     started: float | None = None,
-    seed: int = 0,
 ) -> SolveOutcome:
     """Minimise the sheet count with the chosen strategy.
 
@@ -327,17 +302,9 @@ def solve_instance(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     instance.validate(rotation)
-    run = _Run(
-        instance, strategy, rotation, symmetry_breaking, time_limit, engine, started, seed
-    )
-    if strategy == "sat":
-        return _solve_binary_search(run, incremental=False)
-    if strategy == "inc":
-        return _solve_binary_search(run, incremental=True)
-    if run.lower >= run.upper:
-        return run.finish()  # the FFD packing already meets the area bound
-    if solver_cmd:
+    run = _Run(instance, strategy, rotation, symmetry_breaking, time_limit, engine, started)
+    if strategy == "maxsat" and solver_cmd and run.lower < run.upper:
         external = _solve_maxsat_external(run, solver_cmd)
         if external is not None:
             return external
-    return _solve_maxsat_internal(run)
+    return _search(run)

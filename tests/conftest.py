@@ -1,9 +1,67 @@
+"""Shared fixtures and helpers.
+
+When ``g++`` and the Python headers are present, the committed
+``src/cutstock/satcore/_engine.cpp`` is compiled once per session into a
+temporary directory and served as ``cutstock.satcore._engine``, so every
+engine-parametrised test runs on the compiled engine as well as on the
+pure-Python one.  Nothing is written under ``src/``.
+"""
+
+import atexit
+import importlib.abc
+import importlib.util
+import os
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
+import tempfile
+import time
 
 import pytest
 
-from cutstock.model import Instance, ItemType, parse_instance
-from cutstock.satcore import available_engines
+
+class _BuiltEngineFinder(importlib.abc.MetaPathFinder):
+    """Finds the compiled engine at a path outside the source tree."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "cutstock.satcore._engine":
+            return importlib.util.spec_from_file_location(name, self.path)
+        return None
+
+
+def build_compiled_engine() -> str:
+    """Compile the committed engine source; returns a line for the report header."""
+    compiler = shutil.which("g++")
+    include = sysconfig.get_paths()["include"]
+    if compiler is None or not os.path.exists(os.path.join(include, "Python.h")):
+        return "compiled engine not built: g++ or the Python headers are missing"
+    package = importlib.util.find_spec("cutstock").submodule_search_locations[0]
+    source = os.path.join(package, "satcore", "_engine.cpp")
+    folder = tempfile.mkdtemp(prefix="cutstock-engine-")
+    atexit.register(shutil.rmtree, folder, ignore_errors=True)
+    target = os.path.join(folder, "_engine" + sysconfig.get_config_var("EXT_SUFFIX"))
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [compiler, "-O2", "-shared", "-fPIC", f"-I{include}", source, "-o", target],
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        return f"compiled engine not built: g++ failed:\n{proc.stderr[-2000:]}"
+    sys.meta_path.insert(0, _BuiltEngineFinder(target))
+    return f"compiled engine built from _engine.cpp in {time.perf_counter() - started:.1f}s"
+
+
+# before anything imports cutstock.satcore, which looks for the compiled engine
+ENGINE_BUILD = build_compiled_engine()
+
+from cutstock.model import Instance, ItemType, parse_instance  # noqa: E402
+from cutstock.satcore import available_engines  # noqa: E402
 
 ENGINES = available_engines()
 
@@ -18,6 +76,10 @@ DEMO_PLACEMENTS = [
     (1, 2, 1, 2, 2, 0),
     (1, 3, 1, 4, 2, 0),
 ]
+
+
+def pytest_report_header(config):
+    return [f"cutstock engines: {', '.join(sorted(ENGINES))}", ENGINE_BUILD]
 
 
 @pytest.fixture(params=sorted(ENGINES))

@@ -241,6 +241,33 @@ def test_bench_parallel_jobs(tmp_path, capsys):
     assert [r["instance"] for r in rows] == ["a", "b"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_failing_job_gives_error_row(tmp_path, capsys, jobs):
+    (tmp_path / "inst").mkdir()
+    (tmp_path / "inst" / "demo.txt").write_text(DEMO_TEXT)
+    (tmp_path / "inst" / "huge.txt").write_text("6 4\n1\n9 9 1\n")  # fits no sheet
+    out_csv = tmp_path / "rows.csv"
+    code = main([
+        "bench", "--dir", str(tmp_path / "inst"), "--jobs", jobs,
+        "--strategies", "sat,inc", "--out-csv", str(out_csv),
+    ])
+    assert code == 1
+    with open(out_csv, newline="") as fh:
+        rows = [(r["instance"], r["config"], r["status"], r["k"], r["vars"], r["clauses"])
+                for r in csv.DictReader(fh)]
+    assert rows == [
+        ("demo", "CSP", "opt", "2", "0", "0"),
+        ("demo", "CSP_INC", "opt", "2", "0", "0"),
+        ("huge", "CSP", "error", "", "", ""),
+        ("huge", "CSP_INC", "error", "", "", ""),
+    ]
+    out, err = capsys.readouterr()
+    assert "InstanceError" in err
+    assert "CSP: 1 errored runs left out" in err
+    lines = {line.split()[0]: line.split() for line in out.splitlines()[2:]}
+    assert lines["CSP"][1] == lines["CSP_INC"][1] == "1"  # the demo optimum counts
+
+
 def test_bench_empty_directory(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["bench", "--dir", str(tmp_path / "empty")]) == 0

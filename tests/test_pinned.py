@@ -1,9 +1,12 @@
-"""Outputs pinned to known-good values: CNF/WCNF bytes and engine statistics.
+"""Outputs pinned to known-good values: CNF/WCNF bytes, engine statistics
+and the queries each search strategy makes.
 
 The digests and the per-call statistics below were recorded from the
-encoder and engine as they stood before their hot paths were rewritten.
-Any change to clause content or order, or to the engine's search (watch
-order, trail order, heuristics), moves at least one of them.
+encoder and engine as they stood before their hot paths were rewritten,
+and the queries from the search as it stood before its loops were merged.
+Any change to clause content or order, to the engine's search (watch
+order, trail order, heuristics) or to which sheet counts the search asks
+about moves at least one of them.
 """
 
 import hashlib
@@ -86,8 +89,9 @@ def search_runs():
     return [(f"{name} {s} rot={int(r)} sb={int(b)}", inst, s, r, b) for name, inst, s, r, b in runs]
 
 
-def recorded_run(engine_cls, inst, strategy, rotation, sb):
-    """Run one solve; returns (status, best_k, lower bound) and per-call (verdict, stats)."""
+def recorded_run(engine_cls, inst, strategy, rotation, sb, solver_cmd=None):
+    """Run one solve; returns (status, best_k, lower bound), per-call (verdict, stats)
+    and the outcome itself."""
     calls = []
 
     class Recording(engine_cls):
@@ -97,8 +101,12 @@ def recorded_run(engine_cls, inst, strategy, rotation, sb):
             calls.append((result.status, tuple(result.stats[key] for key in STAT_KEYS)))
             return result
 
-    out = solve_instance(inst, strategy, rotation, sb, engine=Recording)
-    return (out.status, out.best_k, out.lower_bound), calls
+    out = solve_instance(inst, strategy, rotation, sb, solver_cmd=solver_cmd, engine=Recording)
+    return (out.status, out.best_k, out.lower_bound), calls, out
+
+
+def queries(out):
+    return [(c.k, c.verdict) for c in out.calls]
 
 
 DIGESTS = {  # label -> (sha256 of the DIMACS text, sha256 of the WCNF text)
@@ -225,6 +233,26 @@ CALLS = {
     ]),
 }
 
+# label -> (formula_builds, [(k, verdict) per call])
+QUERIES = {
+    'gap sat rot=0 sb=0': (1, [(1, 'SAT')]),
+    'gap inc rot=1 sb=0': (1, [(1, 'SAT')]),
+    'gap maxsat rot=0 sb=1': (1, [(2, 'SAT')]),
+    'squares inc rot=0 sb=1': (1, [(4, 'UNSAT'), (5, 'UNSAT')]),
+    'tiling sat rot=0 sb=1': (1, [(2, 'SAT')]),
+    'tiling inc rot=1 sb=0': (1, [(2, 'SAT')]),
+    'tiling maxsat rot=0 sb=0': (1, [(3, 'SAT'), (2, 'SAT')]),
+    'oversized sat rot=1 sb=1': (1, [(2, 'UNSAT')]),
+    'oversized inc rot=0 sb=1': (1, [(2, 'UNSAT')]),
+    'oversized maxsat rot=1 sb=0': (1, [(3, 'SAT'), (2, 'UNSAT')]),
+    'random10 inc rot=0 sb=1': (1, [(2, 'UNSAT')]),
+    'random11 maxsat rot=0 sb=1': (1, [(2, 'SAT'), (1, 'UNSAT')]),
+    'random12 sat rot=0 sb=1': (1, [(6, 'UNSAT')]),
+    'random13 inc rot=1 sb=0': (1, [(1, 'SAT')]),
+    'random14 maxsat rot=0 sb=0': (1, [(3, 'SAT'), (2, 'UNSAT')]),
+    'random15 sat rot=1 sb=0': (1, [(2, 'SAT')]),
+}
+
 
 def test_formula_bytes_pinned():
     got = {}
@@ -238,5 +266,22 @@ def test_formula_bytes_pinned():
 def test_search_statistics_pinned(engine_cls):
     runs = search_runs()
     assert [label for label, *_ in runs] == list(CALLS)
+    assert list(QUERIES) == list(CALLS)
     for label, inst, strategy, rotation, sb in runs:
-        assert recorded_run(engine_cls, inst, strategy, rotation, sb) == CALLS[label], label
+        summary, calls, out = recorded_run(engine_cls, inst, strategy, rotation, sb)
+        assert (summary, calls) == CALLS[label], label
+        assert (out.formula_builds, queries(out)) == QUERIES[label], label
+
+
+def test_maxsat_fallback_makes_the_internal_calls(engine_cls):
+    """After a failed external command, internal maxsat asks what it asks alone."""
+    for label, inst, strategy, rotation, sb in search_runs():
+        if strategy != "maxsat":
+            continue
+        summary, calls, out = recorded_run(
+            engine_cls, inst, strategy, rotation, sb, solver_cmd="no-such-binary-here"
+        )
+        assert (out.backend, out.calls[0].verdict) == ("internal", "UNKNOWN"), label
+        assert (summary, calls) == CALLS[label], label
+        builds, internal = QUERIES[label]
+        assert (out.formula_builds, queries(out)[1:]) == (builds + 1, internal), label

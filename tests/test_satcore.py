@@ -1,12 +1,15 @@
 import itertools
 import os
 import random
+import re
 import signal
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from cutstock import satcore
 from cutstock.satcore import (
     SAT,
     UNKNOWN,
@@ -25,6 +28,8 @@ from cutstock.encoding import EncodeConfig, encode_formula
 from cutstock.model import expand_demands
 
 from conftest import random_cnf, random_instance
+
+CYTHON_MARK = "             # <<<<<<<<<<<<<<"
 
 
 def enumerate_sat(n, clauses):
@@ -227,6 +232,25 @@ def test_engines_are_lockstep():
                 s.add_clause([-vm.used(m)])
 
 
+def test_compiled_source_matches_pyx():
+    """Every .pyx line that the committed _engine.cpp quotes as the source of
+    its code is still that line of _engine.pyx, so the compiled engine the
+    suite builds is the one the .pyx describes."""
+    folder = Path(satcore.__file__).parent
+    pyx = (folder / "_engine.pyx").read_text().splitlines()
+    source = line_no = None
+    checked = 0
+    for line in (folder / "_engine.cpp").read_text().splitlines():
+        header = re.search(r'/\* "([^"]+)":(\d+)$', line)
+        if header:
+            source, line_no = header.group(1), int(header.group(2))
+        elif line.endswith(CYTHON_MARK) and source == "cutstock/satcore/_engine.pyx":
+            quoted = line[len(" * "):-len(CYTHON_MARK)]
+            assert pyx[line_no - 1] == quoted, f"_engine.pyx:{line_no}"
+            checked += 1
+    assert checked > 400
+
+
 # ----------------------------------------------------------------------
 # DIMACS / WCNF
 
@@ -316,6 +340,31 @@ def test_external_timeout_kills_grandchildren(tmp_path):
     finally:
         if _running(pid):
             os.kill(pid, signal.SIGKILL)
+
+
+def test_external_answer_not_held_by_leftover_child(tmp_path):
+    """A solver that answers and exits while a child it started lives on is
+    read at once, with or without a time limit, and the child is ended."""
+    pid_file = tmp_path / "child.pid"
+    script = tmp_path / "answer-and-leave.sh"
+    script.write_text(f"sleep 30 &\necho $! > {pid_file}\necho 's UNSATISFIABLE'\n")
+    problem = tmp_path / "p.cnf"
+    problem.write_text("p cnf 1 1\n1 0\n")
+    for limit in (2.0, None):
+        started = time.monotonic()
+        result = run_external(f"sh {script}", str(problem), time_limit=limit)
+        took = time.monotonic() - started
+        pid = int(pid_file.read_text())
+        try:
+            assert result.status == UNSAT, (limit, result)
+            assert took < 1.5, (limit, took)
+            deadline = time.monotonic() + 5.0
+            while _running(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(pid), f"child {pid} outlived the solver"
+        finally:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def _running(pid: int) -> bool:

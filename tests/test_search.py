@@ -217,8 +217,8 @@ def test_corrupt_model_reported_not_trusted(engine_cls):
     """A solver returning bogus models must surface as a model error."""
 
     class LyingSolver:
-        def __init__(self, num_vars, seed=0):
-            self.inner = engine_cls(num_vars, seed)
+        def __init__(self, num_vars):
+            self.inner = engine_cls(num_vars)
 
         def add_clause(self, lits):
             self.inner.add_clause(lits)
