@@ -1,26 +1,20 @@
-"""Build script: compiles the CDCL engine extension when Cython is available.
+"""Build script: compiles the C++ CDCL engine extension when it can.
 
 The package works without the extension (the pure-Python engine is selected
-at import time); building it just makes solving much faster.
+at import time), so a failed build is skipped with a warning; building it
+just makes solving much faster.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "cutstock.satcore._engine",
-                ["src/cutstock/satcore/_engine.pyx"],
-                language="c++",
-                extra_compile_args=["-O2"],
-            )
-        ],
-        language_level=3,
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "cutstock.satcore._engine",
+            ["src/cutstock/satcore/_engine.cpp"],
+            language="c++",
+            extra_compile_args=["-O2"],
+            optional=True,
+        )
+    ]
+)

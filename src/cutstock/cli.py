@@ -18,6 +18,7 @@ import itertools
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -198,6 +199,28 @@ def _run_one(job) -> dict:
     }
 
 
+def _pooled(pool, job):
+    """result() for the job run in a process pool.  A worker that dies breaks
+    the pool and fails every job not yet done with it, whether it ran or not,
+    so such a job runs again alone in a fresh one-worker pool: only the job
+    whose own worker dies gets an error row."""
+    try:
+        future = pool.submit(_run_one, job)
+    except BrokenProcessPool:  # the pool broke before this job was queued
+        future = None
+
+    def result():
+        if future is not None:
+            try:
+                return future.result()
+            except BrokenProcessPool:
+                pass
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as alone:
+            return alone.submit(_run_one, job).result()
+
+    return result
+
+
 def _row(job, result) -> dict:
     """The row that result() returns for the job, or an error row if it raises."""
     try:
@@ -331,8 +354,8 @@ def cmd_bench(args) -> int:
         ]
         if args.jobs > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(_run_one, job) for job in jobs]
-                rows = [_row(job, future.result) for job, future in zip(jobs, futures)]
+                results = [_pooled(pool, job) for job in jobs]
+                rows = [_row(job, result) for job, result in zip(jobs, results)]
         else:
             rows = [_row(job, functools.partial(_run_one, job)) for job in jobs]
         rows.sort(key=lambda r: (r["instance"], _config_sort_key(r["config"])))

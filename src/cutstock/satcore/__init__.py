@@ -1,9 +1,10 @@
 """SAT substrate: embedded CDCL engine, DIMACS/WCNF export, external adapter.
 
-Two interchangeable engines exist: the compiled extension
-(``cutstock.satcore._engine``, Cython) and the pure-Python reference
-(``cutstock.satcore.engine``).  ``Solver`` is the compiled one when it can
-be imported and the pure-Python one otherwise.
+Two interchangeable engines exist: the pure-Python reference
+(``cutstock.satcore.engine``) and its hand-written C++ transliteration
+(``cutstock.satcore._engine``, built from ``_engine.cpp`` on install when a
+C++ compiler is present).  ``Solver`` is the compiled one when it can be
+imported and the pure-Python one otherwise.
 """
 
 from __future__ import annotations

@@ -1,18656 +1,692 @@
-/* Generated by Cython 3.2.8 */
+// Compiled CDCL engine, interface-identical to cutstock.satcore.engine.
+//
+// A line-for-line transliteration of the pure-Python reference: two watched
+// literals with blockers, first-UIP learning with basic minimisation, an
+// activity heap with ties to the smaller variable, phase saving, Luby
+// restarts, LBD-based database reduction and solving under assumptions with
+// clause retention.  It gives the same verdicts, models and statistics,
+// conflict for conflict.  Clauses live in one flat arena: [size, lbd, lit...]
+// at each reference offset; size < 0 marks a deleted clause.
+//
+// Build: g++ -O2 -shared -fPIC -I<python include> _engine.cpp -o _engine<EXT_SUFFIX>
 
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O2"
-        ],
-        "language": "c++",
-        "name": "cutstock.satcore._engine",
-        "sources": [
-            "src/cutstock/satcore/_engine.pyx"
-        ]
-    },
-    "module_name": "cutstock.satcore._engine"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
 #define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
+#include <Python.h>
 
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CppInitCode */
-#ifndef __cplusplus
-  #error "Cython files generated with the C++ option must be compiled with a C++ compiler."
-#endif
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #else
-    #define CYTHON_INLINE inline
-  #endif
-#endif
-template<typename T>
-void __Pyx_call_destructor(T& x) {
-    x.~T();
-}
-template<typename T>
-class __Pyx_FakeReference {
-  public:
-    __Pyx_FakeReference() : ptr(NULL) { }
-    __Pyx_FakeReference(const T& ref) : ptr(const_cast<T*>(&ref)) { }
-    T *operator->() { return ptr; }
-    T *operator&() { return ptr; }
-    operator T&() { return *ptr; }
-    template<typename U> bool operator ==(const U& other) const { return *ptr == other; }
-    template<typename U> bool operator !=(const U& other) const { return *ptr != other; }
-    template<typename U> bool operator==(const __Pyx_FakeReference<U>& other) const { return *ptr == *other.ptr; }
-    template<typename U> bool operator!=(const __Pyx_FakeReference<U>& other) const { return *ptr != *other.ptr; }
-  private:
-    T *ptr;
-};
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-    #define __PYX_EXTERN_C extern "C++"
-#endif
-
-#define __PYX_HAVE__cutstock__satcore___engine
-#define __PYX_HAVE_API__cutstock__satcore___engine
-/* Early includes */
-#include "ios"
-#include "new"
-#include "stdexcept"
-#include "typeinfo"
+#include <algorithm>
+#include <ctime>
+#include <new>
 #include <vector>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
 
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/cutstock/satcore/_engine.pyx",
-  "<stringsource>",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_obj_8cutstock_7satcore_7_engine_Solver;
-
-/* "cutstock/satcore/_engine.pyx":33
- * 
- * 
- * cdef class Solver:             # <<<<<<<<<<<<<<
- *     cdef vector[int] ca                 # clause arena
- *     cdef vector[vector[int]] watches    # per literal index, (cref, blocker) pairs
-*/
-struct __pyx_obj_8cutstock_7satcore_7_engine_Solver {
-  PyObject_HEAD
-  struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *__pyx_vtab;
-  std::vector<int>  ca;
-  std::vector<std::vector<int> >  watches;
-  std::vector<signed char>  assign_;
-  std::vector<int>  level_;
-  std::vector<int>  reason_;
-  std::vector<double>  activity_;
-  std::vector<signed char>  phase_;
-  std::vector<signed char>  seen_;
-  std::vector<int>  trail_;
-  std::vector<int>  trail_lim_;
-  std::vector<int>  heap_;
-  std::vector<int>  heap_pos_;
-  std::vector<int>  learnt_refs_;
-  std::vector<int>  to_clear_;
-  int nvars;
-  int qhead;
-  int ok;
-  double var_inc;
-  double var_decay;
-  double max_learnts;
-  PY_LONG_LONG conflicts;
-  PY_LONG_LONG decisions;
-  PY_LONG_LONG propagations;
-  PY_LONG_LONG restarts;
-  PY_LONG_LONG learned;
-  PY_LONG_LONG live_clauses;
-  int seed;
-};
-
-
-
-struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver {
-  int (*_widx)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int);
-  int (*_lit_value)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int);
-  int (*_new_clause)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, std::vector<int>  &, int);
-  int (*_heap_less)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int, int);
-  void (*_heap_insert)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int);
-  void (*_heap_up)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int);
-  void (*_heap_down)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int);
-  int (*_heap_pop)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *);
-  void (*_bump)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int);
-  void (*_enqueue)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int, int);
-  void (*_cancel_until)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int);
-  int (*_propagate)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *);
-  int (*_analyze)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int, std::vector<int>  &);
-  int (*_clause_lbd)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, std::vector<int>  &);
-  int (*_locked)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int);
-  void (*_reduce_db)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *);
-  int (*_pick_branch_var)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *);
-};
-static struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *__pyx_vtabptr_8cutstock_7satcore_7_engine_Solver;
-static CYTHON_INLINE int __pyx_f_8cutstock_7satcore_7_engine_6Solver__widx(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int);
-static CYTHON_INLINE int __pyx_f_8cutstock_7satcore_7_engine_6Solver__lit_value(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int);
-static CYTHON_INLINE int __pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_less(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int, int);
-static CYTHON_INLINE void __pyx_f_8cutstock_7satcore_7_engine_6Solver__enqueue(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int, int);
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* PyObjectFastCallMethod.proto */
-#if CYTHON_VECTORCALL && PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyObject_FastCallMethod(name, args, nargsf) PyObject_VectorcallMethod(name, args, nargsf, NULL)
-#else
-static PyObject *__Pyx_PyObject_FastCallMethod(PyObject *name, PyObject *const *args, size_t nargsf);
-#endif
-
-/* PyValueError_Check.proto */
-#define __Pyx_PyExc_ValueError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_ValueError)
-
-/* BuildPyUnicode.proto (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char);
-
-/* COrdinalToPyUnicode.proto (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value);
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t width, char padding_char);
-
-/* GCCDiagnostics.proto (used by CIntToPyUnicode) */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* IncludeStdlibH.proto (used by CIntToPyUnicode) */
-#include <stdlib.h>
-
-/* CIntToPyUnicode.proto */
-#define __Pyx_PyUnicode_From_int(value, width, padding_char, format_char) (\
-    ((format_char) == ('c')) ?\
-        __Pyx_uchar___Pyx_PyUnicode_From_int(value, width, padding_char) :\
-        __Pyx____Pyx_PyUnicode_From_int(value, width, padding_char, format_char)\
-    )
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char);
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char);
-
-/* JoinPyUnicode.export */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char);
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* SliceTupleAndList.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_GetSlice(PyObject* src, Py_ssize_t start, Py_ssize_t stop);
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_GetSlice(PyObject* src, Py_ssize_t start, Py_ssize_t stop);
-#else
-#define __Pyx_PyList_GetSlice(seq, start, stop)   PySequence_GetSlice(seq, start, stop)
-#define __Pyx_PyTuple_GetSlice(seq, start, stop)  PySequence_GetSlice(seq, start, stop)
-#endif
-
-/* RaiseTooManyValuesToUnpack.proto */
-static CYTHON_INLINE void __Pyx_RaiseTooManyValuesError(Py_ssize_t expected);
-
-/* RaiseNeedMoreValuesToUnpack.proto */
-static CYTHON_INLINE void __Pyx_RaiseNeedMoreValuesError(Py_ssize_t index);
-
-/* IterFinish.proto */
-static CYTHON_INLINE int __Pyx_IterFinish(void);
-
-/* UnpackItemEndCheck.proto */
-static int __Pyx_IternextUnpackEndCheck(PyObject *retval, Py_ssize_t expected);
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* SetItemInt.proto */
-#define __Pyx_SetItemInt(o, i, v, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_SetItemInt_Fast(o, (Py_ssize_t)i, v, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list assignment index out of range"), -1) :\
-               __Pyx_SetItemInt_Generic(o, to_py_func(i), v)))
-static int __Pyx_SetItemInt_Generic(PyObject *o, PyObject *j, PyObject *v);
-static CYTHON_INLINE int __Pyx_SetItemInt_Fast(PyObject *o, Py_ssize_t i, PyObject *v,
-                                               int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* RejectKeywords.export */
-static void __Pyx_RejectKeywords(const char* function_name, PyObject *kwds);
-
-/* PyTypeError_Check.proto */
-#define __Pyx_PyExc_TypeError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_TypeError)
-
-/* AllocateExtensionType.proto */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final);
-
-/* DefaultPlacementNew.proto */
-#include <new>
-template<typename T>
-void __Pyx_default_placement_construct(T* x) {
-    new (static_cast<void*>(x)) T();
-}
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* PyObjectCallNoArg.proto (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func);
-
-/* PyObjectGetMethod.proto (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method);
-#endif
-
-/* PyObjectCallMethod0.proto (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name);
-
-/* ValidateBasesTuple.proto (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases);
-#endif
-
-/* PyType_Ready.proto */
-CYTHON_UNUSED static int __Pyx_PyType_Ready(PyTypeObject *t);
-
-/* SetVTable.proto */
-static int __Pyx_SetVtable(PyTypeObject* typeptr , void* vtable);
-
-/* GetVTable.proto (used by MergeVTables) */
-static void* __Pyx_GetVtable(PyTypeObject *type);
-
-/* MergeVTables.proto */
-static int __Pyx_MergeVtables(PyTypeObject *type);
-
-/* DelItemOnTypeDict.proto (used by SetupReduce) */
-static int __Pyx__DelItemOnTypeDict(PyTypeObject *tp, PyObject *k);
-#define __Pyx_DelItemOnTypeDict(tp, k) __Pyx__DelItemOnTypeDict((PyTypeObject*)tp, k)
-
-/* SetupReduce.proto */
-static int __Pyx_setup_reduce(PyObject* type_obj);
-
-/* HasAttr.proto (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_HasAttr(o, n)  PyObject_HasAttrWithError(o, n)
-#else
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *, PyObject *);
-#endif
-
-/* ImportImpl.export */
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level);
-
-/* Import.proto */
-static CYTHON_INLINE PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level);
-
-/* ImportFrom.proto */
-static PyObject* __Pyx_ImportFrom(PyObject* module, PyObject* name);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* CppExceptionConversion.proto */
-#ifndef __Pyx_CppExn2PyErr
-#include <new>
-#include <typeinfo>
-#include <stdexcept>
-#include <ios>
-static void __Pyx_CppExn2PyErr() {
-  try {
-    if (PyErr_Occurred())
-      ; // let the latest Python exn pass through and ignore the current one
-    else
-      throw;
-  } catch (const std::bad_alloc& exn) {
-    PyErr_SetString(PyExc_MemoryError, exn.what());
-  } catch (const std::bad_cast& exn) {
-    PyErr_SetString(PyExc_TypeError, exn.what());
-  } catch (const std::bad_typeid& exn) {
-    PyErr_SetString(PyExc_TypeError, exn.what());
-  } catch (const std::domain_error& exn) {
-    PyErr_SetString(PyExc_ValueError, exn.what());
-  } catch (const std::invalid_argument& exn) {
-    PyErr_SetString(PyExc_ValueError, exn.what());
-  } catch (const std::ios_base::failure& exn) {
-    PyErr_SetString(PyExc_IOError, exn.what());
-  } catch (const std::out_of_range& exn) {
-    PyErr_SetString(PyExc_IndexError, exn.what());
-  } catch (const std::overflow_error& exn) {
-    PyErr_SetString(PyExc_OverflowError, exn.what());
-  } catch (const std::range_error& exn) {
-    PyErr_SetString(PyExc_ArithmeticError, exn.what());
-  } catch (const std::underflow_error& exn) {
-    PyErr_SetString(PyExc_ArithmeticError, exn.what());
-  } catch (const std::exception& exn) {
-    PyErr_SetString(PyExc_RuntimeError, exn.what());
-  }
-  catch (...)
-  {
-    PyErr_SetString(PyExc_RuntimeError, "Unknown exception");
-  }
-}
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE size_t __Pyx_PyLong_As_size_t(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-static CYTHON_INLINE int __pyx_f_8cutstock_7satcore_7_engine_6Solver__widx(CYTHON_UNUSED struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_lit); /* proto*/
-static CYTHON_INLINE int __pyx_f_8cutstock_7satcore_7_engine_6Solver__lit_value(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_lit); /* proto*/
-static int __pyx_f_8cutstock_7satcore_7_engine_6Solver__new_clause(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, std::vector<int>  &__pyx_v_lits, int __pyx_v_lbd); /* proto*/
-static CYTHON_INLINE int __pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_less(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_u, int __pyx_v_v); /* proto*/
-static void __pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_insert(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_v); /* proto*/
-static void __pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_up(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_i); /* proto*/
-static void __pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_down(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_i); /* proto*/
-static int __pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_pop(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self); /* proto*/
-static void __pyx_f_8cutstock_7satcore_7_engine_6Solver__bump(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_v); /* proto*/
-static CYTHON_INLINE void __pyx_f_8cutstock_7satcore_7_engine_6Solver__enqueue(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_lit, int __pyx_v_reason); /* proto*/
-static void __pyx_f_8cutstock_7satcore_7_engine_6Solver__cancel_until(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_lvl); /* proto*/
-static int __pyx_f_8cutstock_7satcore_7_engine_6Solver__propagate(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self); /* proto*/
-static int __pyx_f_8cutstock_7satcore_7_engine_6Solver__analyze(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_confl, std::vector<int>  &__pyx_v_learnt); /* proto*/
-static int __pyx_f_8cutstock_7satcore_7_engine_6Solver__clause_lbd(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, std::vector<int>  &__pyx_v_learnt); /* proto*/
-static int __pyx_f_8cutstock_7satcore_7_engine_6Solver__locked(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_cref); /* proto*/
-static void __pyx_f_8cutstock_7satcore_7_engine_6Solver__reduce_db(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self); /* proto*/
-static int __pyx_f_8cutstock_7satcore_7_engine_6Solver__pick_branch_var(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self); /* proto*/
-
-/* Module declarations from "libcpp.vector" */
-
-/* Module declarations from "cutstock.satcore._engine" */
-static int __pyx_v_8cutstock_7satcore_7_engine__UNDEF;
-static int __pyx_v_8cutstock_7satcore_7_engine__NO_REASON;
-static PY_LONG_LONG __pyx_f_8cutstock_7satcore_7_engine__luby(PY_LONG_LONG); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "cutstock.satcore._engine"
-extern int __pyx_module_is_main_cutstock__satcore___engine;
-int __pyx_module_is_main_cutstock__satcore___engine = 0;
-
-/* Implementation of "cutstock.satcore._engine" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_CDCL_engine_interface_i[] = "Compiled CDCL engine, interface-identical to cutstock.satcore.engine.\n\nSame algorithm as the pure-Python reference: two watched literals with\nblockers, first-UIP learning with basic minimisation, activity heap,\nphase saving, Luby restarts, LBD-based database reduction, solving under\nassumptions with clause retention.  Clauses live in one flat arena:\n[size, lbd, lit...] at each reference offset; size < 0 marks deletion.\n";
-/* #### Code section: decls ### */
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver___cinit__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_num_vars, int __pyx_v_seed); /* proto */
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_8num_vars___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_2add_vars(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_count); /* proto */
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_4add_clause(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_lits); /* proto */
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_6solve(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_assumptions, PyObject *__pyx_v_conflict_limit, PyObject *__pyx_v_time_limit); /* proto */
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_8stats(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_9conflicts___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self); /* proto */
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver_9conflicts_2__set__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_value); /* proto */
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_9decisions___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self); /* proto */
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver_9decisions_2__set__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_value); /* proto */
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_12propagations___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self); /* proto */
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver_12propagations_2__set__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_value); /* proto */
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_8restarts___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self); /* proto */
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver_8restarts_2__set__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_value); /* proto */
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_7learned___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self); /* proto */
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver_7learned_2__set__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_value); /* proto */
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_12live_clauses___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self); /* proto */
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver_12live_clauses_2__set__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_value); /* proto */
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_4seed___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self); /* proto */
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver_4seed_2__set__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_value); /* proto */
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_10__reduce_cython__(CYTHON_UNUSED struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_12__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state); /* proto */
-static PyObject *__pyx_tp_new_8cutstock_7satcore_7_engine_Solver(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  PyObject *__pyx_type_8cutstock_7satcore_7_engine_Solver;
-  PyTypeObject *__pyx_ptype_8cutstock_7satcore_7_engine_Solver;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_tuple[1];
-  PyObject *__pyx_codeobj_tab[6];
-  PyObject *__pyx_string_tab[102];
-  PyObject *__pyx_number_tab[1];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
 namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
 
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
+const int UNDEF = -1;
+const int NO_REASON = -1;
 
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u__2 __pyx_string_tab[1]
-#define __pyx_kp_u_assumption __pyx_string_tab[2]
-#define __pyx_kp_u_cutstock_satcore_engine __pyx_string_tab[3]
-#define __pyx_kp_u_disable __pyx_string_tab[4]
-#define __pyx_kp_u_enable __pyx_string_tab[5]
-#define __pyx_kp_u_gc __pyx_string_tab[6]
-#define __pyx_kp_u_isenabled __pyx_string_tab[7]
-#define __pyx_kp_u_literal __pyx_string_tab[8]
-#define __pyx_kp_u_no_default___reduce___due_to_non __pyx_string_tab[9]
-#define __pyx_kp_u_outside_declared_variables __pyx_string_tab[10]
-#define __pyx_kp_u_outside_declared_variables_1 __pyx_string_tab[11]
-#define __pyx_kp_u_src_cutstock_satcore__engine_pyx __pyx_string_tab[12]
-#define __pyx_kp_u_stringsource __pyx_string_tab[13]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[14]
-#define __pyx_n_u_SAT __pyx_string_tab[15]
-#define __pyx_n_u_SolveResult __pyx_string_tab[16]
-#define __pyx_n_u_Solver __pyx_string_tab[17]
-#define __pyx_n_u_Solver___reduce_cython __pyx_string_tab[18]
-#define __pyx_n_u_Solver___setstate_cython __pyx_string_tab[19]
-#define __pyx_n_u_Solver_add_clause __pyx_string_tab[20]
-#define __pyx_n_u_Solver_add_vars __pyx_string_tab[21]
-#define __pyx_n_u_Solver_solve __pyx_string_tab[22]
-#define __pyx_n_u_Solver_stats __pyx_string_tab[23]
-#define __pyx_n_u_UNKNOWN __pyx_string_tab[24]
-#define __pyx_n_u_UNSAT __pyx_string_tab[25]
-#define __pyx_n_u_add_clause __pyx_string_tab[26]
-#define __pyx_n_u_add_vars __pyx_string_tab[27]
-#define __pyx_n_u_annotate __pyx_string_tab[28]
-#define __pyx_n_u_assume __pyx_string_tab[29]
-#define __pyx_n_u_assumptions __pyx_string_tab[30]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[31]
-#define __pyx_n_u_bt __pyx_string_tab[32]
-#define __pyx_n_u_checkpoint __pyx_string_tab[33]
-#define __pyx_n_u_clauses __pyx_string_tab[34]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[35]
-#define __pyx_n_u_confl __pyx_string_tab[36]
-#define __pyx_n_u_conflict_budget __pyx_string_tab[37]
-#define __pyx_n_u_conflict_limit __pyx_string_tab[38]
-#define __pyx_n_u_conflicts __pyx_string_tab[39]
-#define __pyx_n_u_count __pyx_string_tab[40]
-#define __pyx_n_u_cref __pyx_string_tab[41]
-#define __pyx_n_u_cutstock_satcore__engine __pyx_string_tab[42]
-#define __pyx_n_u_deadline __pyx_string_tab[43]
-#define __pyx_n_u_decisions __pyx_string_tab[44]
-#define __pyx_n_u_dup __pyx_string_tab[45]
-#define __pyx_n_u_engine __pyx_string_tab[46]
-#define __pyx_n_u_first __pyx_string_tab[47]
-#define __pyx_n_u_func __pyx_string_tab[48]
-#define __pyx_n_u_getstate __pyx_string_tab[49]
-#define __pyx_n_u_i __pyx_string_tab[50]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[51]
-#define __pyx_n_u_item __pyx_string_tab[52]
-#define __pyx_n_u_items __pyx_string_tab[53]
-#define __pyx_n_u_lbd __pyx_string_tab[54]
-#define __pyx_n_u_learned __pyx_string_tab[55]
-#define __pyx_n_u_learnt __pyx_string_tab[56]
-#define __pyx_n_u_lit __pyx_string_tab[57]
-#define __pyx_n_u_lits __pyx_string_tab[58]
-#define __pyx_n_u_main __pyx_string_tab[59]
-#define __pyx_n_u_model __pyx_string_tab[60]
-#define __pyx_n_u_module __pyx_string_tab[61]
-#define __pyx_n_u_name __pyx_string_tab[62]
-#define __pyx_n_u_next_restart __pyx_string_tab[63]
-#define __pyx_n_u_num_vars __pyx_string_tab[64]
-#define __pyx_n_u_other __pyx_string_tab[65]
-#define __pyx_n_u_out __pyx_string_tab[66]
-#define __pyx_n_u_perf_counter __pyx_string_tab[67]
-#define __pyx_n_u_pop __pyx_string_tab[68]
-#define __pyx_n_u_propagations __pyx_string_tab[69]
-#define __pyx_n_u_pyx_state __pyx_string_tab[70]
-#define __pyx_n_u_pyx_vtable __pyx_string_tab[71]
-#define __pyx_n_u_qualname __pyx_string_tab[72]
-#define __pyx_n_u_reduce __pyx_string_tab[73]
-#define __pyx_n_u_reduce_cython __pyx_string_tab[74]
-#define __pyx_n_u_reduce_ex __pyx_string_tab[75]
-#define __pyx_n_u_restart_count __pyx_string_tab[76]
-#define __pyx_n_u_restarts __pyx_string_tab[77]
-#define __pyx_n_u_seed __pyx_string_tab[78]
-#define __pyx_n_u_self __pyx_string_tab[79]
-#define __pyx_n_u_set_name __pyx_string_tab[80]
-#define __pyx_n_u_setdefault __pyx_string_tab[81]
-#define __pyx_n_u_setstate __pyx_string_tab[82]
-#define __pyx_n_u_setstate_cython __pyx_string_tab[83]
-#define __pyx_n_u_since_restart __pyx_string_tab[84]
-#define __pyx_n_u_solve __pyx_string_tab[85]
-#define __pyx_n_u_stats __pyx_string_tab[86]
-#define __pyx_n_u_status __pyx_string_tab[87]
-#define __pyx_n_u_test __pyx_string_tab[88]
-#define __pyx_n_u_time __pyx_string_tab[89]
-#define __pyx_n_u_time_2 __pyx_string_tab[90]
-#define __pyx_n_u_time_limit __pyx_string_tab[91]
-#define __pyx_n_u_u __pyx_string_tab[92]
-#define __pyx_n_u_v __pyx_string_tab[93]
-#define __pyx_n_u_val __pyx_string_tab[94]
-#define __pyx_n_u_values __pyx_string_tab[95]
-#define __pyx_n_u_vars __pyx_string_tab[96]
-#define __pyx_kp_b_iso88591_33DA_HA_t2WAQ_r_2S_D_j_aq_AQ_4t __pyx_string_tab[97]
-#define __pyx_kp_b_iso88591_A_4t1_HA_t2WAQ_r_2S_D_j_a_B_4q_6 __pyx_string_tab[98]
-#define __pyx_kp_b_iso88591_A_Q_Q_D_A_t1_t1_D __pyx_string_tab[99]
-#define __pyx_kp_b_iso88591_A_WBa_E_aq_1_z_1_AQ_z_j_q_HE_Ba __pyx_string_tab[100]
-#define __pyx_kp_b_iso88591_Q __pyx_string_tab[101]
-#define __pyx_int_2 __pyx_number_tab[0]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  Py_CLEAR(clear_module_state->__pyx_ptype_8cutstock_7satcore_7_engine_Solver);
-  Py_CLEAR(clear_module_state->__pyx_type_8cutstock_7satcore_7_engine_Solver);
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<6; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<102; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
+PyObject *SolveResultType, *SAT, *UNSAT, *UNKNOWN;
 
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  Py_VISIT(traverse_module_state->__pyx_ptype_8cutstock_7satcore_7_engine_Solver);
-  Py_VISIT(traverse_module_state->__pyx_type_8cutstock_7satcore_7_engine_Solver);
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<6; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<102; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "cutstock/satcore/_engine.pyx":21
- * 
- * 
- * cdef long long _luby(long long i):             # <<<<<<<<<<<<<<
- *     cdef long long size = 1, seq = 0
- *     while size < i + 1:
-*/
-
-static PY_LONG_LONG __pyx_f_8cutstock_7satcore_7_engine__luby(PY_LONG_LONG __pyx_v_i) {
-  PY_LONG_LONG __pyx_v_size;
-  PY_LONG_LONG __pyx_v_seq;
-  PY_LONG_LONG __pyx_r;
-  int __pyx_t_1;
-
-  /* "cutstock/satcore/_engine.pyx":22
- * 
- * cdef long long _luby(long long i):
- *     cdef long long size = 1, seq = 0             # <<<<<<<<<<<<<<
- *     while size < i + 1:
- *         seq += 1
-*/
-  __pyx_v_size = 1;
-  __pyx_v_seq = 0;
-
-  /* "cutstock/satcore/_engine.pyx":23
- * cdef long long _luby(long long i):
- *     cdef long long size = 1, seq = 0
- *     while size < i + 1:             # <<<<<<<<<<<<<<
- *         seq += 1
- *         size = 2 * size + 1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_size < (__pyx_v_i + 1));
-    if (!__pyx_t_1) break;
-
-    /* "cutstock/satcore/_engine.pyx":24
- *     cdef long long size = 1, seq = 0
- *     while size < i + 1:
- *         seq += 1             # <<<<<<<<<<<<<<
- *         size = 2 * size + 1
- *     while size - 1 != i:
-*/
-    __pyx_v_seq = (__pyx_v_seq + 1);
-
-    /* "cutstock/satcore/_engine.pyx":25
- *     while size < i + 1:
- *         seq += 1
- *         size = 2 * size + 1             # <<<<<<<<<<<<<<
- *     while size - 1 != i:
- *         size = (size - 1) // 2
-*/
-    __pyx_v_size = ((2 * __pyx_v_size) + 1);
-  }
-
-  /* "cutstock/satcore/_engine.pyx":26
- *         seq += 1
- *         size = 2 * size + 1
- *     while size - 1 != i:             # <<<<<<<<<<<<<<
- *         size = (size - 1) // 2
- *         seq -= 1
-*/
-  while (1) {
-    __pyx_t_1 = ((__pyx_v_size - 1) != __pyx_v_i);
-    if (!__pyx_t_1) break;
-
-    /* "cutstock/satcore/_engine.pyx":27
- *         size = 2 * size + 1
- *     while size - 1 != i:
- *         size = (size - 1) // 2             # <<<<<<<<<<<<<<
- *         seq -= 1
- *         i = i % size
-*/
-    __pyx_v_size = ((__pyx_v_size - 1) / 2);
-
-    /* "cutstock/satcore/_engine.pyx":28
- *     while size - 1 != i:
- *         size = (size - 1) // 2
- *         seq -= 1             # <<<<<<<<<<<<<<
- *         i = i % size
- *     return 1LL << seq
-*/
-    __pyx_v_seq = (__pyx_v_seq - 1);
-
-    /* "cutstock/satcore/_engine.pyx":29
- *         size = (size - 1) // 2
- *         seq -= 1
- *         i = i % size             # <<<<<<<<<<<<<<
- *     return 1LL << seq
- * 
-*/
-    __pyx_v_i = (__pyx_v_i % __pyx_v_size);
-  }
-
-  /* "cutstock/satcore/_engine.pyx":30
- *         seq -= 1
- *         i = i % size
- *     return 1LL << seq             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (1LL << __pyx_v_seq);
-  goto __pyx_L0;
-
-  /* "cutstock/satcore/_engine.pyx":21
- * 
- * 
- * cdef long long _luby(long long i):             # <<<<<<<<<<<<<<
- *     cdef long long size = 1, seq = 0
- *     while size < i + 1:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
+long long luby(long long i) {
+    long long size = 1, seq = 0;
+    while (size < i + 1) {
+        seq += 1;
+        size = 2 * size + 1;
+    }
+    while (size - 1 != i) {
+        size = (size - 1) / 2;
+        seq -= 1;
+        i %= size;
+    }
+    return 1LL << seq;
 }
 
-/* "cutstock/satcore/_engine.pyx":62
- *     cdef public int seed
- * 
- *     def __cinit__(self, int num_vars=0, int seed=0):             # <<<<<<<<<<<<<<
- *         self.nvars = 0
- *         self.qhead = 0
-*/
-
-/* Python wrapper */
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_1__cinit__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds); /*proto*/
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_1__cinit__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds) {
-  int __pyx_v_num_vars;
-  int __pyx_v_seed;
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__cinit__ (wrapper)", 0);
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return -1;
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_num_vars,&__pyx_mstate_global->__pyx_n_u_seed,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_VARARGS(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 62, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_VARARGS(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 62, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 62, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__cinit__", 0) < (0)) __PYX_ERR(0, 62, __pyx_L3_error)
-    } else {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_VARARGS(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 62, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 62, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-    }
-    if (values[0]) {
-      __pyx_v_num_vars = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_num_vars == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 62, __pyx_L3_error)
-    } else {
-      __pyx_v_num_vars = ((int)0);
-    }
-    if (values[1]) {
-      __pyx_v_seed = __Pyx_PyLong_As_int(values[1]); if (unlikely((__pyx_v_seed == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 62, __pyx_L3_error)
-    } else {
-      __pyx_v_seed = ((int)0);
-    }
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__cinit__", 0, 0, 2, __pyx_nargs); __PYX_ERR(0, 62, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.__cinit__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return -1;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver___cinit__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self), __pyx_v_num_vars, __pyx_v_seed);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
+double perf_counter() {  // the clock behind time.perf_counter
+    timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return ts.tv_sec + ts.tv_nsec * 1e-9;
 }
 
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver___cinit__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_num_vars, int __pyx_v_seed) {
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__cinit__", 0);
-
-  /* "cutstock/satcore/_engine.pyx":63
- * 
- *     def __cinit__(self, int num_vars=0, int seed=0):
- *         self.nvars = 0             # <<<<<<<<<<<<<<
- *         self.qhead = 0
- *         self.ok = True
-*/
-  __pyx_v_self->nvars = 0;
-
-  /* "cutstock/satcore/_engine.pyx":64
- *     def __cinit__(self, int num_vars=0, int seed=0):
- *         self.nvars = 0
- *         self.qhead = 0             # <<<<<<<<<<<<<<
- *         self.ok = True
- *         self.var_inc = 1.0
-*/
-  __pyx_v_self->qhead = 0;
-
-  /* "cutstock/satcore/_engine.pyx":65
- *         self.nvars = 0
- *         self.qhead = 0
- *         self.ok = True             # <<<<<<<<<<<<<<
- *         self.var_inc = 1.0
- *         self.var_decay = 0.95
-*/
-  __pyx_v_self->ok = 1;
-
-  /* "cutstock/satcore/_engine.pyx":66
- *         self.qhead = 0
- *         self.ok = True
- *         self.var_inc = 1.0             # <<<<<<<<<<<<<<
- *         self.var_decay = 0.95
- *         self.max_learnts = 4000.0
-*/
-  __pyx_v_self->var_inc = 1.0;
-
-  /* "cutstock/satcore/_engine.pyx":67
- *         self.ok = True
- *         self.var_inc = 1.0
- *         self.var_decay = 0.95             # <<<<<<<<<<<<<<
- *         self.max_learnts = 4000.0
- *         self.conflicts = 0
-*/
-  __pyx_v_self->var_decay = 0.95;
-
-  /* "cutstock/satcore/_engine.pyx":68
- *         self.var_inc = 1.0
- *         self.var_decay = 0.95
- *         self.max_learnts = 4000.0             # <<<<<<<<<<<<<<
- *         self.conflicts = 0
- *         self.decisions = 0
-*/
-  __pyx_v_self->max_learnts = 4000.0;
-
-  /* "cutstock/satcore/_engine.pyx":69
- *         self.var_decay = 0.95
- *         self.max_learnts = 4000.0
- *         self.conflicts = 0             # <<<<<<<<<<<<<<
- *         self.decisions = 0
- *         self.propagations = 0
-*/
-  __pyx_v_self->conflicts = 0;
-
-  /* "cutstock/satcore/_engine.pyx":70
- *         self.max_learnts = 4000.0
- *         self.conflicts = 0
- *         self.decisions = 0             # <<<<<<<<<<<<<<
- *         self.propagations = 0
- *         self.restarts = 0
-*/
-  __pyx_v_self->decisions = 0;
-
-  /* "cutstock/satcore/_engine.pyx":71
- *         self.conflicts = 0
- *         self.decisions = 0
- *         self.propagations = 0             # <<<<<<<<<<<<<<
- *         self.restarts = 0
- *         self.learned = 0
-*/
-  __pyx_v_self->propagations = 0;
-
-  /* "cutstock/satcore/_engine.pyx":72
- *         self.decisions = 0
- *         self.propagations = 0
- *         self.restarts = 0             # <<<<<<<<<<<<<<
- *         self.learned = 0
- *         self.live_clauses = 0
-*/
-  __pyx_v_self->restarts = 0;
-
-  /* "cutstock/satcore/_engine.pyx":73
- *         self.propagations = 0
- *         self.restarts = 0
- *         self.learned = 0             # <<<<<<<<<<<<<<
- *         self.live_clauses = 0
- *         self.seed = seed
-*/
-  __pyx_v_self->learned = 0;
-
-  /* "cutstock/satcore/_engine.pyx":74
- *         self.restarts = 0
- *         self.learned = 0
- *         self.live_clauses = 0             # <<<<<<<<<<<<<<
- *         self.seed = seed
- *         self.assign_.push_back(_UNDEF)
-*/
-  __pyx_v_self->live_clauses = 0;
-
-  /* "cutstock/satcore/_engine.pyx":75
- *         self.learned = 0
- *         self.live_clauses = 0
- *         self.seed = seed             # <<<<<<<<<<<<<<
- *         self.assign_.push_back(_UNDEF)
- *         self.level_.push_back(0)
-*/
-  __pyx_v_self->seed = __pyx_v_seed;
-
-  /* "cutstock/satcore/_engine.pyx":76
- *         self.live_clauses = 0
- *         self.seed = seed
- *         self.assign_.push_back(_UNDEF)             # <<<<<<<<<<<<<<
- *         self.level_.push_back(0)
- *         self.reason_.push_back(_NO_REASON)
-*/
-  try {
-    __pyx_v_self->assign_.push_back(__pyx_v_8cutstock_7satcore_7_engine__UNDEF);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 76, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":77
- *         self.seed = seed
- *         self.assign_.push_back(_UNDEF)
- *         self.level_.push_back(0)             # <<<<<<<<<<<<<<
- *         self.reason_.push_back(_NO_REASON)
- *         self.activity_.push_back(0.0)
-*/
-  try {
-    __pyx_v_self->level_.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 77, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":78
- *         self.assign_.push_back(_UNDEF)
- *         self.level_.push_back(0)
- *         self.reason_.push_back(_NO_REASON)             # <<<<<<<<<<<<<<
- *         self.activity_.push_back(0.0)
- *         self.phase_.push_back(0)
-*/
-  try {
-    __pyx_v_self->reason_.push_back(__pyx_v_8cutstock_7satcore_7_engine__NO_REASON);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 78, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":79
- *         self.level_.push_back(0)
- *         self.reason_.push_back(_NO_REASON)
- *         self.activity_.push_back(0.0)             # <<<<<<<<<<<<<<
- *         self.phase_.push_back(0)
- *         self.seen_.push_back(0)
-*/
-  try {
-    __pyx_v_self->activity_.push_back(0.0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 79, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":80
- *         self.reason_.push_back(_NO_REASON)
- *         self.activity_.push_back(0.0)
- *         self.phase_.push_back(0)             # <<<<<<<<<<<<<<
- *         self.seen_.push_back(0)
- *         self.heap_pos_.push_back(-1)
-*/
-  try {
-    __pyx_v_self->phase_.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 80, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":81
- *         self.activity_.push_back(0.0)
- *         self.phase_.push_back(0)
- *         self.seen_.push_back(0)             # <<<<<<<<<<<<<<
- *         self.heap_pos_.push_back(-1)
- *         self.watches.resize(2)
-*/
-  try {
-    __pyx_v_self->seen_.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 81, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":82
- *         self.phase_.push_back(0)
- *         self.seen_.push_back(0)
- *         self.heap_pos_.push_back(-1)             # <<<<<<<<<<<<<<
- *         self.watches.resize(2)
- *         if num_vars:
-*/
-  try {
-    __pyx_v_self->heap_pos_.push_back(-1);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 82, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":83
- *         self.seen_.push_back(0)
- *         self.heap_pos_.push_back(-1)
- *         self.watches.resize(2)             # <<<<<<<<<<<<<<
- *         if num_vars:
- *             self.add_vars(num_vars)
-*/
-  try {
-    __pyx_v_self->watches.resize(2);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 83, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":84
- *         self.heap_pos_.push_back(-1)
- *         self.watches.resize(2)
- *         if num_vars:             # <<<<<<<<<<<<<<
- *             self.add_vars(num_vars)
- * 
-*/
-  __pyx_t_1 = (__pyx_v_num_vars != 0);
-  if (__pyx_t_1) {
-
-    /* "cutstock/satcore/_engine.pyx":85
- *         self.watches.resize(2)
- *         if num_vars:
- *             self.add_vars(num_vars)             # <<<<<<<<<<<<<<
- * 
- *     # ------------------------------------------------------------------
-*/
-    __pyx_t_3 = ((PyObject *)__pyx_v_self);
-    __Pyx_INCREF(__pyx_t_3);
-    __pyx_t_4 = __Pyx_PyLong_From_int(__pyx_v_num_vars); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 85, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_5 = 0;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_t_4};
-      __pyx_t_2 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_add_vars, __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 85, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-    /* "cutstock/satcore/_engine.pyx":84
- *         self.heap_pos_.push_back(-1)
- *         self.watches.resize(2)
- *         if num_vars:             # <<<<<<<<<<<<<<
- *             self.add_vars(num_vars)
- * 
-*/
-  }
-
-  /* "cutstock/satcore/_engine.pyx":62
- *     cdef public int seed
- * 
- *     def __cinit__(self, int num_vars=0, int seed=0):             # <<<<<<<<<<<<<<
- *         self.nvars = 0
- *         self.qhead = 0
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.__cinit__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":89
- *     # ------------------------------------------------------------------
- * 
- *     @property             # <<<<<<<<<<<<<<
- *     def num_vars(self):
- *         return self.nvars
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_8num_vars_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_8num_vars_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_8num_vars___get__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_8num_vars___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__get__", 0);
-
-  /* "cutstock/satcore/_engine.pyx":91
- *     @property
- *     def num_vars(self):
- *         return self.nvars             # <<<<<<<<<<<<<<
- * 
- *     def add_vars(self, int count):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_v_self->nvars); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 91, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "cutstock/satcore/_engine.pyx":89
- *     # ------------------------------------------------------------------
- * 
- *     @property             # <<<<<<<<<<<<<<
- *     def num_vars(self):
- *         return self.nvars
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.num_vars.__get__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":93
- *         return self.nvars
- * 
- *     def add_vars(self, int count):             # <<<<<<<<<<<<<<
- *         cdef int first = self.nvars + 1
- *         cdef int i
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_3add_vars(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8cutstock_7satcore_7_engine_6Solver_3add_vars = {"add_vars", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8cutstock_7satcore_7_engine_6Solver_3add_vars, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_3add_vars(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_count;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("add_vars (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_count,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 93, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 93, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "add_vars", 0) < (0)) __PYX_ERR(0, 93, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("add_vars", 1, 1, 1, i); __PYX_ERR(0, 93, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 93, __pyx_L3_error)
-    }
-    __pyx_v_count = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_count == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 93, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("add_vars", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 93, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.add_vars", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_2add_vars(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self), __pyx_v_count);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_2add_vars(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_count) {
-  int __pyx_v_first;
-  CYTHON_UNUSED int __pyx_v_i;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("add_vars", 0);
-
-  /* "cutstock/satcore/_engine.pyx":94
- * 
- *     def add_vars(self, int count):
- *         cdef int first = self.nvars + 1             # <<<<<<<<<<<<<<
- *         cdef int i
- *         for i in range(count):
-*/
-  __pyx_v_first = (__pyx_v_self->nvars + 1);
-
-  /* "cutstock/satcore/_engine.pyx":96
- *         cdef int first = self.nvars + 1
- *         cdef int i
- *         for i in range(count):             # <<<<<<<<<<<<<<
- *             self.nvars += 1
- *             self.assign_.push_back(_UNDEF)
-*/
-  __pyx_t_1 = __pyx_v_count;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "cutstock/satcore/_engine.pyx":97
- *         cdef int i
- *         for i in range(count):
- *             self.nvars += 1             # <<<<<<<<<<<<<<
- *             self.assign_.push_back(_UNDEF)
- *             self.level_.push_back(0)
-*/
-    __pyx_v_self->nvars = (__pyx_v_self->nvars + 1);
-
-    /* "cutstock/satcore/_engine.pyx":98
- *         for i in range(count):
- *             self.nvars += 1
- *             self.assign_.push_back(_UNDEF)             # <<<<<<<<<<<<<<
- *             self.level_.push_back(0)
- *             self.reason_.push_back(_NO_REASON)
-*/
-    try {
-      __pyx_v_self->assign_.push_back(__pyx_v_8cutstock_7satcore_7_engine__UNDEF);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 98, __pyx_L1_error)
-    }
-
-    /* "cutstock/satcore/_engine.pyx":99
- *             self.nvars += 1
- *             self.assign_.push_back(_UNDEF)
- *             self.level_.push_back(0)             # <<<<<<<<<<<<<<
- *             self.reason_.push_back(_NO_REASON)
- *             self.activity_.push_back(0.0)
-*/
-    try {
-      __pyx_v_self->level_.push_back(0);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 99, __pyx_L1_error)
-    }
-
-    /* "cutstock/satcore/_engine.pyx":100
- *             self.assign_.push_back(_UNDEF)
- *             self.level_.push_back(0)
- *             self.reason_.push_back(_NO_REASON)             # <<<<<<<<<<<<<<
- *             self.activity_.push_back(0.0)
- *             self.phase_.push_back(0)
-*/
-    try {
-      __pyx_v_self->reason_.push_back(__pyx_v_8cutstock_7satcore_7_engine__NO_REASON);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 100, __pyx_L1_error)
-    }
-
-    /* "cutstock/satcore/_engine.pyx":101
- *             self.level_.push_back(0)
- *             self.reason_.push_back(_NO_REASON)
- *             self.activity_.push_back(0.0)             # <<<<<<<<<<<<<<
- *             self.phase_.push_back(0)
- *             self.seen_.push_back(0)
-*/
-    try {
-      __pyx_v_self->activity_.push_back(0.0);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 101, __pyx_L1_error)
-    }
-
-    /* "cutstock/satcore/_engine.pyx":102
- *             self.reason_.push_back(_NO_REASON)
- *             self.activity_.push_back(0.0)
- *             self.phase_.push_back(0)             # <<<<<<<<<<<<<<
- *             self.seen_.push_back(0)
- *             self.watches.resize(self.watches.size() + 2)
-*/
-    try {
-      __pyx_v_self->phase_.push_back(0);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 102, __pyx_L1_error)
-    }
-
-    /* "cutstock/satcore/_engine.pyx":103
- *             self.activity_.push_back(0.0)
- *             self.phase_.push_back(0)
- *             self.seen_.push_back(0)             # <<<<<<<<<<<<<<
- *             self.watches.resize(self.watches.size() + 2)
- *             self.heap_pos_.push_back(-1)
-*/
-    try {
-      __pyx_v_self->seen_.push_back(0);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 103, __pyx_L1_error)
-    }
-
-    /* "cutstock/satcore/_engine.pyx":104
- *             self.phase_.push_back(0)
- *             self.seen_.push_back(0)
- *             self.watches.resize(self.watches.size() + 2)             # <<<<<<<<<<<<<<
- *             self.heap_pos_.push_back(-1)
- *             self._heap_insert(self.nvars)
-*/
-    try {
-      __pyx_v_self->watches.resize((__pyx_v_self->watches.size() + 2));
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 104, __pyx_L1_error)
-    }
-
-    /* "cutstock/satcore/_engine.pyx":105
- *             self.seen_.push_back(0)
- *             self.watches.resize(self.watches.size() + 2)
- *             self.heap_pos_.push_back(-1)             # <<<<<<<<<<<<<<
- *             self._heap_insert(self.nvars)
- *         return first
-*/
-    try {
-      __pyx_v_self->heap_pos_.push_back(-1);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 105, __pyx_L1_error)
-    }
-
-    /* "cutstock/satcore/_engine.pyx":106
- *             self.watches.resize(self.watches.size() + 2)
- *             self.heap_pos_.push_back(-1)
- *             self._heap_insert(self.nvars)             # <<<<<<<<<<<<<<
- *         return first
- * 
-*/
-    ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_heap_insert(__pyx_v_self, __pyx_v_self->nvars); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 106, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":107
- *             self.heap_pos_.push_back(-1)
- *             self._heap_insert(self.nvars)
- *         return first             # <<<<<<<<<<<<<<
- * 
- *     cdef inline int _widx(self, int lit):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_4 = __Pyx_PyLong_From_int(__pyx_v_first); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 107, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_r = __pyx_t_4;
-  __pyx_t_4 = 0;
-  goto __pyx_L0;
-
-  /* "cutstock/satcore/_engine.pyx":93
- *         return self.nvars
- * 
- *     def add_vars(self, int count):             # <<<<<<<<<<<<<<
- *         cdef int first = self.nvars + 1
- *         cdef int i
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.add_vars", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":109
- *         return first
- * 
- *     cdef inline int _widx(self, int lit):             # <<<<<<<<<<<<<<
- *         return (lit << 1) if lit > 0 else (((-lit) << 1) | 1)
- * 
-*/
-
-static CYTHON_INLINE int __pyx_f_8cutstock_7satcore_7_engine_6Solver__widx(CYTHON_UNUSED struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_lit) {
-  int __pyx_r;
-  long __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "cutstock/satcore/_engine.pyx":110
- * 
- *     cdef inline int _widx(self, int lit):
- *         return (lit << 1) if lit > 0 else (((-lit) << 1) | 1)             # <<<<<<<<<<<<<<
- * 
- *     cdef inline int _lit_value(self, int lit):
-*/
-  __pyx_t_2 = (__pyx_v_lit > 0);
-  if (__pyx_t_2) {
-    __pyx_t_1 = (__pyx_v_lit << 1);
-  } else {
-    __pyx_t_1 = (((-__pyx_v_lit) << 1) | 1);
-  }
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "cutstock/satcore/_engine.pyx":109
- *         return first
- * 
- *     cdef inline int _widx(self, int lit):             # <<<<<<<<<<<<<<
- *         return (lit << 1) if lit > 0 else (((-lit) << 1) | 1)
- * 
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":112
- *         return (lit << 1) if lit > 0 else (((-lit) << 1) | 1)
- * 
- *     cdef inline int _lit_value(self, int lit):             # <<<<<<<<<<<<<<
- *         cdef int a = self.assign_[lit if lit > 0 else -lit]
- *         if a < 0:
-*/
-
-static CYTHON_INLINE int __pyx_f_8cutstock_7satcore_7_engine_6Solver__lit_value(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_lit) {
-  int __pyx_v_a;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  long __pyx_t_3;
-
-  /* "cutstock/satcore/_engine.pyx":113
- * 
- *     cdef inline int _lit_value(self, int lit):
- *         cdef int a = self.assign_[lit if lit > 0 else -lit]             # <<<<<<<<<<<<<<
- *         if a < 0:
- *             return a
-*/
-  __pyx_t_2 = (__pyx_v_lit > 0);
-  if (__pyx_t_2) {
-    __pyx_t_1 = __pyx_v_lit;
-  } else {
-    __pyx_t_1 = (-__pyx_v_lit);
-  }
-  __pyx_v_a = (__pyx_v_self->assign_[__pyx_t_1]);
-
-  /* "cutstock/satcore/_engine.pyx":114
- *     cdef inline int _lit_value(self, int lit):
- *         cdef int a = self.assign_[lit if lit > 0 else -lit]
- *         if a < 0:             # <<<<<<<<<<<<<<
- *             return a
- *         return a if lit > 0 else a ^ 1
-*/
-  __pyx_t_2 = (__pyx_v_a < 0);
-  if (__pyx_t_2) {
-
-    /* "cutstock/satcore/_engine.pyx":115
- *         cdef int a = self.assign_[lit if lit > 0 else -lit]
- *         if a < 0:
- *             return a             # <<<<<<<<<<<<<<
- *         return a if lit > 0 else a ^ 1
- * 
-*/
-    __pyx_r = __pyx_v_a;
-    goto __pyx_L0;
-
-    /* "cutstock/satcore/_engine.pyx":114
- *     cdef inline int _lit_value(self, int lit):
- *         cdef int a = self.assign_[lit if lit > 0 else -lit]
- *         if a < 0:             # <<<<<<<<<<<<<<
- *             return a
- *         return a if lit > 0 else a ^ 1
-*/
-  }
-
-  /* "cutstock/satcore/_engine.pyx":116
- *         if a < 0:
- *             return a
- *         return a if lit > 0 else a ^ 1             # <<<<<<<<<<<<<<
- * 
- *     def add_clause(self, lits):
-*/
-  __pyx_t_2 = (__pyx_v_lit > 0);
-  if (__pyx_t_2) {
-    __pyx_t_3 = __pyx_v_a;
-  } else {
-    __pyx_t_3 = (__pyx_v_a ^ 1);
-  }
-  __pyx_r = __pyx_t_3;
-  goto __pyx_L0;
-
-  /* "cutstock/satcore/_engine.pyx":112
- *         return (lit << 1) if lit > 0 else (((-lit) << 1) | 1)
- * 
- *     cdef inline int _lit_value(self, int lit):             # <<<<<<<<<<<<<<
- *         cdef int a = self.assign_[lit if lit > 0 else -lit]
- *         if a < 0:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":118
- *         return a if lit > 0 else a ^ 1
- * 
- *     def add_clause(self, lits):             # <<<<<<<<<<<<<<
- *         if not self.ok:
- *             return
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_5add_clause(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8cutstock_7satcore_7_engine_6Solver_5add_clause = {"add_clause", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8cutstock_7satcore_7_engine_6Solver_5add_clause, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_5add_clause(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_lits = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("add_clause (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_lits,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 118, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 118, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "add_clause", 0) < (0)) __PYX_ERR(0, 118, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("add_clause", 1, 1, 1, i); __PYX_ERR(0, 118, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 118, __pyx_L3_error)
-    }
-    __pyx_v_lits = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("add_clause", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 118, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.add_clause", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_4add_clause(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self), __pyx_v_lits);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_4add_clause(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_lits) {
-  std::vector<int>  __pyx_v_out;
-  int __pyx_v_lit;
-  int __pyx_v_v;
-  int __pyx_v_val;
-  int __pyx_v_other;
-  int __pyx_v_dup;
-  PyObject *__pyx_v_item = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  Py_ssize_t __pyx_t_3;
-  PyObject *(*__pyx_t_4)(PyObject *);
-  PyObject *__pyx_t_5 = NULL;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  PyObject *__pyx_t_11[4];
-  PyObject *__pyx_t_12 = NULL;
-  size_t __pyx_t_13;
-  std::vector<int> ::iterator __pyx_t_14;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("add_clause", 0);
-
-  /* "cutstock/satcore/_engine.pyx":119
- * 
- *     def add_clause(self, lits):
- *         if not self.ok:             # <<<<<<<<<<<<<<
- *             return
- *         cdef vector[int] out
-*/
-  __pyx_t_1 = (!__pyx_v_self->ok);
-  if (__pyx_t_1) {
-
-    /* "cutstock/satcore/_engine.pyx":120
- *     def add_clause(self, lits):
- *         if not self.ok:
- *             return             # <<<<<<<<<<<<<<
- *         cdef vector[int] out
- *         cdef int lit, v, val, other
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-    goto __pyx_L0;
-
-    /* "cutstock/satcore/_engine.pyx":119
- * 
- *     def add_clause(self, lits):
- *         if not self.ok:             # <<<<<<<<<<<<<<
- *             return
- *         cdef vector[int] out
-*/
-  }
-
-  /* "cutstock/satcore/_engine.pyx":124
- *         cdef int lit, v, val, other
- *         cdef bint dup
- *         for item in lits:             # <<<<<<<<<<<<<<
- *             lit = item
- *             v = lit if lit > 0 else -lit
-*/
-  if (likely(PyList_CheckExact(__pyx_v_lits)) || PyTuple_CheckExact(__pyx_v_lits)) {
-    __pyx_t_2 = __pyx_v_lits; __Pyx_INCREF(__pyx_t_2);
-    __pyx_t_3 = 0;
-    __pyx_t_4 = NULL;
-  } else {
-    __pyx_t_3 = -1; __pyx_t_2 = PyObject_GetIter(__pyx_v_lits); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 124, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_4 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 124, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_4)) {
-      if (likely(PyList_CheckExact(__pyx_t_2))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_2);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 124, __pyx_L1_error)
-          #endif
-          if (__pyx_t_3 >= __pyx_temp) break;
+inline int var_of(int lit) { return lit > 0 ? lit : -lit; }
+inline int widx(int lit) { return lit > 0 ? lit << 1 : ((-lit) << 1) | 1; }
+
+enum Status { S_UNKNOWN, S_SAT, S_UNSAT };
+
+struct Core {
+    std::vector<int> ca;                    // clause arena
+    std::vector<std::vector<int>> watches;  // per literal index, (cref, blocker) pairs
+    std::vector<signed char> assign, phase, seen, mark;
+    std::vector<int> level, reason, trail, trail_lim, heap, heap_pos, learnt_refs;
+    std::vector<int> to_clear, learnt, kept;
+    std::vector<char> level_seen;
+    std::vector<double> activity;
+    std::vector<signed char> model;  // the assignment of the last SAT verdict
+    int nvars = 0;
+    int qhead = 0;
+    bool ok = true;
+    double var_inc = 1.0, var_decay = 0.95, max_learnts = 4000.0;
+    long long conflicts = 0, decisions = 0, propagations = 0, restarts = 0, learned = 0;
+    long long live = 0;  // clauses in the arena that are not deleted
+
+    Core() { add_vars(0); }
+
+    int add_vars(long long count) {
+        int first = nvars + 1;
+        if (count < 0) count = 0;
+        nvars += (int)count;
+        size_t n = nvars + 1;
+        assign.resize(n, UNDEF);
+        level.resize(n, 0);
+        reason.resize(n, NO_REASON);
+        activity.resize(n, 0.0);
+        phase.resize(n, 0);
+        seen.resize(n, 0);
+        mark.resize(n, 0);
+        watches.resize(2 * n);
+        heap_pos.resize(n, -1);
+        // activities are never negative, so a new variable (activity 0, the
+        // highest index) belongs at the end of the heap without sifting
+        for (int v = first; v <= nvars; v++) {
+            heap_pos[v] = (int)heap.size();
+            heap.push_back(v);
         }
-        __pyx_t_5 = __Pyx_PyList_GetItemRefFast(__pyx_t_2, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_3;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_2);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 124, __pyx_L1_error)
-          #endif
-          if (__pyx_t_3 >= __pyx_temp) break;
+        return first;
+    }
+
+    int lit_value(int lit) const {  // 1 true, 0 false, -1 unassigned
+        int a = assign[var_of(lit)];
+        if (a < 0) return a;
+        return lit > 0 ? a : a ^ 1;
+    }
+
+    int new_clause(const std::vector<int>& lits, int lbd) {
+        int cref = (int)ca.size();
+        ca.push_back((int)lits.size());
+        ca.push_back(lbd);
+        ca.insert(ca.end(), lits.begin(), lits.end());
+        live += 1;
+        // watch the first two literals, with the other one as blocker
+        std::vector<int>& w0 = watches[widx(lits[0])];
+        w0.push_back(cref);
+        w0.push_back(lits[1]);
+        std::vector<int>& w1 = watches[widx(lits[1])];
+        w1.push_back(cref);
+        w1.push_back(lits[0]);
+        return cref;
+    }
+
+    // activity heap: max-heap keyed by activity, ties to the smaller variable
+
+    bool heap_less(int u, int v) const {
+        double au = activity[u], av = activity[v];
+        return au > av || (au == av && u < v);
+    }
+
+    void heap_up(int i) {
+        int v = heap[i];
+        while (i > 0) {
+            int parent = (i - 1) >> 1;
+            int p = heap[parent];
+            if (!heap_less(v, p)) break;
+            heap[i] = p;
+            heap_pos[p] = i;
+            i = parent;
         }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_5 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_2, __pyx_t_3));
-        #else
-        __pyx_t_5 = __Pyx_PySequence_ITEM(__pyx_t_2, __pyx_t_3);
-        #endif
-        ++__pyx_t_3;
-      }
-      if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 124, __pyx_L1_error)
-    } else {
-      __pyx_t_5 = __pyx_t_4(__pyx_t_2);
-      if (unlikely(!__pyx_t_5)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 124, __pyx_L1_error)
-          PyErr_Clear();
+        heap[i] = v;
+        heap_pos[v] = i;
+    }
+
+    void heap_down(int i) {
+        int v = heap[i];
+        int n = (int)heap.size();
+        while (true) {
+            int child = 2 * i + 1;
+            if (child >= n) break;
+            if (child + 1 < n && heap_less(heap[child + 1], heap[child])) child += 1;
+            if (!heap_less(heap[child], v)) break;
+            heap[i] = heap[child];
+            heap_pos[heap[i]] = i;
+            i = child;
         }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_XDECREF_SET(__pyx_v_item, __pyx_t_5);
-    __pyx_t_5 = 0;
-
-    /* "cutstock/satcore/_engine.pyx":125
- *         cdef bint dup
- *         for item in lits:
- *             lit = item             # <<<<<<<<<<<<<<
- *             v = lit if lit > 0 else -lit
- *             if v < 1 or v > self.nvars:
-*/
-    __pyx_t_6 = __Pyx_PyLong_As_int(__pyx_v_item); if (unlikely((__pyx_t_6 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 125, __pyx_L1_error)
-    __pyx_v_lit = __pyx_t_6;
-
-    /* "cutstock/satcore/_engine.pyx":126
- *         for item in lits:
- *             lit = item
- *             v = lit if lit > 0 else -lit             # <<<<<<<<<<<<<<
- *             if v < 1 or v > self.nvars:
- *                 raise ValueError(
-*/
-    __pyx_t_1 = (__pyx_v_lit > 0);
-    if (__pyx_t_1) {
-      __pyx_t_6 = __pyx_v_lit;
-    } else {
-      __pyx_t_6 = (-__pyx_v_lit);
-    }
-    __pyx_v_v = __pyx_t_6;
-
-    /* "cutstock/satcore/_engine.pyx":127
- *             lit = item
- *             v = lit if lit > 0 else -lit
- *             if v < 1 or v > self.nvars:             # <<<<<<<<<<<<<<
- *                 raise ValueError(
- *                     f"literal {lit} outside declared variables 1..{self.nvars}"
-*/
-    __pyx_t_7 = (__pyx_v_v < 1);
-    if (!__pyx_t_7) {
-    } else {
-      __pyx_t_1 = __pyx_t_7;
-      goto __pyx_L7_bool_binop_done;
-    }
-    __pyx_t_7 = (__pyx_v_v > __pyx_v_self->nvars);
-    __pyx_t_1 = __pyx_t_7;
-    __pyx_L7_bool_binop_done:;
-    if (unlikely(__pyx_t_1)) {
-
-      /* "cutstock/satcore/_engine.pyx":128
- *             v = lit if lit > 0 else -lit
- *             if v < 1 or v > self.nvars:
- *                 raise ValueError(             # <<<<<<<<<<<<<<
- *                     f"literal {lit} outside declared variables 1..{self.nvars}"
- *                 )
-*/
-      __pyx_t_8 = NULL;
-
-      /* "cutstock/satcore/_engine.pyx":129
- *             if v < 1 or v > self.nvars:
- *                 raise ValueError(
- *                     f"literal {lit} outside declared variables 1..{self.nvars}"             # <<<<<<<<<<<<<<
- *                 )
- *             dup = False
-*/
-      __pyx_t_9 = __Pyx_PyUnicode_From_int(__pyx_v_lit, 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 129, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_10 = __Pyx_PyUnicode_From_int(__pyx_v_self->nvars, 0, ' ', 'd'); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 129, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_10);
-      __pyx_t_11[0] = __pyx_mstate_global->__pyx_kp_u_literal;
-      __pyx_t_11[1] = __pyx_t_9;
-      __pyx_t_11[2] = __pyx_mstate_global->__pyx_kp_u_outside_declared_variables_1;
-      __pyx_t_11[3] = __pyx_t_10;
-      __pyx_t_12 = __Pyx_PyUnicode_Join(__pyx_t_11, 4, 8 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9) + 31 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_10), 127);
-      if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 129, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_12);
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-      __pyx_t_13 = 1;
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_8, __pyx_t_12};
-        __pyx_t_5 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_13, (2-__pyx_t_13) | (__pyx_t_13*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-        __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-        if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 128, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-      }
-      __Pyx_Raise(__pyx_t_5, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __PYX_ERR(0, 128, __pyx_L1_error)
-
-      /* "cutstock/satcore/_engine.pyx":127
- *             lit = item
- *             v = lit if lit > 0 else -lit
- *             if v < 1 or v > self.nvars:             # <<<<<<<<<<<<<<
- *                 raise ValueError(
- *                     f"literal {lit} outside declared variables 1..{self.nvars}"
-*/
+        heap[i] = v;
+        heap_pos[v] = i;
     }
 
-    /* "cutstock/satcore/_engine.pyx":131
- *                     f"literal {lit} outside declared variables 1..{self.nvars}"
- *                 )
- *             dup = False             # <<<<<<<<<<<<<<
- *             for other in out:
- *                 if other == -lit:
-*/
-    __pyx_v_dup = 0;
-
-    /* "cutstock/satcore/_engine.pyx":132
- *                 )
- *             dup = False
- *             for other in out:             # <<<<<<<<<<<<<<
- *                 if other == -lit:
- *                     return  # tautology
-*/
-    __pyx_t_14 = __pyx_v_out.begin();
-    for (; __pyx_t_14 != __pyx_v_out.end(); ++__pyx_t_14) {
-      __pyx_t_6 = *__pyx_t_14;
-      __pyx_v_other = __pyx_t_6;
-
-      /* "cutstock/satcore/_engine.pyx":133
- *             dup = False
- *             for other in out:
- *                 if other == -lit:             # <<<<<<<<<<<<<<
- *                     return  # tautology
- *                 if other == lit:
-*/
-      __pyx_t_1 = (__pyx_v_other == (-__pyx_v_lit));
-      if (__pyx_t_1) {
-
-        /* "cutstock/satcore/_engine.pyx":134
- *             for other in out:
- *                 if other == -lit:
- *                     return  # tautology             # <<<<<<<<<<<<<<
- *                 if other == lit:
- *                     dup = True
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-        __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-        goto __pyx_L0;
-
-        /* "cutstock/satcore/_engine.pyx":133
- *             dup = False
- *             for other in out:
- *                 if other == -lit:             # <<<<<<<<<<<<<<
- *                     return  # tautology
- *                 if other == lit:
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":135
- *                 if other == -lit:
- *                     return  # tautology
- *                 if other == lit:             # <<<<<<<<<<<<<<
- *                     dup = True
- *                     break
-*/
-      __pyx_t_1 = (__pyx_v_other == __pyx_v_lit);
-      if (__pyx_t_1) {
-
-        /* "cutstock/satcore/_engine.pyx":136
- *                     return  # tautology
- *                 if other == lit:
- *                     dup = True             # <<<<<<<<<<<<<<
- *                     break
- *             if dup:
-*/
-        __pyx_v_dup = 1;
-
-        /* "cutstock/satcore/_engine.pyx":137
- *                 if other == lit:
- *                     dup = True
- *                     break             # <<<<<<<<<<<<<<
- *             if dup:
- *                 continue
-*/
-        goto __pyx_L10_break;
-
-        /* "cutstock/satcore/_engine.pyx":135
- *                 if other == -lit:
- *                     return  # tautology
- *                 if other == lit:             # <<<<<<<<<<<<<<
- *                     dup = True
- *                     break
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":132
- *                 )
- *             dup = False
- *             for other in out:             # <<<<<<<<<<<<<<
- *                 if other == -lit:
- *                     return  # tautology
-*/
-    }
-    goto __pyx_L13_for_end;
-    __pyx_L10_break:;
-    goto __pyx_L13_for_end;
-    __pyx_L13_for_end:;
-
-    /* "cutstock/satcore/_engine.pyx":138
- *                     dup = True
- *                     break
- *             if dup:             # <<<<<<<<<<<<<<
- *                 continue
- *             val = self._lit_value(lit)
-*/
-    if (__pyx_v_dup) {
-
-      /* "cutstock/satcore/_engine.pyx":139
- *                     break
- *             if dup:
- *                 continue             # <<<<<<<<<<<<<<
- *             val = self._lit_value(lit)
- *             if val == 1:
-*/
-      goto __pyx_L4_continue;
-
-      /* "cutstock/satcore/_engine.pyx":138
- *                     dup = True
- *                     break
- *             if dup:             # <<<<<<<<<<<<<<
- *                 continue
- *             val = self._lit_value(lit)
-*/
+    void heap_insert(int v) {
+        if (heap_pos[v] >= 0) return;
+        heap.push_back(v);
+        heap_pos[v] = (int)heap.size() - 1;
+        heap_up((int)heap.size() - 1);
     }
 
-    /* "cutstock/satcore/_engine.pyx":140
- *             if dup:
- *                 continue
- *             val = self._lit_value(lit)             # <<<<<<<<<<<<<<
- *             if val == 1:
- *                 return  # satisfied at top level
-*/
-    __pyx_t_6 = __pyx_f_8cutstock_7satcore_7_engine_6Solver__lit_value(__pyx_v_self, __pyx_v_lit); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 140, __pyx_L1_error)
-    __pyx_v_val = __pyx_t_6;
-
-    /* "cutstock/satcore/_engine.pyx":141
- *                 continue
- *             val = self._lit_value(lit)
- *             if val == 1:             # <<<<<<<<<<<<<<
- *                 return  # satisfied at top level
- *             if val == 0:
-*/
-    __pyx_t_1 = (__pyx_v_val == 1);
-    if (__pyx_t_1) {
-
-      /* "cutstock/satcore/_engine.pyx":142
- *             val = self._lit_value(lit)
- *             if val == 1:
- *                 return  # satisfied at top level             # <<<<<<<<<<<<<<
- *             if val == 0:
- *                 continue
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-      __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-      goto __pyx_L0;
-
-      /* "cutstock/satcore/_engine.pyx":141
- *                 continue
- *             val = self._lit_value(lit)
- *             if val == 1:             # <<<<<<<<<<<<<<
- *                 return  # satisfied at top level
- *             if val == 0:
-*/
-    }
-
-    /* "cutstock/satcore/_engine.pyx":143
- *             if val == 1:
- *                 return  # satisfied at top level
- *             if val == 0:             # <<<<<<<<<<<<<<
- *                 continue
- *             out.push_back(lit)
-*/
-    __pyx_t_1 = (__pyx_v_val == 0);
-    if (__pyx_t_1) {
-
-      /* "cutstock/satcore/_engine.pyx":144
- *                 return  # satisfied at top level
- *             if val == 0:
- *                 continue             # <<<<<<<<<<<<<<
- *             out.push_back(lit)
- *         if out.size() == 0:
-*/
-      goto __pyx_L4_continue;
-
-      /* "cutstock/satcore/_engine.pyx":143
- *             if val == 1:
- *                 return  # satisfied at top level
- *             if val == 0:             # <<<<<<<<<<<<<<
- *                 continue
- *             out.push_back(lit)
-*/
-    }
-
-    /* "cutstock/satcore/_engine.pyx":145
- *             if val == 0:
- *                 continue
- *             out.push_back(lit)             # <<<<<<<<<<<<<<
- *         if out.size() == 0:
- *             self.ok = False
-*/
-    try {
-      __pyx_v_out.push_back(__pyx_v_lit);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 145, __pyx_L1_error)
-    }
-
-    /* "cutstock/satcore/_engine.pyx":124
- *         cdef int lit, v, val, other
- *         cdef bint dup
- *         for item in lits:             # <<<<<<<<<<<<<<
- *             lit = item
- *             v = lit if lit > 0 else -lit
-*/
-    __pyx_L4_continue:;
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":146
- *                 continue
- *             out.push_back(lit)
- *         if out.size() == 0:             # <<<<<<<<<<<<<<
- *             self.ok = False
- *             return
-*/
-  __pyx_t_1 = (__pyx_v_out.size() == 0);
-  if (__pyx_t_1) {
-
-    /* "cutstock/satcore/_engine.pyx":147
- *             out.push_back(lit)
- *         if out.size() == 0:
- *             self.ok = False             # <<<<<<<<<<<<<<
- *             return
- *         if out.size() == 1:
-*/
-    __pyx_v_self->ok = 0;
-
-    /* "cutstock/satcore/_engine.pyx":148
- *         if out.size() == 0:
- *             self.ok = False
- *             return             # <<<<<<<<<<<<<<
- *         if out.size() == 1:
- *             self._enqueue(out[0], _NO_REASON)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-    goto __pyx_L0;
-
-    /* "cutstock/satcore/_engine.pyx":146
- *                 continue
- *             out.push_back(lit)
- *         if out.size() == 0:             # <<<<<<<<<<<<<<
- *             self.ok = False
- *             return
-*/
-  }
-
-  /* "cutstock/satcore/_engine.pyx":149
- *             self.ok = False
- *             return
- *         if out.size() == 1:             # <<<<<<<<<<<<<<
- *             self._enqueue(out[0], _NO_REASON)
- *             if self._propagate() != _NO_REASON:
-*/
-  __pyx_t_1 = (__pyx_v_out.size() == 1);
-  if (__pyx_t_1) {
-
-    /* "cutstock/satcore/_engine.pyx":150
- *             return
- *         if out.size() == 1:
- *             self._enqueue(out[0], _NO_REASON)             # <<<<<<<<<<<<<<
- *             if self._propagate() != _NO_REASON:
- *                 self.ok = False
-*/
-    __pyx_f_8cutstock_7satcore_7_engine_6Solver__enqueue(__pyx_v_self, (__pyx_v_out[0]), __pyx_v_8cutstock_7satcore_7_engine__NO_REASON); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 150, __pyx_L1_error)
-
-    /* "cutstock/satcore/_engine.pyx":151
- *         if out.size() == 1:
- *             self._enqueue(out[0], _NO_REASON)
- *             if self._propagate() != _NO_REASON:             # <<<<<<<<<<<<<<
- *                 self.ok = False
- *             return
-*/
-    __pyx_t_6 = ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_propagate(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 151, __pyx_L1_error)
-    __pyx_t_1 = (__pyx_t_6 != __pyx_v_8cutstock_7satcore_7_engine__NO_REASON);
-    if (__pyx_t_1) {
-
-      /* "cutstock/satcore/_engine.pyx":152
- *             self._enqueue(out[0], _NO_REASON)
- *             if self._propagate() != _NO_REASON:
- *                 self.ok = False             # <<<<<<<<<<<<<<
- *             return
- *         self._new_clause(out, -1)
-*/
-      __pyx_v_self->ok = 0;
-
-      /* "cutstock/satcore/_engine.pyx":151
- *         if out.size() == 1:
- *             self._enqueue(out[0], _NO_REASON)
- *             if self._propagate() != _NO_REASON:             # <<<<<<<<<<<<<<
- *                 self.ok = False
- *             return
-*/
-    }
-
-    /* "cutstock/satcore/_engine.pyx":153
- *             if self._propagate() != _NO_REASON:
- *                 self.ok = False
- *             return             # <<<<<<<<<<<<<<
- *         self._new_clause(out, -1)
- * 
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-    goto __pyx_L0;
-
-    /* "cutstock/satcore/_engine.pyx":149
- *             self.ok = False
- *             return
- *         if out.size() == 1:             # <<<<<<<<<<<<<<
- *             self._enqueue(out[0], _NO_REASON)
- *             if self._propagate() != _NO_REASON:
-*/
-  }
-
-  /* "cutstock/satcore/_engine.pyx":154
- *                 self.ok = False
- *             return
- *         self._new_clause(out, -1)             # <<<<<<<<<<<<<<
- * 
- *     cdef int _new_clause(self, vector[int]& lits, int lbd):
-*/
-  ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_new_clause(__pyx_v_self, __pyx_v_out, -1); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 154, __pyx_L1_error)
-
-  /* "cutstock/satcore/_engine.pyx":118
- *         return a if lit > 0 else a ^ 1
- * 
- *     def add_clause(self, lits):             # <<<<<<<<<<<<<<
- *         if not self.ok:
- *             return
-*/
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.add_clause", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_item);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":156
- *         self._new_clause(out, -1)
- * 
- *     cdef int _new_clause(self, vector[int]& lits, int lbd):             # <<<<<<<<<<<<<<
- *         cdef int cref = <int> self.ca.size()
- *         cdef size_t i
-*/
-
-static int __pyx_f_8cutstock_7satcore_7_engine_6Solver__new_clause(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, std::vector<int>  &__pyx_v_lits, int __pyx_v_lbd) {
-  int __pyx_v_cref;
-  size_t __pyx_v_i;
-  int __pyx_r;
-  std::vector<int> ::size_type __pyx_t_1;
-  std::vector<int> ::size_type __pyx_t_2;
-  size_t __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cutstock/satcore/_engine.pyx":157
- * 
- *     cdef int _new_clause(self, vector[int]& lits, int lbd):
- *         cdef int cref = <int> self.ca.size()             # <<<<<<<<<<<<<<
- *         cdef size_t i
- *         self.ca.push_back(<int> lits.size())
-*/
-  __pyx_v_cref = ((int)__pyx_v_self->ca.size());
-
-  /* "cutstock/satcore/_engine.pyx":159
- *         cdef int cref = <int> self.ca.size()
- *         cdef size_t i
- *         self.ca.push_back(<int> lits.size())             # <<<<<<<<<<<<<<
- *         self.ca.push_back(lbd)
- *         for i in range(lits.size()):
-*/
-  try {
-    __pyx_v_self->ca.push_back(((int)__pyx_v_lits.size()));
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 159, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":160
- *         cdef size_t i
- *         self.ca.push_back(<int> lits.size())
- *         self.ca.push_back(lbd)             # <<<<<<<<<<<<<<
- *         for i in range(lits.size()):
- *             self.ca.push_back(lits[i])
-*/
-  try {
-    __pyx_v_self->ca.push_back(__pyx_v_lbd);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 160, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":161
- *         self.ca.push_back(<int> lits.size())
- *         self.ca.push_back(lbd)
- *         for i in range(lits.size()):             # <<<<<<<<<<<<<<
- *             self.ca.push_back(lits[i])
- *         self.live_clauses += 1
-*/
-  __pyx_t_1 = __pyx_v_lits.size();
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "cutstock/satcore/_engine.pyx":162
- *         self.ca.push_back(lbd)
- *         for i in range(lits.size()):
- *             self.ca.push_back(lits[i])             # <<<<<<<<<<<<<<
- *         self.live_clauses += 1
- *         # watch the first two literals, with the other one as blocker
-*/
-    try {
-      __pyx_v_self->ca.push_back((__pyx_v_lits[__pyx_v_i]));
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 162, __pyx_L1_error)
-    }
-  }
-
-  /* "cutstock/satcore/_engine.pyx":163
- *         for i in range(lits.size()):
- *             self.ca.push_back(lits[i])
- *         self.live_clauses += 1             # <<<<<<<<<<<<<<
- *         # watch the first two literals, with the other one as blocker
- *         self.watches[self._widx(lits[0])].push_back(cref)
-*/
-  __pyx_v_self->live_clauses = (__pyx_v_self->live_clauses + 1);
-
-  /* "cutstock/satcore/_engine.pyx":165
- *         self.live_clauses += 1
- *         # watch the first two literals, with the other one as blocker
- *         self.watches[self._widx(lits[0])].push_back(cref)             # <<<<<<<<<<<<<<
- *         self.watches[self._widx(lits[0])].push_back(lits[1])
- *         self.watches[self._widx(lits[1])].push_back(cref)
-*/
-  __pyx_t_4 = __pyx_f_8cutstock_7satcore_7_engine_6Solver__widx(__pyx_v_self, (__pyx_v_lits[0])); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 165, __pyx_L1_error)
-  try {
-    (__pyx_v_self->watches[__pyx_t_4]).push_back(__pyx_v_cref);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 165, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":166
- *         # watch the first two literals, with the other one as blocker
- *         self.watches[self._widx(lits[0])].push_back(cref)
- *         self.watches[self._widx(lits[0])].push_back(lits[1])             # <<<<<<<<<<<<<<
- *         self.watches[self._widx(lits[1])].push_back(cref)
- *         self.watches[self._widx(lits[1])].push_back(lits[0])
-*/
-  __pyx_t_4 = __pyx_f_8cutstock_7satcore_7_engine_6Solver__widx(__pyx_v_self, (__pyx_v_lits[0])); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 166, __pyx_L1_error)
-  try {
-    (__pyx_v_self->watches[__pyx_t_4]).push_back((__pyx_v_lits[1]));
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 166, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":167
- *         self.watches[self._widx(lits[0])].push_back(cref)
- *         self.watches[self._widx(lits[0])].push_back(lits[1])
- *         self.watches[self._widx(lits[1])].push_back(cref)             # <<<<<<<<<<<<<<
- *         self.watches[self._widx(lits[1])].push_back(lits[0])
- *         return cref
-*/
-  __pyx_t_4 = __pyx_f_8cutstock_7satcore_7_engine_6Solver__widx(__pyx_v_self, (__pyx_v_lits[1])); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 167, __pyx_L1_error)
-  try {
-    (__pyx_v_self->watches[__pyx_t_4]).push_back(__pyx_v_cref);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 167, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":168
- *         self.watches[self._widx(lits[0])].push_back(lits[1])
- *         self.watches[self._widx(lits[1])].push_back(cref)
- *         self.watches[self._widx(lits[1])].push_back(lits[0])             # <<<<<<<<<<<<<<
- *         return cref
- * 
-*/
-  __pyx_t_4 = __pyx_f_8cutstock_7satcore_7_engine_6Solver__widx(__pyx_v_self, (__pyx_v_lits[1])); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 168, __pyx_L1_error)
-  try {
-    (__pyx_v_self->watches[__pyx_t_4]).push_back((__pyx_v_lits[0]));
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 168, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":169
- *         self.watches[self._widx(lits[1])].push_back(cref)
- *         self.watches[self._widx(lits[1])].push_back(lits[0])
- *         return cref             # <<<<<<<<<<<<<<
- * 
- *     # ------------------------------------------------------------------
-*/
-  __pyx_r = __pyx_v_cref;
-  goto __pyx_L0;
-
-  /* "cutstock/satcore/_engine.pyx":156
- *         self._new_clause(out, -1)
- * 
- *     cdef int _new_clause(self, vector[int]& lits, int lbd):             # <<<<<<<<<<<<<<
- *         cdef int cref = <int> self.ca.size()
- *         cdef size_t i
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver._new_clause", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":174
- *     # activity heap
- * 
- *     cdef inline bint _heap_less(self, int u, int v):             # <<<<<<<<<<<<<<
- *         cdef double au = self.activity_[u]
- *         cdef double av = self.activity_[v]
-*/
-
-static CYTHON_INLINE int __pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_less(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_u, int __pyx_v_v) {
-  double __pyx_v_au;
-  double __pyx_v_av;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "cutstock/satcore/_engine.pyx":175
- * 
- *     cdef inline bint _heap_less(self, int u, int v):
- *         cdef double au = self.activity_[u]             # <<<<<<<<<<<<<<
- *         cdef double av = self.activity_[v]
- *         return au > av or (au == av and u < v)
-*/
-  __pyx_v_au = (__pyx_v_self->activity_[__pyx_v_u]);
-
-  /* "cutstock/satcore/_engine.pyx":176
- *     cdef inline bint _heap_less(self, int u, int v):
- *         cdef double au = self.activity_[u]
- *         cdef double av = self.activity_[v]             # <<<<<<<<<<<<<<
- *         return au > av or (au == av and u < v)
- * 
-*/
-  __pyx_v_av = (__pyx_v_self->activity_[__pyx_v_v]);
-
-  /* "cutstock/satcore/_engine.pyx":177
- *         cdef double au = self.activity_[u]
- *         cdef double av = self.activity_[v]
- *         return au > av or (au == av and u < v)             # <<<<<<<<<<<<<<
- * 
- *     cdef void _heap_insert(self, int v):
-*/
-  __pyx_t_2 = (__pyx_v_au > __pyx_v_av);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L3_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_au == __pyx_v_av);
-  if (__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L3_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_u < __pyx_v_v);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L3_bool_binop_done:;
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "cutstock/satcore/_engine.pyx":174
- *     # activity heap
- * 
- *     cdef inline bint _heap_less(self, int u, int v):             # <<<<<<<<<<<<<<
- *         cdef double au = self.activity_[u]
- *         cdef double av = self.activity_[v]
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":179
- *         return au > av or (au == av and u < v)
- * 
- *     cdef void _heap_insert(self, int v):             # <<<<<<<<<<<<<<
- *         if self.heap_pos_[v] >= 0:
- *             return
-*/
-
-static void __pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_insert(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_v) {
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cutstock/satcore/_engine.pyx":180
- * 
- *     cdef void _heap_insert(self, int v):
- *         if self.heap_pos_[v] >= 0:             # <<<<<<<<<<<<<<
- *             return
- *         self.heap_.push_back(v)
-*/
-  __pyx_t_1 = ((__pyx_v_self->heap_pos_[__pyx_v_v]) >= 0);
-  if (__pyx_t_1) {
-
-    /* "cutstock/satcore/_engine.pyx":181
- *     cdef void _heap_insert(self, int v):
- *         if self.heap_pos_[v] >= 0:
- *             return             # <<<<<<<<<<<<<<
- *         self.heap_.push_back(v)
- *         self.heap_pos_[v] = <int> self.heap_.size() - 1
-*/
-    goto __pyx_L0;
-
-    /* "cutstock/satcore/_engine.pyx":180
- * 
- *     cdef void _heap_insert(self, int v):
- *         if self.heap_pos_[v] >= 0:             # <<<<<<<<<<<<<<
- *             return
- *         self.heap_.push_back(v)
-*/
-  }
-
-  /* "cutstock/satcore/_engine.pyx":182
- *         if self.heap_pos_[v] >= 0:
- *             return
- *         self.heap_.push_back(v)             # <<<<<<<<<<<<<<
- *         self.heap_pos_[v] = <int> self.heap_.size() - 1
- *         self._heap_up(<int> self.heap_.size() - 1)
-*/
-  try {
-    __pyx_v_self->heap_.push_back(__pyx_v_v);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 182, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":183
- *             return
- *         self.heap_.push_back(v)
- *         self.heap_pos_[v] = <int> self.heap_.size() - 1             # <<<<<<<<<<<<<<
- *         self._heap_up(<int> self.heap_.size() - 1)
- * 
-*/
-  (__pyx_v_self->heap_pos_[__pyx_v_v]) = (((int)__pyx_v_self->heap_.size()) - 1);
-
-  /* "cutstock/satcore/_engine.pyx":184
- *         self.heap_.push_back(v)
- *         self.heap_pos_[v] = <int> self.heap_.size() - 1
- *         self._heap_up(<int> self.heap_.size() - 1)             # <<<<<<<<<<<<<<
- * 
- *     cdef void _heap_up(self, int i):
-*/
-  ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_heap_up(__pyx_v_self, (((int)__pyx_v_self->heap_.size()) - 1)); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 184, __pyx_L1_error)
-
-  /* "cutstock/satcore/_engine.pyx":179
- *         return au > av or (au == av and u < v)
- * 
- *     cdef void _heap_insert(self, int v):             # <<<<<<<<<<<<<<
- *         if self.heap_pos_[v] >= 0:
- *             return
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver._heap_insert", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "cutstock/satcore/_engine.pyx":186
- *         self._heap_up(<int> self.heap_.size() - 1)
- * 
- *     cdef void _heap_up(self, int i):             # <<<<<<<<<<<<<<
- *         cdef int v = self.heap_[i]
- *         cdef int parent, p
-*/
-
-static void __pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_up(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_i) {
-  int __pyx_v_v;
-  int __pyx_v_parent;
-  int __pyx_v_p;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cutstock/satcore/_engine.pyx":187
- * 
- *     cdef void _heap_up(self, int i):
- *         cdef int v = self.heap_[i]             # <<<<<<<<<<<<<<
- *         cdef int parent, p
- *         while i > 0:
-*/
-  __pyx_v_v = (__pyx_v_self->heap_[__pyx_v_i]);
-
-  /* "cutstock/satcore/_engine.pyx":189
- *         cdef int v = self.heap_[i]
- *         cdef int parent, p
- *         while i > 0:             # <<<<<<<<<<<<<<
- *             parent = (i - 1) >> 1
- *             p = self.heap_[parent]
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_i > 0);
-    if (!__pyx_t_1) break;
-
-    /* "cutstock/satcore/_engine.pyx":190
- *         cdef int parent, p
- *         while i > 0:
- *             parent = (i - 1) >> 1             # <<<<<<<<<<<<<<
- *             p = self.heap_[parent]
- *             if not self._heap_less(v, p):
-*/
-    __pyx_v_parent = ((__pyx_v_i - 1) >> 1);
-
-    /* "cutstock/satcore/_engine.pyx":191
- *         while i > 0:
- *             parent = (i - 1) >> 1
- *             p = self.heap_[parent]             # <<<<<<<<<<<<<<
- *             if not self._heap_less(v, p):
- *                 break
-*/
-    __pyx_v_p = (__pyx_v_self->heap_[__pyx_v_parent]);
-
-    /* "cutstock/satcore/_engine.pyx":192
- *             parent = (i - 1) >> 1
- *             p = self.heap_[parent]
- *             if not self._heap_less(v, p):             # <<<<<<<<<<<<<<
- *                 break
- *             self.heap_[i] = p
-*/
-    __pyx_t_1 = __pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_less(__pyx_v_self, __pyx_v_v, __pyx_v_p); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 192, __pyx_L1_error)
-    __pyx_t_2 = (!__pyx_t_1);
-    if (__pyx_t_2) {
-
-      /* "cutstock/satcore/_engine.pyx":193
- *             p = self.heap_[parent]
- *             if not self._heap_less(v, p):
- *                 break             # <<<<<<<<<<<<<<
- *             self.heap_[i] = p
- *             self.heap_pos_[p] = i
-*/
-      goto __pyx_L4_break;
-
-      /* "cutstock/satcore/_engine.pyx":192
- *             parent = (i - 1) >> 1
- *             p = self.heap_[parent]
- *             if not self._heap_less(v, p):             # <<<<<<<<<<<<<<
- *                 break
- *             self.heap_[i] = p
-*/
-    }
-
-    /* "cutstock/satcore/_engine.pyx":194
- *             if not self._heap_less(v, p):
- *                 break
- *             self.heap_[i] = p             # <<<<<<<<<<<<<<
- *             self.heap_pos_[p] = i
- *             i = parent
-*/
-    (__pyx_v_self->heap_[__pyx_v_i]) = __pyx_v_p;
-
-    /* "cutstock/satcore/_engine.pyx":195
- *                 break
- *             self.heap_[i] = p
- *             self.heap_pos_[p] = i             # <<<<<<<<<<<<<<
- *             i = parent
- *         self.heap_[i] = v
-*/
-    (__pyx_v_self->heap_pos_[__pyx_v_p]) = __pyx_v_i;
-
-    /* "cutstock/satcore/_engine.pyx":196
- *             self.heap_[i] = p
- *             self.heap_pos_[p] = i
- *             i = parent             # <<<<<<<<<<<<<<
- *         self.heap_[i] = v
- *         self.heap_pos_[v] = i
-*/
-    __pyx_v_i = __pyx_v_parent;
-  }
-  __pyx_L4_break:;
-
-  /* "cutstock/satcore/_engine.pyx":197
- *             self.heap_pos_[p] = i
- *             i = parent
- *         self.heap_[i] = v             # <<<<<<<<<<<<<<
- *         self.heap_pos_[v] = i
- * 
-*/
-  (__pyx_v_self->heap_[__pyx_v_i]) = __pyx_v_v;
-
-  /* "cutstock/satcore/_engine.pyx":198
- *             i = parent
- *         self.heap_[i] = v
- *         self.heap_pos_[v] = i             # <<<<<<<<<<<<<<
- * 
- *     cdef void _heap_down(self, int i):
-*/
-  (__pyx_v_self->heap_pos_[__pyx_v_v]) = __pyx_v_i;
-
-  /* "cutstock/satcore/_engine.pyx":186
- *         self._heap_up(<int> self.heap_.size() - 1)
- * 
- *     cdef void _heap_up(self, int i):             # <<<<<<<<<<<<<<
- *         cdef int v = self.heap_[i]
- *         cdef int parent, p
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver._heap_up", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "cutstock/satcore/_engine.pyx":200
- *         self.heap_pos_[v] = i
- * 
- *     cdef void _heap_down(self, int i):             # <<<<<<<<<<<<<<
- *         cdef int v = self.heap_[i]
- *         cdef int n = <int> self.heap_.size()
-*/
-
-static void __pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_down(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_i) {
-  int __pyx_v_v;
-  int __pyx_v_n;
-  int __pyx_v_left;
-  int __pyx_v_right;
-  int __pyx_v_child;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cutstock/satcore/_engine.pyx":201
- * 
- *     cdef void _heap_down(self, int i):
- *         cdef int v = self.heap_[i]             # <<<<<<<<<<<<<<
- *         cdef int n = <int> self.heap_.size()
- *         cdef int left, right, child
-*/
-  __pyx_v_v = (__pyx_v_self->heap_[__pyx_v_i]);
-
-  /* "cutstock/satcore/_engine.pyx":202
- *     cdef void _heap_down(self, int i):
- *         cdef int v = self.heap_[i]
- *         cdef int n = <int> self.heap_.size()             # <<<<<<<<<<<<<<
- *         cdef int left, right, child
- *         while True:
-*/
-  __pyx_v_n = ((int)__pyx_v_self->heap_.size());
-
-  /* "cutstock/satcore/_engine.pyx":204
- *         cdef int n = <int> self.heap_.size()
- *         cdef int left, right, child
- *         while True:             # <<<<<<<<<<<<<<
- *             left = 2 * i + 1
- *             if left >= n:
-*/
-  while (1) {
-
-    /* "cutstock/satcore/_engine.pyx":205
- *         cdef int left, right, child
- *         while True:
- *             left = 2 * i + 1             # <<<<<<<<<<<<<<
- *             if left >= n:
- *                 break
-*/
-    __pyx_v_left = ((2 * __pyx_v_i) + 1);
-
-    /* "cutstock/satcore/_engine.pyx":206
- *         while True:
- *             left = 2 * i + 1
- *             if left >= n:             # <<<<<<<<<<<<<<
- *                 break
- *             right = left + 1
-*/
-    __pyx_t_1 = (__pyx_v_left >= __pyx_v_n);
-    if (__pyx_t_1) {
-
-      /* "cutstock/satcore/_engine.pyx":207
- *             left = 2 * i + 1
- *             if left >= n:
- *                 break             # <<<<<<<<<<<<<<
- *             right = left + 1
- *             child = left
-*/
-      goto __pyx_L4_break;
-
-      /* "cutstock/satcore/_engine.pyx":206
- *         while True:
- *             left = 2 * i + 1
- *             if left >= n:             # <<<<<<<<<<<<<<
- *                 break
- *             right = left + 1
-*/
-    }
-
-    /* "cutstock/satcore/_engine.pyx":208
- *             if left >= n:
- *                 break
- *             right = left + 1             # <<<<<<<<<<<<<<
- *             child = left
- *             if right < n and self._heap_less(self.heap_[right], self.heap_[left]):
-*/
-    __pyx_v_right = (__pyx_v_left + 1);
-
-    /* "cutstock/satcore/_engine.pyx":209
- *                 break
- *             right = left + 1
- *             child = left             # <<<<<<<<<<<<<<
- *             if right < n and self._heap_less(self.heap_[right], self.heap_[left]):
- *                 child = right
-*/
-    __pyx_v_child = __pyx_v_left;
-
-    /* "cutstock/satcore/_engine.pyx":210
- *             right = left + 1
- *             child = left
- *             if right < n and self._heap_less(self.heap_[right], self.heap_[left]):             # <<<<<<<<<<<<<<
- *                 child = right
- *             if not self._heap_less(self.heap_[child], v):
-*/
-    __pyx_t_2 = (__pyx_v_right < __pyx_v_n);
-    if (__pyx_t_2) {
-    } else {
-      __pyx_t_1 = __pyx_t_2;
-      goto __pyx_L7_bool_binop_done;
-    }
-    __pyx_t_2 = __pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_less(__pyx_v_self, (__pyx_v_self->heap_[__pyx_v_right]), (__pyx_v_self->heap_[__pyx_v_left])); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 210, __pyx_L1_error)
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_L7_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "cutstock/satcore/_engine.pyx":211
- *             child = left
- *             if right < n and self._heap_less(self.heap_[right], self.heap_[left]):
- *                 child = right             # <<<<<<<<<<<<<<
- *             if not self._heap_less(self.heap_[child], v):
- *                 break
-*/
-      __pyx_v_child = __pyx_v_right;
-
-      /* "cutstock/satcore/_engine.pyx":210
- *             right = left + 1
- *             child = left
- *             if right < n and self._heap_less(self.heap_[right], self.heap_[left]):             # <<<<<<<<<<<<<<
- *                 child = right
- *             if not self._heap_less(self.heap_[child], v):
-*/
-    }
-
-    /* "cutstock/satcore/_engine.pyx":212
- *             if right < n and self._heap_less(self.heap_[right], self.heap_[left]):
- *                 child = right
- *             if not self._heap_less(self.heap_[child], v):             # <<<<<<<<<<<<<<
- *                 break
- *             self.heap_[i] = self.heap_[child]
-*/
-    __pyx_t_1 = __pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_less(__pyx_v_self, (__pyx_v_self->heap_[__pyx_v_child]), __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 212, __pyx_L1_error)
-    __pyx_t_2 = (!__pyx_t_1);
-    if (__pyx_t_2) {
-
-      /* "cutstock/satcore/_engine.pyx":213
- *                 child = right
- *             if not self._heap_less(self.heap_[child], v):
- *                 break             # <<<<<<<<<<<<<<
- *             self.heap_[i] = self.heap_[child]
- *             self.heap_pos_[self.heap_[i]] = i
-*/
-      goto __pyx_L4_break;
-
-      /* "cutstock/satcore/_engine.pyx":212
- *             if right < n and self._heap_less(self.heap_[right], self.heap_[left]):
- *                 child = right
- *             if not self._heap_less(self.heap_[child], v):             # <<<<<<<<<<<<<<
- *                 break
- *             self.heap_[i] = self.heap_[child]
-*/
-    }
-
-    /* "cutstock/satcore/_engine.pyx":214
- *             if not self._heap_less(self.heap_[child], v):
- *                 break
- *             self.heap_[i] = self.heap_[child]             # <<<<<<<<<<<<<<
- *             self.heap_pos_[self.heap_[i]] = i
- *             i = child
-*/
-    (__pyx_v_self->heap_[__pyx_v_i]) = (__pyx_v_self->heap_[__pyx_v_child]);
-
-    /* "cutstock/satcore/_engine.pyx":215
- *                 break
- *             self.heap_[i] = self.heap_[child]
- *             self.heap_pos_[self.heap_[i]] = i             # <<<<<<<<<<<<<<
- *             i = child
- *         self.heap_[i] = v
-*/
-    (__pyx_v_self->heap_pos_[(__pyx_v_self->heap_[__pyx_v_i])]) = __pyx_v_i;
-
-    /* "cutstock/satcore/_engine.pyx":216
- *             self.heap_[i] = self.heap_[child]
- *             self.heap_pos_[self.heap_[i]] = i
- *             i = child             # <<<<<<<<<<<<<<
- *         self.heap_[i] = v
- *         self.heap_pos_[v] = i
-*/
-    __pyx_v_i = __pyx_v_child;
-  }
-  __pyx_L4_break:;
-
-  /* "cutstock/satcore/_engine.pyx":217
- *             self.heap_pos_[self.heap_[i]] = i
- *             i = child
- *         self.heap_[i] = v             # <<<<<<<<<<<<<<
- *         self.heap_pos_[v] = i
- * 
-*/
-  (__pyx_v_self->heap_[__pyx_v_i]) = __pyx_v_v;
-
-  /* "cutstock/satcore/_engine.pyx":218
- *             i = child
- *         self.heap_[i] = v
- *         self.heap_pos_[v] = i             # <<<<<<<<<<<<<<
- * 
- *     cdef int _heap_pop(self):
-*/
-  (__pyx_v_self->heap_pos_[__pyx_v_v]) = __pyx_v_i;
-
-  /* "cutstock/satcore/_engine.pyx":200
- *         self.heap_pos_[v] = i
- * 
- *     cdef void _heap_down(self, int i):             # <<<<<<<<<<<<<<
- *         cdef int v = self.heap_[i]
- *         cdef int n = <int> self.heap_.size()
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver._heap_down", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "cutstock/satcore/_engine.pyx":220
- *         self.heap_pos_[v] = i
- * 
- *     cdef int _heap_pop(self):             # <<<<<<<<<<<<<<
- *         cdef int top = self.heap_[0]
- *         cdef int last = self.heap_.back()
-*/
-
-static int __pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_pop(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self) {
-  int __pyx_v_top;
-  int __pyx_v_last;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cutstock/satcore/_engine.pyx":221
- * 
- *     cdef int _heap_pop(self):
- *         cdef int top = self.heap_[0]             # <<<<<<<<<<<<<<
- *         cdef int last = self.heap_.back()
- *         self.heap_.pop_back()
-*/
-  __pyx_v_top = (__pyx_v_self->heap_[0]);
-
-  /* "cutstock/satcore/_engine.pyx":222
- *     cdef int _heap_pop(self):
- *         cdef int top = self.heap_[0]
- *         cdef int last = self.heap_.back()             # <<<<<<<<<<<<<<
- *         self.heap_.pop_back()
- *         self.heap_pos_[top] = -1
-*/
-  __pyx_v_last = __pyx_v_self->heap_.back();
-
-  /* "cutstock/satcore/_engine.pyx":223
- *         cdef int top = self.heap_[0]
- *         cdef int last = self.heap_.back()
- *         self.heap_.pop_back()             # <<<<<<<<<<<<<<
- *         self.heap_pos_[top] = -1
- *         if self.heap_.size() > 0:
-*/
-  __pyx_v_self->heap_.pop_back();
-
-  /* "cutstock/satcore/_engine.pyx":224
- *         cdef int last = self.heap_.back()
- *         self.heap_.pop_back()
- *         self.heap_pos_[top] = -1             # <<<<<<<<<<<<<<
- *         if self.heap_.size() > 0:
- *             self.heap_[0] = last
-*/
-  (__pyx_v_self->heap_pos_[__pyx_v_top]) = -1;
-
-  /* "cutstock/satcore/_engine.pyx":225
- *         self.heap_.pop_back()
- *         self.heap_pos_[top] = -1
- *         if self.heap_.size() > 0:             # <<<<<<<<<<<<<<
- *             self.heap_[0] = last
- *             self.heap_pos_[last] = 0
-*/
-  __pyx_t_1 = (__pyx_v_self->heap_.size() > 0);
-  if (__pyx_t_1) {
-
-    /* "cutstock/satcore/_engine.pyx":226
- *         self.heap_pos_[top] = -1
- *         if self.heap_.size() > 0:
- *             self.heap_[0] = last             # <<<<<<<<<<<<<<
- *             self.heap_pos_[last] = 0
- *             self._heap_down(0)
-*/
-    (__pyx_v_self->heap_[0]) = __pyx_v_last;
-
-    /* "cutstock/satcore/_engine.pyx":227
- *         if self.heap_.size() > 0:
- *             self.heap_[0] = last
- *             self.heap_pos_[last] = 0             # <<<<<<<<<<<<<<
- *             self._heap_down(0)
- *         return top
-*/
-    (__pyx_v_self->heap_pos_[__pyx_v_last]) = 0;
-
-    /* "cutstock/satcore/_engine.pyx":228
- *             self.heap_[0] = last
- *             self.heap_pos_[last] = 0
- *             self._heap_down(0)             # <<<<<<<<<<<<<<
- *         return top
- * 
-*/
-    ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_heap_down(__pyx_v_self, 0); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 228, __pyx_L1_error)
-
-    /* "cutstock/satcore/_engine.pyx":225
- *         self.heap_.pop_back()
- *         self.heap_pos_[top] = -1
- *         if self.heap_.size() > 0:             # <<<<<<<<<<<<<<
- *             self.heap_[0] = last
- *             self.heap_pos_[last] = 0
-*/
-  }
-
-  /* "cutstock/satcore/_engine.pyx":229
- *             self.heap_pos_[last] = 0
- *             self._heap_down(0)
- *         return top             # <<<<<<<<<<<<<<
- * 
- *     cdef void _bump(self, int v):
-*/
-  __pyx_r = __pyx_v_top;
-  goto __pyx_L0;
-
-  /* "cutstock/satcore/_engine.pyx":220
- *         self.heap_pos_[v] = i
- * 
- *     cdef int _heap_pop(self):             # <<<<<<<<<<<<<<
- *         cdef int top = self.heap_[0]
- *         cdef int last = self.heap_.back()
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver._heap_pop", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":231
- *         return top
- * 
- *     cdef void _bump(self, int v):             # <<<<<<<<<<<<<<
- *         cdef int u
- *         self.activity_[v] += self.var_inc
-*/
-
-static void __pyx_f_8cutstock_7satcore_7_engine_6Solver__bump(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_v) {
-  int __pyx_v_u;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  long __pyx_t_3;
-  long __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cutstock/satcore/_engine.pyx":233
- *     cdef void _bump(self, int v):
- *         cdef int u
- *         self.activity_[v] += self.var_inc             # <<<<<<<<<<<<<<
- *         if self.activity_[v] > 1e100:
- *             for u in range(1, self.nvars + 1):
-*/
-  __pyx_t_1 = __pyx_v_v;
-  (__pyx_v_self->activity_[__pyx_t_1]) = ((__pyx_v_self->activity_[__pyx_t_1]) + __pyx_v_self->var_inc);
-
-  /* "cutstock/satcore/_engine.pyx":234
- *         cdef int u
- *         self.activity_[v] += self.var_inc
- *         if self.activity_[v] > 1e100:             # <<<<<<<<<<<<<<
- *             for u in range(1, self.nvars + 1):
- *                 self.activity_[u] *= 1e-100
-*/
-  __pyx_t_2 = ((__pyx_v_self->activity_[__pyx_v_v]) > 1e100);
-  if (__pyx_t_2) {
-
-    /* "cutstock/satcore/_engine.pyx":235
- *         self.activity_[v] += self.var_inc
- *         if self.activity_[v] > 1e100:
- *             for u in range(1, self.nvars + 1):             # <<<<<<<<<<<<<<
- *                 self.activity_[u] *= 1e-100
- *             self.var_inc *= 1e-100
-*/
-    __pyx_t_3 = (__pyx_v_self->nvars + 1);
-    __pyx_t_4 = __pyx_t_3;
-    for (__pyx_t_1 = 1; __pyx_t_1 < __pyx_t_4; __pyx_t_1+=1) {
-      __pyx_v_u = __pyx_t_1;
-
-      /* "cutstock/satcore/_engine.pyx":236
- *         if self.activity_[v] > 1e100:
- *             for u in range(1, self.nvars + 1):
- *                 self.activity_[u] *= 1e-100             # <<<<<<<<<<<<<<
- *             self.var_inc *= 1e-100
- *         if self.heap_pos_[v] >= 0:
-*/
-      __pyx_t_5 = __pyx_v_u;
-      (__pyx_v_self->activity_[__pyx_t_5]) = ((__pyx_v_self->activity_[__pyx_t_5]) * 1e-100);
-    }
-
-    /* "cutstock/satcore/_engine.pyx":237
- *             for u in range(1, self.nvars + 1):
- *                 self.activity_[u] *= 1e-100
- *             self.var_inc *= 1e-100             # <<<<<<<<<<<<<<
- *         if self.heap_pos_[v] >= 0:
- *             self._heap_up(self.heap_pos_[v])
-*/
-    __pyx_v_self->var_inc = (__pyx_v_self->var_inc * 1e-100);
-
-    /* "cutstock/satcore/_engine.pyx":234
- *         cdef int u
- *         self.activity_[v] += self.var_inc
- *         if self.activity_[v] > 1e100:             # <<<<<<<<<<<<<<
- *             for u in range(1, self.nvars + 1):
- *                 self.activity_[u] *= 1e-100
-*/
-  }
-
-  /* "cutstock/satcore/_engine.pyx":238
- *                 self.activity_[u] *= 1e-100
- *             self.var_inc *= 1e-100
- *         if self.heap_pos_[v] >= 0:             # <<<<<<<<<<<<<<
- *             self._heap_up(self.heap_pos_[v])
- * 
-*/
-  __pyx_t_2 = ((__pyx_v_self->heap_pos_[__pyx_v_v]) >= 0);
-  if (__pyx_t_2) {
-
-    /* "cutstock/satcore/_engine.pyx":239
- *             self.var_inc *= 1e-100
- *         if self.heap_pos_[v] >= 0:
- *             self._heap_up(self.heap_pos_[v])             # <<<<<<<<<<<<<<
- * 
- *     # ------------------------------------------------------------------
-*/
-    ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_heap_up(__pyx_v_self, (__pyx_v_self->heap_pos_[__pyx_v_v])); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 239, __pyx_L1_error)
-
-    /* "cutstock/satcore/_engine.pyx":238
- *                 self.activity_[u] *= 1e-100
- *             self.var_inc *= 1e-100
- *         if self.heap_pos_[v] >= 0:             # <<<<<<<<<<<<<<
- *             self._heap_up(self.heap_pos_[v])
- * 
-*/
-  }
-
-  /* "cutstock/satcore/_engine.pyx":231
- *         return top
- * 
- *     cdef void _bump(self, int v):             # <<<<<<<<<<<<<<
- *         cdef int u
- *         self.activity_[v] += self.var_inc
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver._bump", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "cutstock/satcore/_engine.pyx":244
- *     # trail
- * 
- *     cdef inline void _enqueue(self, int lit, int reason):             # <<<<<<<<<<<<<<
- *         cdef int v = lit if lit > 0 else -lit
- *         cdef signed char value = 1 if lit > 0 else 0
-*/
-
-static CYTHON_INLINE void __pyx_f_8cutstock_7satcore_7_engine_6Solver__enqueue(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_lit, int __pyx_v_reason) {
-  int __pyx_v_v;
-  signed char __pyx_v_value;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  signed char __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cutstock/satcore/_engine.pyx":245
- * 
- *     cdef inline void _enqueue(self, int lit, int reason):
- *         cdef int v = lit if lit > 0 else -lit             # <<<<<<<<<<<<<<
- *         cdef signed char value = 1 if lit > 0 else 0
- *         self.assign_[v] = value
-*/
-  __pyx_t_2 = (__pyx_v_lit > 0);
-  if (__pyx_t_2) {
-    __pyx_t_1 = __pyx_v_lit;
-  } else {
-    __pyx_t_1 = (-__pyx_v_lit);
-  }
-  __pyx_v_v = __pyx_t_1;
-
-  /* "cutstock/satcore/_engine.pyx":246
- *     cdef inline void _enqueue(self, int lit, int reason):
- *         cdef int v = lit if lit > 0 else -lit
- *         cdef signed char value = 1 if lit > 0 else 0             # <<<<<<<<<<<<<<
- *         self.assign_[v] = value
- *         self.level_[v] = <int> self.trail_lim_.size()
-*/
-  __pyx_t_2 = (__pyx_v_lit > 0);
-  if (__pyx_t_2) {
-    __pyx_t_3 = 1;
-  } else {
-    __pyx_t_3 = 0;
-  }
-  __pyx_v_value = __pyx_t_3;
-
-  /* "cutstock/satcore/_engine.pyx":247
- *         cdef int v = lit if lit > 0 else -lit
- *         cdef signed char value = 1 if lit > 0 else 0
- *         self.assign_[v] = value             # <<<<<<<<<<<<<<
- *         self.level_[v] = <int> self.trail_lim_.size()
- *         self.reason_[v] = reason
-*/
-  (__pyx_v_self->assign_[__pyx_v_v]) = __pyx_v_value;
-
-  /* "cutstock/satcore/_engine.pyx":248
- *         cdef signed char value = 1 if lit > 0 else 0
- *         self.assign_[v] = value
- *         self.level_[v] = <int> self.trail_lim_.size()             # <<<<<<<<<<<<<<
- *         self.reason_[v] = reason
- *         self.trail_.push_back(lit)
-*/
-  (__pyx_v_self->level_[__pyx_v_v]) = ((int)__pyx_v_self->trail_lim_.size());
-
-  /* "cutstock/satcore/_engine.pyx":249
- *         self.assign_[v] = value
- *         self.level_[v] = <int> self.trail_lim_.size()
- *         self.reason_[v] = reason             # <<<<<<<<<<<<<<
- *         self.trail_.push_back(lit)
- * 
-*/
-  (__pyx_v_self->reason_[__pyx_v_v]) = __pyx_v_reason;
-
-  /* "cutstock/satcore/_engine.pyx":250
- *         self.level_[v] = <int> self.trail_lim_.size()
- *         self.reason_[v] = reason
- *         self.trail_.push_back(lit)             # <<<<<<<<<<<<<<
- * 
- *     cdef void _cancel_until(self, int lvl):
-*/
-  try {
-    __pyx_v_self->trail_.push_back(__pyx_v_lit);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 250, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":244
- *     # trail
- * 
- *     cdef inline void _enqueue(self, int lit, int reason):             # <<<<<<<<<<<<<<
- *         cdef int v = lit if lit > 0 else -lit
- *         cdef signed char value = 1 if lit > 0 else 0
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver._enqueue", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "cutstock/satcore/_engine.pyx":252
- *         self.trail_.push_back(lit)
- * 
- *     cdef void _cancel_until(self, int lvl):             # <<<<<<<<<<<<<<
- *         if <int> self.trail_lim_.size() <= lvl:
- *             return
-*/
-
-static void __pyx_f_8cutstock_7satcore_7_engine_6Solver__cancel_until(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_lvl) {
-  int __pyx_v_bound;
-  int __pyx_v_i;
-  int __pyx_v_lit;
-  int __pyx_v_v;
-  int __pyx_t_1;
-  long __pyx_t_2;
-  long __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cutstock/satcore/_engine.pyx":253
- * 
- *     cdef void _cancel_until(self, int lvl):
- *         if <int> self.trail_lim_.size() <= lvl:             # <<<<<<<<<<<<<<
- *             return
- *         cdef int bound = self.trail_lim_[lvl]
-*/
-  __pyx_t_1 = (((int)__pyx_v_self->trail_lim_.size()) <= __pyx_v_lvl);
-  if (__pyx_t_1) {
-
-    /* "cutstock/satcore/_engine.pyx":254
- *     cdef void _cancel_until(self, int lvl):
- *         if <int> self.trail_lim_.size() <= lvl:
- *             return             # <<<<<<<<<<<<<<
- *         cdef int bound = self.trail_lim_[lvl]
- *         cdef int i, lit, v
-*/
-    goto __pyx_L0;
-
-    /* "cutstock/satcore/_engine.pyx":253
- * 
- *     cdef void _cancel_until(self, int lvl):
- *         if <int> self.trail_lim_.size() <= lvl:             # <<<<<<<<<<<<<<
- *             return
- *         cdef int bound = self.trail_lim_[lvl]
-*/
-  }
-
-  /* "cutstock/satcore/_engine.pyx":255
- *         if <int> self.trail_lim_.size() <= lvl:
- *             return
- *         cdef int bound = self.trail_lim_[lvl]             # <<<<<<<<<<<<<<
- *         cdef int i, lit, v
- *         for i in range(<int> self.trail_.size() - 1, bound - 1, -1):
-*/
-  __pyx_v_bound = (__pyx_v_self->trail_lim_[__pyx_v_lvl]);
-
-  /* "cutstock/satcore/_engine.pyx":257
- *         cdef int bound = self.trail_lim_[lvl]
- *         cdef int i, lit, v
- *         for i in range(<int> self.trail_.size() - 1, bound - 1, -1):             # <<<<<<<<<<<<<<
- *             lit = self.trail_[i]
- *             v = lit if lit > 0 else -lit
-*/
-  __pyx_t_2 = (__pyx_v_bound - 1);
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = (((int)__pyx_v_self->trail_.size()) - 1); __pyx_t_4 > __pyx_t_3; __pyx_t_4-=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "cutstock/satcore/_engine.pyx":258
- *         cdef int i, lit, v
- *         for i in range(<int> self.trail_.size() - 1, bound - 1, -1):
- *             lit = self.trail_[i]             # <<<<<<<<<<<<<<
- *             v = lit if lit > 0 else -lit
- *             self.phase_[v] = self.assign_[v]
-*/
-    __pyx_v_lit = (__pyx_v_self->trail_[__pyx_v_i]);
-
-    /* "cutstock/satcore/_engine.pyx":259
- *         for i in range(<int> self.trail_.size() - 1, bound - 1, -1):
- *             lit = self.trail_[i]
- *             v = lit if lit > 0 else -lit             # <<<<<<<<<<<<<<
- *             self.phase_[v] = self.assign_[v]
- *             self.assign_[v] = _UNDEF
-*/
-    __pyx_t_1 = (__pyx_v_lit > 0);
-    if (__pyx_t_1) {
-      __pyx_t_5 = __pyx_v_lit;
-    } else {
-      __pyx_t_5 = (-__pyx_v_lit);
-    }
-    __pyx_v_v = __pyx_t_5;
-
-    /* "cutstock/satcore/_engine.pyx":260
- *             lit = self.trail_[i]
- *             v = lit if lit > 0 else -lit
- *             self.phase_[v] = self.assign_[v]             # <<<<<<<<<<<<<<
- *             self.assign_[v] = _UNDEF
- *             self.reason_[v] = _NO_REASON
-*/
-    (__pyx_v_self->phase_[__pyx_v_v]) = (__pyx_v_self->assign_[__pyx_v_v]);
-
-    /* "cutstock/satcore/_engine.pyx":261
- *             v = lit if lit > 0 else -lit
- *             self.phase_[v] = self.assign_[v]
- *             self.assign_[v] = _UNDEF             # <<<<<<<<<<<<<<
- *             self.reason_[v] = _NO_REASON
- *             if self.heap_pos_[v] < 0:
-*/
-    (__pyx_v_self->assign_[__pyx_v_v]) = __pyx_v_8cutstock_7satcore_7_engine__UNDEF;
-
-    /* "cutstock/satcore/_engine.pyx":262
- *             self.phase_[v] = self.assign_[v]
- *             self.assign_[v] = _UNDEF
- *             self.reason_[v] = _NO_REASON             # <<<<<<<<<<<<<<
- *             if self.heap_pos_[v] < 0:
- *                 self._heap_insert(v)
-*/
-    (__pyx_v_self->reason_[__pyx_v_v]) = __pyx_v_8cutstock_7satcore_7_engine__NO_REASON;
-
-    /* "cutstock/satcore/_engine.pyx":263
- *             self.assign_[v] = _UNDEF
- *             self.reason_[v] = _NO_REASON
- *             if self.heap_pos_[v] < 0:             # <<<<<<<<<<<<<<
- *                 self._heap_insert(v)
- *         self.trail_.resize(bound)
-*/
-    __pyx_t_1 = ((__pyx_v_self->heap_pos_[__pyx_v_v]) < 0);
-    if (__pyx_t_1) {
-
-      /* "cutstock/satcore/_engine.pyx":264
- *             self.reason_[v] = _NO_REASON
- *             if self.heap_pos_[v] < 0:
- *                 self._heap_insert(v)             # <<<<<<<<<<<<<<
- *         self.trail_.resize(bound)
- *         self.trail_lim_.resize(lvl)
-*/
-      ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_heap_insert(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 264, __pyx_L1_error)
-
-      /* "cutstock/satcore/_engine.pyx":263
- *             self.assign_[v] = _UNDEF
- *             self.reason_[v] = _NO_REASON
- *             if self.heap_pos_[v] < 0:             # <<<<<<<<<<<<<<
- *                 self._heap_insert(v)
- *         self.trail_.resize(bound)
-*/
-    }
-  }
-
-  /* "cutstock/satcore/_engine.pyx":265
- *             if self.heap_pos_[v] < 0:
- *                 self._heap_insert(v)
- *         self.trail_.resize(bound)             # <<<<<<<<<<<<<<
- *         self.trail_lim_.resize(lvl)
- *         self.qhead = bound
-*/
-  try {
-    __pyx_v_self->trail_.resize(__pyx_v_bound);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 265, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":266
- *                 self._heap_insert(v)
- *         self.trail_.resize(bound)
- *         self.trail_lim_.resize(lvl)             # <<<<<<<<<<<<<<
- *         self.qhead = bound
- * 
-*/
-  try {
-    __pyx_v_self->trail_lim_.resize(__pyx_v_lvl);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 266, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":267
- *         self.trail_.resize(bound)
- *         self.trail_lim_.resize(lvl)
- *         self.qhead = bound             # <<<<<<<<<<<<<<
- * 
- *     # ------------------------------------------------------------------
-*/
-  __pyx_v_self->qhead = __pyx_v_bound;
-
-  /* "cutstock/satcore/_engine.pyx":252
- *         self.trail_.push_back(lit)
- * 
- *     cdef void _cancel_until(self, int lvl):             # <<<<<<<<<<<<<<
- *         if <int> self.trail_lim_.size() <= lvl:
- *             return
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver._cancel_until", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "cutstock/satcore/_engine.pyx":272
- *     # propagation
- * 
- *     cdef int _propagate(self):             # <<<<<<<<<<<<<<
- *         cdef int p, false_lit, widx, cref, blocker, first, lk
- *         cdef int bv, fv, kv, size, base
-*/
-
-static int __pyx_f_8cutstock_7satcore_7_engine_6Solver__propagate(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self) {
-  int __pyx_v_p;
-  int __pyx_v_false_lit;
-  int __pyx_v_widx;
-  int __pyx_v_cref;
-  int __pyx_v_blocker;
-  int __pyx_v_first;
-  int __pyx_v_lk;
-  int __pyx_v_bv;
-  int __pyx_v_fv;
-  int __pyx_v_kv;
-  int __pyx_v_size;
-  int __pyx_v_base;
-  size_t __pyx_v_i;
-  size_t __pyx_v_j;
-  size_t __pyx_v_n;
-  size_t __pyx_v_k;
-  int __pyx_v_moved;
-  std::vector<int>  *__pyx_v_wl;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  long __pyx_t_4;
-  size_t __pyx_t_5;
-  size_t __pyx_t_6;
-  size_t __pyx_t_7;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cutstock/satcore/_engine.pyx":278
- *         cdef bint moved
- *         cdef vector[int]* wl
- *         while self.qhead < <int> self.trail_.size():             # <<<<<<<<<<<<<<
- *             p = self.trail_[self.qhead]
- *             self.qhead += 1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_self->qhead < ((int)__pyx_v_self->trail_.size()));
-    if (!__pyx_t_1) break;
-
-    /* "cutstock/satcore/_engine.pyx":279
- *         cdef vector[int]* wl
- *         while self.qhead < <int> self.trail_.size():
- *             p = self.trail_[self.qhead]             # <<<<<<<<<<<<<<
- *             self.qhead += 1
- *             self.propagations += 1
-*/
-    __pyx_v_p = (__pyx_v_self->trail_[__pyx_v_self->qhead]);
-
-    /* "cutstock/satcore/_engine.pyx":280
- *         while self.qhead < <int> self.trail_.size():
- *             p = self.trail_[self.qhead]
- *             self.qhead += 1             # <<<<<<<<<<<<<<
- *             self.propagations += 1
- *             false_lit = -p
-*/
-    __pyx_v_self->qhead = (__pyx_v_self->qhead + 1);
-
-    /* "cutstock/satcore/_engine.pyx":281
- *             p = self.trail_[self.qhead]
- *             self.qhead += 1
- *             self.propagations += 1             # <<<<<<<<<<<<<<
- *             false_lit = -p
- *             widx = self._widx(false_lit)
-*/
-    __pyx_v_self->propagations = (__pyx_v_self->propagations + 1);
-
-    /* "cutstock/satcore/_engine.pyx":282
- *             self.qhead += 1
- *             self.propagations += 1
- *             false_lit = -p             # <<<<<<<<<<<<<<
- *             widx = self._widx(false_lit)
- *             wl = &self.watches[widx]
-*/
-    __pyx_v_false_lit = (-__pyx_v_p);
-
-    /* "cutstock/satcore/_engine.pyx":283
- *             self.propagations += 1
- *             false_lit = -p
- *             widx = self._widx(false_lit)             # <<<<<<<<<<<<<<
- *             wl = &self.watches[widx]
- *             i = 0
-*/
-    __pyx_t_2 = __pyx_f_8cutstock_7satcore_7_engine_6Solver__widx(__pyx_v_self, __pyx_v_false_lit); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 283, __pyx_L1_error)
-    __pyx_v_widx = __pyx_t_2;
-
-    /* "cutstock/satcore/_engine.pyx":284
- *             false_lit = -p
- *             widx = self._widx(false_lit)
- *             wl = &self.watches[widx]             # <<<<<<<<<<<<<<
- *             i = 0
- *             j = 0
-*/
-    __pyx_v_wl = (&(__pyx_v_self->watches[__pyx_v_widx]));
-
-    /* "cutstock/satcore/_engine.pyx":285
- *             widx = self._widx(false_lit)
- *             wl = &self.watches[widx]
- *             i = 0             # <<<<<<<<<<<<<<
- *             j = 0
- *             n = wl[0].size()
-*/
-    __pyx_v_i = 0;
-
-    /* "cutstock/satcore/_engine.pyx":286
- *             wl = &self.watches[widx]
- *             i = 0
- *             j = 0             # <<<<<<<<<<<<<<
- *             n = wl[0].size()
- *             while i < n:
-*/
-    __pyx_v_j = 0;
-
-    /* "cutstock/satcore/_engine.pyx":287
- *             i = 0
- *             j = 0
- *             n = wl[0].size()             # <<<<<<<<<<<<<<
- *             while i < n:
- *                 cref = wl[0][i]
-*/
-    __pyx_v_n = (__pyx_v_wl[0]).size();
-
-    /* "cutstock/satcore/_engine.pyx":288
- *             j = 0
- *             n = wl[0].size()
- *             while i < n:             # <<<<<<<<<<<<<<
- *                 cref = wl[0][i]
- *                 blocker = wl[0][i + 1]
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_i < __pyx_v_n);
-      if (!__pyx_t_1) break;
-
-      /* "cutstock/satcore/_engine.pyx":289
- *             n = wl[0].size()
- *             while i < n:
- *                 cref = wl[0][i]             # <<<<<<<<<<<<<<
- *                 blocker = wl[0][i + 1]
- *                 i += 2
-*/
-      __pyx_v_cref = ((__pyx_v_wl[0])[__pyx_v_i]);
-
-      /* "cutstock/satcore/_engine.pyx":290
- *             while i < n:
- *                 cref = wl[0][i]
- *                 blocker = wl[0][i + 1]             # <<<<<<<<<<<<<<
- *                 i += 2
- *                 bv = self.assign_[blocker if blocker > 0 else -blocker]
-*/
-      __pyx_v_blocker = ((__pyx_v_wl[0])[(__pyx_v_i + 1)]);
-
-      /* "cutstock/satcore/_engine.pyx":291
- *                 cref = wl[0][i]
- *                 blocker = wl[0][i + 1]
- *                 i += 2             # <<<<<<<<<<<<<<
- *                 bv = self.assign_[blocker if blocker > 0 else -blocker]
- *                 if bv >= 0 and (bv if blocker > 0 else bv ^ 1) == 1:
-*/
-      __pyx_v_i = (__pyx_v_i + 2);
-
-      /* "cutstock/satcore/_engine.pyx":292
- *                 blocker = wl[0][i + 1]
- *                 i += 2
- *                 bv = self.assign_[blocker if blocker > 0 else -blocker]             # <<<<<<<<<<<<<<
- *                 if bv >= 0 and (bv if blocker > 0 else bv ^ 1) == 1:
- *                     wl[0][j] = cref
-*/
-      __pyx_t_1 = (__pyx_v_blocker > 0);
-      if (__pyx_t_1) {
-        __pyx_t_2 = __pyx_v_blocker;
-      } else {
-        __pyx_t_2 = (-__pyx_v_blocker);
-      }
-      __pyx_v_bv = (__pyx_v_self->assign_[__pyx_t_2]);
-
-      /* "cutstock/satcore/_engine.pyx":293
- *                 i += 2
- *                 bv = self.assign_[blocker if blocker > 0 else -blocker]
- *                 if bv >= 0 and (bv if blocker > 0 else bv ^ 1) == 1:             # <<<<<<<<<<<<<<
- *                     wl[0][j] = cref
- *                     wl[0][j + 1] = blocker
-*/
-      __pyx_t_3 = (__pyx_v_bv >= 0);
-      if (__pyx_t_3) {
-      } else {
-        __pyx_t_1 = __pyx_t_3;
-        goto __pyx_L8_bool_binop_done;
-      }
-      __pyx_t_3 = (__pyx_v_blocker > 0);
-      if (__pyx_t_3) {
-        __pyx_t_4 = __pyx_v_bv;
-      } else {
-        __pyx_t_4 = (__pyx_v_bv ^ 1);
-      }
-      __pyx_t_3 = (__pyx_t_4 == 1);
-      __pyx_t_1 = __pyx_t_3;
-      __pyx_L8_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "cutstock/satcore/_engine.pyx":294
- *                 bv = self.assign_[blocker if blocker > 0 else -blocker]
- *                 if bv >= 0 and (bv if blocker > 0 else bv ^ 1) == 1:
- *                     wl[0][j] = cref             # <<<<<<<<<<<<<<
- *                     wl[0][j + 1] = blocker
- *                     j += 2
-*/
-        ((__pyx_v_wl[0])[__pyx_v_j]) = __pyx_v_cref;
-
-        /* "cutstock/satcore/_engine.pyx":295
- *                 if bv >= 0 and (bv if blocker > 0 else bv ^ 1) == 1:
- *                     wl[0][j] = cref
- *                     wl[0][j + 1] = blocker             # <<<<<<<<<<<<<<
- *                     j += 2
- *                     continue
-*/
-        ((__pyx_v_wl[0])[(__pyx_v_j + 1)]) = __pyx_v_blocker;
-
-        /* "cutstock/satcore/_engine.pyx":296
- *                     wl[0][j] = cref
- *                     wl[0][j + 1] = blocker
- *                     j += 2             # <<<<<<<<<<<<<<
- *                     continue
- *                 size = self.ca[cref]
-*/
-        __pyx_v_j = (__pyx_v_j + 2);
-
-        /* "cutstock/satcore/_engine.pyx":297
- *                     wl[0][j + 1] = blocker
- *                     j += 2
- *                     continue             # <<<<<<<<<<<<<<
- *                 size = self.ca[cref]
- *                 if size < 0:
-*/
-        goto __pyx_L5_continue;
-
-        /* "cutstock/satcore/_engine.pyx":293
- *                 i += 2
- *                 bv = self.assign_[blocker if blocker > 0 else -blocker]
- *                 if bv >= 0 and (bv if blocker > 0 else bv ^ 1) == 1:             # <<<<<<<<<<<<<<
- *                     wl[0][j] = cref
- *                     wl[0][j + 1] = blocker
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":298
- *                     j += 2
- *                     continue
- *                 size = self.ca[cref]             # <<<<<<<<<<<<<<
- *                 if size < 0:
- *                     continue  # deleted clause
-*/
-      __pyx_v_size = (__pyx_v_self->ca[__pyx_v_cref]);
-
-      /* "cutstock/satcore/_engine.pyx":299
- *                     continue
- *                 size = self.ca[cref]
- *                 if size < 0:             # <<<<<<<<<<<<<<
- *                     continue  # deleted clause
- *                 base = cref + 2
-*/
-      __pyx_t_1 = (__pyx_v_size < 0);
-      if (__pyx_t_1) {
-
-        /* "cutstock/satcore/_engine.pyx":300
- *                 size = self.ca[cref]
- *                 if size < 0:
- *                     continue  # deleted clause             # <<<<<<<<<<<<<<
- *                 base = cref + 2
- *                 if self.ca[base] == false_lit:
-*/
-        goto __pyx_L5_continue;
-
-        /* "cutstock/satcore/_engine.pyx":299
- *                     continue
- *                 size = self.ca[cref]
- *                 if size < 0:             # <<<<<<<<<<<<<<
- *                     continue  # deleted clause
- *                 base = cref + 2
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":301
- *                 if size < 0:
- *                     continue  # deleted clause
- *                 base = cref + 2             # <<<<<<<<<<<<<<
- *                 if self.ca[base] == false_lit:
- *                     self.ca[base] = self.ca[base + 1]
-*/
-      __pyx_v_base = (__pyx_v_cref + 2);
-
-      /* "cutstock/satcore/_engine.pyx":302
- *                     continue  # deleted clause
- *                 base = cref + 2
- *                 if self.ca[base] == false_lit:             # <<<<<<<<<<<<<<
- *                     self.ca[base] = self.ca[base + 1]
- *                     self.ca[base + 1] = false_lit
-*/
-      __pyx_t_1 = ((__pyx_v_self->ca[__pyx_v_base]) == __pyx_v_false_lit);
-      if (__pyx_t_1) {
-
-        /* "cutstock/satcore/_engine.pyx":303
- *                 base = cref + 2
- *                 if self.ca[base] == false_lit:
- *                     self.ca[base] = self.ca[base + 1]             # <<<<<<<<<<<<<<
- *                     self.ca[base + 1] = false_lit
- *                 first = self.ca[base]
-*/
-        (__pyx_v_self->ca[__pyx_v_base]) = (__pyx_v_self->ca[(__pyx_v_base + 1)]);
-
-        /* "cutstock/satcore/_engine.pyx":304
- *                 if self.ca[base] == false_lit:
- *                     self.ca[base] = self.ca[base + 1]
- *                     self.ca[base + 1] = false_lit             # <<<<<<<<<<<<<<
- *                 first = self.ca[base]
- *                 fv = self.assign_[first if first > 0 else -first]
-*/
-        (__pyx_v_self->ca[(__pyx_v_base + 1)]) = __pyx_v_false_lit;
-
-        /* "cutstock/satcore/_engine.pyx":302
- *                     continue  # deleted clause
- *                 base = cref + 2
- *                 if self.ca[base] == false_lit:             # <<<<<<<<<<<<<<
- *                     self.ca[base] = self.ca[base + 1]
- *                     self.ca[base + 1] = false_lit
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":305
- *                     self.ca[base] = self.ca[base + 1]
- *                     self.ca[base + 1] = false_lit
- *                 first = self.ca[base]             # <<<<<<<<<<<<<<
- *                 fv = self.assign_[first if first > 0 else -first]
- *                 if first != blocker and fv >= 0 and (fv if first > 0 else fv ^ 1) == 1:
-*/
-      __pyx_v_first = (__pyx_v_self->ca[__pyx_v_base]);
-
-      /* "cutstock/satcore/_engine.pyx":306
- *                     self.ca[base + 1] = false_lit
- *                 first = self.ca[base]
- *                 fv = self.assign_[first if first > 0 else -first]             # <<<<<<<<<<<<<<
- *                 if first != blocker and fv >= 0 and (fv if first > 0 else fv ^ 1) == 1:
- *                     wl[0][j] = cref
-*/
-      __pyx_t_1 = (__pyx_v_first > 0);
-      if (__pyx_t_1) {
-        __pyx_t_2 = __pyx_v_first;
-      } else {
-        __pyx_t_2 = (-__pyx_v_first);
-      }
-      __pyx_v_fv = (__pyx_v_self->assign_[__pyx_t_2]);
-
-      /* "cutstock/satcore/_engine.pyx":307
- *                 first = self.ca[base]
- *                 fv = self.assign_[first if first > 0 else -first]
- *                 if first != blocker and fv >= 0 and (fv if first > 0 else fv ^ 1) == 1:             # <<<<<<<<<<<<<<
- *                     wl[0][j] = cref
- *                     wl[0][j + 1] = first
-*/
-      __pyx_t_3 = (__pyx_v_first != __pyx_v_blocker);
-      if (__pyx_t_3) {
-      } else {
-        __pyx_t_1 = __pyx_t_3;
-        goto __pyx_L13_bool_binop_done;
-      }
-      __pyx_t_3 = (__pyx_v_fv >= 0);
-      if (__pyx_t_3) {
-      } else {
-        __pyx_t_1 = __pyx_t_3;
-        goto __pyx_L13_bool_binop_done;
-      }
-      __pyx_t_3 = (__pyx_v_first > 0);
-      if (__pyx_t_3) {
-        __pyx_t_4 = __pyx_v_fv;
-      } else {
-        __pyx_t_4 = (__pyx_v_fv ^ 1);
-      }
-      __pyx_t_3 = (__pyx_t_4 == 1);
-      __pyx_t_1 = __pyx_t_3;
-      __pyx_L13_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "cutstock/satcore/_engine.pyx":308
- *                 fv = self.assign_[first if first > 0 else -first]
- *                 if first != blocker and fv >= 0 and (fv if first > 0 else fv ^ 1) == 1:
- *                     wl[0][j] = cref             # <<<<<<<<<<<<<<
- *                     wl[0][j + 1] = first
- *                     j += 2
-*/
-        ((__pyx_v_wl[0])[__pyx_v_j]) = __pyx_v_cref;
-
-        /* "cutstock/satcore/_engine.pyx":309
- *                 if first != blocker and fv >= 0 and (fv if first > 0 else fv ^ 1) == 1:
- *                     wl[0][j] = cref
- *                     wl[0][j + 1] = first             # <<<<<<<<<<<<<<
- *                     j += 2
- *                     continue
-*/
-        ((__pyx_v_wl[0])[(__pyx_v_j + 1)]) = __pyx_v_first;
-
-        /* "cutstock/satcore/_engine.pyx":310
- *                     wl[0][j] = cref
- *                     wl[0][j + 1] = first
- *                     j += 2             # <<<<<<<<<<<<<<
- *                     continue
- *                 moved = False
-*/
-        __pyx_v_j = (__pyx_v_j + 2);
-
-        /* "cutstock/satcore/_engine.pyx":311
- *                     wl[0][j + 1] = first
- *                     j += 2
- *                     continue             # <<<<<<<<<<<<<<
- *                 moved = False
- *                 for k in range(2, <size_t> size):
-*/
-        goto __pyx_L5_continue;
-
-        /* "cutstock/satcore/_engine.pyx":307
- *                 first = self.ca[base]
- *                 fv = self.assign_[first if first > 0 else -first]
- *                 if first != blocker and fv >= 0 and (fv if first > 0 else fv ^ 1) == 1:             # <<<<<<<<<<<<<<
- *                     wl[0][j] = cref
- *                     wl[0][j + 1] = first
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":312
- *                     j += 2
- *                     continue
- *                 moved = False             # <<<<<<<<<<<<<<
- *                 for k in range(2, <size_t> size):
- *                     lk = self.ca[base + k]
-*/
-      __pyx_v_moved = 0;
-
-      /* "cutstock/satcore/_engine.pyx":313
- *                     continue
- *                 moved = False
- *                 for k in range(2, <size_t> size):             # <<<<<<<<<<<<<<
- *                     lk = self.ca[base + k]
- *                     kv = self.assign_[lk if lk > 0 else -lk]
-*/
-      __pyx_t_5 = ((size_t)__pyx_v_size);
-      __pyx_t_6 = __pyx_t_5;
-      for (__pyx_t_7 = 2; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-        __pyx_v_k = __pyx_t_7;
-
-        /* "cutstock/satcore/_engine.pyx":314
- *                 moved = False
- *                 for k in range(2, <size_t> size):
- *                     lk = self.ca[base + k]             # <<<<<<<<<<<<<<
- *                     kv = self.assign_[lk if lk > 0 else -lk]
- *                     if kv < 0 or (kv if lk > 0 else kv ^ 1) == 1:
-*/
-        __pyx_v_lk = (__pyx_v_self->ca[(__pyx_v_base + __pyx_v_k)]);
-
-        /* "cutstock/satcore/_engine.pyx":315
- *                 for k in range(2, <size_t> size):
- *                     lk = self.ca[base + k]
- *                     kv = self.assign_[lk if lk > 0 else -lk]             # <<<<<<<<<<<<<<
- *                     if kv < 0 or (kv if lk > 0 else kv ^ 1) == 1:
- *                         self.ca[base + 1] = lk
-*/
-        __pyx_t_1 = (__pyx_v_lk > 0);
-        if (__pyx_t_1) {
-          __pyx_t_2 = __pyx_v_lk;
-        } else {
-          __pyx_t_2 = (-__pyx_v_lk);
+    int heap_pop() {
+        int top = heap[0];
+        int last = heap.back();
+        heap.pop_back();
+        heap_pos[top] = -1;
+        if (!heap.empty()) {
+            heap[0] = last;
+            heap_pos[last] = 0;
+            heap_down(0);
         }
-        __pyx_v_kv = (__pyx_v_self->assign_[__pyx_t_2]);
+        return top;
+    }
 
-        /* "cutstock/satcore/_engine.pyx":316
- *                     lk = self.ca[base + k]
- *                     kv = self.assign_[lk if lk > 0 else -lk]
- *                     if kv < 0 or (kv if lk > 0 else kv ^ 1) == 1:             # <<<<<<<<<<<<<<
- *                         self.ca[base + 1] = lk
- *                         self.ca[base + k] = false_lit
-*/
-        __pyx_t_3 = (__pyx_v_kv < 0);
-        if (!__pyx_t_3) {
-        } else {
-          __pyx_t_1 = __pyx_t_3;
-          goto __pyx_L19_bool_binop_done;
+    void bump(int v) {
+        activity[v] += var_inc;
+        if (activity[v] > 1e100) {
+            for (int u = 1; u <= nvars; u++) activity[u] *= 1e-100;
+            var_inc *= 1e-100;
         }
-        __pyx_t_3 = (__pyx_v_lk > 0);
-        if (__pyx_t_3) {
-          __pyx_t_4 = __pyx_v_kv;
-        } else {
-          __pyx_t_4 = (__pyx_v_kv ^ 1);
+        if (heap_pos[v] >= 0) heap_up(heap_pos[v]);
+    }
+
+    // trail
+
+    void enqueue(int lit, int why) {
+        int v = var_of(lit);
+        assign[v] = lit > 0 ? 1 : 0;
+        level[v] = (int)trail_lim.size();
+        reason[v] = why;
+        trail.push_back(lit);
+    }
+
+    void new_level() { trail_lim.push_back((int)trail.size()); }
+
+    void cancel_until(int lvl) {
+        if ((int)trail_lim.size() <= lvl) return;
+        int bound = trail_lim[lvl];
+        for (int i = (int)trail.size() - 1; i >= bound; i--) {
+            int v = var_of(trail[i]);
+            phase[v] = assign[v];
+            assign[v] = UNDEF;
+            reason[v] = NO_REASON;
+            if (heap_pos[v] < 0) heap_insert(v);
         }
-        __pyx_t_3 = (__pyx_t_4 == 1);
-        __pyx_t_1 = __pyx_t_3;
-        __pyx_L19_bool_binop_done:;
-        if (__pyx_t_1) {
-
-          /* "cutstock/satcore/_engine.pyx":317
- *                     kv = self.assign_[lk if lk > 0 else -lk]
- *                     if kv < 0 or (kv if lk > 0 else kv ^ 1) == 1:
- *                         self.ca[base + 1] = lk             # <<<<<<<<<<<<<<
- *                         self.ca[base + k] = false_lit
- *                         self.watches[self._widx(lk)].push_back(cref)
-*/
-          (__pyx_v_self->ca[(__pyx_v_base + 1)]) = __pyx_v_lk;
-
-          /* "cutstock/satcore/_engine.pyx":318
- *                     if kv < 0 or (kv if lk > 0 else kv ^ 1) == 1:
- *                         self.ca[base + 1] = lk
- *                         self.ca[base + k] = false_lit             # <<<<<<<<<<<<<<
- *                         self.watches[self._widx(lk)].push_back(cref)
- *                         self.watches[self._widx(lk)].push_back(first)
-*/
-          (__pyx_v_self->ca[(__pyx_v_base + __pyx_v_k)]) = __pyx_v_false_lit;
-
-          /* "cutstock/satcore/_engine.pyx":319
- *                         self.ca[base + 1] = lk
- *                         self.ca[base + k] = false_lit
- *                         self.watches[self._widx(lk)].push_back(cref)             # <<<<<<<<<<<<<<
- *                         self.watches[self._widx(lk)].push_back(first)
- *                         moved = True
-*/
-          __pyx_t_2 = __pyx_f_8cutstock_7satcore_7_engine_6Solver__widx(__pyx_v_self, __pyx_v_lk); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 319, __pyx_L1_error)
-          try {
-            (__pyx_v_self->watches[__pyx_t_2]).push_back(__pyx_v_cref);
-          } catch(...) {
-            __Pyx_CppExn2PyErr();
-            __PYX_ERR(0, 319, __pyx_L1_error)
-          }
-
-          /* "cutstock/satcore/_engine.pyx":320
- *                         self.ca[base + k] = false_lit
- *                         self.watches[self._widx(lk)].push_back(cref)
- *                         self.watches[self._widx(lk)].push_back(first)             # <<<<<<<<<<<<<<
- *                         moved = True
- *                         break
-*/
-          __pyx_t_2 = __pyx_f_8cutstock_7satcore_7_engine_6Solver__widx(__pyx_v_self, __pyx_v_lk); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 320, __pyx_L1_error)
-          try {
-            (__pyx_v_self->watches[__pyx_t_2]).push_back(__pyx_v_first);
-          } catch(...) {
-            __Pyx_CppExn2PyErr();
-            __PYX_ERR(0, 320, __pyx_L1_error)
-          }
-
-          /* "cutstock/satcore/_engine.pyx":321
- *                         self.watches[self._widx(lk)].push_back(cref)
- *                         self.watches[self._widx(lk)].push_back(first)
- *                         moved = True             # <<<<<<<<<<<<<<
- *                         break
- *                 if moved:
-*/
-          __pyx_v_moved = 1;
-
-          /* "cutstock/satcore/_engine.pyx":322
- *                         self.watches[self._widx(lk)].push_back(first)
- *                         moved = True
- *                         break             # <<<<<<<<<<<<<<
- *                 if moved:
- *                     continue
-*/
-          goto __pyx_L17_break;
-
-          /* "cutstock/satcore/_engine.pyx":316
- *                     lk = self.ca[base + k]
- *                     kv = self.assign_[lk if lk > 0 else -lk]
- *                     if kv < 0 or (kv if lk > 0 else kv ^ 1) == 1:             # <<<<<<<<<<<<<<
- *                         self.ca[base + 1] = lk
- *                         self.ca[base + k] = false_lit
-*/
-        }
-      }
-      __pyx_L17_break:;
-
-      /* "cutstock/satcore/_engine.pyx":323
- *                         moved = True
- *                         break
- *                 if moved:             # <<<<<<<<<<<<<<
- *                     continue
- *                 wl[0][j] = cref
-*/
-      if (__pyx_v_moved) {
-
-        /* "cutstock/satcore/_engine.pyx":324
- *                         break
- *                 if moved:
- *                     continue             # <<<<<<<<<<<<<<
- *                 wl[0][j] = cref
- *                 wl[0][j + 1] = first
-*/
-        goto __pyx_L5_continue;
-
-        /* "cutstock/satcore/_engine.pyx":323
- *                         moved = True
- *                         break
- *                 if moved:             # <<<<<<<<<<<<<<
- *                     continue
- *                 wl[0][j] = cref
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":325
- *                 if moved:
- *                     continue
- *                 wl[0][j] = cref             # <<<<<<<<<<<<<<
- *                 wl[0][j + 1] = first
- *                 j += 2
-*/
-      ((__pyx_v_wl[0])[__pyx_v_j]) = __pyx_v_cref;
-
-      /* "cutstock/satcore/_engine.pyx":326
- *                     continue
- *                 wl[0][j] = cref
- *                 wl[0][j + 1] = first             # <<<<<<<<<<<<<<
- *                 j += 2
- *                 if fv >= 0 and (fv if first > 0 else fv ^ 1) == 0:
-*/
-      ((__pyx_v_wl[0])[(__pyx_v_j + 1)]) = __pyx_v_first;
-
-      /* "cutstock/satcore/_engine.pyx":327
- *                 wl[0][j] = cref
- *                 wl[0][j + 1] = first
- *                 j += 2             # <<<<<<<<<<<<<<
- *                 if fv >= 0 and (fv if first > 0 else fv ^ 1) == 0:
- *                     while i < n:
-*/
-      __pyx_v_j = (__pyx_v_j + 2);
-
-      /* "cutstock/satcore/_engine.pyx":328
- *                 wl[0][j + 1] = first
- *                 j += 2
- *                 if fv >= 0 and (fv if first > 0 else fv ^ 1) == 0:             # <<<<<<<<<<<<<<
- *                     while i < n:
- *                         wl[0][j] = wl[0][i]
-*/
-      __pyx_t_3 = (__pyx_v_fv >= 0);
-      if (__pyx_t_3) {
-      } else {
-        __pyx_t_1 = __pyx_t_3;
-        goto __pyx_L23_bool_binop_done;
-      }
-      __pyx_t_3 = (__pyx_v_first > 0);
-      if (__pyx_t_3) {
-        __pyx_t_4 = __pyx_v_fv;
-      } else {
-        __pyx_t_4 = (__pyx_v_fv ^ 1);
-      }
-      __pyx_t_3 = (__pyx_t_4 == 0);
-      __pyx_t_1 = __pyx_t_3;
-      __pyx_L23_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "cutstock/satcore/_engine.pyx":329
- *                 j += 2
- *                 if fv >= 0 and (fv if first > 0 else fv ^ 1) == 0:
- *                     while i < n:             # <<<<<<<<<<<<<<
- *                         wl[0][j] = wl[0][i]
- *                         wl[0][j + 1] = wl[0][i + 1]
-*/
-        while (1) {
-          __pyx_t_1 = (__pyx_v_i < __pyx_v_n);
-          if (!__pyx_t_1) break;
-
-          /* "cutstock/satcore/_engine.pyx":330
- *                 if fv >= 0 and (fv if first > 0 else fv ^ 1) == 0:
- *                     while i < n:
- *                         wl[0][j] = wl[0][i]             # <<<<<<<<<<<<<<
- *                         wl[0][j + 1] = wl[0][i + 1]
- *                         i += 2
-*/
-          ((__pyx_v_wl[0])[__pyx_v_j]) = ((__pyx_v_wl[0])[__pyx_v_i]);
-
-          /* "cutstock/satcore/_engine.pyx":331
- *                     while i < n:
- *                         wl[0][j] = wl[0][i]
- *                         wl[0][j + 1] = wl[0][i + 1]             # <<<<<<<<<<<<<<
- *                         i += 2
- *                         j += 2
-*/
-          ((__pyx_v_wl[0])[(__pyx_v_j + 1)]) = ((__pyx_v_wl[0])[(__pyx_v_i + 1)]);
-
-          /* "cutstock/satcore/_engine.pyx":332
- *                         wl[0][j] = wl[0][i]
- *                         wl[0][j + 1] = wl[0][i + 1]
- *                         i += 2             # <<<<<<<<<<<<<<
- *                         j += 2
- *                     wl[0].resize(j)
-*/
-          __pyx_v_i = (__pyx_v_i + 2);
-
-          /* "cutstock/satcore/_engine.pyx":333
- *                         wl[0][j + 1] = wl[0][i + 1]
- *                         i += 2
- *                         j += 2             # <<<<<<<<<<<<<<
- *                     wl[0].resize(j)
- *                     self.qhead = <int> self.trail_.size()
-*/
-          __pyx_v_j = (__pyx_v_j + 2);
-        }
-
-        /* "cutstock/satcore/_engine.pyx":334
- *                         i += 2
- *                         j += 2
- *                     wl[0].resize(j)             # <<<<<<<<<<<<<<
- *                     self.qhead = <int> self.trail_.size()
- *                     return cref
-*/
-        try {
-          (__pyx_v_wl[0]).resize(__pyx_v_j);
-        } catch(...) {
-          __Pyx_CppExn2PyErr();
-          __PYX_ERR(0, 334, __pyx_L1_error)
-        }
-
-        /* "cutstock/satcore/_engine.pyx":335
- *                         j += 2
- *                     wl[0].resize(j)
- *                     self.qhead = <int> self.trail_.size()             # <<<<<<<<<<<<<<
- *                     return cref
- *                 self._enqueue(first, cref)
-*/
-        __pyx_v_self->qhead = ((int)__pyx_v_self->trail_.size());
-
-        /* "cutstock/satcore/_engine.pyx":336
- *                     wl[0].resize(j)
- *                     self.qhead = <int> self.trail_.size()
- *                     return cref             # <<<<<<<<<<<<<<
- *                 self._enqueue(first, cref)
- *             wl[0].resize(j)
-*/
-        __pyx_r = __pyx_v_cref;
-        goto __pyx_L0;
-
-        /* "cutstock/satcore/_engine.pyx":328
- *                 wl[0][j + 1] = first
- *                 j += 2
- *                 if fv >= 0 and (fv if first > 0 else fv ^ 1) == 0:             # <<<<<<<<<<<<<<
- *                     while i < n:
- *                         wl[0][j] = wl[0][i]
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":337
- *                     self.qhead = <int> self.trail_.size()
- *                     return cref
- *                 self._enqueue(first, cref)             # <<<<<<<<<<<<<<
- *             wl[0].resize(j)
- *         return _NO_REASON
-*/
-      __pyx_f_8cutstock_7satcore_7_engine_6Solver__enqueue(__pyx_v_self, __pyx_v_first, __pyx_v_cref); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 337, __pyx_L1_error)
-      __pyx_L5_continue:;
-    }
-
-    /* "cutstock/satcore/_engine.pyx":338
- *                     return cref
- *                 self._enqueue(first, cref)
- *             wl[0].resize(j)             # <<<<<<<<<<<<<<
- *         return _NO_REASON
- * 
-*/
-    try {
-      (__pyx_v_wl[0]).resize(__pyx_v_j);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 338, __pyx_L1_error)
-    }
-  }
-
-  /* "cutstock/satcore/_engine.pyx":339
- *                 self._enqueue(first, cref)
- *             wl[0].resize(j)
- *         return _NO_REASON             # <<<<<<<<<<<<<<
- * 
- *     # ------------------------------------------------------------------
-*/
-  __pyx_r = __pyx_v_8cutstock_7satcore_7_engine__NO_REASON;
-  goto __pyx_L0;
-
-  /* "cutstock/satcore/_engine.pyx":272
- *     # propagation
- * 
- *     cdef int _propagate(self):             # <<<<<<<<<<<<<<
- *         cdef int p, false_lit, widx, cref, blocker, first, lk
- *         cdef int bv, fv, kv, size, base
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver._propagate", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":344
- *     # conflict analysis
- * 
- *     cdef int _analyze(self, int confl, vector[int]& learnt):             # <<<<<<<<<<<<<<
- *         """Fills ``learnt``; returns the backjump level (lbd via last slot).
- * 
-*/
-
-static int __pyx_f_8cutstock_7satcore_7_engine_6Solver__analyze(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_confl, std::vector<int>  &__pyx_v_learnt) {
-  int __pyx_v_cur_level;
-  int __pyx_v_path;
-  int __pyx_v_p;
-  int __pyx_v_index;
-  int __pyx_v_size;
-  int __pyx_v_base;
-  int __pyx_v_start;
-  int __pyx_v_q;
-  int __pyx_v_v;
-  int __pyx_v_k;
-  int __pyx_v_lit;
-  std::vector<int>  __pyx_v_kept;
-  int __pyx_v_r;
-  int __pyx_v_rsize;
-  int __pyx_v_rbase;
-  int __pyx_v_other;
-  int __pyx_v_ov;
-  int __pyx_v_other_i;
-  int __pyx_v_needed;
-  int __pyx_v_bt;
-  int __pyx_v_best;
-  int __pyx_v_lv;
-  int __pyx_v_bvv;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cutstock/satcore/_engine.pyx":350
- *         moved to learnt[1].
- *         """
- *         cdef int cur_level = <int> self.trail_lim_.size()             # <<<<<<<<<<<<<<
- *         cdef int path = 0
- *         cdef int p = 0
-*/
-  __pyx_v_cur_level = ((int)__pyx_v_self->trail_lim_.size());
-
-  /* "cutstock/satcore/_engine.pyx":351
- *         """
- *         cdef int cur_level = <int> self.trail_lim_.size()
- *         cdef int path = 0             # <<<<<<<<<<<<<<
- *         cdef int p = 0
- *         cdef int index = <int> self.trail_.size() - 1
-*/
-  __pyx_v_path = 0;
-
-  /* "cutstock/satcore/_engine.pyx":352
- *         cdef int cur_level = <int> self.trail_lim_.size()
- *         cdef int path = 0
- *         cdef int p = 0             # <<<<<<<<<<<<<<
- *         cdef int index = <int> self.trail_.size() - 1
- *         cdef int size, base, start, q, v, k, lit
-*/
-  __pyx_v_p = 0;
-
-  /* "cutstock/satcore/_engine.pyx":353
- *         cdef int path = 0
- *         cdef int p = 0
- *         cdef int index = <int> self.trail_.size() - 1             # <<<<<<<<<<<<<<
- *         cdef int size, base, start, q, v, k, lit
- *         learnt.clear()
-*/
-  __pyx_v_index = (((int)__pyx_v_self->trail_.size()) - 1);
-
-  /* "cutstock/satcore/_engine.pyx":355
- *         cdef int index = <int> self.trail_.size() - 1
- *         cdef int size, base, start, q, v, k, lit
- *         learnt.clear()             # <<<<<<<<<<<<<<
- *         learnt.push_back(0)
- *         self.to_clear_.clear()
-*/
-  __pyx_v_learnt.clear();
-
-  /* "cutstock/satcore/_engine.pyx":356
- *         cdef int size, base, start, q, v, k, lit
- *         learnt.clear()
- *         learnt.push_back(0)             # <<<<<<<<<<<<<<
- *         self.to_clear_.clear()
- *         while True:
-*/
-  try {
-    __pyx_v_learnt.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 356, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":357
- *         learnt.clear()
- *         learnt.push_back(0)
- *         self.to_clear_.clear()             # <<<<<<<<<<<<<<
- *         while True:
- *             size = self.ca[confl]
-*/
-  __pyx_v_self->to_clear_.clear();
-
-  /* "cutstock/satcore/_engine.pyx":358
- *         learnt.push_back(0)
- *         self.to_clear_.clear()
- *         while True:             # <<<<<<<<<<<<<<
- *             size = self.ca[confl]
- *             base = confl + 2
-*/
-  while (1) {
-
-    /* "cutstock/satcore/_engine.pyx":359
- *         self.to_clear_.clear()
- *         while True:
- *             size = self.ca[confl]             # <<<<<<<<<<<<<<
- *             base = confl + 2
- *             start = 0 if p == 0 else 1
-*/
-    __pyx_v_size = (__pyx_v_self->ca[__pyx_v_confl]);
-
-    /* "cutstock/satcore/_engine.pyx":360
- *         while True:
- *             size = self.ca[confl]
- *             base = confl + 2             # <<<<<<<<<<<<<<
- *             start = 0 if p == 0 else 1
- *             for k in range(start, size):
-*/
-    __pyx_v_base = (__pyx_v_confl + 2);
-
-    /* "cutstock/satcore/_engine.pyx":361
- *             size = self.ca[confl]
- *             base = confl + 2
- *             start = 0 if p == 0 else 1             # <<<<<<<<<<<<<<
- *             for k in range(start, size):
- *                 q = self.ca[base + k]
-*/
-    __pyx_t_2 = (__pyx_v_p == 0);
-    if (__pyx_t_2) {
-      __pyx_t_1 = 0;
-    } else {
-      __pyx_t_1 = 1;
-    }
-    __pyx_v_start = __pyx_t_1;
-
-    /* "cutstock/satcore/_engine.pyx":362
- *             base = confl + 2
- *             start = 0 if p == 0 else 1
- *             for k in range(start, size):             # <<<<<<<<<<<<<<
- *                 q = self.ca[base + k]
- *                 v = q if q > 0 else -q
-*/
-    __pyx_t_1 = __pyx_v_size;
-    __pyx_t_3 = __pyx_t_1;
-    for (__pyx_t_4 = __pyx_v_start; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_k = __pyx_t_4;
-
-      /* "cutstock/satcore/_engine.pyx":363
- *             start = 0 if p == 0 else 1
- *             for k in range(start, size):
- *                 q = self.ca[base + k]             # <<<<<<<<<<<<<<
- *                 v = q if q > 0 else -q
- *                 if not self.seen_[v] and self.level_[v] > 0:
-*/
-      __pyx_v_q = (__pyx_v_self->ca[(__pyx_v_base + __pyx_v_k)]);
-
-      /* "cutstock/satcore/_engine.pyx":364
- *             for k in range(start, size):
- *                 q = self.ca[base + k]
- *                 v = q if q > 0 else -q             # <<<<<<<<<<<<<<
- *                 if not self.seen_[v] and self.level_[v] > 0:
- *                     self.seen_[v] = 1
-*/
-      __pyx_t_2 = (__pyx_v_q > 0);
-      if (__pyx_t_2) {
-        __pyx_t_5 = __pyx_v_q;
-      } else {
-        __pyx_t_5 = (-__pyx_v_q);
-      }
-      __pyx_v_v = __pyx_t_5;
-
-      /* "cutstock/satcore/_engine.pyx":365
- *                 q = self.ca[base + k]
- *                 v = q if q > 0 else -q
- *                 if not self.seen_[v] and self.level_[v] > 0:             # <<<<<<<<<<<<<<
- *                     self.seen_[v] = 1
- *                     self.to_clear_.push_back(v)
-*/
-      __pyx_t_6 = (!((__pyx_v_self->seen_[__pyx_v_v]) != 0));
-      if (__pyx_t_6) {
-      } else {
-        __pyx_t_2 = __pyx_t_6;
-        goto __pyx_L8_bool_binop_done;
-      }
-      __pyx_t_6 = ((__pyx_v_self->level_[__pyx_v_v]) > 0);
-      __pyx_t_2 = __pyx_t_6;
-      __pyx_L8_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "cutstock/satcore/_engine.pyx":366
- *                 v = q if q > 0 else -q
- *                 if not self.seen_[v] and self.level_[v] > 0:
- *                     self.seen_[v] = 1             # <<<<<<<<<<<<<<
- *                     self.to_clear_.push_back(v)
- *                     self._bump(v)
-*/
-        (__pyx_v_self->seen_[__pyx_v_v]) = 1;
-
-        /* "cutstock/satcore/_engine.pyx":367
- *                 if not self.seen_[v] and self.level_[v] > 0:
- *                     self.seen_[v] = 1
- *                     self.to_clear_.push_back(v)             # <<<<<<<<<<<<<<
- *                     self._bump(v)
- *                     if self.level_[v] >= cur_level:
-*/
-        try {
-          __pyx_v_self->to_clear_.push_back(__pyx_v_v);
-        } catch(...) {
-          __Pyx_CppExn2PyErr();
-          __PYX_ERR(0, 367, __pyx_L1_error)
-        }
-
-        /* "cutstock/satcore/_engine.pyx":368
- *                     self.seen_[v] = 1
- *                     self.to_clear_.push_back(v)
- *                     self._bump(v)             # <<<<<<<<<<<<<<
- *                     if self.level_[v] >= cur_level:
- *                         path += 1
-*/
-        ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_bump(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 368, __pyx_L1_error)
-
-        /* "cutstock/satcore/_engine.pyx":369
- *                     self.to_clear_.push_back(v)
- *                     self._bump(v)
- *                     if self.level_[v] >= cur_level:             # <<<<<<<<<<<<<<
- *                         path += 1
- *                     else:
-*/
-        __pyx_t_2 = ((__pyx_v_self->level_[__pyx_v_v]) >= __pyx_v_cur_level);
-        if (__pyx_t_2) {
-
-          /* "cutstock/satcore/_engine.pyx":370
- *                     self._bump(v)
- *                     if self.level_[v] >= cur_level:
- *                         path += 1             # <<<<<<<<<<<<<<
- *                     else:
- *                         learnt.push_back(q)
-*/
-          __pyx_v_path = (__pyx_v_path + 1);
-
-          /* "cutstock/satcore/_engine.pyx":369
- *                     self.to_clear_.push_back(v)
- *                     self._bump(v)
- *                     if self.level_[v] >= cur_level:             # <<<<<<<<<<<<<<
- *                         path += 1
- *                     else:
-*/
-          goto __pyx_L10;
-        }
-
-        /* "cutstock/satcore/_engine.pyx":372
- *                         path += 1
- *                     else:
- *                         learnt.push_back(q)             # <<<<<<<<<<<<<<
- *             while True:
- *                 lit = self.trail_[index]
-*/
-        /*else*/ {
-          try {
-            __pyx_v_learnt.push_back(__pyx_v_q);
-          } catch(...) {
-            __Pyx_CppExn2PyErr();
-            __PYX_ERR(0, 372, __pyx_L1_error)
-          }
-        }
-        __pyx_L10:;
-
-        /* "cutstock/satcore/_engine.pyx":365
- *                 q = self.ca[base + k]
- *                 v = q if q > 0 else -q
- *                 if not self.seen_[v] and self.level_[v] > 0:             # <<<<<<<<<<<<<<
- *                     self.seen_[v] = 1
- *                     self.to_clear_.push_back(v)
-*/
-      }
-    }
-
-    /* "cutstock/satcore/_engine.pyx":373
- *                     else:
- *                         learnt.push_back(q)
- *             while True:             # <<<<<<<<<<<<<<
- *                 lit = self.trail_[index]
- *                 v = lit if lit > 0 else -lit
-*/
-    while (1) {
-
-      /* "cutstock/satcore/_engine.pyx":374
- *                         learnt.push_back(q)
- *             while True:
- *                 lit = self.trail_[index]             # <<<<<<<<<<<<<<
- *                 v = lit if lit > 0 else -lit
- *                 if self.seen_[v]:
-*/
-      __pyx_v_lit = (__pyx_v_self->trail_[__pyx_v_index]);
-
-      /* "cutstock/satcore/_engine.pyx":375
- *             while True:
- *                 lit = self.trail_[index]
- *                 v = lit if lit > 0 else -lit             # <<<<<<<<<<<<<<
- *                 if self.seen_[v]:
- *                     break
-*/
-      __pyx_t_2 = (__pyx_v_lit > 0);
-      if (__pyx_t_2) {
-        __pyx_t_1 = __pyx_v_lit;
-      } else {
-        __pyx_t_1 = (-__pyx_v_lit);
-      }
-      __pyx_v_v = __pyx_t_1;
-
-      /* "cutstock/satcore/_engine.pyx":376
- *                 lit = self.trail_[index]
- *                 v = lit if lit > 0 else -lit
- *                 if self.seen_[v]:             # <<<<<<<<<<<<<<
- *                     break
- *                 index -= 1
-*/
-      __pyx_t_2 = ((__pyx_v_self->seen_[__pyx_v_v]) != 0);
-      if (__pyx_t_2) {
-
-        /* "cutstock/satcore/_engine.pyx":377
- *                 v = lit if lit > 0 else -lit
- *                 if self.seen_[v]:
- *                     break             # <<<<<<<<<<<<<<
- *                 index -= 1
- *             p = self.trail_[index]
-*/
-        goto __pyx_L12_break;
-
-        /* "cutstock/satcore/_engine.pyx":376
- *                 lit = self.trail_[index]
- *                 v = lit if lit > 0 else -lit
- *                 if self.seen_[v]:             # <<<<<<<<<<<<<<
- *                     break
- *                 index -= 1
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":378
- *                 if self.seen_[v]:
- *                     break
- *                 index -= 1             # <<<<<<<<<<<<<<
- *             p = self.trail_[index]
- *             index -= 1
-*/
-      __pyx_v_index = (__pyx_v_index - 1);
-    }
-    __pyx_L12_break:;
-
-    /* "cutstock/satcore/_engine.pyx":379
- *                     break
- *                 index -= 1
- *             p = self.trail_[index]             # <<<<<<<<<<<<<<
- *             index -= 1
- *             v = p if p > 0 else -p
-*/
-    __pyx_v_p = (__pyx_v_self->trail_[__pyx_v_index]);
-
-    /* "cutstock/satcore/_engine.pyx":380
- *                 index -= 1
- *             p = self.trail_[index]
- *             index -= 1             # <<<<<<<<<<<<<<
- *             v = p if p > 0 else -p
- *             confl = self.reason_[v]
-*/
-    __pyx_v_index = (__pyx_v_index - 1);
-
-    /* "cutstock/satcore/_engine.pyx":381
- *             p = self.trail_[index]
- *             index -= 1
- *             v = p if p > 0 else -p             # <<<<<<<<<<<<<<
- *             confl = self.reason_[v]
- *             self.seen_[v] = 0
-*/
-    __pyx_t_2 = (__pyx_v_p > 0);
-    if (__pyx_t_2) {
-      __pyx_t_1 = __pyx_v_p;
-    } else {
-      __pyx_t_1 = (-__pyx_v_p);
-    }
-    __pyx_v_v = __pyx_t_1;
-
-    /* "cutstock/satcore/_engine.pyx":382
- *             index -= 1
- *             v = p if p > 0 else -p
- *             confl = self.reason_[v]             # <<<<<<<<<<<<<<
- *             self.seen_[v] = 0
- *             path -= 1
-*/
-    __pyx_v_confl = (__pyx_v_self->reason_[__pyx_v_v]);
-
-    /* "cutstock/satcore/_engine.pyx":383
- *             v = p if p > 0 else -p
- *             confl = self.reason_[v]
- *             self.seen_[v] = 0             # <<<<<<<<<<<<<<
- *             path -= 1
- *             if path == 0:
-*/
-    (__pyx_v_self->seen_[__pyx_v_v]) = 0;
-
-    /* "cutstock/satcore/_engine.pyx":384
- *             confl = self.reason_[v]
- *             self.seen_[v] = 0
- *             path -= 1             # <<<<<<<<<<<<<<
- *             if path == 0:
- *                 break
-*/
-    __pyx_v_path = (__pyx_v_path - 1);
-
-    /* "cutstock/satcore/_engine.pyx":385
- *             self.seen_[v] = 0
- *             path -= 1
- *             if path == 0:             # <<<<<<<<<<<<<<
- *                 break
- *         learnt[0] = -p
-*/
-    __pyx_t_2 = (__pyx_v_path == 0);
-    if (__pyx_t_2) {
-
-      /* "cutstock/satcore/_engine.pyx":386
- *             path -= 1
- *             if path == 0:
- *                 break             # <<<<<<<<<<<<<<
- *         learnt[0] = -p
- * 
-*/
-      goto __pyx_L4_break;
-
-      /* "cutstock/satcore/_engine.pyx":385
- *             self.seen_[v] = 0
- *             path -= 1
- *             if path == 0:             # <<<<<<<<<<<<<<
- *                 break
- *         learnt[0] = -p
-*/
-    }
-  }
-  __pyx_L4_break:;
-
-  /* "cutstock/satcore/_engine.pyx":387
- *             if path == 0:
- *                 break
- *         learnt[0] = -p             # <<<<<<<<<<<<<<
- * 
- *         # basic minimisation: drop literals whose whole reason is subsumed
-*/
-  (__pyx_v_learnt[0]) = (-__pyx_v_p);
-
-  /* "cutstock/satcore/_engine.pyx":393
- *         cdef int r, rsize, rbase, other, ov, other_i
- *         cdef bint needed
- *         kept.push_back(learnt[0])             # <<<<<<<<<<<<<<
- *         for k in range(1, <int> learnt.size()):
- *             q = learnt[k]
-*/
-  try {
-    __pyx_v_kept.push_back((__pyx_v_learnt[0]));
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 393, __pyx_L1_error)
-  }
-
-  /* "cutstock/satcore/_engine.pyx":394
- *         cdef bint needed
- *         kept.push_back(learnt[0])
- *         for k in range(1, <int> learnt.size()):             # <<<<<<<<<<<<<<
- *             q = learnt[k]
- *             v = q if q > 0 else -q
-*/
-  __pyx_t_1 = ((int)__pyx_v_learnt.size());
-  __pyx_t_3 = __pyx_t_1;
-  for (__pyx_t_4 = 1; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_k = __pyx_t_4;
-
-    /* "cutstock/satcore/_engine.pyx":395
- *         kept.push_back(learnt[0])
- *         for k in range(1, <int> learnt.size()):
- *             q = learnt[k]             # <<<<<<<<<<<<<<
- *             v = q if q > 0 else -q
- *             r = self.reason_[v]
-*/
-    __pyx_v_q = (__pyx_v_learnt[__pyx_v_k]);
-
-    /* "cutstock/satcore/_engine.pyx":396
- *         for k in range(1, <int> learnt.size()):
- *             q = learnt[k]
- *             v = q if q > 0 else -q             # <<<<<<<<<<<<<<
- *             r = self.reason_[v]
- *             if r == _NO_REASON:
-*/
-    __pyx_t_2 = (__pyx_v_q > 0);
-    if (__pyx_t_2) {
-      __pyx_t_5 = __pyx_v_q;
-    } else {
-      __pyx_t_5 = (-__pyx_v_q);
-    }
-    __pyx_v_v = __pyx_t_5;
-
-    /* "cutstock/satcore/_engine.pyx":397
- *             q = learnt[k]
- *             v = q if q > 0 else -q
- *             r = self.reason_[v]             # <<<<<<<<<<<<<<
- *             if r == _NO_REASON:
- *                 kept.push_back(q)
-*/
-    __pyx_v_r = (__pyx_v_self->reason_[__pyx_v_v]);
-
-    /* "cutstock/satcore/_engine.pyx":398
- *             v = q if q > 0 else -q
- *             r = self.reason_[v]
- *             if r == _NO_REASON:             # <<<<<<<<<<<<<<
- *                 kept.push_back(q)
- *                 continue
-*/
-    __pyx_t_2 = (__pyx_v_r == __pyx_v_8cutstock_7satcore_7_engine__NO_REASON);
-    if (__pyx_t_2) {
-
-      /* "cutstock/satcore/_engine.pyx":399
- *             r = self.reason_[v]
- *             if r == _NO_REASON:
- *                 kept.push_back(q)             # <<<<<<<<<<<<<<
- *                 continue
- *             rsize = self.ca[r]
-*/
-      try {
-        __pyx_v_kept.push_back(__pyx_v_q);
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 399, __pyx_L1_error)
-      }
-
-      /* "cutstock/satcore/_engine.pyx":400
- *             if r == _NO_REASON:
- *                 kept.push_back(q)
- *                 continue             # <<<<<<<<<<<<<<
- *             rsize = self.ca[r]
- *             rbase = r + 2
-*/
-      goto __pyx_L15_continue;
-
-      /* "cutstock/satcore/_engine.pyx":398
- *             v = q if q > 0 else -q
- *             r = self.reason_[v]
- *             if r == _NO_REASON:             # <<<<<<<<<<<<<<
- *                 kept.push_back(q)
- *                 continue
-*/
-    }
-
-    /* "cutstock/satcore/_engine.pyx":401
- *                 kept.push_back(q)
- *                 continue
- *             rsize = self.ca[r]             # <<<<<<<<<<<<<<
- *             rbase = r + 2
- *             needed = False
-*/
-    __pyx_v_rsize = (__pyx_v_self->ca[__pyx_v_r]);
-
-    /* "cutstock/satcore/_engine.pyx":402
- *                 continue
- *             rsize = self.ca[r]
- *             rbase = r + 2             # <<<<<<<<<<<<<<
- *             needed = False
- *             for other_i in range(1, rsize):
-*/
-    __pyx_v_rbase = (__pyx_v_r + 2);
-
-    /* "cutstock/satcore/_engine.pyx":403
- *             rsize = self.ca[r]
- *             rbase = r + 2
- *             needed = False             # <<<<<<<<<<<<<<
- *             for other_i in range(1, rsize):
- *                 other = self.ca[rbase + other_i]
-*/
-    __pyx_v_needed = 0;
-
-    /* "cutstock/satcore/_engine.pyx":404
- *             rbase = r + 2
- *             needed = False
- *             for other_i in range(1, rsize):             # <<<<<<<<<<<<<<
- *                 other = self.ca[rbase + other_i]
- *                 ov = other if other > 0 else -other
-*/
-    __pyx_t_5 = __pyx_v_rsize;
-    __pyx_t_7 = __pyx_t_5;
-    for (__pyx_t_8 = 1; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_v_other_i = __pyx_t_8;
-
-      /* "cutstock/satcore/_engine.pyx":405
- *             needed = False
- *             for other_i in range(1, rsize):
- *                 other = self.ca[rbase + other_i]             # <<<<<<<<<<<<<<
- *                 ov = other if other > 0 else -other
- *                 if not self.seen_[ov] and self.level_[ov] > 0:
-*/
-      __pyx_v_other = (__pyx_v_self->ca[(__pyx_v_rbase + __pyx_v_other_i)]);
-
-      /* "cutstock/satcore/_engine.pyx":406
- *             for other_i in range(1, rsize):
- *                 other = self.ca[rbase + other_i]
- *                 ov = other if other > 0 else -other             # <<<<<<<<<<<<<<
- *                 if not self.seen_[ov] and self.level_[ov] > 0:
- *                     needed = True
-*/
-      __pyx_t_2 = (__pyx_v_other > 0);
-      if (__pyx_t_2) {
-        __pyx_t_9 = __pyx_v_other;
-      } else {
-        __pyx_t_9 = (-__pyx_v_other);
-      }
-      __pyx_v_ov = __pyx_t_9;
-
-      /* "cutstock/satcore/_engine.pyx":407
- *                 other = self.ca[rbase + other_i]
- *                 ov = other if other > 0 else -other
- *                 if not self.seen_[ov] and self.level_[ov] > 0:             # <<<<<<<<<<<<<<
- *                     needed = True
- *                     break
-*/
-      __pyx_t_6 = (!((__pyx_v_self->seen_[__pyx_v_ov]) != 0));
-      if (__pyx_t_6) {
-      } else {
-        __pyx_t_2 = __pyx_t_6;
-        goto __pyx_L21_bool_binop_done;
-      }
-      __pyx_t_6 = ((__pyx_v_self->level_[__pyx_v_ov]) > 0);
-      __pyx_t_2 = __pyx_t_6;
-      __pyx_L21_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "cutstock/satcore/_engine.pyx":408
- *                 ov = other if other > 0 else -other
- *                 if not self.seen_[ov] and self.level_[ov] > 0:
- *                     needed = True             # <<<<<<<<<<<<<<
- *                     break
- *             if needed:
-*/
-        __pyx_v_needed = 1;
-
-        /* "cutstock/satcore/_engine.pyx":409
- *                 if not self.seen_[ov] and self.level_[ov] > 0:
- *                     needed = True
- *                     break             # <<<<<<<<<<<<<<
- *             if needed:
- *                 kept.push_back(q)
-*/
-        goto __pyx_L19_break;
-
-        /* "cutstock/satcore/_engine.pyx":407
- *                 other = self.ca[rbase + other_i]
- *                 ov = other if other > 0 else -other
- *                 if not self.seen_[ov] and self.level_[ov] > 0:             # <<<<<<<<<<<<<<
- *                     needed = True
- *                     break
-*/
-      }
-    }
-    __pyx_L19_break:;
-
-    /* "cutstock/satcore/_engine.pyx":410
- *                     needed = True
- *                     break
- *             if needed:             # <<<<<<<<<<<<<<
- *                 kept.push_back(q)
- *         learnt.swap(kept)
-*/
-    if (__pyx_v_needed) {
-
-      /* "cutstock/satcore/_engine.pyx":411
- *                     break
- *             if needed:
- *                 kept.push_back(q)             # <<<<<<<<<<<<<<
- *         learnt.swap(kept)
- * 
-*/
-      try {
-        __pyx_v_kept.push_back(__pyx_v_q);
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 411, __pyx_L1_error)
-      }
-
-      /* "cutstock/satcore/_engine.pyx":410
- *                     needed = True
- *                     break
- *             if needed:             # <<<<<<<<<<<<<<
- *                 kept.push_back(q)
- *         learnt.swap(kept)
-*/
-    }
-    __pyx_L15_continue:;
-  }
-
-  /* "cutstock/satcore/_engine.pyx":412
- *             if needed:
- *                 kept.push_back(q)
- *         learnt.swap(kept)             # <<<<<<<<<<<<<<
- * 
- *         for k in range(<int> self.to_clear_.size()):
-*/
-  __pyx_v_learnt.swap(__pyx_v_kept);
-
-  /* "cutstock/satcore/_engine.pyx":414
- *         learnt.swap(kept)
- * 
- *         for k in range(<int> self.to_clear_.size()):             # <<<<<<<<<<<<<<
- *             self.seen_[self.to_clear_[k]] = 0
- * 
-*/
-  __pyx_t_1 = ((int)__pyx_v_self->to_clear_.size());
-  __pyx_t_3 = __pyx_t_1;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_k = __pyx_t_4;
-
-    /* "cutstock/satcore/_engine.pyx":415
- * 
- *         for k in range(<int> self.to_clear_.size()):
- *             self.seen_[self.to_clear_[k]] = 0             # <<<<<<<<<<<<<<
- * 
- *         cdef int bt = 0
-*/
-    (__pyx_v_self->seen_[(__pyx_v_self->to_clear_[__pyx_v_k])]) = 0;
-  }
-
-  /* "cutstock/satcore/_engine.pyx":417
- *             self.seen_[self.to_clear_[k]] = 0
- * 
- *         cdef int bt = 0             # <<<<<<<<<<<<<<
- *         cdef int best, lv, bvv
- *         if learnt.size() > 1:
-*/
-  __pyx_v_bt = 0;
-
-  /* "cutstock/satcore/_engine.pyx":419
- *         cdef int bt = 0
- *         cdef int best, lv, bvv
- *         if learnt.size() > 1:             # <<<<<<<<<<<<<<
- *             best = 1
- *             for k in range(2, <int> learnt.size()):
-*/
-  __pyx_t_2 = (__pyx_v_learnt.size() > 1);
-  if (__pyx_t_2) {
-
-    /* "cutstock/satcore/_engine.pyx":420
- *         cdef int best, lv, bvv
- *         if learnt.size() > 1:
- *             best = 1             # <<<<<<<<<<<<<<
- *             for k in range(2, <int> learnt.size()):
- *                 lv = learnt[k] if learnt[k] > 0 else -learnt[k]
-*/
-    __pyx_v_best = 1;
-
-    /* "cutstock/satcore/_engine.pyx":421
- *         if learnt.size() > 1:
- *             best = 1
- *             for k in range(2, <int> learnt.size()):             # <<<<<<<<<<<<<<
- *                 lv = learnt[k] if learnt[k] > 0 else -learnt[k]
- *                 bvv = learnt[best] if learnt[best] > 0 else -learnt[best]
-*/
-    __pyx_t_1 = ((int)__pyx_v_learnt.size());
-    __pyx_t_3 = __pyx_t_1;
-    for (__pyx_t_4 = 2; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_k = __pyx_t_4;
-
-      /* "cutstock/satcore/_engine.pyx":422
- *             best = 1
- *             for k in range(2, <int> learnt.size()):
- *                 lv = learnt[k] if learnt[k] > 0 else -learnt[k]             # <<<<<<<<<<<<<<
- *                 bvv = learnt[best] if learnt[best] > 0 else -learnt[best]
- *                 if self.level_[lv] > self.level_[bvv]:
-*/
-      __pyx_t_2 = ((__pyx_v_learnt[__pyx_v_k]) > 0);
-      if (__pyx_t_2) {
-        __pyx_t_5 = (__pyx_v_learnt[__pyx_v_k]);
-      } else {
-        __pyx_t_5 = (-(__pyx_v_learnt[__pyx_v_k]));
-      }
-      __pyx_v_lv = __pyx_t_5;
-
-      /* "cutstock/satcore/_engine.pyx":423
- *             for k in range(2, <int> learnt.size()):
- *                 lv = learnt[k] if learnt[k] > 0 else -learnt[k]
- *                 bvv = learnt[best] if learnt[best] > 0 else -learnt[best]             # <<<<<<<<<<<<<<
- *                 if self.level_[lv] > self.level_[bvv]:
- *                     best = k
-*/
-      __pyx_t_2 = ((__pyx_v_learnt[__pyx_v_best]) > 0);
-      if (__pyx_t_2) {
-        __pyx_t_5 = (__pyx_v_learnt[__pyx_v_best]);
-      } else {
-        __pyx_t_5 = (-(__pyx_v_learnt[__pyx_v_best]));
-      }
-      __pyx_v_bvv = __pyx_t_5;
-
-      /* "cutstock/satcore/_engine.pyx":424
- *                 lv = learnt[k] if learnt[k] > 0 else -learnt[k]
- *                 bvv = learnt[best] if learnt[best] > 0 else -learnt[best]
- *                 if self.level_[lv] > self.level_[bvv]:             # <<<<<<<<<<<<<<
- *                     best = k
- *             q = learnt[1]
-*/
-      __pyx_t_2 = ((__pyx_v_self->level_[__pyx_v_lv]) > (__pyx_v_self->level_[__pyx_v_bvv]));
-      if (__pyx_t_2) {
-
-        /* "cutstock/satcore/_engine.pyx":425
- *                 bvv = learnt[best] if learnt[best] > 0 else -learnt[best]
- *                 if self.level_[lv] > self.level_[bvv]:
- *                     best = k             # <<<<<<<<<<<<<<
- *             q = learnt[1]
- *             learnt[1] = learnt[best]
-*/
-        __pyx_v_best = __pyx_v_k;
-
-        /* "cutstock/satcore/_engine.pyx":424
- *                 lv = learnt[k] if learnt[k] > 0 else -learnt[k]
- *                 bvv = learnt[best] if learnt[best] > 0 else -learnt[best]
- *                 if self.level_[lv] > self.level_[bvv]:             # <<<<<<<<<<<<<<
- *                     best = k
- *             q = learnt[1]
-*/
-      }
-    }
-
-    /* "cutstock/satcore/_engine.pyx":426
- *                 if self.level_[lv] > self.level_[bvv]:
- *                     best = k
- *             q = learnt[1]             # <<<<<<<<<<<<<<
- *             learnt[1] = learnt[best]
- *             learnt[best] = q
-*/
-    __pyx_v_q = (__pyx_v_learnt[1]);
-
-    /* "cutstock/satcore/_engine.pyx":427
- *                     best = k
- *             q = learnt[1]
- *             learnt[1] = learnt[best]             # <<<<<<<<<<<<<<
- *             learnt[best] = q
- *             bvv = learnt[1] if learnt[1] > 0 else -learnt[1]
-*/
-    (__pyx_v_learnt[1]) = (__pyx_v_learnt[__pyx_v_best]);
-
-    /* "cutstock/satcore/_engine.pyx":428
- *             q = learnt[1]
- *             learnt[1] = learnt[best]
- *             learnt[best] = q             # <<<<<<<<<<<<<<
- *             bvv = learnt[1] if learnt[1] > 0 else -learnt[1]
- *             bt = self.level_[bvv]
-*/
-    (__pyx_v_learnt[__pyx_v_best]) = __pyx_v_q;
-
-    /* "cutstock/satcore/_engine.pyx":429
- *             learnt[1] = learnt[best]
- *             learnt[best] = q
- *             bvv = learnt[1] if learnt[1] > 0 else -learnt[1]             # <<<<<<<<<<<<<<
- *             bt = self.level_[bvv]
- *         return bt
-*/
-    __pyx_t_2 = ((__pyx_v_learnt[1]) > 0);
-    if (__pyx_t_2) {
-      __pyx_t_1 = (__pyx_v_learnt[1]);
-    } else {
-      __pyx_t_1 = (-(__pyx_v_learnt[1]));
-    }
-    __pyx_v_bvv = __pyx_t_1;
-
-    /* "cutstock/satcore/_engine.pyx":430
- *             learnt[best] = q
- *             bvv = learnt[1] if learnt[1] > 0 else -learnt[1]
- *             bt = self.level_[bvv]             # <<<<<<<<<<<<<<
- *         return bt
- * 
-*/
-    __pyx_v_bt = (__pyx_v_self->level_[__pyx_v_bvv]);
-
-    /* "cutstock/satcore/_engine.pyx":419
- *         cdef int bt = 0
- *         cdef int best, lv, bvv
- *         if learnt.size() > 1:             # <<<<<<<<<<<<<<
- *             best = 1
- *             for k in range(2, <int> learnt.size()):
-*/
-  }
-
-  /* "cutstock/satcore/_engine.pyx":431
- *             bvv = learnt[1] if learnt[1] > 0 else -learnt[1]
- *             bt = self.level_[bvv]
- *         return bt             # <<<<<<<<<<<<<<
- * 
- *     cdef int _clause_lbd(self, vector[int]& learnt):
-*/
-  __pyx_r = __pyx_v_bt;
-  goto __pyx_L0;
-
-  /* "cutstock/satcore/_engine.pyx":344
- *     # conflict analysis
- * 
- *     cdef int _analyze(self, int confl, vector[int]& learnt):             # <<<<<<<<<<<<<<
- *         """Fills ``learnt``; returns the backjump level (lbd via last slot).
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver._analyze", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":433
- *         return bt
- * 
- *     cdef int _clause_lbd(self, vector[int]& learnt):             # <<<<<<<<<<<<<<
- *         cdef vector[int] levels
- *         cdef int k, v, lv, j
-*/
-
-static int __pyx_f_8cutstock_7satcore_7_engine_6Solver__clause_lbd(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, std::vector<int>  &__pyx_v_learnt) {
-  std::vector<int>  __pyx_v_levels;
-  int __pyx_v_k;
-  int __pyx_v_v;
-  int __pyx_v_lv;
-  int __pyx_v_j;
-  int __pyx_v_found;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cutstock/satcore/_engine.pyx":437
- *         cdef int k, v, lv, j
- *         cdef bint found
- *         for k in range(<int> learnt.size()):             # <<<<<<<<<<<<<<
- *             v = learnt[k] if learnt[k] > 0 else -learnt[k]
- *             lv = self.level_[v]
-*/
-  __pyx_t_1 = ((int)__pyx_v_learnt.size());
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_k = __pyx_t_3;
-
-    /* "cutstock/satcore/_engine.pyx":438
- *         cdef bint found
- *         for k in range(<int> learnt.size()):
- *             v = learnt[k] if learnt[k] > 0 else -learnt[k]             # <<<<<<<<<<<<<<
- *             lv = self.level_[v]
- *             found = False
-*/
-    __pyx_t_5 = ((__pyx_v_learnt[__pyx_v_k]) > 0);
-    if (__pyx_t_5) {
-      __pyx_t_4 = (__pyx_v_learnt[__pyx_v_k]);
-    } else {
-      __pyx_t_4 = (-(__pyx_v_learnt[__pyx_v_k]));
-    }
-    __pyx_v_v = __pyx_t_4;
-
-    /* "cutstock/satcore/_engine.pyx":439
- *         for k in range(<int> learnt.size()):
- *             v = learnt[k] if learnt[k] > 0 else -learnt[k]
- *             lv = self.level_[v]             # <<<<<<<<<<<<<<
- *             found = False
- *             for j in range(<int> levels.size()):
-*/
-    __pyx_v_lv = (__pyx_v_self->level_[__pyx_v_v]);
-
-    /* "cutstock/satcore/_engine.pyx":440
- *             v = learnt[k] if learnt[k] > 0 else -learnt[k]
- *             lv = self.level_[v]
- *             found = False             # <<<<<<<<<<<<<<
- *             for j in range(<int> levels.size()):
- *                 if levels[j] == lv:
-*/
-    __pyx_v_found = 0;
-
-    /* "cutstock/satcore/_engine.pyx":441
- *             lv = self.level_[v]
- *             found = False
- *             for j in range(<int> levels.size()):             # <<<<<<<<<<<<<<
- *                 if levels[j] == lv:
- *                     found = True
-*/
-    __pyx_t_4 = ((int)__pyx_v_levels.size());
-    __pyx_t_6 = __pyx_t_4;
-    for (__pyx_t_7 = 0; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-      __pyx_v_j = __pyx_t_7;
-
-      /* "cutstock/satcore/_engine.pyx":442
- *             found = False
- *             for j in range(<int> levels.size()):
- *                 if levels[j] == lv:             # <<<<<<<<<<<<<<
- *                     found = True
- *                     break
-*/
-      __pyx_t_5 = ((__pyx_v_levels[__pyx_v_j]) == __pyx_v_lv);
-      if (__pyx_t_5) {
-
-        /* "cutstock/satcore/_engine.pyx":443
- *             for j in range(<int> levels.size()):
- *                 if levels[j] == lv:
- *                     found = True             # <<<<<<<<<<<<<<
- *                     break
- *             if not found:
-*/
-        __pyx_v_found = 1;
-
-        /* "cutstock/satcore/_engine.pyx":444
- *                 if levels[j] == lv:
- *                     found = True
- *                     break             # <<<<<<<<<<<<<<
- *             if not found:
- *                 levels.push_back(lv)
-*/
-        goto __pyx_L6_break;
-
-        /* "cutstock/satcore/_engine.pyx":442
- *             found = False
- *             for j in range(<int> levels.size()):
- *                 if levels[j] == lv:             # <<<<<<<<<<<<<<
- *                     found = True
- *                     break
-*/
-      }
-    }
-    __pyx_L6_break:;
-
-    /* "cutstock/satcore/_engine.pyx":445
- *                     found = True
- *                     break
- *             if not found:             # <<<<<<<<<<<<<<
- *                 levels.push_back(lv)
- *         return <int> levels.size()
-*/
-    __pyx_t_5 = (!__pyx_v_found);
-    if (__pyx_t_5) {
-
-      /* "cutstock/satcore/_engine.pyx":446
- *                     break
- *             if not found:
- *                 levels.push_back(lv)             # <<<<<<<<<<<<<<
- *         return <int> levels.size()
- * 
-*/
-      try {
-        __pyx_v_levels.push_back(__pyx_v_lv);
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 446, __pyx_L1_error)
-      }
-
-      /* "cutstock/satcore/_engine.pyx":445
- *                     found = True
- *                     break
- *             if not found:             # <<<<<<<<<<<<<<
- *                 levels.push_back(lv)
- *         return <int> levels.size()
-*/
-    }
-  }
-
-  /* "cutstock/satcore/_engine.pyx":447
- *             if not found:
- *                 levels.push_back(lv)
- *         return <int> levels.size()             # <<<<<<<<<<<<<<
- * 
- *     # ------------------------------------------------------------------
-*/
-  __pyx_r = ((int)__pyx_v_levels.size());
-  goto __pyx_L0;
-
-  /* "cutstock/satcore/_engine.pyx":433
- *         return bt
- * 
- *     cdef int _clause_lbd(self, vector[int]& learnt):             # <<<<<<<<<<<<<<
- *         cdef vector[int] levels
- *         cdef int k, v, lv, j
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver._clause_lbd", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":452
- *     # learned clause database reduction
- * 
- *     cdef bint _locked(self, int cref):             # <<<<<<<<<<<<<<
- *         cdef int head = self.ca[cref + 2]
- *         cdef int v = head if head > 0 else -head
-*/
-
-static int __pyx_f_8cutstock_7satcore_7_engine_6Solver__locked(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, int __pyx_v_cref) {
-  int __pyx_v_head;
-  int __pyx_v_v;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-
-  /* "cutstock/satcore/_engine.pyx":453
- * 
- *     cdef bint _locked(self, int cref):
- *         cdef int head = self.ca[cref + 2]             # <<<<<<<<<<<<<<
- *         cdef int v = head if head > 0 else -head
- *         return self.assign_[v] != _UNDEF and self.reason_[v] == cref
-*/
-  __pyx_v_head = (__pyx_v_self->ca[(__pyx_v_cref + 2)]);
-
-  /* "cutstock/satcore/_engine.pyx":454
- *     cdef bint _locked(self, int cref):
- *         cdef int head = self.ca[cref + 2]
- *         cdef int v = head if head > 0 else -head             # <<<<<<<<<<<<<<
- *         return self.assign_[v] != _UNDEF and self.reason_[v] == cref
- * 
-*/
-  __pyx_t_2 = (__pyx_v_head > 0);
-  if (__pyx_t_2) {
-    __pyx_t_1 = __pyx_v_head;
-  } else {
-    __pyx_t_1 = (-__pyx_v_head);
-  }
-  __pyx_v_v = __pyx_t_1;
-
-  /* "cutstock/satcore/_engine.pyx":455
- *         cdef int head = self.ca[cref + 2]
- *         cdef int v = head if head > 0 else -head
- *         return self.assign_[v] != _UNDEF and self.reason_[v] == cref             # <<<<<<<<<<<<<<
- * 
- *     cdef void _reduce_db(self):
-*/
-  __pyx_t_3 = ((__pyx_v_self->assign_[__pyx_v_v]) != __pyx_v_8cutstock_7satcore_7_engine__UNDEF);
-  if (__pyx_t_3) {
-  } else {
-    __pyx_t_2 = __pyx_t_3;
-    goto __pyx_L3_bool_binop_done;
-  }
-  __pyx_t_3 = ((__pyx_v_self->reason_[__pyx_v_v]) == __pyx_v_cref);
-  __pyx_t_2 = __pyx_t_3;
-  __pyx_L3_bool_binop_done:;
-  __pyx_r = __pyx_t_2;
-  goto __pyx_L0;
-
-  /* "cutstock/satcore/_engine.pyx":452
- *     # learned clause database reduction
- * 
- *     cdef bint _locked(self, int cref):             # <<<<<<<<<<<<<<
- *         cdef int head = self.ca[cref + 2]
- *         cdef int v = head if head > 0 else -head
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":457
- *         return self.assign_[v] != _UNDEF and self.reason_[v] == cref
- * 
- *     cdef void _reduce_db(self):             # <<<<<<<<<<<<<<
- *         live = []
- *         cdef int r, k
-*/
-
-static void __pyx_f_8cutstock_7satcore_7_engine_6Solver__reduce_db(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self) {
-  PyObject *__pyx_v_live = NULL;
-  int __pyx_v_r;
-  int __pyx_v_k;
-  int __pyx_v_cut;
-  PyObject *__pyx_v_lbd = NULL;
-  PyObject *__pyx_v_size = NULL;
-  std::vector<int>  __pyx_v_fresh;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  int __pyx_t_9;
-  Py_ssize_t __pyx_t_10;
-  PyObject *__pyx_t_11 = NULL;
-  PyObject *__pyx_t_12 = NULL;
-  PyObject *(*__pyx_t_13)(PyObject *);
-  int __pyx_t_14;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_reduce_db", 0);
-
-  /* "cutstock/satcore/_engine.pyx":458
- * 
- *     cdef void _reduce_db(self):
- *         live = []             # <<<<<<<<<<<<<<
- *         cdef int r, k
- *         for k in range(<int> self.learnt_refs_.size()):
-*/
-  __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 458, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_live = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":460
- *         live = []
- *         cdef int r, k
- *         for k in range(<int> self.learnt_refs_.size()):             # <<<<<<<<<<<<<<
- *             r = self.learnt_refs_[k]
- *             if self.ca[r] >= 0:
-*/
-  __pyx_t_2 = ((int)__pyx_v_self->learnt_refs_.size());
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_k = __pyx_t_4;
-
-    /* "cutstock/satcore/_engine.pyx":461
- *         cdef int r, k
- *         for k in range(<int> self.learnt_refs_.size()):
- *             r = self.learnt_refs_[k]             # <<<<<<<<<<<<<<
- *             if self.ca[r] >= 0:
- *                 live.append((self.ca[r + 1], self.ca[r], r))  # (lbd, size, cref)
-*/
-    __pyx_v_r = (__pyx_v_self->learnt_refs_[__pyx_v_k]);
-
-    /* "cutstock/satcore/_engine.pyx":462
- *         for k in range(<int> self.learnt_refs_.size()):
- *             r = self.learnt_refs_[k]
- *             if self.ca[r] >= 0:             # <<<<<<<<<<<<<<
- *                 live.append((self.ca[r + 1], self.ca[r], r))  # (lbd, size, cref)
- *         live.sort()
-*/
-    __pyx_t_5 = ((__pyx_v_self->ca[__pyx_v_r]) >= 0);
-    if (__pyx_t_5) {
-
-      /* "cutstock/satcore/_engine.pyx":463
- *             r = self.learnt_refs_[k]
- *             if self.ca[r] >= 0:
- *                 live.append((self.ca[r + 1], self.ca[r], r))  # (lbd, size, cref)             # <<<<<<<<<<<<<<
- *         live.sort()
- *         cdef int cut = len(live) // 2
-*/
-      __pyx_t_1 = __Pyx_PyLong_From_int((__pyx_v_self->ca[(__pyx_v_r + 1)])); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 463, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __pyx_t_6 = __Pyx_PyLong_From_int((__pyx_v_self->ca[__pyx_v_r])); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 463, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __pyx_t_7 = __Pyx_PyLong_From_int(__pyx_v_r); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 463, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_8 = PyTuple_New(3); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 463, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __Pyx_GIVEREF(__pyx_t_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 463, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_6);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 1, __pyx_t_6) != (0)) __PYX_ERR(0, 463, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_7);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 2, __pyx_t_7) != (0)) __PYX_ERR(0, 463, __pyx_L1_error);
-      __pyx_t_1 = 0;
-      __pyx_t_6 = 0;
-      __pyx_t_7 = 0;
-      __pyx_t_9 = __Pyx_PyList_Append(__pyx_v_live, __pyx_t_8); if (unlikely(__pyx_t_9 == ((int)-1))) __PYX_ERR(0, 463, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-
-      /* "cutstock/satcore/_engine.pyx":462
- *         for k in range(<int> self.learnt_refs_.size()):
- *             r = self.learnt_refs_[k]
- *             if self.ca[r] >= 0:             # <<<<<<<<<<<<<<
- *                 live.append((self.ca[r + 1], self.ca[r], r))  # (lbd, size, cref)
- *         live.sort()
-*/
-    }
-  }
-
-  /* "cutstock/satcore/_engine.pyx":464
- *             if self.ca[r] >= 0:
- *                 live.append((self.ca[r + 1], self.ca[r], r))  # (lbd, size, cref)
- *         live.sort()             # <<<<<<<<<<<<<<
- *         cdef int cut = len(live) // 2
- *         for lbd, size, r in live[cut:]:
-*/
-  __pyx_t_9 = PyList_Sort(__pyx_v_live); if (unlikely(__pyx_t_9 == ((int)-1))) __PYX_ERR(0, 464, __pyx_L1_error)
-
-  /* "cutstock/satcore/_engine.pyx":465
- *                 live.append((self.ca[r + 1], self.ca[r], r))  # (lbd, size, cref)
- *         live.sort()
- *         cdef int cut = len(live) // 2             # <<<<<<<<<<<<<<
- *         for lbd, size, r in live[cut:]:
- *             if lbd <= 2 or size <= 2 or self._locked(r):
-*/
-  __pyx_t_10 = __Pyx_PyList_GET_SIZE(__pyx_v_live); if (unlikely(__pyx_t_10 == ((Py_ssize_t)-1))) __PYX_ERR(0, 465, __pyx_L1_error)
-  __pyx_v_cut = (__pyx_t_10 / 2);
-
-  /* "cutstock/satcore/_engine.pyx":466
- *         live.sort()
- *         cdef int cut = len(live) // 2
- *         for lbd, size, r in live[cut:]:             # <<<<<<<<<<<<<<
- *             if lbd <= 2 or size <= 2 or self._locked(r):
- *                 continue
-*/
-  __pyx_t_8 = __Pyx_PyList_GetSlice(__pyx_v_live, __pyx_v_cut, PY_SSIZE_T_MAX); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 466, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __pyx_t_7 = __pyx_t_8; __Pyx_INCREF(__pyx_t_7);
-  __pyx_t_10 = 0;
-  __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-  for (;;) {
-    {
-      Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_7);
-      #if !CYTHON_ASSUME_SAFE_SIZE
-      if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 466, __pyx_L1_error)
-      #endif
-      if (__pyx_t_10 >= __pyx_temp) break;
-    }
-    __pyx_t_8 = __Pyx_PyList_GetItemRefFast(__pyx_t_7, __pyx_t_10, __Pyx_ReferenceSharing_OwnStrongReference);
-    ++__pyx_t_10;
-    if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 466, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    if ((likely(PyTuple_CheckExact(__pyx_t_8))) || (PyList_CheckExact(__pyx_t_8))) {
-      PyObject* sequence = __pyx_t_8;
-      Py_ssize_t size = __Pyx_PySequence_SIZE(sequence);
-      if (unlikely(size != 3)) {
-        if (size > 3) __Pyx_RaiseTooManyValuesError(3);
-        else if (size >= 0) __Pyx_RaiseNeedMoreValuesError(size);
-        __PYX_ERR(0, 466, __pyx_L1_error)
-      }
-      #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-      if (likely(PyTuple_CheckExact(sequence))) {
-        __pyx_t_6 = PyTuple_GET_ITEM(sequence, 0);
-        __Pyx_INCREF(__pyx_t_6);
-        __pyx_t_1 = PyTuple_GET_ITEM(sequence, 1);
-        __Pyx_INCREF(__pyx_t_1);
-        __pyx_t_11 = PyTuple_GET_ITEM(sequence, 2);
-        __Pyx_INCREF(__pyx_t_11);
-      } else {
-        __pyx_t_6 = __Pyx_PyList_GetItemRefFast(sequence, 0, __Pyx_ReferenceSharing_SharedReference);
-        if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 466, __pyx_L1_error)
-        __Pyx_XGOTREF(__pyx_t_6);
-        __pyx_t_1 = __Pyx_PyList_GetItemRefFast(sequence, 1, __Pyx_ReferenceSharing_SharedReference);
-        if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 466, __pyx_L1_error)
-        __Pyx_XGOTREF(__pyx_t_1);
-        __pyx_t_11 = __Pyx_PyList_GetItemRefFast(sequence, 2, __Pyx_ReferenceSharing_SharedReference);
-        if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 466, __pyx_L1_error)
-        __Pyx_XGOTREF(__pyx_t_11);
-      }
-      #else
-      __pyx_t_6 = __Pyx_PySequence_ITEM(sequence, 0); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 466, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __pyx_t_1 = __Pyx_PySequence_ITEM(sequence, 1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 466, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __pyx_t_11 = __Pyx_PySequence_ITEM(sequence, 2); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 466, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_11);
-      #endif
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    } else {
-      Py_ssize_t index = -1;
-      __pyx_t_12 = PyObject_GetIter(__pyx_t_8); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 466, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_12);
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      __pyx_t_13 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_12);
-      index = 0; __pyx_t_6 = __pyx_t_13(__pyx_t_12); if (unlikely(!__pyx_t_6)) goto __pyx_L8_unpacking_failed;
-      __Pyx_GOTREF(__pyx_t_6);
-      index = 1; __pyx_t_1 = __pyx_t_13(__pyx_t_12); if (unlikely(!__pyx_t_1)) goto __pyx_L8_unpacking_failed;
-      __Pyx_GOTREF(__pyx_t_1);
-      index = 2; __pyx_t_11 = __pyx_t_13(__pyx_t_12); if (unlikely(!__pyx_t_11)) goto __pyx_L8_unpacking_failed;
-      __Pyx_GOTREF(__pyx_t_11);
-      if (__Pyx_IternextUnpackEndCheck(__pyx_t_13(__pyx_t_12), 3) < (0)) __PYX_ERR(0, 466, __pyx_L1_error)
-      __pyx_t_13 = NULL;
-      __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-      goto __pyx_L9_unpacking_done;
-      __pyx_L8_unpacking_failed:;
-      __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-      __pyx_t_13 = NULL;
-      if (__Pyx_IterFinish() == 0) __Pyx_RaiseNeedMoreValuesError(index);
-      __PYX_ERR(0, 466, __pyx_L1_error)
-      __pyx_L9_unpacking_done:;
-    }
-    __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_t_11); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 466, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-    __Pyx_XDECREF_SET(__pyx_v_lbd, __pyx_t_6);
-    __pyx_t_6 = 0;
-    __Pyx_XDECREF_SET(__pyx_v_size, __pyx_t_1);
-    __pyx_t_1 = 0;
-    __pyx_v_r = __pyx_t_2;
-
-    /* "cutstock/satcore/_engine.pyx":467
- *         cdef int cut = len(live) // 2
- *         for lbd, size, r in live[cut:]:
- *             if lbd <= 2 or size <= 2 or self._locked(r):             # <<<<<<<<<<<<<<
- *                 continue
- *             self.ca[r] = -self.ca[r]
-*/
-    __pyx_t_8 = PyObject_RichCompare(__pyx_v_lbd, __pyx_mstate_global->__pyx_int_2, Py_LE); __Pyx_XGOTREF(__pyx_t_8); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 467, __pyx_L1_error)
-    __pyx_t_14 = __Pyx_PyObject_IsTrue(__pyx_t_8); if (unlikely((__pyx_t_14 < 0))) __PYX_ERR(0, 467, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    if (!__pyx_t_14) {
-    } else {
-      __pyx_t_5 = __pyx_t_14;
-      goto __pyx_L11_bool_binop_done;
-    }
-    __pyx_t_8 = PyObject_RichCompare(__pyx_v_size, __pyx_mstate_global->__pyx_int_2, Py_LE); __Pyx_XGOTREF(__pyx_t_8); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 467, __pyx_L1_error)
-    __pyx_t_14 = __Pyx_PyObject_IsTrue(__pyx_t_8); if (unlikely((__pyx_t_14 < 0))) __PYX_ERR(0, 467, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    if (!__pyx_t_14) {
-    } else {
-      __pyx_t_5 = __pyx_t_14;
-      goto __pyx_L11_bool_binop_done;
-    }
-    __pyx_t_14 = ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_locked(__pyx_v_self, __pyx_v_r); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 467, __pyx_L1_error)
-    __pyx_t_5 = __pyx_t_14;
-    __pyx_L11_bool_binop_done:;
-    if (__pyx_t_5) {
-
-      /* "cutstock/satcore/_engine.pyx":468
- *         for lbd, size, r in live[cut:]:
- *             if lbd <= 2 or size <= 2 or self._locked(r):
- *                 continue             # <<<<<<<<<<<<<<
- *             self.ca[r] = -self.ca[r]
- *             self.live_clauses -= 1
-*/
-      goto __pyx_L6_continue;
-
-      /* "cutstock/satcore/_engine.pyx":467
- *         cdef int cut = len(live) // 2
- *         for lbd, size, r in live[cut:]:
- *             if lbd <= 2 or size <= 2 or self._locked(r):             # <<<<<<<<<<<<<<
- *                 continue
- *             self.ca[r] = -self.ca[r]
-*/
-    }
-
-    /* "cutstock/satcore/_engine.pyx":469
- *             if lbd <= 2 or size <= 2 or self._locked(r):
- *                 continue
- *             self.ca[r] = -self.ca[r]             # <<<<<<<<<<<<<<
- *             self.live_clauses -= 1
- *         cdef vector[int] fresh
-*/
-    (__pyx_v_self->ca[__pyx_v_r]) = (-(__pyx_v_self->ca[__pyx_v_r]));
-
-    /* "cutstock/satcore/_engine.pyx":470
- *                 continue
- *             self.ca[r] = -self.ca[r]
- *             self.live_clauses -= 1             # <<<<<<<<<<<<<<
- *         cdef vector[int] fresh
- *         for k in range(<int> self.learnt_refs_.size()):
-*/
-    __pyx_v_self->live_clauses = (__pyx_v_self->live_clauses - 1);
-
-    /* "cutstock/satcore/_engine.pyx":466
- *         live.sort()
- *         cdef int cut = len(live) // 2
- *         for lbd, size, r in live[cut:]:             # <<<<<<<<<<<<<<
- *             if lbd <= 2 or size <= 2 or self._locked(r):
- *                 continue
-*/
-    __pyx_L6_continue:;
-  }
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":472
- *             self.live_clauses -= 1
- *         cdef vector[int] fresh
- *         for k in range(<int> self.learnt_refs_.size()):             # <<<<<<<<<<<<<<
- *             r = self.learnt_refs_[k]
- *             if self.ca[r] >= 0:
-*/
-  __pyx_t_2 = ((int)__pyx_v_self->learnt_refs_.size());
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_k = __pyx_t_4;
-
-    /* "cutstock/satcore/_engine.pyx":473
- *         cdef vector[int] fresh
- *         for k in range(<int> self.learnt_refs_.size()):
- *             r = self.learnt_refs_[k]             # <<<<<<<<<<<<<<
- *             if self.ca[r] >= 0:
- *                 fresh.push_back(r)
-*/
-    __pyx_v_r = (__pyx_v_self->learnt_refs_[__pyx_v_k]);
-
-    /* "cutstock/satcore/_engine.pyx":474
- *         for k in range(<int> self.learnt_refs_.size()):
- *             r = self.learnt_refs_[k]
- *             if self.ca[r] >= 0:             # <<<<<<<<<<<<<<
- *                 fresh.push_back(r)
- *         self.learnt_refs_.swap(fresh)
-*/
-    __pyx_t_5 = ((__pyx_v_self->ca[__pyx_v_r]) >= 0);
-    if (__pyx_t_5) {
-
-      /* "cutstock/satcore/_engine.pyx":475
- *             r = self.learnt_refs_[k]
- *             if self.ca[r] >= 0:
- *                 fresh.push_back(r)             # <<<<<<<<<<<<<<
- *         self.learnt_refs_.swap(fresh)
- *         self.max_learnts *= 1.2
-*/
-      try {
-        __pyx_v_fresh.push_back(__pyx_v_r);
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 475, __pyx_L1_error)
-      }
-
-      /* "cutstock/satcore/_engine.pyx":474
- *         for k in range(<int> self.learnt_refs_.size()):
- *             r = self.learnt_refs_[k]
- *             if self.ca[r] >= 0:             # <<<<<<<<<<<<<<
- *                 fresh.push_back(r)
- *         self.learnt_refs_.swap(fresh)
-*/
-    }
-  }
-
-  /* "cutstock/satcore/_engine.pyx":476
- *             if self.ca[r] >= 0:
- *                 fresh.push_back(r)
- *         self.learnt_refs_.swap(fresh)             # <<<<<<<<<<<<<<
- *         self.max_learnts *= 1.2
- * 
-*/
-  __pyx_v_self->learnt_refs_.swap(__pyx_v_fresh);
-
-  /* "cutstock/satcore/_engine.pyx":477
- *                 fresh.push_back(r)
- *         self.learnt_refs_.swap(fresh)
- *         self.max_learnts *= 1.2             # <<<<<<<<<<<<<<
- * 
- *     # ------------------------------------------------------------------
-*/
-  __pyx_v_self->max_learnts = (__pyx_v_self->max_learnts * 1.2);
-
-  /* "cutstock/satcore/_engine.pyx":457
- *         return self.assign_[v] != _UNDEF and self.reason_[v] == cref
- * 
- *     cdef void _reduce_db(self):             # <<<<<<<<<<<<<<
- *         live = []
- *         cdef int r, k
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_11);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver._reduce_db", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_live);
-  __Pyx_XDECREF(__pyx_v_lbd);
-  __Pyx_XDECREF(__pyx_v_size);
-  __Pyx_RefNannyFinishContext();
-}
-
-/* "cutstock/satcore/_engine.pyx":482
- *     # solving
- * 
- *     def solve(self, assumptions=(), conflict_limit=None, time_limit=None):             # <<<<<<<<<<<<<<
- *         cdef vector[int] assume
- *         cdef int lit, v
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_7solve(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8cutstock_7satcore_7_engine_6Solver_7solve = {"solve", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8cutstock_7satcore_7_engine_6Solver_7solve, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_7solve(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_assumptions = 0;
-  PyObject *__pyx_v_conflict_limit = 0;
-  PyObject *__pyx_v_time_limit = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("solve (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_assumptions,&__pyx_mstate_global->__pyx_n_u_conflict_limit,&__pyx_mstate_global->__pyx_n_u_time_limit,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 482, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 482, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 482, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 482, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "solve", 0) < (0)) __PYX_ERR(0, 482, __pyx_L3_error)
-      if (!values[0]) values[0] = __Pyx_NewRef(((PyObject *)__pyx_mstate_global->__pyx_empty_tuple));
-      if (!values[1]) values[1] = __Pyx_NewRef(((PyObject *)Py_None));
-      if (!values[2]) values[2] = __Pyx_NewRef(((PyObject *)Py_None));
-    } else {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 482, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 482, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 482, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      if (!values[0]) values[0] = __Pyx_NewRef(((PyObject *)__pyx_mstate_global->__pyx_empty_tuple));
-      if (!values[1]) values[1] = __Pyx_NewRef(((PyObject *)Py_None));
-      if (!values[2]) values[2] = __Pyx_NewRef(((PyObject *)Py_None));
-    }
-    __pyx_v_assumptions = values[0];
-    __pyx_v_conflict_limit = values[1];
-    __pyx_v_time_limit = values[2];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("solve", 0, 0, 3, __pyx_nargs); __PYX_ERR(0, 482, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.solve", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_6solve(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self), __pyx_v_assumptions, __pyx_v_conflict_limit, __pyx_v_time_limit);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_6solve(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_assumptions, PyObject *__pyx_v_conflict_limit, PyObject *__pyx_v_time_limit) {
-  std::vector<int>  __pyx_v_assume;
-  int __pyx_v_lit;
-  int __pyx_v_v;
-  PyObject *__pyx_v_item = NULL;
-  double __pyx_v_deadline;
-  PY_LONG_LONG __pyx_v_conflict_budget;
-  PY_LONG_LONG __pyx_v_restart_count;
-  PY_LONG_LONG __pyx_v_since_restart;
-  PY_LONG_LONG __pyx_v_next_restart;
-  PY_LONG_LONG __pyx_v_checkpoint;
-  int __pyx_v_confl;
-  int __pyx_v_bt;
-  int __pyx_v_lbd;
-  int __pyx_v_cref;
-  int __pyx_v_val;
-  int __pyx_v_u;
-  std::vector<int>  __pyx_v_learnt;
-  PyObject *__pyx_v_status = NULL;
-  PyObject *__pyx_v_model = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  Py_ssize_t __pyx_t_2;
-  PyObject *(*__pyx_t_3)(PyObject *);
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10[3];
-  PyObject *__pyx_t_11 = NULL;
-  size_t __pyx_t_12;
-  PyObject *__pyx_t_13 = NULL;
-  double __pyx_t_14;
-  PY_LONG_LONG __pyx_t_15;
-  long __pyx_t_16;
-  long __pyx_t_17;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("solve", 0);
-
-  /* "cutstock/satcore/_engine.pyx":485
- *         cdef vector[int] assume
- *         cdef int lit, v
- *         for item in assumptions:             # <<<<<<<<<<<<<<
- *             lit = item
- *             v = lit if lit > 0 else -lit
-*/
-  if (likely(PyList_CheckExact(__pyx_v_assumptions)) || PyTuple_CheckExact(__pyx_v_assumptions)) {
-    __pyx_t_1 = __pyx_v_assumptions; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = NULL;
-  } else {
-    __pyx_t_2 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_v_assumptions); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 485, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 485, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_3)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 485, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_2, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_2;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 485, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_2));
-        #else
-        __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_2);
-        #endif
-        ++__pyx_t_2;
-      }
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 485, __pyx_L1_error)
-    } else {
-      __pyx_t_4 = __pyx_t_3(__pyx_t_1);
-      if (unlikely(!__pyx_t_4)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 485, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_XDECREF_SET(__pyx_v_item, __pyx_t_4);
-    __pyx_t_4 = 0;
-
-    /* "cutstock/satcore/_engine.pyx":486
- *         cdef int lit, v
- *         for item in assumptions:
- *             lit = item             # <<<<<<<<<<<<<<
- *             v = lit if lit > 0 else -lit
- *             if v < 1 or v > self.nvars:
-*/
-    __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_v_item); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 486, __pyx_L1_error)
-    __pyx_v_lit = __pyx_t_5;
-
-    /* "cutstock/satcore/_engine.pyx":487
- *         for item in assumptions:
- *             lit = item
- *             v = lit if lit > 0 else -lit             # <<<<<<<<<<<<<<
- *             if v < 1 or v > self.nvars:
- *                 raise ValueError(f"assumption {lit} outside declared variables")
-*/
-    __pyx_t_6 = (__pyx_v_lit > 0);
-    if (__pyx_t_6) {
-      __pyx_t_5 = __pyx_v_lit;
-    } else {
-      __pyx_t_5 = (-__pyx_v_lit);
-    }
-    __pyx_v_v = __pyx_t_5;
-
-    /* "cutstock/satcore/_engine.pyx":488
- *             lit = item
- *             v = lit if lit > 0 else -lit
- *             if v < 1 or v > self.nvars:             # <<<<<<<<<<<<<<
- *                 raise ValueError(f"assumption {lit} outside declared variables")
- *             assume.push_back(lit)
-*/
-    __pyx_t_7 = (__pyx_v_v < 1);
-    if (!__pyx_t_7) {
-    } else {
-      __pyx_t_6 = __pyx_t_7;
-      goto __pyx_L6_bool_binop_done;
-    }
-    __pyx_t_7 = (__pyx_v_v > __pyx_v_self->nvars);
-    __pyx_t_6 = __pyx_t_7;
-    __pyx_L6_bool_binop_done:;
-    if (unlikely(__pyx_t_6)) {
-
-      /* "cutstock/satcore/_engine.pyx":489
- *             v = lit if lit > 0 else -lit
- *             if v < 1 or v > self.nvars:
- *                 raise ValueError(f"assumption {lit} outside declared variables")             # <<<<<<<<<<<<<<
- *             assume.push_back(lit)
- *         if not self.ok:
-*/
-      __pyx_t_8 = NULL;
-      __pyx_t_9 = __Pyx_PyUnicode_From_int(__pyx_v_lit, 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 489, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_10[0] = __pyx_mstate_global->__pyx_kp_u_assumption;
-      __pyx_t_10[1] = __pyx_t_9;
-      __pyx_t_10[2] = __pyx_mstate_global->__pyx_kp_u_outside_declared_variables;
-      __pyx_t_11 = __Pyx_PyUnicode_Join(__pyx_t_10, 3, 11 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9) + 27, 127);
-      if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 489, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_11);
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __pyx_t_12 = 1;
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_8, __pyx_t_11};
-        __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_12, (2-__pyx_t_12) | (__pyx_t_12*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-        __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-        if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 489, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_4);
-      }
-      __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __PYX_ERR(0, 489, __pyx_L1_error)
-
-      /* "cutstock/satcore/_engine.pyx":488
- *             lit = item
- *             v = lit if lit > 0 else -lit
- *             if v < 1 or v > self.nvars:             # <<<<<<<<<<<<<<
- *                 raise ValueError(f"assumption {lit} outside declared variables")
- *             assume.push_back(lit)
-*/
-    }
-
-    /* "cutstock/satcore/_engine.pyx":490
- *             if v < 1 or v > self.nvars:
- *                 raise ValueError(f"assumption {lit} outside declared variables")
- *             assume.push_back(lit)             # <<<<<<<<<<<<<<
- *         if not self.ok:
- *             return SolveResult(UNSAT, None, self.stats())
-*/
-    try {
-      __pyx_v_assume.push_back(__pyx_v_lit);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 490, __pyx_L1_error)
-    }
-
-    /* "cutstock/satcore/_engine.pyx":485
- *         cdef vector[int] assume
- *         cdef int lit, v
- *         for item in assumptions:             # <<<<<<<<<<<<<<
- *             lit = item
- *             v = lit if lit > 0 else -lit
-*/
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":491
- *                 raise ValueError(f"assumption {lit} outside declared variables")
- *             assume.push_back(lit)
- *         if not self.ok:             # <<<<<<<<<<<<<<
- *             return SolveResult(UNSAT, None, self.stats())
- * 
-*/
-  __pyx_t_6 = (!__pyx_v_self->ok);
-  if (__pyx_t_6) {
-
-    /* "cutstock/satcore/_engine.pyx":492
- *             assume.push_back(lit)
- *         if not self.ok:
- *             return SolveResult(UNSAT, None, self.stats())             # <<<<<<<<<<<<<<
- * 
- *         cdef double deadline = -1.0
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_4 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_11, __pyx_mstate_global->__pyx_n_u_SolveResult); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 492, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_11);
-    __Pyx_GetModuleGlobalName(__pyx_t_8, __pyx_mstate_global->__pyx_n_u_UNSAT); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 492, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __pyx_t_13 = ((PyObject *)__pyx_v_self);
-    __Pyx_INCREF(__pyx_t_13);
-    __pyx_t_12 = 0;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_13, NULL};
-      __pyx_t_9 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_stats, __pyx_callargs+__pyx_t_12, (1-__pyx_t_12) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_13); __pyx_t_13 = 0;
-      if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 492, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-    }
-    __pyx_t_12 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_11))) {
-      __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_11);
-      assert(__pyx_t_4);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_11);
-      __Pyx_INCREF(__pyx_t_4);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_11, __pyx__function);
-      __pyx_t_12 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[4] = {__pyx_t_4, __pyx_t_8, Py_None, __pyx_t_9};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_11, __pyx_callargs+__pyx_t_12, (4-__pyx_t_12) | (__pyx_t_12*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 492, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __pyx_r = __pyx_t_1;
-    __pyx_t_1 = 0;
-    goto __pyx_L0;
-
-    /* "cutstock/satcore/_engine.pyx":491
- *                 raise ValueError(f"assumption {lit} outside declared variables")
- *             assume.push_back(lit)
- *         if not self.ok:             # <<<<<<<<<<<<<<
- *             return SolveResult(UNSAT, None, self.stats())
- * 
-*/
-  }
-
-  /* "cutstock/satcore/_engine.pyx":494
- *             return SolveResult(UNSAT, None, self.stats())
- * 
- *         cdef double deadline = -1.0             # <<<<<<<<<<<<<<
- *         if time_limit is not None:
- *             deadline = _time.perf_counter() + <double> time_limit
-*/
-  __pyx_v_deadline = -1.0;
-
-  /* "cutstock/satcore/_engine.pyx":495
- * 
- *         cdef double deadline = -1.0
- *         if time_limit is not None:             # <<<<<<<<<<<<<<
- *             deadline = _time.perf_counter() + <double> time_limit
- *         cdef long long conflict_budget = -1
-*/
-  __pyx_t_6 = (__pyx_v_time_limit != Py_None);
-  if (__pyx_t_6) {
-
-    /* "cutstock/satcore/_engine.pyx":496
- *         cdef double deadline = -1.0
- *         if time_limit is not None:
- *             deadline = _time.perf_counter() + <double> time_limit             # <<<<<<<<<<<<<<
- *         cdef long long conflict_budget = -1
- *         if conflict_limit is not None:
-*/
-    __pyx_t_11 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_time); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 496, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_8 = __Pyx_PyObject_GetAttrStr(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_perf_counter); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 496, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __pyx_t_12 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_8))) {
-      __pyx_t_11 = PyMethod_GET_SELF(__pyx_t_8);
-      assert(__pyx_t_11);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_8);
-      __Pyx_INCREF(__pyx_t_11);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_8, __pyx__function);
-      __pyx_t_12 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_11, NULL};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_8, __pyx_callargs+__pyx_t_12, (1-__pyx_t_12) | (__pyx_t_12*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_11); __pyx_t_11 = 0;
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 496, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __pyx_t_14 = __Pyx_PyFloat_AsDouble(__pyx_v_time_limit); if (unlikely((__pyx_t_14 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 496, __pyx_L1_error)
-    __pyx_t_8 = PyFloat_FromDouble(((double)__pyx_t_14)); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 496, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __pyx_t_11 = PyNumber_Add(__pyx_t_1, __pyx_t_8); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 496, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_11);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    __pyx_t_14 = __Pyx_PyFloat_AsDouble(__pyx_t_11); if (unlikely((__pyx_t_14 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 496, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-    __pyx_v_deadline = __pyx_t_14;
-
-    /* "cutstock/satcore/_engine.pyx":495
- * 
- *         cdef double deadline = -1.0
- *         if time_limit is not None:             # <<<<<<<<<<<<<<
- *             deadline = _time.perf_counter() + <double> time_limit
- *         cdef long long conflict_budget = -1
-*/
-  }
-
-  /* "cutstock/satcore/_engine.pyx":497
- *         if time_limit is not None:
- *             deadline = _time.perf_counter() + <double> time_limit
- *         cdef long long conflict_budget = -1             # <<<<<<<<<<<<<<
- *         if conflict_limit is not None:
- *             conflict_budget = self.conflicts + <long long> conflict_limit
-*/
-  __pyx_v_conflict_budget = -1LL;
-
-  /* "cutstock/satcore/_engine.pyx":498
- *             deadline = _time.perf_counter() + <double> time_limit
- *         cdef long long conflict_budget = -1
- *         if conflict_limit is not None:             # <<<<<<<<<<<<<<
- *             conflict_budget = self.conflicts + <long long> conflict_limit
- *         cdef long long restart_count = 0
-*/
-  __pyx_t_6 = (__pyx_v_conflict_limit != Py_None);
-  if (__pyx_t_6) {
-
-    /* "cutstock/satcore/_engine.pyx":499
- *         cdef long long conflict_budget = -1
- *         if conflict_limit is not None:
- *             conflict_budget = self.conflicts + <long long> conflict_limit             # <<<<<<<<<<<<<<
- *         cdef long long restart_count = 0
- *         cdef long long since_restart = 0
-*/
-    __pyx_t_15 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_conflict_limit); if (unlikely((__pyx_t_15 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 499, __pyx_L1_error)
-    __pyx_v_conflict_budget = (__pyx_v_self->conflicts + ((PY_LONG_LONG)__pyx_t_15));
-
-    /* "cutstock/satcore/_engine.pyx":498
- *             deadline = _time.perf_counter() + <double> time_limit
- *         cdef long long conflict_budget = -1
- *         if conflict_limit is not None:             # <<<<<<<<<<<<<<
- *             conflict_budget = self.conflicts + <long long> conflict_limit
- *         cdef long long restart_count = 0
-*/
-  }
-
-  /* "cutstock/satcore/_engine.pyx":500
- *         if conflict_limit is not None:
- *             conflict_budget = self.conflicts + <long long> conflict_limit
- *         cdef long long restart_count = 0             # <<<<<<<<<<<<<<
- *         cdef long long since_restart = 0
- *         cdef long long next_restart = 100 * _luby(0)
-*/
-  __pyx_v_restart_count = 0;
-
-  /* "cutstock/satcore/_engine.pyx":501
- *             conflict_budget = self.conflicts + <long long> conflict_limit
- *         cdef long long restart_count = 0
- *         cdef long long since_restart = 0             # <<<<<<<<<<<<<<
- *         cdef long long next_restart = 100 * _luby(0)
- *         cdef long long checkpoint = 0
-*/
-  __pyx_v_since_restart = 0;
-
-  /* "cutstock/satcore/_engine.pyx":502
- *         cdef long long restart_count = 0
- *         cdef long long since_restart = 0
- *         cdef long long next_restart = 100 * _luby(0)             # <<<<<<<<<<<<<<
- *         cdef long long checkpoint = 0
- *         cdef int confl, bt, lbd, cref, val, u
-*/
-  __pyx_t_15 = __pyx_f_8cutstock_7satcore_7_engine__luby(0); if (unlikely(__pyx_t_15 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 502, __pyx_L1_error)
-  __pyx_v_next_restart = (0x64 * __pyx_t_15);
-
-  /* "cutstock/satcore/_engine.pyx":503
- *         cdef long long since_restart = 0
- *         cdef long long next_restart = 100 * _luby(0)
- *         cdef long long checkpoint = 0             # <<<<<<<<<<<<<<
- *         cdef int confl, bt, lbd, cref, val, u
- *         cdef vector[int] learnt
-*/
-  __pyx_v_checkpoint = 0;
-
-  /* "cutstock/satcore/_engine.pyx":506
- *         cdef int confl, bt, lbd, cref, val, u
- *         cdef vector[int] learnt
- *         status = UNKNOWN             # <<<<<<<<<<<<<<
- *         model = None
- * 
-*/
-  __Pyx_GetModuleGlobalName(__pyx_t_11, __pyx_mstate_global->__pyx_n_u_UNKNOWN); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 506, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_11);
-  __pyx_v_status = __pyx_t_11;
-  __pyx_t_11 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":507
- *         cdef vector[int] learnt
- *         status = UNKNOWN
- *         model = None             # <<<<<<<<<<<<<<
- * 
- *         if self._propagate() != _NO_REASON:
-*/
-  __Pyx_INCREF(Py_None);
-  __pyx_v_model = ((PyObject*)Py_None);
-
-  /* "cutstock/satcore/_engine.pyx":509
- *         model = None
- * 
- *         if self._propagate() != _NO_REASON:             # <<<<<<<<<<<<<<
- *             self.ok = False
- *             return SolveResult(UNSAT, None, self.stats())
-*/
-  __pyx_t_5 = ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_propagate(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 509, __pyx_L1_error)
-  __pyx_t_6 = (__pyx_t_5 != __pyx_v_8cutstock_7satcore_7_engine__NO_REASON);
-  if (__pyx_t_6) {
-
-    /* "cutstock/satcore/_engine.pyx":510
- * 
- *         if self._propagate() != _NO_REASON:
- *             self.ok = False             # <<<<<<<<<<<<<<
- *             return SolveResult(UNSAT, None, self.stats())
- * 
-*/
-    __pyx_v_self->ok = 0;
-
-    /* "cutstock/satcore/_engine.pyx":511
- *         if self._propagate() != _NO_REASON:
- *             self.ok = False
- *             return SolveResult(UNSAT, None, self.stats())             # <<<<<<<<<<<<<<
- * 
- *         while True:
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_8 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_SolveResult); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 511, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_UNSAT); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 511, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_13 = ((PyObject *)__pyx_v_self);
-    __Pyx_INCREF(__pyx_t_13);
-    __pyx_t_12 = 0;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_13, NULL};
-      __pyx_t_4 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_stats, __pyx_callargs+__pyx_t_12, (1-__pyx_t_12) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_13); __pyx_t_13 = 0;
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 511, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-    }
-    __pyx_t_12 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_1))) {
-      __pyx_t_8 = PyMethod_GET_SELF(__pyx_t_1);
-      assert(__pyx_t_8);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_1);
-      __Pyx_INCREF(__pyx_t_8);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_1, __pyx__function);
-      __pyx_t_12 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[4] = {__pyx_t_8, __pyx_t_9, Py_None, __pyx_t_4};
-      __pyx_t_11 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_1, __pyx_callargs+__pyx_t_12, (4-__pyx_t_12) | (__pyx_t_12*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 511, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_11);
-    }
-    __pyx_r = __pyx_t_11;
-    __pyx_t_11 = 0;
-    goto __pyx_L0;
-
-    /* "cutstock/satcore/_engine.pyx":509
- *         model = None
- * 
- *         if self._propagate() != _NO_REASON:             # <<<<<<<<<<<<<<
- *             self.ok = False
- *             return SolveResult(UNSAT, None, self.stats())
-*/
-  }
-
-  /* "cutstock/satcore/_engine.pyx":513
- *             return SolveResult(UNSAT, None, self.stats())
- * 
- *         while True:             # <<<<<<<<<<<<<<
- *             confl = self._propagate()
- *             if confl != _NO_REASON:
-*/
-  while (1) {
-
-    /* "cutstock/satcore/_engine.pyx":514
- * 
- *         while True:
- *             confl = self._propagate()             # <<<<<<<<<<<<<<
- *             if confl != _NO_REASON:
- *                 self.conflicts += 1
-*/
-    __pyx_t_5 = ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_propagate(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 514, __pyx_L1_error)
-    __pyx_v_confl = __pyx_t_5;
-
-    /* "cutstock/satcore/_engine.pyx":515
- *         while True:
- *             confl = self._propagate()
- *             if confl != _NO_REASON:             # <<<<<<<<<<<<<<
- *                 self.conflicts += 1
- *                 since_restart += 1
-*/
-    __pyx_t_6 = (__pyx_v_confl != __pyx_v_8cutstock_7satcore_7_engine__NO_REASON);
-    if (__pyx_t_6) {
-
-      /* "cutstock/satcore/_engine.pyx":516
- *             confl = self._propagate()
- *             if confl != _NO_REASON:
- *                 self.conflicts += 1             # <<<<<<<<<<<<<<
- *                 since_restart += 1
- *                 if self.trail_lim_.size() == 0:
-*/
-      __pyx_v_self->conflicts = (__pyx_v_self->conflicts + 1);
-
-      /* "cutstock/satcore/_engine.pyx":517
- *             if confl != _NO_REASON:
- *                 self.conflicts += 1
- *                 since_restart += 1             # <<<<<<<<<<<<<<
- *                 if self.trail_lim_.size() == 0:
- *                     self.ok = False
-*/
-      __pyx_v_since_restart = (__pyx_v_since_restart + 1);
-
-      /* "cutstock/satcore/_engine.pyx":518
- *                 self.conflicts += 1
- *                 since_restart += 1
- *                 if self.trail_lim_.size() == 0:             # <<<<<<<<<<<<<<
- *                     self.ok = False
- *                     status = UNSAT
-*/
-      __pyx_t_6 = (__pyx_v_self->trail_lim_.size() == 0);
-      if (__pyx_t_6) {
-
-        /* "cutstock/satcore/_engine.pyx":519
- *                 since_restart += 1
- *                 if self.trail_lim_.size() == 0:
- *                     self.ok = False             # <<<<<<<<<<<<<<
- *                     status = UNSAT
- *                     break
-*/
-        __pyx_v_self->ok = 0;
-
-        /* "cutstock/satcore/_engine.pyx":520
- *                 if self.trail_lim_.size() == 0:
- *                     self.ok = False
- *                     status = UNSAT             # <<<<<<<<<<<<<<
- *                     break
- *                 bt = self._analyze(confl, learnt)
-*/
-        __Pyx_GetModuleGlobalName(__pyx_t_11, __pyx_mstate_global->__pyx_n_u_UNSAT); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 520, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_11);
-        __Pyx_DECREF_SET(__pyx_v_status, __pyx_t_11);
-        __pyx_t_11 = 0;
-
-        /* "cutstock/satcore/_engine.pyx":521
- *                     self.ok = False
- *                     status = UNSAT
- *                     break             # <<<<<<<<<<<<<<
- *                 bt = self._analyze(confl, learnt)
- *                 self._cancel_until(bt)
-*/
-        goto __pyx_L14_break;
-
-        /* "cutstock/satcore/_engine.pyx":518
- *                 self.conflicts += 1
- *                 since_restart += 1
- *                 if self.trail_lim_.size() == 0:             # <<<<<<<<<<<<<<
- *                     self.ok = False
- *                     status = UNSAT
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":522
- *                     status = UNSAT
- *                     break
- *                 bt = self._analyze(confl, learnt)             # <<<<<<<<<<<<<<
- *                 self._cancel_until(bt)
- *                 if learnt.size() == 1:
-*/
-      __pyx_t_5 = ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_analyze(__pyx_v_self, __pyx_v_confl, __pyx_v_learnt); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 522, __pyx_L1_error)
-      __pyx_v_bt = __pyx_t_5;
-
-      /* "cutstock/satcore/_engine.pyx":523
- *                     break
- *                 bt = self._analyze(confl, learnt)
- *                 self._cancel_until(bt)             # <<<<<<<<<<<<<<
- *                 if learnt.size() == 1:
- *                     self._enqueue(learnt[0], _NO_REASON)
-*/
-      ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_cancel_until(__pyx_v_self, __pyx_v_bt); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 523, __pyx_L1_error)
-
-      /* "cutstock/satcore/_engine.pyx":524
- *                 bt = self._analyze(confl, learnt)
- *                 self._cancel_until(bt)
- *                 if learnt.size() == 1:             # <<<<<<<<<<<<<<
- *                     self._enqueue(learnt[0], _NO_REASON)
- *                 else:
-*/
-      __pyx_t_6 = (__pyx_v_learnt.size() == 1);
-      if (__pyx_t_6) {
-
-        /* "cutstock/satcore/_engine.pyx":525
- *                 self._cancel_until(bt)
- *                 if learnt.size() == 1:
- *                     self._enqueue(learnt[0], _NO_REASON)             # <<<<<<<<<<<<<<
- *                 else:
- *                     lbd = self._clause_lbd(learnt)
-*/
-        __pyx_f_8cutstock_7satcore_7_engine_6Solver__enqueue(__pyx_v_self, (__pyx_v_learnt[0]), __pyx_v_8cutstock_7satcore_7_engine__NO_REASON); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 525, __pyx_L1_error)
-
-        /* "cutstock/satcore/_engine.pyx":524
- *                 bt = self._analyze(confl, learnt)
- *                 self._cancel_until(bt)
- *                 if learnt.size() == 1:             # <<<<<<<<<<<<<<
- *                     self._enqueue(learnt[0], _NO_REASON)
- *                 else:
-*/
-        goto __pyx_L17;
-      }
-
-      /* "cutstock/satcore/_engine.pyx":527
- *                     self._enqueue(learnt[0], _NO_REASON)
- *                 else:
- *                     lbd = self._clause_lbd(learnt)             # <<<<<<<<<<<<<<
- *                     cref = self._new_clause(learnt, lbd)
- *                     self.learnt_refs_.push_back(cref)
-*/
-      /*else*/ {
-        __pyx_t_5 = ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_clause_lbd(__pyx_v_self, __pyx_v_learnt); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 527, __pyx_L1_error)
-        __pyx_v_lbd = __pyx_t_5;
-
-        /* "cutstock/satcore/_engine.pyx":528
- *                 else:
- *                     lbd = self._clause_lbd(learnt)
- *                     cref = self._new_clause(learnt, lbd)             # <<<<<<<<<<<<<<
- *                     self.learnt_refs_.push_back(cref)
- *                     self._enqueue(learnt[0], cref)
-*/
-        __pyx_t_5 = ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_new_clause(__pyx_v_self, __pyx_v_learnt, __pyx_v_lbd); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 528, __pyx_L1_error)
-        __pyx_v_cref = __pyx_t_5;
-
-        /* "cutstock/satcore/_engine.pyx":529
- *                     lbd = self._clause_lbd(learnt)
- *                     cref = self._new_clause(learnt, lbd)
- *                     self.learnt_refs_.push_back(cref)             # <<<<<<<<<<<<<<
- *                     self._enqueue(learnt[0], cref)
- *                 self.learned += 1
-*/
-        try {
-          __pyx_v_self->learnt_refs_.push_back(__pyx_v_cref);
-        } catch(...) {
-          __Pyx_CppExn2PyErr();
-          __PYX_ERR(0, 529, __pyx_L1_error)
-        }
-
-        /* "cutstock/satcore/_engine.pyx":530
- *                     cref = self._new_clause(learnt, lbd)
- *                     self.learnt_refs_.push_back(cref)
- *                     self._enqueue(learnt[0], cref)             # <<<<<<<<<<<<<<
- *                 self.learned += 1
- *                 self.var_inc /= self.var_decay
-*/
-        __pyx_f_8cutstock_7satcore_7_engine_6Solver__enqueue(__pyx_v_self, (__pyx_v_learnt[0]), __pyx_v_cref); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 530, __pyx_L1_error)
-      }
-      __pyx_L17:;
-
-      /* "cutstock/satcore/_engine.pyx":531
- *                     self.learnt_refs_.push_back(cref)
- *                     self._enqueue(learnt[0], cref)
- *                 self.learned += 1             # <<<<<<<<<<<<<<
- *                 self.var_inc /= self.var_decay
- *                 if conflict_budget >= 0 and self.conflicts >= conflict_budget:
-*/
-      __pyx_v_self->learned = (__pyx_v_self->learned + 1);
-
-      /* "cutstock/satcore/_engine.pyx":532
- *                     self._enqueue(learnt[0], cref)
- *                 self.learned += 1
- *                 self.var_inc /= self.var_decay             # <<<<<<<<<<<<<<
- *                 if conflict_budget >= 0 and self.conflicts >= conflict_budget:
- *                     break
-*/
-      __pyx_v_self->var_inc = (__pyx_v_self->var_inc / __pyx_v_self->var_decay);
-
-      /* "cutstock/satcore/_engine.pyx":533
- *                 self.learned += 1
- *                 self.var_inc /= self.var_decay
- *                 if conflict_budget >= 0 and self.conflicts >= conflict_budget:             # <<<<<<<<<<<<<<
- *                     break
- *                 if deadline >= 0.0 and self.conflicts % 256 == 0:
-*/
-      __pyx_t_7 = (__pyx_v_conflict_budget >= 0);
-      if (__pyx_t_7) {
-      } else {
-        __pyx_t_6 = __pyx_t_7;
-        goto __pyx_L19_bool_binop_done;
-      }
-      __pyx_t_7 = (__pyx_v_self->conflicts >= __pyx_v_conflict_budget);
-      __pyx_t_6 = __pyx_t_7;
-      __pyx_L19_bool_binop_done:;
-      if (__pyx_t_6) {
-
-        /* "cutstock/satcore/_engine.pyx":534
- *                 self.var_inc /= self.var_decay
- *                 if conflict_budget >= 0 and self.conflicts >= conflict_budget:
- *                     break             # <<<<<<<<<<<<<<
- *                 if deadline >= 0.0 and self.conflicts % 256 == 0:
- *                     if _time.perf_counter() > deadline:
-*/
-        goto __pyx_L14_break;
-
-        /* "cutstock/satcore/_engine.pyx":533
- *                 self.learned += 1
- *                 self.var_inc /= self.var_decay
- *                 if conflict_budget >= 0 and self.conflicts >= conflict_budget:             # <<<<<<<<<<<<<<
- *                     break
- *                 if deadline >= 0.0 and self.conflicts % 256 == 0:
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":535
- *                 if conflict_budget >= 0 and self.conflicts >= conflict_budget:
- *                     break
- *                 if deadline >= 0.0 and self.conflicts % 256 == 0:             # <<<<<<<<<<<<<<
- *                     if _time.perf_counter() > deadline:
- *                         break
-*/
-      __pyx_t_7 = (__pyx_v_deadline >= 0.0);
-      if (__pyx_t_7) {
-      } else {
-        __pyx_t_6 = __pyx_t_7;
-        goto __pyx_L22_bool_binop_done;
-      }
-      __pyx_t_7 = ((__pyx_v_self->conflicts % 0x100) == 0);
-      __pyx_t_6 = __pyx_t_7;
-      __pyx_L22_bool_binop_done:;
-      if (__pyx_t_6) {
-
-        /* "cutstock/satcore/_engine.pyx":536
- *                     break
- *                 if deadline >= 0.0 and self.conflicts % 256 == 0:
- *                     if _time.perf_counter() > deadline:             # <<<<<<<<<<<<<<
- *                         break
- *                 if since_restart >= next_restart:
-*/
-        __pyx_t_1 = NULL;
-        __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_time); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 536, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_9 = __Pyx_PyObject_GetAttrStr(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_perf_counter); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 536, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __pyx_t_12 = 1;
-        #if CYTHON_UNPACK_METHODS
-        if (unlikely(PyMethod_Check(__pyx_t_9))) {
-          __pyx_t_1 = PyMethod_GET_SELF(__pyx_t_9);
-          assert(__pyx_t_1);
-          PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_9);
-          __Pyx_INCREF(__pyx_t_1);
-          __Pyx_INCREF(__pyx__function);
-          __Pyx_DECREF_SET(__pyx_t_9, __pyx__function);
-          __pyx_t_12 = 0;
-        }
-        #endif
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_1, NULL};
-          __pyx_t_11 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_9, __pyx_callargs+__pyx_t_12, (1-__pyx_t_12) | (__pyx_t_12*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 536, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_11);
-        }
-        __pyx_t_9 = PyFloat_FromDouble(__pyx_v_deadline); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 536, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_1 = PyObject_RichCompare(__pyx_t_11, __pyx_t_9, Py_GT); __Pyx_XGOTREF(__pyx_t_1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 536, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        __pyx_t_6 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_6 < 0))) __PYX_ERR(0, 536, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-        if (__pyx_t_6) {
-
-          /* "cutstock/satcore/_engine.pyx":537
- *                 if deadline >= 0.0 and self.conflicts % 256 == 0:
- *                     if _time.perf_counter() > deadline:
- *                         break             # <<<<<<<<<<<<<<
- *                 if since_restart >= next_restart:
- *                     restart_count += 1
-*/
-          goto __pyx_L14_break;
-
-          /* "cutstock/satcore/_engine.pyx":536
- *                     break
- *                 if deadline >= 0.0 and self.conflicts % 256 == 0:
- *                     if _time.perf_counter() > deadline:             # <<<<<<<<<<<<<<
- *                         break
- *                 if since_restart >= next_restart:
-*/
-        }
-
-        /* "cutstock/satcore/_engine.pyx":535
- *                 if conflict_budget >= 0 and self.conflicts >= conflict_budget:
- *                     break
- *                 if deadline >= 0.0 and self.conflicts % 256 == 0:             # <<<<<<<<<<<<<<
- *                     if _time.perf_counter() > deadline:
- *                         break
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":538
- *                     if _time.perf_counter() > deadline:
- *                         break
- *                 if since_restart >= next_restart:             # <<<<<<<<<<<<<<
- *                     restart_count += 1
- *                     since_restart = 0
-*/
-      __pyx_t_6 = (__pyx_v_since_restart >= __pyx_v_next_restart);
-      if (__pyx_t_6) {
-
-        /* "cutstock/satcore/_engine.pyx":539
- *                         break
- *                 if since_restart >= next_restart:
- *                     restart_count += 1             # <<<<<<<<<<<<<<
- *                     since_restart = 0
- *                     next_restart = 100 * _luby(restart_count)
-*/
-        __pyx_v_restart_count = (__pyx_v_restart_count + 1);
-
-        /* "cutstock/satcore/_engine.pyx":540
- *                 if since_restart >= next_restart:
- *                     restart_count += 1
- *                     since_restart = 0             # <<<<<<<<<<<<<<
- *                     next_restart = 100 * _luby(restart_count)
- *                     self.restarts += 1
-*/
-        __pyx_v_since_restart = 0;
-
-        /* "cutstock/satcore/_engine.pyx":541
- *                     restart_count += 1
- *                     since_restart = 0
- *                     next_restart = 100 * _luby(restart_count)             # <<<<<<<<<<<<<<
- *                     self.restarts += 1
- *                     self._cancel_until(0)
-*/
-        __pyx_t_15 = __pyx_f_8cutstock_7satcore_7_engine__luby(__pyx_v_restart_count); if (unlikely(__pyx_t_15 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 541, __pyx_L1_error)
-        __pyx_v_next_restart = (0x64 * __pyx_t_15);
-
-        /* "cutstock/satcore/_engine.pyx":542
- *                     since_restart = 0
- *                     next_restart = 100 * _luby(restart_count)
- *                     self.restarts += 1             # <<<<<<<<<<<<<<
- *                     self._cancel_until(0)
- *                 if <double> self.learnt_refs_.size() >= self.max_learnts:
-*/
-        __pyx_v_self->restarts = (__pyx_v_self->restarts + 1);
-
-        /* "cutstock/satcore/_engine.pyx":543
- *                     next_restart = 100 * _luby(restart_count)
- *                     self.restarts += 1
- *                     self._cancel_until(0)             # <<<<<<<<<<<<<<
- *                 if <double> self.learnt_refs_.size() >= self.max_learnts:
- *                     self._reduce_db()
-*/
-        ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_cancel_until(__pyx_v_self, 0); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 543, __pyx_L1_error)
-
-        /* "cutstock/satcore/_engine.pyx":538
- *                     if _time.perf_counter() > deadline:
- *                         break
- *                 if since_restart >= next_restart:             # <<<<<<<<<<<<<<
- *                     restart_count += 1
- *                     since_restart = 0
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":544
- *                     self.restarts += 1
- *                     self._cancel_until(0)
- *                 if <double> self.learnt_refs_.size() >= self.max_learnts:             # <<<<<<<<<<<<<<
- *                     self._reduce_db()
- *             else:
-*/
-      __pyx_t_6 = (((double)__pyx_v_self->learnt_refs_.size()) >= __pyx_v_self->max_learnts);
-      if (__pyx_t_6) {
-
-        /* "cutstock/satcore/_engine.pyx":545
- *                     self._cancel_until(0)
- *                 if <double> self.learnt_refs_.size() >= self.max_learnts:
- *                     self._reduce_db()             # <<<<<<<<<<<<<<
- *             else:
- *                 if <int> self.trail_lim_.size() < <int> assume.size():
-*/
-        ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_reduce_db(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 545, __pyx_L1_error)
-
-        /* "cutstock/satcore/_engine.pyx":544
- *                     self.restarts += 1
- *                     self._cancel_until(0)
- *                 if <double> self.learnt_refs_.size() >= self.max_learnts:             # <<<<<<<<<<<<<<
- *                     self._reduce_db()
- *             else:
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":515
- *         while True:
- *             confl = self._propagate()
- *             if confl != _NO_REASON:             # <<<<<<<<<<<<<<
- *                 self.conflicts += 1
- *                 since_restart += 1
-*/
-      goto __pyx_L15;
-    }
-
-    /* "cutstock/satcore/_engine.pyx":547
- *                     self._reduce_db()
- *             else:
- *                 if <int> self.trail_lim_.size() < <int> assume.size():             # <<<<<<<<<<<<<<
- *                     lit = assume[self.trail_lim_.size()]
- *                     val = self._lit_value(lit)
-*/
-    /*else*/ {
-      __pyx_t_6 = (((int)__pyx_v_self->trail_lim_.size()) < ((int)__pyx_v_assume.size()));
-      if (__pyx_t_6) {
-
-        /* "cutstock/satcore/_engine.pyx":548
- *             else:
- *                 if <int> self.trail_lim_.size() < <int> assume.size():
- *                     lit = assume[self.trail_lim_.size()]             # <<<<<<<<<<<<<<
- *                     val = self._lit_value(lit)
- *                     if val == 1:
-*/
-        __pyx_v_lit = (__pyx_v_assume[__pyx_v_self->trail_lim_.size()]);
-
-        /* "cutstock/satcore/_engine.pyx":549
- *                 if <int> self.trail_lim_.size() < <int> assume.size():
- *                     lit = assume[self.trail_lim_.size()]
- *                     val = self._lit_value(lit)             # <<<<<<<<<<<<<<
- *                     if val == 1:
- *                         self.trail_lim_.push_back(<int> self.trail_.size())
-*/
-        __pyx_t_5 = __pyx_f_8cutstock_7satcore_7_engine_6Solver__lit_value(__pyx_v_self, __pyx_v_lit); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 549, __pyx_L1_error)
-        __pyx_v_val = __pyx_t_5;
-
-        /* "cutstock/satcore/_engine.pyx":550
- *                     lit = assume[self.trail_lim_.size()]
- *                     val = self._lit_value(lit)
- *                     if val == 1:             # <<<<<<<<<<<<<<
- *                         self.trail_lim_.push_back(<int> self.trail_.size())
- *                         continue
-*/
-        __pyx_t_6 = (__pyx_v_val == 1);
-        if (__pyx_t_6) {
-
-          /* "cutstock/satcore/_engine.pyx":551
- *                     val = self._lit_value(lit)
- *                     if val == 1:
- *                         self.trail_lim_.push_back(<int> self.trail_.size())             # <<<<<<<<<<<<<<
- *                         continue
- *                     if val == 0:
-*/
-          try {
-            __pyx_v_self->trail_lim_.push_back(((int)__pyx_v_self->trail_.size()));
-          } catch(...) {
-            __Pyx_CppExn2PyErr();
-            __PYX_ERR(0, 551, __pyx_L1_error)
-          }
-
-          /* "cutstock/satcore/_engine.pyx":552
- *                     if val == 1:
- *                         self.trail_lim_.push_back(<int> self.trail_.size())
- *                         continue             # <<<<<<<<<<<<<<
- *                     if val == 0:
- *                         status = UNSAT
-*/
-          goto __pyx_L13_continue;
-
-          /* "cutstock/satcore/_engine.pyx":550
- *                     lit = assume[self.trail_lim_.size()]
- *                     val = self._lit_value(lit)
- *                     if val == 1:             # <<<<<<<<<<<<<<
- *                         self.trail_lim_.push_back(<int> self.trail_.size())
- *                         continue
-*/
-        }
-
-        /* "cutstock/satcore/_engine.pyx":553
- *                         self.trail_lim_.push_back(<int> self.trail_.size())
- *                         continue
- *                     if val == 0:             # <<<<<<<<<<<<<<
- *                         status = UNSAT
- *                         break
-*/
-        __pyx_t_6 = (__pyx_v_val == 0);
-        if (__pyx_t_6) {
-
-          /* "cutstock/satcore/_engine.pyx":554
- *                         continue
- *                     if val == 0:
- *                         status = UNSAT             # <<<<<<<<<<<<<<
- *                         break
- *                     self.trail_lim_.push_back(<int> self.trail_.size())
-*/
-          __Pyx_GetModuleGlobalName(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_UNSAT); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 554, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_1);
-          __Pyx_DECREF_SET(__pyx_v_status, __pyx_t_1);
-          __pyx_t_1 = 0;
-
-          /* "cutstock/satcore/_engine.pyx":555
- *                     if val == 0:
- *                         status = UNSAT
- *                         break             # <<<<<<<<<<<<<<
- *                     self.trail_lim_.push_back(<int> self.trail_.size())
- *                     self._enqueue(lit, _NO_REASON)
-*/
-          goto __pyx_L14_break;
-
-          /* "cutstock/satcore/_engine.pyx":553
- *                         self.trail_lim_.push_back(<int> self.trail_.size())
- *                         continue
- *                     if val == 0:             # <<<<<<<<<<<<<<
- *                         status = UNSAT
- *                         break
-*/
-        }
-
-        /* "cutstock/satcore/_engine.pyx":556
- *                         status = UNSAT
- *                         break
- *                     self.trail_lim_.push_back(<int> self.trail_.size())             # <<<<<<<<<<<<<<
- *                     self._enqueue(lit, _NO_REASON)
- *                     continue
-*/
-        try {
-          __pyx_v_self->trail_lim_.push_back(((int)__pyx_v_self->trail_.size()));
-        } catch(...) {
-          __Pyx_CppExn2PyErr();
-          __PYX_ERR(0, 556, __pyx_L1_error)
-        }
-
-        /* "cutstock/satcore/_engine.pyx":557
- *                         break
- *                     self.trail_lim_.push_back(<int> self.trail_.size())
- *                     self._enqueue(lit, _NO_REASON)             # <<<<<<<<<<<<<<
- *                     continue
- *                 checkpoint += 1
-*/
-        __pyx_f_8cutstock_7satcore_7_engine_6Solver__enqueue(__pyx_v_self, __pyx_v_lit, __pyx_v_8cutstock_7satcore_7_engine__NO_REASON); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 557, __pyx_L1_error)
-
-        /* "cutstock/satcore/_engine.pyx":558
- *                     self.trail_lim_.push_back(<int> self.trail_.size())
- *                     self._enqueue(lit, _NO_REASON)
- *                     continue             # <<<<<<<<<<<<<<
- *                 checkpoint += 1
- *                 if deadline >= 0.0 and checkpoint % 512 == 0:
-*/
-        goto __pyx_L13_continue;
-
-        /* "cutstock/satcore/_engine.pyx":547
- *                     self._reduce_db()
- *             else:
- *                 if <int> self.trail_lim_.size() < <int> assume.size():             # <<<<<<<<<<<<<<
- *                     lit = assume[self.trail_lim_.size()]
- *                     val = self._lit_value(lit)
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":559
- *                     self._enqueue(lit, _NO_REASON)
- *                     continue
- *                 checkpoint += 1             # <<<<<<<<<<<<<<
- *                 if deadline >= 0.0 and checkpoint % 512 == 0:
- *                     if _time.perf_counter() > deadline:
-*/
-      __pyx_v_checkpoint = (__pyx_v_checkpoint + 1);
-
-      /* "cutstock/satcore/_engine.pyx":560
- *                     continue
- *                 checkpoint += 1
- *                 if deadline >= 0.0 and checkpoint % 512 == 0:             # <<<<<<<<<<<<<<
- *                     if _time.perf_counter() > deadline:
- *                         break
-*/
-      __pyx_t_7 = (__pyx_v_deadline >= 0.0);
-      if (__pyx_t_7) {
-      } else {
-        __pyx_t_6 = __pyx_t_7;
-        goto __pyx_L31_bool_binop_done;
-      }
-      __pyx_t_7 = ((__pyx_v_checkpoint % 0x200) == 0);
-      __pyx_t_6 = __pyx_t_7;
-      __pyx_L31_bool_binop_done:;
-      if (__pyx_t_6) {
-
-        /* "cutstock/satcore/_engine.pyx":561
- *                 checkpoint += 1
- *                 if deadline >= 0.0 and checkpoint % 512 == 0:
- *                     if _time.perf_counter() > deadline:             # <<<<<<<<<<<<<<
- *                         break
- *                 v = self._pick_branch_var()
-*/
-        __pyx_t_9 = NULL;
-        __Pyx_GetModuleGlobalName(__pyx_t_11, __pyx_mstate_global->__pyx_n_u_time); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 561, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_11);
-        __pyx_t_4 = __Pyx_PyObject_GetAttrStr(__pyx_t_11, __pyx_mstate_global->__pyx_n_u_perf_counter); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 561, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-        __pyx_t_12 = 1;
-        #if CYTHON_UNPACK_METHODS
-        if (unlikely(PyMethod_Check(__pyx_t_4))) {
-          __pyx_t_9 = PyMethod_GET_SELF(__pyx_t_4);
-          assert(__pyx_t_9);
-          PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_4);
-          __Pyx_INCREF(__pyx_t_9);
-          __Pyx_INCREF(__pyx__function);
-          __Pyx_DECREF_SET(__pyx_t_4, __pyx__function);
-          __pyx_t_12 = 0;
-        }
-        #endif
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_9, NULL};
-          __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_4, __pyx_callargs+__pyx_t_12, (1-__pyx_t_12) | (__pyx_t_12*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-          __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-          if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 561, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_1);
-        }
-        __pyx_t_4 = PyFloat_FromDouble(__pyx_v_deadline); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 561, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_9 = PyObject_RichCompare(__pyx_t_1, __pyx_t_4, Py_GT); __Pyx_XGOTREF(__pyx_t_9); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 561, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __pyx_t_6 = __Pyx_PyObject_IsTrue(__pyx_t_9); if (unlikely((__pyx_t_6 < 0))) __PYX_ERR(0, 561, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        if (__pyx_t_6) {
-
-          /* "cutstock/satcore/_engine.pyx":562
- *                 if deadline >= 0.0 and checkpoint % 512 == 0:
- *                     if _time.perf_counter() > deadline:
- *                         break             # <<<<<<<<<<<<<<
- *                 v = self._pick_branch_var()
- *                 if v == 0:
-*/
-          goto __pyx_L14_break;
-
-          /* "cutstock/satcore/_engine.pyx":561
- *                 checkpoint += 1
- *                 if deadline >= 0.0 and checkpoint % 512 == 0:
- *                     if _time.perf_counter() > deadline:             # <<<<<<<<<<<<<<
- *                         break
- *                 v = self._pick_branch_var()
-*/
-        }
-
-        /* "cutstock/satcore/_engine.pyx":560
- *                     continue
- *                 checkpoint += 1
- *                 if deadline >= 0.0 and checkpoint % 512 == 0:             # <<<<<<<<<<<<<<
- *                     if _time.perf_counter() > deadline:
- *                         break
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":563
- *                     if _time.perf_counter() > deadline:
- *                         break
- *                 v = self._pick_branch_var()             # <<<<<<<<<<<<<<
- *                 if v == 0:
- *                     status = SAT
-*/
-      __pyx_t_5 = ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_pick_branch_var(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 563, __pyx_L1_error)
-      __pyx_v_v = __pyx_t_5;
-
-      /* "cutstock/satcore/_engine.pyx":564
- *                         break
- *                 v = self._pick_branch_var()
- *                 if v == 0:             # <<<<<<<<<<<<<<
- *                     status = SAT
- *                     model = [False] * (self.nvars + 1)
-*/
-      __pyx_t_6 = (__pyx_v_v == 0);
-      if (__pyx_t_6) {
-
-        /* "cutstock/satcore/_engine.pyx":565
- *                 v = self._pick_branch_var()
- *                 if v == 0:
- *                     status = SAT             # <<<<<<<<<<<<<<
- *                     model = [False] * (self.nvars + 1)
- *                     for u in range(1, self.nvars + 1):
-*/
-        __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_SAT); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 565, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __Pyx_DECREF_SET(__pyx_v_status, __pyx_t_9);
-        __pyx_t_9 = 0;
-
-        /* "cutstock/satcore/_engine.pyx":566
- *                 if v == 0:
- *                     status = SAT
- *                     model = [False] * (self.nvars + 1)             # <<<<<<<<<<<<<<
- *                     for u in range(1, self.nvars + 1):
- *                         model[u] = self.assign_[u] == 1
-*/
-        __pyx_t_16 = (__pyx_v_self->nvars + 1);
-        __pyx_t_9 = PyList_New(1 * ((__pyx_t_16<0) ? 0:__pyx_t_16)); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 566, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        { Py_ssize_t __pyx_temp;
-          for (__pyx_temp=0; __pyx_temp < __pyx_t_16; __pyx_temp++) {
-            __Pyx_INCREF(Py_False);
-            __Pyx_GIVEREF(Py_False);
-            if (__Pyx_PyList_SET_ITEM(__pyx_t_9, __pyx_temp, Py_False) != (0)) __PYX_ERR(0, 566, __pyx_L1_error);
-          }
-        }
-        __Pyx_DECREF_SET(__pyx_v_model, ((PyObject*)__pyx_t_9));
-        __pyx_t_9 = 0;
-
-        /* "cutstock/satcore/_engine.pyx":567
- *                     status = SAT
- *                     model = [False] * (self.nvars + 1)
- *                     for u in range(1, self.nvars + 1):             # <<<<<<<<<<<<<<
- *                         model[u] = self.assign_[u] == 1
- *                     break
-*/
-        __pyx_t_16 = (__pyx_v_self->nvars + 1);
-        __pyx_t_17 = __pyx_t_16;
-        for (__pyx_t_5 = 1; __pyx_t_5 < __pyx_t_17; __pyx_t_5+=1) {
-          __pyx_v_u = __pyx_t_5;
-
-          /* "cutstock/satcore/_engine.pyx":568
- *                     model = [False] * (self.nvars + 1)
- *                     for u in range(1, self.nvars + 1):
- *                         model[u] = self.assign_[u] == 1             # <<<<<<<<<<<<<<
- *                     break
- *                 self.decisions += 1
-*/
-          __pyx_t_9 = __Pyx_PyBool_FromLong(((__pyx_v_self->assign_[__pyx_v_u]) == 1)); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 568, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_9);
-          if (unlikely((__Pyx_SetItemInt(__pyx_v_model, __pyx_v_u, __pyx_t_9, int, 1, __Pyx_PyLong_From_int, 1, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference) < 0))) __PYX_ERR(0, 568, __pyx_L1_error)
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        }
-
-        /* "cutstock/satcore/_engine.pyx":569
- *                     for u in range(1, self.nvars + 1):
- *                         model[u] = self.assign_[u] == 1
- *                     break             # <<<<<<<<<<<<<<
- *                 self.decisions += 1
- *                 self.trail_lim_.push_back(<int> self.trail_.size())
-*/
-        goto __pyx_L14_break;
-
-        /* "cutstock/satcore/_engine.pyx":564
- *                         break
- *                 v = self._pick_branch_var()
- *                 if v == 0:             # <<<<<<<<<<<<<<
- *                     status = SAT
- *                     model = [False] * (self.nvars + 1)
-*/
-      }
-
-      /* "cutstock/satcore/_engine.pyx":570
- *                         model[u] = self.assign_[u] == 1
- *                     break
- *                 self.decisions += 1             # <<<<<<<<<<<<<<
- *                 self.trail_lim_.push_back(<int> self.trail_.size())
- *                 self._enqueue(v if self.phase_[v] == 1 else -v, _NO_REASON)
-*/
-      __pyx_v_self->decisions = (__pyx_v_self->decisions + 1);
-
-      /* "cutstock/satcore/_engine.pyx":571
- *                     break
- *                 self.decisions += 1
- *                 self.trail_lim_.push_back(<int> self.trail_.size())             # <<<<<<<<<<<<<<
- *                 self._enqueue(v if self.phase_[v] == 1 else -v, _NO_REASON)
- * 
-*/
-      try {
-        __pyx_v_self->trail_lim_.push_back(((int)__pyx_v_self->trail_.size()));
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 571, __pyx_L1_error)
-      }
-
-      /* "cutstock/satcore/_engine.pyx":572
- *                 self.decisions += 1
- *                 self.trail_lim_.push_back(<int> self.trail_.size())
- *                 self._enqueue(v if self.phase_[v] == 1 else -v, _NO_REASON)             # <<<<<<<<<<<<<<
- * 
- *         self._cancel_until(0)
-*/
-      __pyx_t_6 = ((__pyx_v_self->phase_[__pyx_v_v]) == 1);
-      if (__pyx_t_6) {
-        __pyx_t_5 = __pyx_v_v;
-      } else {
-        __pyx_t_5 = (-__pyx_v_v);
-      }
-      __pyx_f_8cutstock_7satcore_7_engine_6Solver__enqueue(__pyx_v_self, __pyx_t_5, __pyx_v_8cutstock_7satcore_7_engine__NO_REASON); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 572, __pyx_L1_error)
-    }
-    __pyx_L15:;
-    __pyx_L13_continue:;
-  }
-  __pyx_L14_break:;
-
-  /* "cutstock/satcore/_engine.pyx":574
- *                 self._enqueue(v if self.phase_[v] == 1 else -v, _NO_REASON)
- * 
- *         self._cancel_until(0)             # <<<<<<<<<<<<<<
- *         return SolveResult(status, model, self.stats())
- * 
-*/
-  ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_cancel_until(__pyx_v_self, 0); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 574, __pyx_L1_error)
-
-  /* "cutstock/satcore/_engine.pyx":575
- * 
- *         self._cancel_until(0)
- *         return SolveResult(status, model, self.stats())             # <<<<<<<<<<<<<<
- * 
- *     cdef int _pick_branch_var(self):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_4 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_SolveResult); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 575, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_8 = ((PyObject *)__pyx_v_self);
-  __Pyx_INCREF(__pyx_t_8);
-  __pyx_t_12 = 0;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_8, NULL};
-    __pyx_t_11 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_stats, __pyx_callargs+__pyx_t_12, (1-__pyx_t_12) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-    if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 575, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_11);
-  }
-  __pyx_t_12 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_1))) {
-    __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_1);
-    assert(__pyx_t_4);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_1);
-    __Pyx_INCREF(__pyx_t_4);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_1, __pyx__function);
-    __pyx_t_12 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[4] = {__pyx_t_4, __pyx_v_status, __pyx_v_model, __pyx_t_11};
-    __pyx_t_9 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_1, __pyx_callargs+__pyx_t_12, (4-__pyx_t_12) | (__pyx_t_12*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 575, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-  }
-  __pyx_r = __pyx_t_9;
-  __pyx_t_9 = 0;
-  goto __pyx_L0;
-
-  /* "cutstock/satcore/_engine.pyx":482
- *     # solving
- * 
- *     def solve(self, assumptions=(), conflict_limit=None, time_limit=None):             # <<<<<<<<<<<<<<
- *         cdef vector[int] assume
- *         cdef int lit, v
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_11);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.solve", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_item);
-  __Pyx_XDECREF(__pyx_v_status);
-  __Pyx_XDECREF(__pyx_v_model);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":577
- *         return SolveResult(status, model, self.stats())
- * 
- *     cdef int _pick_branch_var(self):             # <<<<<<<<<<<<<<
- *         cdef int v
- *         while self.heap_.size() > 0:
-*/
-
-static int __pyx_f_8cutstock_7satcore_7_engine_6Solver__pick_branch_var(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self) {
-  int __pyx_v_v;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cutstock/satcore/_engine.pyx":579
- *     cdef int _pick_branch_var(self):
- *         cdef int v
- *         while self.heap_.size() > 0:             # <<<<<<<<<<<<<<
- *             v = self._heap_pop()
- *             if self.assign_[v] == _UNDEF:
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_self->heap_.size() > 0);
-    if (!__pyx_t_1) break;
-
-    /* "cutstock/satcore/_engine.pyx":580
- *         cdef int v
- *         while self.heap_.size() > 0:
- *             v = self._heap_pop()             # <<<<<<<<<<<<<<
- *             if self.assign_[v] == _UNDEF:
- *                 return v
-*/
-    __pyx_t_2 = ((struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self->__pyx_vtab)->_heap_pop(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 580, __pyx_L1_error)
-    __pyx_v_v = __pyx_t_2;
-
-    /* "cutstock/satcore/_engine.pyx":581
- *         while self.heap_.size() > 0:
- *             v = self._heap_pop()
- *             if self.assign_[v] == _UNDEF:             # <<<<<<<<<<<<<<
- *                 return v
- *         return 0
-*/
-    __pyx_t_1 = ((__pyx_v_self->assign_[__pyx_v_v]) == __pyx_v_8cutstock_7satcore_7_engine__UNDEF);
-    if (__pyx_t_1) {
-
-      /* "cutstock/satcore/_engine.pyx":582
- *             v = self._heap_pop()
- *             if self.assign_[v] == _UNDEF:
- *                 return v             # <<<<<<<<<<<<<<
- *         return 0
- * 
-*/
-      __pyx_r = __pyx_v_v;
-      goto __pyx_L0;
-
-      /* "cutstock/satcore/_engine.pyx":581
- *         while self.heap_.size() > 0:
- *             v = self._heap_pop()
- *             if self.assign_[v] == _UNDEF:             # <<<<<<<<<<<<<<
- *                 return v
- *         return 0
-*/
-    }
-  }
-
-  /* "cutstock/satcore/_engine.pyx":583
- *             if self.assign_[v] == _UNDEF:
- *                 return v
- *         return 0             # <<<<<<<<<<<<<<
- * 
- *     def stats(self):
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "cutstock/satcore/_engine.pyx":577
- *         return SolveResult(status, model, self.stats())
- * 
- *     cdef int _pick_branch_var(self):             # <<<<<<<<<<<<<<
- *         cdef int v
- *         while self.heap_.size() > 0:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver._pick_branch_var", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":585
- *         return 0
- * 
- *     def stats(self):             # <<<<<<<<<<<<<<
- *         return {
- *             "conflicts": self.conflicts,
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_9stats(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8cutstock_7satcore_7_engine_6Solver_9stats = {"stats", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8cutstock_7satcore_7_engine_6Solver_9stats, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_9stats(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("stats (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("stats", 1, 0, 0, __pyx_nargs); return NULL; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return NULL;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("stats", __pyx_kwds); return NULL;}
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_8stats(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_8stats(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("stats", 0);
-
-  /* "cutstock/satcore/_engine.pyx":586
- * 
- *     def stats(self):
- *         return {             # <<<<<<<<<<<<<<
- *             "conflicts": self.conflicts,
- *             "decisions": self.decisions,
-*/
-  __Pyx_XDECREF(__pyx_r);
-
-  /* "cutstock/satcore/_engine.pyx":587
- *     def stats(self):
- *         return {
- *             "conflicts": self.conflicts,             # <<<<<<<<<<<<<<
- *             "decisions": self.decisions,
- *             "propagations": self.propagations,
-*/
-  __pyx_t_1 = __Pyx_PyDict_NewPresized(7); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 587, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_self->conflicts); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 587, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_conflicts, __pyx_t_2) < (0)) __PYX_ERR(0, 587, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":588
- *         return {
- *             "conflicts": self.conflicts,
- *             "decisions": self.decisions,             # <<<<<<<<<<<<<<
- *             "propagations": self.propagations,
- *             "restarts": self.restarts,
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_self->decisions); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 588, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_decisions, __pyx_t_2) < (0)) __PYX_ERR(0, 587, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":589
- *             "conflicts": self.conflicts,
- *             "decisions": self.decisions,
- *             "propagations": self.propagations,             # <<<<<<<<<<<<<<
- *             "restarts": self.restarts,
- *             "learned": self.learned,
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_self->propagations); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 589, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_propagations, __pyx_t_2) < (0)) __PYX_ERR(0, 587, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":590
- *             "decisions": self.decisions,
- *             "propagations": self.propagations,
- *             "restarts": self.restarts,             # <<<<<<<<<<<<<<
- *             "learned": self.learned,
- *             "clauses": self.live_clauses,
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_self->restarts); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 590, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_restarts, __pyx_t_2) < (0)) __PYX_ERR(0, 587, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":591
- *             "propagations": self.propagations,
- *             "restarts": self.restarts,
- *             "learned": self.learned,             # <<<<<<<<<<<<<<
- *             "clauses": self.live_clauses,
- *             "vars": self.nvars,
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_self->learned); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 591, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_learned, __pyx_t_2) < (0)) __PYX_ERR(0, 587, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":592
- *             "restarts": self.restarts,
- *             "learned": self.learned,
- *             "clauses": self.live_clauses,             # <<<<<<<<<<<<<<
- *             "vars": self.nvars,
- *         }
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_self->live_clauses); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 592, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_clauses, __pyx_t_2) < (0)) __PYX_ERR(0, 587, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":593
- *             "learned": self.learned,
- *             "clauses": self.live_clauses,
- *             "vars": self.nvars,             # <<<<<<<<<<<<<<
- *         }
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_self->nvars); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 593, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_vars, __pyx_t_2) < (0)) __PYX_ERR(0, 587, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "cutstock/satcore/_engine.pyx":585
- *         return 0
- * 
- *     def stats(self):             # <<<<<<<<<<<<<<
- *         return {
- *             "conflicts": self.conflicts,
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.stats", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":54
- *     cdef double var_decay
- *     cdef double max_learnts
- *     cdef public long long conflicts             # <<<<<<<<<<<<<<
- *     cdef public long long decisions
- *     cdef public long long propagations
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_9conflicts_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_9conflicts_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_9conflicts___get__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_9conflicts___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_self->conflicts); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 54, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.conflicts.__get__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_9conflicts_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value); /*proto*/
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_9conflicts_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__set__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_9conflicts_2__set__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self), ((PyObject *)__pyx_v_value));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver_9conflicts_2__set__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_value) {
-  int __pyx_r;
-  PY_LONG_LONG __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_value); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 54, __pyx_L1_error)
-  __pyx_v_self->conflicts = __pyx_t_1;
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.conflicts.__set__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":55
- *     cdef double max_learnts
- *     cdef public long long conflicts
- *     cdef public long long decisions             # <<<<<<<<<<<<<<
- *     cdef public long long propagations
- *     cdef public long long restarts
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_9decisions_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_9decisions_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_9decisions___get__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_9decisions___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_self->decisions); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 55, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.decisions.__get__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_9decisions_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value); /*proto*/
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_9decisions_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__set__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_9decisions_2__set__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self), ((PyObject *)__pyx_v_value));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver_9decisions_2__set__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_value) {
-  int __pyx_r;
-  PY_LONG_LONG __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_value); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 55, __pyx_L1_error)
-  __pyx_v_self->decisions = __pyx_t_1;
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.decisions.__set__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":56
- *     cdef public long long conflicts
- *     cdef public long long decisions
- *     cdef public long long propagations             # <<<<<<<<<<<<<<
- *     cdef public long long restarts
- *     cdef public long long learned
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_12propagations_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_12propagations_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_12propagations___get__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_12propagations___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_self->propagations); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 56, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.propagations.__get__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_12propagations_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value); /*proto*/
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_12propagations_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__set__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_12propagations_2__set__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self), ((PyObject *)__pyx_v_value));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver_12propagations_2__set__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_value) {
-  int __pyx_r;
-  PY_LONG_LONG __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_value); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 56, __pyx_L1_error)
-  __pyx_v_self->propagations = __pyx_t_1;
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.propagations.__set__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":57
- *     cdef public long long decisions
- *     cdef public long long propagations
- *     cdef public long long restarts             # <<<<<<<<<<<<<<
- *     cdef public long long learned
- *     cdef public long long live_clauses
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_8restarts_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_8restarts_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_8restarts___get__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_8restarts___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_self->restarts); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 57, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.restarts.__get__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_8restarts_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value); /*proto*/
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_8restarts_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__set__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_8restarts_2__set__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self), ((PyObject *)__pyx_v_value));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver_8restarts_2__set__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_value) {
-  int __pyx_r;
-  PY_LONG_LONG __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_value); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 57, __pyx_L1_error)
-  __pyx_v_self->restarts = __pyx_t_1;
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.restarts.__set__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":58
- *     cdef public long long propagations
- *     cdef public long long restarts
- *     cdef public long long learned             # <<<<<<<<<<<<<<
- *     cdef public long long live_clauses
- *     cdef public int seed
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_7learned_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_7learned_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_7learned___get__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_7learned___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_self->learned); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 58, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.learned.__get__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_7learned_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value); /*proto*/
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_7learned_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__set__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_7learned_2__set__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self), ((PyObject *)__pyx_v_value));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver_7learned_2__set__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_value) {
-  int __pyx_r;
-  PY_LONG_LONG __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_value); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 58, __pyx_L1_error)
-  __pyx_v_self->learned = __pyx_t_1;
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.learned.__set__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":59
- *     cdef public long long restarts
- *     cdef public long long learned
- *     cdef public long long live_clauses             # <<<<<<<<<<<<<<
- *     cdef public int seed
- * 
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_12live_clauses_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_12live_clauses_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_12live_clauses___get__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_12live_clauses___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_self->live_clauses); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 59, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.live_clauses.__get__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_12live_clauses_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value); /*proto*/
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_12live_clauses_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__set__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_12live_clauses_2__set__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self), ((PyObject *)__pyx_v_value));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver_12live_clauses_2__set__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_value) {
-  int __pyx_r;
-  PY_LONG_LONG __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_value); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 59, __pyx_L1_error)
-  __pyx_v_self->live_clauses = __pyx_t_1;
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.live_clauses.__set__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cutstock/satcore/_engine.pyx":60
- *     cdef public long long learned
- *     cdef public long long live_clauses
- *     cdef public int seed             # <<<<<<<<<<<<<<
- * 
- *     def __cinit__(self, int num_vars=0, int seed=0):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_4seed_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_4seed_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_4seed___get__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_4seed___get__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_v_self->seed); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 60, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.seed.__get__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_4seed_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value); /*proto*/
-static int __pyx_pw_8cutstock_7satcore_7_engine_6Solver_4seed_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__set__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_4seed_2__set__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self), ((PyObject *)__pyx_v_value));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_8cutstock_7satcore_7_engine_6Solver_4seed_2__set__(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, PyObject *__pyx_v_value) {
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __pyx_t_1 = __Pyx_PyLong_As_int(__pyx_v_value); if (unlikely((__pyx_t_1 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 60, __pyx_L1_error)
-  __pyx_v_self->seed = __pyx_t_1;
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.seed.__set__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_11__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8cutstock_7satcore_7_engine_6Solver_11__reduce_cython__ = {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8cutstock_7satcore_7_engine_6Solver_11__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_11__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__reduce_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("__reduce_cython__", 1, 0, 0, __pyx_nargs); return NULL; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return NULL;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("__reduce_cython__", __pyx_kwds); return NULL;}
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_10__reduce_cython__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_10__reduce_cython__(CYTHON_UNUSED struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__reduce_cython__", 0);
-
-  /* "(tree fragment)":2
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"             # <<<<<<<<<<<<<<
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_no_default___reduce___due_to_non, 0, 0);
-  __PYX_ERR(1, 2, __pyx_L1_error)
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.__reduce_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_13__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8cutstock_7satcore_7_engine_6Solver_13__setstate_cython__ = {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8cutstock_7satcore_7_engine_6Solver_13__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8cutstock_7satcore_7_engine_6Solver_13__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  CYTHON_UNUSED PyObject *__pyx_v___pyx_state = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__setstate_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_pyx_state,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(1, 3, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(1, 3, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__setstate_cython__", 0) < (0)) __PYX_ERR(1, 3, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, i); __PYX_ERR(1, 3, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(1, 3, __pyx_L3_error)
-    }
-    __pyx_v___pyx_state = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, __pyx_nargs); __PYX_ERR(1, 3, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8cutstock_7satcore_7_engine_6Solver_12__setstate_cython__(((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)__pyx_v_self), __pyx_v___pyx_state);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8cutstock_7satcore_7_engine_6Solver_12__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__setstate_cython__", 0);
-
-  /* "(tree fragment)":4
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"             # <<<<<<<<<<<<<<
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_no_default___reduce___due_to_non, 0, 0);
-  __PYX_ERR(1, 4, __pyx_L1_error)
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cutstock.satcore._engine.Solver.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-static struct __pyx_vtabstruct_8cutstock_7satcore_7_engine_Solver __pyx_vtable_8cutstock_7satcore_7_engine_Solver;
-
-static PyObject *__pyx_tp_new_8cutstock_7satcore_7_engine_Solver(PyTypeObject *t, PyObject *a, PyObject *k) {
-  struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *p;
-  PyObject *o;
-  o = __Pyx_AllocateExtensionType(t, 0);
-  if (unlikely(!o)) return 0;
-  p = ((struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)o);
-  p->__pyx_vtab = __pyx_vtabptr_8cutstock_7satcore_7_engine_Solver;
-  __Pyx_default_placement_construct(&(p->ca));
-  __Pyx_default_placement_construct(&(p->watches));
-  __Pyx_default_placement_construct(&(p->assign_));
-  __Pyx_default_placement_construct(&(p->level_));
-  __Pyx_default_placement_construct(&(p->reason_));
-  __Pyx_default_placement_construct(&(p->activity_));
-  __Pyx_default_placement_construct(&(p->phase_));
-  __Pyx_default_placement_construct(&(p->seen_));
-  __Pyx_default_placement_construct(&(p->trail_));
-  __Pyx_default_placement_construct(&(p->trail_lim_));
-  __Pyx_default_placement_construct(&(p->heap_));
-  __Pyx_default_placement_construct(&(p->heap_pos_));
-  __Pyx_default_placement_construct(&(p->learnt_refs_));
-  __Pyx_default_placement_construct(&(p->to_clear_));
-  if (unlikely(__pyx_pw_8cutstock_7satcore_7_engine_6Solver_1__cinit__(o, a, k) < 0)) goto bad;
-  return o;
-  bad:
-  Py_DECREF(o); o = 0;
-  return NULL;
-}
-
-static void __pyx_tp_dealloc_8cutstock_7satcore_7_engine_Solver(PyObject *o) {
-  struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *p = (struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && (!PyType_IS_GC(Py_TYPE(o)) || !__Pyx_PyObject_GC_IsFinalized(o))) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_8cutstock_7satcore_7_engine_Solver) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  __Pyx_call_destructor(p->ca);
-  __Pyx_call_destructor(p->watches);
-  __Pyx_call_destructor(p->assign_);
-  __Pyx_call_destructor(p->level_);
-  __Pyx_call_destructor(p->reason_);
-  __Pyx_call_destructor(p->activity_);
-  __Pyx_call_destructor(p->phase_);
-  __Pyx_call_destructor(p->seen_);
-  __Pyx_call_destructor(p->trail_);
-  __Pyx_call_destructor(p->trail_lim_);
-  __Pyx_call_destructor(p->heap_);
-  __Pyx_call_destructor(p->heap_pos_);
-  __Pyx_call_destructor(p->learnt_refs_);
-  __Pyx_call_destructor(p->to_clear_);
-  PyTypeObject *tp = Py_TYPE(o);
-  #if CYTHON_USE_TYPE_SLOTS
-  (*tp->tp_free)(o);
-  #else
-  {
-    freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-    if (tp_free) tp_free(o);
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  Py_DECREF(tp);
-  #endif
-}
-
-static PyObject *__pyx_getprop_8cutstock_7satcore_7_engine_6Solver_num_vars(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_8cutstock_7satcore_7_engine_6Solver_8num_vars_1__get__(o);
-}
-
-static PyObject *__pyx_getprop_8cutstock_7satcore_7_engine_6Solver_conflicts(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_8cutstock_7satcore_7_engine_6Solver_9conflicts_1__get__(o);
-}
-
-static int __pyx_setprop_8cutstock_7satcore_7_engine_6Solver_conflicts(PyObject *o, PyObject *v, CYTHON_UNUSED void *x) {
-  if (v) {
-    return __pyx_pw_8cutstock_7satcore_7_engine_6Solver_9conflicts_3__set__(o, v);
-  }
-  else {
-    PyErr_SetString(PyExc_NotImplementedError, "__del__");
-    return -1;
-  }
-}
-
-static PyObject *__pyx_getprop_8cutstock_7satcore_7_engine_6Solver_decisions(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_8cutstock_7satcore_7_engine_6Solver_9decisions_1__get__(o);
-}
-
-static int __pyx_setprop_8cutstock_7satcore_7_engine_6Solver_decisions(PyObject *o, PyObject *v, CYTHON_UNUSED void *x) {
-  if (v) {
-    return __pyx_pw_8cutstock_7satcore_7_engine_6Solver_9decisions_3__set__(o, v);
-  }
-  else {
-    PyErr_SetString(PyExc_NotImplementedError, "__del__");
-    return -1;
-  }
-}
-
-static PyObject *__pyx_getprop_8cutstock_7satcore_7_engine_6Solver_propagations(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_8cutstock_7satcore_7_engine_6Solver_12propagations_1__get__(o);
-}
-
-static int __pyx_setprop_8cutstock_7satcore_7_engine_6Solver_propagations(PyObject *o, PyObject *v, CYTHON_UNUSED void *x) {
-  if (v) {
-    return __pyx_pw_8cutstock_7satcore_7_engine_6Solver_12propagations_3__set__(o, v);
-  }
-  else {
-    PyErr_SetString(PyExc_NotImplementedError, "__del__");
-    return -1;
-  }
-}
-
-static PyObject *__pyx_getprop_8cutstock_7satcore_7_engine_6Solver_restarts(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_8cutstock_7satcore_7_engine_6Solver_8restarts_1__get__(o);
-}
-
-static int __pyx_setprop_8cutstock_7satcore_7_engine_6Solver_restarts(PyObject *o, PyObject *v, CYTHON_UNUSED void *x) {
-  if (v) {
-    return __pyx_pw_8cutstock_7satcore_7_engine_6Solver_8restarts_3__set__(o, v);
-  }
-  else {
-    PyErr_SetString(PyExc_NotImplementedError, "__del__");
-    return -1;
-  }
-}
-
-static PyObject *__pyx_getprop_8cutstock_7satcore_7_engine_6Solver_learned(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_8cutstock_7satcore_7_engine_6Solver_7learned_1__get__(o);
-}
-
-static int __pyx_setprop_8cutstock_7satcore_7_engine_6Solver_learned(PyObject *o, PyObject *v, CYTHON_UNUSED void *x) {
-  if (v) {
-    return __pyx_pw_8cutstock_7satcore_7_engine_6Solver_7learned_3__set__(o, v);
-  }
-  else {
-    PyErr_SetString(PyExc_NotImplementedError, "__del__");
-    return -1;
-  }
-}
-
-static PyObject *__pyx_getprop_8cutstock_7satcore_7_engine_6Solver_live_clauses(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_8cutstock_7satcore_7_engine_6Solver_12live_clauses_1__get__(o);
-}
-
-static int __pyx_setprop_8cutstock_7satcore_7_engine_6Solver_live_clauses(PyObject *o, PyObject *v, CYTHON_UNUSED void *x) {
-  if (v) {
-    return __pyx_pw_8cutstock_7satcore_7_engine_6Solver_12live_clauses_3__set__(o, v);
-  }
-  else {
-    PyErr_SetString(PyExc_NotImplementedError, "__del__");
-    return -1;
-  }
-}
-
-static PyObject *__pyx_getprop_8cutstock_7satcore_7_engine_6Solver_seed(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_8cutstock_7satcore_7_engine_6Solver_4seed_1__get__(o);
-}
-
-static int __pyx_setprop_8cutstock_7satcore_7_engine_6Solver_seed(PyObject *o, PyObject *v, CYTHON_UNUSED void *x) {
-  if (v) {
-    return __pyx_pw_8cutstock_7satcore_7_engine_6Solver_4seed_3__set__(o, v);
-  }
-  else {
-    PyErr_SetString(PyExc_NotImplementedError, "__del__");
-    return -1;
-  }
-}
-
-static PyMethodDef __pyx_methods_8cutstock_7satcore_7_engine_Solver[] = {
-  {"add_vars", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8cutstock_7satcore_7_engine_6Solver_3add_vars, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"add_clause", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8cutstock_7satcore_7_engine_6Solver_5add_clause, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"solve", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8cutstock_7satcore_7_engine_6Solver_7solve, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"stats", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8cutstock_7satcore_7_engine_6Solver_9stats, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8cutstock_7satcore_7_engine_6Solver_11__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8cutstock_7satcore_7_engine_6Solver_13__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {0, 0, 0, 0}
-};
-
-static struct PyGetSetDef __pyx_getsets_8cutstock_7satcore_7_engine_Solver[] = {
-  {"num_vars", __pyx_getprop_8cutstock_7satcore_7_engine_6Solver_num_vars, 0, 0, 0},
-  {"conflicts", __pyx_getprop_8cutstock_7satcore_7_engine_6Solver_conflicts, __pyx_setprop_8cutstock_7satcore_7_engine_6Solver_conflicts, 0, 0},
-  {"decisions", __pyx_getprop_8cutstock_7satcore_7_engine_6Solver_decisions, __pyx_setprop_8cutstock_7satcore_7_engine_6Solver_decisions, 0, 0},
-  {"propagations", __pyx_getprop_8cutstock_7satcore_7_engine_6Solver_propagations, __pyx_setprop_8cutstock_7satcore_7_engine_6Solver_propagations, 0, 0},
-  {"restarts", __pyx_getprop_8cutstock_7satcore_7_engine_6Solver_restarts, __pyx_setprop_8cutstock_7satcore_7_engine_6Solver_restarts, 0, 0},
-  {"learned", __pyx_getprop_8cutstock_7satcore_7_engine_6Solver_learned, __pyx_setprop_8cutstock_7satcore_7_engine_6Solver_learned, 0, 0},
-  {"live_clauses", __pyx_getprop_8cutstock_7satcore_7_engine_6Solver_live_clauses, __pyx_setprop_8cutstock_7satcore_7_engine_6Solver_live_clauses, 0, 0},
-  {"seed", __pyx_getprop_8cutstock_7satcore_7_engine_6Solver_seed, __pyx_setprop_8cutstock_7satcore_7_engine_6Solver_seed, 0, 0},
-  {0, 0, 0, 0, 0}
-};
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_8cutstock_7satcore_7_engine_Solver_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_8cutstock_7satcore_7_engine_Solver},
-  {Py_tp_methods, (void *)__pyx_methods_8cutstock_7satcore_7_engine_Solver},
-  {Py_tp_getset, (void *)__pyx_getsets_8cutstock_7satcore_7_engine_Solver},
-  {Py_tp_new, (void *)__pyx_tp_new_8cutstock_7satcore_7_engine_Solver},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_8cutstock_7satcore_7_engine_Solver_spec = {
-  "cutstock.satcore._engine.Solver",
-  sizeof(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE,
-  __pyx_type_8cutstock_7satcore_7_engine_Solver_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_8cutstock_7satcore_7_engine_Solver = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "cutstock.satcore._engine.""Solver", /*tp_name*/
-  sizeof(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_8cutstock_7satcore_7_engine_Solver, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE, /*tp_flags*/
-  0, /*tp_doc*/
-  0, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  __pyx_methods_8cutstock_7satcore_7_engine_Solver, /*tp_methods*/
-  0, /*tp_members*/
-  __pyx_getsets_8cutstock_7satcore_7_engine_Solver, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_8cutstock_7satcore_7_engine_Solver, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __pyx_vtabptr_8cutstock_7satcore_7_engine_Solver = &__pyx_vtable_8cutstock_7satcore_7_engine_Solver;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._widx = (int (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int))__pyx_f_8cutstock_7satcore_7_engine_6Solver__widx;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._lit_value = (int (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int))__pyx_f_8cutstock_7satcore_7_engine_6Solver__lit_value;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._new_clause = (int (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, std::vector<int>  &, int))__pyx_f_8cutstock_7satcore_7_engine_6Solver__new_clause;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._heap_less = (int (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int, int))__pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_less;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._heap_insert = (void (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int))__pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_insert;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._heap_up = (void (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int))__pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_up;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._heap_down = (void (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int))__pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_down;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._heap_pop = (int (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *))__pyx_f_8cutstock_7satcore_7_engine_6Solver__heap_pop;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._bump = (void (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int))__pyx_f_8cutstock_7satcore_7_engine_6Solver__bump;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._enqueue = (void (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int, int))__pyx_f_8cutstock_7satcore_7_engine_6Solver__enqueue;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._cancel_until = (void (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int))__pyx_f_8cutstock_7satcore_7_engine_6Solver__cancel_until;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._propagate = (int (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *))__pyx_f_8cutstock_7satcore_7_engine_6Solver__propagate;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._analyze = (int (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int, std::vector<int>  &))__pyx_f_8cutstock_7satcore_7_engine_6Solver__analyze;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._clause_lbd = (int (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, std::vector<int>  &))__pyx_f_8cutstock_7satcore_7_engine_6Solver__clause_lbd;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._locked = (int (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *, int))__pyx_f_8cutstock_7satcore_7_engine_6Solver__locked;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._reduce_db = (void (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *))__pyx_f_8cutstock_7satcore_7_engine_6Solver__reduce_db;
-  __pyx_vtable_8cutstock_7satcore_7_engine_Solver._pick_branch_var = (int (*)(struct __pyx_obj_8cutstock_7satcore_7_engine_Solver *))__pyx_f_8cutstock_7satcore_7_engine_6Solver__pick_branch_var;
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_8cutstock_7satcore_7_engine_Solver = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_8cutstock_7satcore_7_engine_Solver_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_8cutstock_7satcore_7_engine_Solver)) __PYX_ERR(0, 33, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_8cutstock_7satcore_7_engine_Solver_spec, __pyx_mstate->__pyx_ptype_8cutstock_7satcore_7_engine_Solver) < (0)) __PYX_ERR(0, 33, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_8cutstock_7satcore_7_engine_Solver = &__pyx_type_8cutstock_7satcore_7_engine_Solver;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_8cutstock_7satcore_7_engine_Solver) < (0)) __PYX_ERR(0, 33, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_8cutstock_7satcore_7_engine_Solver);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_8cutstock_7satcore_7_engine_Solver->tp_dictoffset && __pyx_mstate->__pyx_ptype_8cutstock_7satcore_7_engine_Solver->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_8cutstock_7satcore_7_engine_Solver->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  if (__Pyx_SetVtable(__pyx_mstate->__pyx_ptype_8cutstock_7satcore_7_engine_Solver, __pyx_vtabptr_8cutstock_7satcore_7_engine_Solver) < (0)) __PYX_ERR(0, 33, __pyx_L1_error)
-  if (__Pyx_MergeVtables(__pyx_mstate->__pyx_ptype_8cutstock_7satcore_7_engine_Solver) < (0)) __PYX_ERR(0, 33, __pyx_L1_error)
-  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_Solver, (PyObject *) __pyx_mstate->__pyx_ptype_8cutstock_7satcore_7_engine_Solver) < (0)) __PYX_ERR(0, 33, __pyx_L1_error)
-  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_8cutstock_7satcore_7_engine_Solver) < (0)) __PYX_ERR(0, 33, __pyx_L1_error)
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__engine(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__engine},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_engine",
-      __pyx_k_Compiled_CDCL_engine_interface_i, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__engine(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__engine(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__engine(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  Py_ssize_t __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_engine' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_engine" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__engine", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_cutstock__satcore___engine) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "cutstock.satcore._engine")) {
-      if (unlikely((PyDict_SetItemString(modules, "cutstock.satcore._engine", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  if (unlikely((__Pyx_modinit_type_init_code(__pyx_mstate) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "cutstock/satcore/_engine.pyx":11
- * """
- * 
- * import time as _time             # <<<<<<<<<<<<<<
- * 
- * from libcpp.vector cimport vector
-*/
-  __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_time_2, 0, 0, NULL, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 11, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_time, __pyx_t_2) < (0)) __PYX_ERR(0, 11, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":15
- * from libcpp.vector cimport vector
- * 
- * from .engine import SAT, UNKNOWN, UNSAT, SolveResult             # <<<<<<<<<<<<<<
- * 
- * cdef int _UNDEF = -1
-*/
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_SAT,__pyx_mstate_global->__pyx_n_u_UNKNOWN,__pyx_mstate_global->__pyx_n_u_UNSAT,__pyx_mstate_global->__pyx_n_u_SolveResult};
-    __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_engine, __pyx_imported_names, 4, __pyx_mstate_global->__pyx_kp_u_cutstock_satcore_engine, 1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 15, __pyx_L1_error)
-  }
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_SAT,__pyx_mstate_global->__pyx_n_u_UNKNOWN,__pyx_mstate_global->__pyx_n_u_UNSAT,__pyx_mstate_global->__pyx_n_u_SolveResult};
-    for (__pyx_t_3=0; __pyx_t_3 < 4; __pyx_t_3++) {
-      __pyx_t_4 = __Pyx_ImportFrom(__pyx_t_2, __pyx_imported_names[__pyx_t_3]); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 15, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_imported_names[__pyx_t_3], __pyx_t_4) < (0)) __PYX_ERR(0, 15, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":17
- * from .engine import SAT, UNKNOWN, UNSAT, SolveResult
- * 
- * cdef int _UNDEF = -1             # <<<<<<<<<<<<<<
- * cdef int _NO_REASON = -1
- * 
-*/
-  __pyx_v_8cutstock_7satcore_7_engine__UNDEF = -1;
-
-  /* "cutstock/satcore/_engine.pyx":18
- * 
- * cdef int _UNDEF = -1
- * cdef int _NO_REASON = -1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_v_8cutstock_7satcore_7_engine__NO_REASON = -1;
-
-  /* "cutstock/satcore/_engine.pyx":93
- *         return self.nvars
- * 
- *     def add_vars(self, int count):             # <<<<<<<<<<<<<<
- *         cdef int first = self.nvars + 1
- *         cdef int i
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8cutstock_7satcore_7_engine_6Solver_3add_vars, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Solver_add_vars, NULL, __pyx_mstate_global->__pyx_n_u_cutstock_satcore__engine, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 93, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_8cutstock_7satcore_7_engine_Solver, __pyx_mstate_global->__pyx_n_u_add_vars, __pyx_t_2) < (0)) __PYX_ERR(0, 93, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":118
- *         return a if lit > 0 else a ^ 1
- * 
- *     def add_clause(self, lits):             # <<<<<<<<<<<<<<
- *         if not self.ok:
- *             return
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8cutstock_7satcore_7_engine_6Solver_5add_clause, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Solver_add_clause, NULL, __pyx_mstate_global->__pyx_n_u_cutstock_satcore__engine, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 118, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_8cutstock_7satcore_7_engine_Solver, __pyx_mstate_global->__pyx_n_u_add_clause, __pyx_t_2) < (0)) __PYX_ERR(0, 118, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":482
- *     # solving
- * 
- *     def solve(self, assumptions=(), conflict_limit=None, time_limit=None):             # <<<<<<<<<<<<<<
- *         cdef vector[int] assume
- *         cdef int lit, v
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8cutstock_7satcore_7_engine_6Solver_7solve, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Solver_solve, NULL, __pyx_mstate_global->__pyx_n_u_cutstock_satcore__engine, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 482, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_mstate_global->__pyx_tuple[0]);
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_8cutstock_7satcore_7_engine_Solver, __pyx_mstate_global->__pyx_n_u_solve, __pyx_t_2) < (0)) __PYX_ERR(0, 482, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":585
- *         return 0
- * 
- *     def stats(self):             # <<<<<<<<<<<<<<
- *         return {
- *             "conflicts": self.conflicts,
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8cutstock_7satcore_7_engine_6Solver_9stats, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Solver_stats, NULL, __pyx_mstate_global->__pyx_n_u_cutstock_satcore__engine, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 585, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_8cutstock_7satcore_7_engine_Solver, __pyx_mstate_global->__pyx_n_u_stats, __pyx_t_2) < (0)) __PYX_ERR(0, 585, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8cutstock_7satcore_7_engine_6Solver_11__reduce_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Solver___reduce_cython, NULL, __pyx_mstate_global->__pyx_n_u_cutstock_satcore__engine, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_reduce_cython, __pyx_t_2) < (0)) __PYX_ERR(1, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8cutstock_7satcore_7_engine_6Solver_13__setstate_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Solver___setstate_cython, NULL, __pyx_mstate_global->__pyx_n_u_cutstock_satcore__engine, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 3, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_setstate_cython, __pyx_t_2) < (0)) __PYX_ERR(1, 3, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cutstock/satcore/_engine.pyx":1
- * # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled CDCL engine, interface-identical to cutstock.satcore.engine.
- * 
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init cutstock.satcore._engine", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init cutstock.satcore._engine");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-
-  /* "cutstock/satcore/_engine.pyx":482
- *     # solving
- * 
- *     def solve(self, assumptions=(), conflict_limit=None, time_limit=None):             # <<<<<<<<<<<<<<
- *         cdef vector[int] assume
- *         cdef int lit, v
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_Pack(3, __pyx_mstate_global->__pyx_empty_tuple, Py_None, Py_None); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 482, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 10; } index[] = {{1},{1},{11},{23},{7},{6},{2},{9},{8},{50},{27},{31},{32},{14},{20},{3},{11},{6},{24},{26},{17},{15},{12},{12},{7},{5},{10},{8},{12},{6},{11},{18},{2},{10},{7},{18},{5},{15},{14},{9},{5},{4},{24},{8},{9},{3},{6},{5},{8},{12},{1},{13},{4},{5},{3},{7},{6},{3},{4},{8},{5},{10},{8},{12},{8},{5},{3},{12},{3},{12},{11},{14},{12},{10},{17},{13},{13},{8},{4},{4},{12},{10},{12},{19},{13},{5},{5},{6},{8},{5},{4},{10},{1},{1},{3},{6},{4},{888},{263},{54},{145},{9}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (1388 bytes) */
-const char* const cstring = "BZh91AY&SY@\211\360\373\000\000\363\177\377\377\377\377\377\377\273\277\375\277\357\376\230\277\377\377\374@@@@@@@@@@@@@\000@\000P\004\376\034\016\2554eJ\234\016\006\246\210\240\000\000h\007\211\223Q\215#b\201\223@\r\000\001\240d=F\214\200\320\006 \32150\010\021\246\201M\246\223 \006\200\000\000\000\000\000\000\000\000h\000h5\032%2=S\322y@\000\321\243M\000\320\000\000\000\000\000\000=F\200h\000p\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\001$\215\020\223)\3441\023M=5\006\200\320\000\006\200\000\006\200h\0004\000\032h\311\246\223\245\273\211g\237\245\240g\300\321gc\371\010ih\311\311\032ZzoIZsO\030\352\025'\211(\204`\372\225!\230ff\006dIZLMZ-\305D\212L\252\232\022\241\204\235b\023\231_\031BP\001\246\225\014\010\204@\034\220\254\025\024\336%&\204$\321j\324\"e\026i@\343PP\251Sz\302F\003 \240\212\n\002 =K\352\302\020\363\016\002\302%\214\341\002\213\222\327\000B\026\014,Z\030\217\253f\375\276^\321\363\322I\241\316\021\202\321v\333P^\321\311\237\003\262_\014\314\245]\224)\0142\257\222' s\362h\004\2603\004\207\254\020\177\321\217\310\362\347\013\312/\260\372\007\345+\346\236\005\270\272\313qQ\\3\337\2269\232Li\257\007\001\301\022\245f\223\234\320Vj@qY:<\331\017\352\353\343K\326.U*\230\231)@H\225\306\233\227\005R\342\036\024\201\237\356\200\201\t\003\242n\020\306\010\244\245\351ZI\203&\037B\373\262'4\207\r\000Qj\212\214\240\325\024Rj\254W\311\376\3554C5f\351\001\030J\277\010[\244\326\373\024\003\251Q\310\200\2165\004\027_\307\220\n&\252@:\312\353j\035\234\345\273\254\2656`44\213\020\256Xx0\007e\312h?\252\324\204\243\004jQ\010\030\204\007\336fM\023p\303\364\2163\220\322\213[\371\375\010\0258dJ\206\rP>s\331\007\027\355\225\262\225{\030\306\326\250G\035\340\243}\341!\210H\342\335 R\241\214\271Y\334 \246\322\324\252:$\305\022\303#\243:\020\233\002\324\022\320,\311\221`Z,\022\031\000\240\007\204\016(Srl\303i\2211t@\255\021\017\274/\036n7\032\257\r+Z\214\252\314\252\260\355:\314\022\377\205\025\020\004\361\235\005\037:`\314\253\312\300\255\2740f\320D\305IP\020zD""\006\312\225\343:\201\250\304\372\020\324\213\006[\224\320\240\030\003\257\014\243\n\355\337\264\206f\033HB\"\337}\005t0\224'l\326Lfaa\317\306hL\312\352V(\277Y\310\2167+&\220;\325\007LBy\360d\240\031\006LT\206\254T\036\3421XF\004hu\221\026U\231\310\221\232\035\232\006\r\331\316[\206F\023'\244)\010\225_.I=E-bL\354\256\031\033\313\214\223Jw\302\330EV\242(\224\340\231\325r\275z\371\353\231\363\215=b\356[F0y\243C2e\3143\223e\210\212\263\262\355e\210SI\230\265D\347,@c\016\201\310\254VE\222\313\227)f\305\261I\013\206M\004\336e\253\324\306\310`\320A\360Fig\"\n\212u\230\010\034ai$/j!\033j\265\371u\207~\227\204E\233\331\250a\013\346E\241k!9\"(\022\022V\334\360\030\022\321\211\306\327Q\235\"k\230\236G\272\246\207\207\300\010\250K\035\031\002\327\027M+\310\266\330\215U\226\265\005\262\272\244\332\311\250#\tF\302\327\326\303|_)L\010]K,\260Y\204Z`\302\264\241P\030\220\303\252\017j\004Ri\260\215\217#\233\326K\231\327\030\341\235\220\316\030M\316@v\362O\274\021|\350@\201\253\"\"\r\236tR=\333\017z\360\031\205\240\373C4\366ex\314\321\220\305\316V\207,3\026c&\036\010\323\357\345\r\344%\230\202\332\372\324\246|\263\327,$\232\r\270\230\232\2603\307\363_\272Y\350\004N\007<\203E\237\367?'z :\002s\232\t\246P\207\210\206\320DN\320\231\010\203\031\256\317\241\024=\026\217\2517\025\302\010>\202&8\0336?\264\000\350y!\01077'\215\302 \220'\010#V\264\304\301\311\274\360H\371O\274:\353\241b$$\022\202lz\005\016\207\330ib\244/\304\n\266\t\223\231\222\252\023).\277\325\023?\033}7\177\252\253\316\204\"\232\212\2143<0\264\267\276(\251\210\\\032\013\350\347?`b\310=9\314\233\3364\202\200\304sJ\200\321\360\324\310\313~\226\354\252*\250\242\307B\330*\007\316I\022f\334\276m\360D\0338\324\343\331\032=\205\206d\232v6\231\355\327n\331\346\325`\336\234\2546\360o\\\314m\256\310\225\336d\315\344\n\330\357\231@\360\245\205]\t.\025a\340PH\271\034\345\224P\260\211\210d\255\024\236]UkeY\241\225B\260x\013\017\rJIh\242Rb\253 \2610]\\=ZJ\035Uf\363\230\304\377\213\271\"\234(H D\370}\200";
-    PyObject *data = __Pyx_DecompressString(cstring, 1388, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (1350 bytes) */
-const char* const cstring = "x\332\235TAs\323F\024\256\301\204$8%\216\035\032(\024\233\2040\205\251\031\343P\332\246\003\343`\n\035\250[c2\231)\207\235\265\2646jd\311\326\256L\0228p\364Q\307=\356q\217:\372\350c\2179\352\230\237\300O\350\333\225\354\204\206\351\241\036[\273z\273\357\275\357}\357{.=\302\224\372\335\036\263\\\247`\370\2142\327\330-Q\314\014\327#%\342t,\207\230\026\305-\233\020G=;\206E\343\235i[\214x\330.8n\301$m\354\333\254\200\220GL\337 \010\025L\237\024\230\013\207\316w\314\263\006\026\\D\310\260\034\213\301\241\013\231,\223\200\237acp)\014\260g\251\240\364\277\216\312\245\022\365\214\273\023\230w\023\230wQ\214\263\324\333\337\373\231B2\247C]\3373\310C\204\376\330\337\203_\3152\030\252\223=\366\222\264\233\325WM\327\036\220\227\204\002b\275\365\342gi\212\336\330go\\\007\241\251\235\022H\211\331\251\023l\232\010`\372\224\2340\000`\232\274R\265L\366\020\200n\327\237\327\177\337\251o\327\001\306\261\363\304\013!\3548\256N\204t_\310qw(\246\373\216a\271%(\0318\202zi\213\031o\210\261\333s-\207\305\201\250a\303\001\262\034\304<l\220\0266v\r\327i\333\372\241Hh\371f\207\260\351\253mu\255\351\0335\\\037\002y\244}J\010\t\303& \265\365\n*P\230L\277\027\237\264-\217Bc\333\276c \370t&|!\013Y\024M!\203b\272\352G\355\226i\023\354A(\2750\320\022|\201\200.\006\360\250\353\232\304\326\213o\023\025\320\301]X\035h!\364\010B{\314\361\273\2323\227\275!*z\217xm\244+ ^\317\355\365<\267\207;X3\207\020(\003%\200\324v\300\224\240T\334\276\217\3558\366\261tO\311`j {h\222>N\225\274PJ\210I\211\335\326JI\300\302.\031\213\023\372A\237\321\022\265\034\210=\t\245\304\242\245\242\036>`gD1\213\230\325%\223_\3347\1770\3006|}B\025\021\207\351\302a\241rX\251\215\253\037g\276\230[\030>\013\252Qf)(F\231\305\340|\300\370=\276#\252\242\021e.\016\275`)\270\0274\371\031~\203\327D*Z\274\024\374%R\342\232\304\262\257|n\363*oD\263\027\206\033C\026\224\243L.\330\344\230\277\025mY\013gB|4{\235\367\325\361f\320\201{\231\257\002\237\377&srKZ!\330o\313\242:|\304o\211l\224\371\206\233\342\216|)\337\217\312\321\354-\321O\036\353\302""\2247\344\2230\033\302\3455\2411/\005\331hv1H\035\351\314\357\370*o\0028\200?\023\340\317\200\230\2132\371\240\306/\210\262\252i\000\365@%\371\240.\212\321b\021R/\346\202\215\340\235\270)\250\\\225\215(\277\302g8\216\362\327\000r~9Z\\\016^\361\313\242(\036\000\334\330\r\002\201\317\367|\231\033\"'\252\312cNd\305\272L\311\274l\034\345\257\3605n\313\242,G\371\257\371\006\177/\313\362Y\250\257-\210?e?L\375\313C\205}!R\361\222\206\200\213\271\303\334\252\250\210\226LC\021\027F\225\021\326Pr\301\217\3741gbC0\271\031\266F\351\321\343Q?\312\037\363\212\243\225\313\352\332\303\030\327Mhc~M\355V\301\307\223\313\272q\032\207\256\363K\201\201c\035\266&\026\344v\270\0326!\250\206\nt\035\351*\363\374\265<'\233\341\231p}43\"c\250\352\n_\007\031\344\305\353\360\\\330\210t\275\2732\013\374\000\024\306+\300\336\312U\376\\\034@\327\326!\336\323\361\375\277S\n\331\361\261\342]\031T\236\237dC\266\303\332\350\374\310\037O\311\274\t\300T\311\337\300\355\023u\277\013o\300\315\263\240\221SUC\217\017W\276\225\272\237\367t\223\343\026^\005\221\356\210\307@\331\003p\326\t\316\361m\350b\005\244u+\\\n\313\321\n\\\344\004\302\357Aw\316\206\2250\246;\321H>x\316\017\240\274\3650\035>\035\335\037\353F\375\232x\274\005J)\360\2663\252\216\232c\220dfX\347E\016\032\276\010\312,\362\037@7kP^\365C\365\304\240,|\234\375_\243\027\345\201\217\303\353[\343\342xc\334?\232\370\316\361l\254\310\234\036\310X*\372M5\247\250\014\020\022:\235U\351\326\202] \270\250L,\250\300\310(\363\247\373\003\236\345z8+C\002f\003\342O\306k\341\224\031\262\303\0106`~\223\230\233\311\\\000M\277@\030\345\222\031\276\340)~\211\367\025\r0\220\227AV\215\351rU\227\230Y\341i@\234Q\")O\0275\272)\345\245\356\356\210-\201\025\307O\202\345\000\007}\225~\236k\016f\371\274\236LM\345A\\\340'\326y~;&\367\223\0133\372\037-\033\337=\317\3730\177\317\340\357&\027n\201\010\022/\310\251\266\013I\215\320\331\376\207T\224\236\037\336\t\032\377\000XU\231\237";
-    PyObject *data = __Pyx_DecompressString(cstring, 1350, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (2330 bytes) */
-const char* const bytes = ".?assumption cutstock.satcore.enginedisableenablegcisenabledliteral no default __reduce__ due to non-trivial __cinit__ outside declared variables outside declared variables 1..src/cutstock/satcore/_engine.pyx<stringsource>__Pyx_PyDict_NextRefSATSolveResultSolverSolver.__reduce_cython__Solver.__setstate_cython__Solver.add_clauseSolver.add_varsSolver.solveSolver.statsUNKNOWNUNSATadd_clauseadd_vars__annotate__assumeassumptionsasyncio.coroutinesbtcheckpointclausescline_in_tracebackconflconflict_budgetconflict_limitconflictscountcrefcutstock.satcore._enginedeadlinedecisionsdupenginefirst__func____getstate__i_is_coroutineitemitemslbdlearnedlearntlitlits__main__model__module____name__next_restartnum_varsotheroutperf_counterpoppropagations__pyx_state__pyx_vtable____qualname____reduce____reduce_cython____reduce_ex__restart_countrestartsseedself__set_name__setdefault__setstate____setstate_cython__since_restartsolvestatsstatus__test___timetimetime_limituvvalvaluesvars\320\004 \320 3\3203D\300A\360\006\000\t\r\210H\220A\330\014\022\220!\330\014\020\220\007\220t\2302\230W\240A\240Q\330\014\017\210r\220\022\2202\220S\230\002\230\"\230D\240\001\330\020\026\220j\240\001\240\035\250a\250q\330\014\022\220*\230A\230Q\330\010\013\2104\210t\2201\330\014\023\220;\230a\230w\240f\250D\260\006\260a\340\010\037\230q\330\010\013\210;\220g\230Q\330\014\027\220u\230M\250\023\250B\250i\260q\330\010*\250!\330\010\013\210?\230'\240\021\330\014\036\230d\240+\250R\250|\2701\330\010'\240q\330\010'\240q\330\010&\240d\250\"\250E\260\021\260!\330\010$\240A\360\006\000\t\022\220\021\330\010\020\220\001\340\010\013\2104\210{\230#\230S\240\001\330\014\020\220\006\220a\330\014\023\220;\230a\230w\240f\250D\260\006\260a\340\010\t\330\014\024\220D\230\013\2401\330\014\017\210v\220S\230\001\330\020\024\220N\240!\330\020!\240\021\330\020\023\2204\220{\240%\240s\250#\250Q\330\024\030\230\006\230a\330\024\035\230Q\330\024\025\330\020\025\220T\230\031\240!\2407\250!\330\020\024\220N\240!\2401\330\020\023\2206\230""\025\230c\240\023\240A\330\024\030\230\t\240\021\240&\250\001\250\024\250Q\340\024\032\230$\230l\250!\2501\330\024\033\2304\230|\2501\250H\260A\330\024\030\230\r\240Z\250q\260\001\330\024\030\230\t\240\021\240&\250\001\250\024\250Q\330\020\024\220L\240\001\330\020\024\220L\240\004\240A\330\020\023\320\023#\2403\240b\250\004\250D\260\013\2703\270a\330\024\025\330\020\023\2209\230C\230t\2404\240t\250;\260b\270\004\270C\270q\330\024\027\220u\230M\250\023\250B\250a\330\030\031\330\020\023\220>\240\023\240A\330\024%\240Q\330\024$\240A\330\024#\2404\240r\250\025\250a\250q\330\024\030\230\r\240Q\330\024\030\230\016\240a\240q\330\020\023\2209\230D\240\r\250U\260#\260S\270\004\270A\330\024\030\230\013\2401\340\020\023\2206\230\024\230[\250\005\250S\260\002\260&\270\006\270e\3001\330\024\032\230&\240\001\240\024\240[\260\005\260Q\330\024\032\230$\230k\250\021\250!\330\024\027\220t\2303\230a\330\030\034\230K\240z\260\021\260&\270\004\270G\3005\310\001\330\030\031\330\024\027\220t\2303\230a\330\030!\240\021\330\030\031\330\024\030\230\013\240:\250Q\250f\260D\270\007\270u\300A\330\024\030\230\t\240\021\240%\240q\330\024\025\330\020\036\230a\330\020\023\2209\230C\230t\2404\240{\260\"\260D\270\003\2701\330\024\027\220u\230M\250\023\250B\250a\330\030\031\330\020\024\220D\320\030)\250\021\330\020\023\2202\220S\230\001\330\024\035\230Q\330\024\034\230A\230W\240C\240t\2507\260\"\260A\330\024\030\230\005\230U\240!\2403\240d\250'\260\022\2601\330\030\035\230Q\230e\2404\240x\250q\260\003\2603\260a\330\024\025\330\020\024\220N\240!\330\020\024\220K\230z\250\021\250&\260\004\260G\2705\300\001\330\020\024\220I\230Q\230e\2404\240w\250a\250s\260#\260W\270A\270S\300\001\340\010\014\210N\230!\2301\330\010\017\210{\230!\2308\2407\250$\250f\260A\200A\330\010\013\2104\210t\2201\330\014\r\360\010\000\t\r\210H\220A\330\014\022\220!\330\014\020\220\007\220t\2302\230W\240A\240Q\330\014\017\210r\220\022\2202\220S\230\002\230\"\230D\240\001\330\020\026\220j\240\001\330\024\036\230a\320\037B\300!\3004""\300q\340\014\022\220!\330\014\020\220\t\230\021\330\020\023\2206\230\023\230A\230Q\330\024\025\330\020\023\2206\230\023\230A\330\024\032\230!\330\024\025\330\014\017\210q\330\020\021\330\014\022\220$\220k\240\021\240!\330\014\017\210t\2203\220a\330\020\021\330\014\017\210t\2203\220a\330\020\021\330\014\017\210z\230\021\230!\330\010\013\2103\210e\2203\220c\230\021\330\014\020\220\006\220a\330\014\r\330\010\013\2103\210e\2203\220c\230\021\330\014\020\220\t\230\021\230#\230Q\230d\240!\330\014\017\210t\220;\230c\240\023\240A\330\020\024\220F\230!\330\014\r\330\010\014\210L\230\001\230\026\230q\200A\330\010\t\330\014\031\230\024\230Q\330\014\031\230\024\230Q\330\014\034\230D\240\001\330\014\030\230\004\230A\330\014\027\220t\2301\330\014\027\220t\2301\330\014\024\220D\230\001\200A\330\010\031\230\024\230W\240B\240a\340\010\014\210E\220\025\220a\220q\330\014\020\220\n\230!\330\014\020\220\010\230\n\240!\2401\330\014\020\220\007\220z\240\021\240!\330\014\020\220\010\230\n\240!\2401\330\014\020\220\n\230*\240A\240Q\330\014\020\220\007\220z\240\021\240!\330\014\020\220\006\220j\240\001\240\021\330\014\020\220\010\230\007\230q\240\004\240H\250E\260\023\260B\260a\330\014\020\220\n\230*\240B\240a\330\014\020\220\r\230Q\230d\240!\330\010\017\210q\200\001\330\004\n\210+\220Q";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 97; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 14) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 97; i < 102; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 102; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 97;
-      for (Py_ssize_t i=0; i<5; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {2};
-    for (int i = 0; i < 1; i++) {
-      numbertab[i] = PyLong_FromLong(cint_constants_1[i - 0]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 3;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 5;
-    unsigned int flags : 10;
-    unsigned int first_line : 10;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 4, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 93};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_count, __pyx_mstate->__pyx_n_u_first, __pyx_mstate->__pyx_n_u_i};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_cutstock_satcore__engine_pyx, __pyx_mstate->__pyx_n_u_add_vars, __pyx_mstate->__pyx_kp_b_iso88591_A_WBa_E_aq_1_z_1_AQ_z_j_q_HE_Ba, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 9, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 118};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_lits, __pyx_mstate->__pyx_n_u_out, __pyx_mstate->__pyx_n_u_lit, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_val, __pyx_mstate->__pyx_n_u_other, __pyx_mstate->__pyx_n_u_dup, __pyx_mstate->__pyx_n_u_item};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_cutstock_satcore__engine_pyx, __pyx_mstate->__pyx_n_u_add_clause, __pyx_mstate->__pyx_kp_b_iso88591_A_4t1_HA_t2WAQ_r_2S_D_j_a_B_4q_6, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {4, 0, 0, 23, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 482};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_assumptions, __pyx_mstate->__pyx_n_u_conflict_limit, __pyx_mstate->__pyx_n_u_time_limit, __pyx_mstate->__pyx_n_u_assume, __pyx_mstate->__pyx_n_u_lit, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_item, __pyx_mstate->__pyx_n_u_deadline, __pyx_mstate->__pyx_n_u_conflict_budget, __pyx_mstate->__pyx_n_u_restart_count, __pyx_mstate->__pyx_n_u_since_restart, __pyx_mstate->__pyx_n_u_next_restart, __pyx_mstate->__pyx_n_u_checkpoint, __pyx_mstate->__pyx_n_u_confl, __pyx_mstate->__pyx_n_u_bt, __pyx_mstate->__pyx_n_u_lbd, __pyx_mstate->__pyx_n_u_cref, __pyx_mstate->__pyx_n_u_val, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_learnt, __pyx_mstate->__pyx_n_u_status, __pyx_mstate->__pyx_n_u_model};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_cutstock_satcore__engine_pyx, __pyx_mstate->__pyx_n_u_solve, __pyx_mstate->__pyx_kp_b_iso88591_33DA_HA_t2WAQ_r_2S_D_j_aq_AQ_4t, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 585};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_cutstock_satcore__engine_pyx, __pyx_mstate->__pyx_n_u_stats, __pyx_mstate->__pyx_kp_b_iso88591_A_Q_Q_D_A_t1_t1_D, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 1};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self};
-    __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_reduce_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 3};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_pyx_state};
-    __pyx_mstate_global->__pyx_codeobj_tab[5] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_setstate_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[5])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
- */
-#pragma warning( disable : 4127 )
-#endif
-
-
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
-{
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
+        trail.resize(bound);
+        trail_lim.resize(lvl);
+        qhead = bound;
+    }
+
+    // propagation: returns a conflicting cref or NO_REASON
+
+    int propagate() {
+        const signed char* as = assign.data();
+        int* arena = ca.data();  // propagation never grows the arena
+        int lvl = (int)trail_lim.size();
+        long long props = 0;
+        int result = NO_REASON;
+        while (qhead < (int)trail.size()) {
+            int p = trail[qhead++];
+            props += 1;
+            int false_lit = -p;
+            std::vector<int>& wl = watches[widx(false_lit)];
+            int* w = wl.data();  // only other literals' lists grow below
+            size_t i = 0, j = 0, n = wl.size();
+            while (i < n) {
+                int cref = w[i], blocker = w[i + 1];
+                i += 2;
+                int bv = as[var_of(blocker)];
+                if (bv >= 0 && (blocker > 0 ? bv : bv ^ 1) == 1) {
+                    w[j] = cref;
+                    w[j + 1] = blocker;
+                    j += 2;
+                    continue;
                 }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
+                int size = arena[cref];
+                if (size < 0) continue;  // deleted clause: drop the watch
+                int* c = arena + cref + 2;
+                if (c[0] == false_lit) {
+                    c[0] = c[1];
+                    c[1] = false_lit;
                 }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* PyObjectFastCallMethod */
-#if !CYTHON_VECTORCALL || PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_PyObject_FastCallMethod(PyObject *name, PyObject *const *args, size_t nargsf) {
-    PyObject *result;
-    PyObject *attr = PyObject_GetAttr(args[0], name);
-    if (unlikely(!attr))
-        return NULL;
-    result = __Pyx_PyObject_FastCall(attr, args+1, nargsf - 1);
-    Py_DECREF(attr);
-    return result;
-}
-#endif
-
-/* CIntToDigits (used by CIntToPyUnicode) */
-static const char DIGIT_PAIRS_10[2*10*10+1] = {
-    "00010203040506070809"
-    "10111213141516171819"
-    "20212223242526272829"
-    "30313233343536373839"
-    "40414243444546474849"
-    "50515253545556575859"
-    "60616263646566676869"
-    "70717273747576777879"
-    "80818283848586878889"
-    "90919293949596979899"
-};
-static const char DIGIT_PAIRS_8[2*8*8+1] = {
-    "0001020304050607"
-    "1011121314151617"
-    "2021222324252627"
-    "3031323334353637"
-    "4041424344454647"
-    "5051525354555657"
-    "6061626364656667"
-    "7071727374757677"
-};
-static const char DIGITS_HEX[2*16+1] = {
-    "0123456789abcdef"
-    "0123456789ABCDEF"
-};
-
-/* BuildPyUnicode (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char) {
-    PyObject *uval;
-    Py_ssize_t uoffset = ulength - clength;
-#if CYTHON_USE_UNICODE_INTERNALS
-    Py_ssize_t i;
-    void *udata;
-    uval = PyUnicode_New(ulength, 127);
-    if (unlikely(!uval)) return NULL;
-    udata = PyUnicode_DATA(uval);
-    if (uoffset > 0) {
-        i = 0;
-        if (prepend_sign) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, 0, '-');
-            i++;
-        }
-        for (; i < uoffset; i++) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, i, padding_char);
-        }
-    }
-    for (i=0; i < clength; i++) {
-        __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, uoffset+i, chars[i]);
-    }
-#else
-    {
-        PyObject *sign = NULL, *padding = NULL;
-        uval = NULL;
-        if (uoffset > 0) {
-            prepend_sign = !!prepend_sign;
-            if (uoffset > prepend_sign) {
-                padding = PyUnicode_FromOrdinal(padding_char);
-                if (likely(padding) && uoffset > prepend_sign + 1) {
-                    PyObject *tmp = PySequence_Repeat(padding, uoffset - prepend_sign);
-                    Py_DECREF(padding);
-                    padding = tmp;
+                int first = c[0];
+                int fv = as[var_of(first)];
+                if (first != blocker && fv >= 0 && (first > 0 ? fv : fv ^ 1) == 1) {
+                    w[j] = cref;
+                    w[j + 1] = first;
+                    j += 2;
+                    continue;
                 }
-                if (unlikely(!padding)) goto done_or_error;
-            }
-            if (prepend_sign) {
-                sign = PyUnicode_FromOrdinal('-');
-                if (unlikely(!sign)) goto done_or_error;
-            }
-        }
-        uval = PyUnicode_DecodeASCII(chars, clength, NULL);
-        if (likely(uval) && padding) {
-            PyObject *tmp = PyUnicode_Concat(padding, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-        if (likely(uval) && sign) {
-            PyObject *tmp = PyUnicode_Concat(sign, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-done_or_error:
-        Py_XDECREF(padding);
-        Py_XDECREF(sign);
-    }
-#endif
-    return uval;
-}
-
-/* COrdinalToPyUnicode (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value) {
-    return value <= 1114111;
-}
-static PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t ulength, char padding_char) {
-    Py_ssize_t padding_length = ulength - 1;
-    if (likely((padding_length <= 250) && (value < 0xD800 || value > 0xDFFF))) {
-        char chars[256];
-        if (value <= 255) {
-            memset(chars, padding_char, (size_t) padding_length);
-            chars[ulength-1] = (char) value;
-            return PyUnicode_DecodeLatin1(chars, ulength, NULL);
-        }
-        char *cpos = chars + sizeof(chars);
-        if (value < 0x800) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xc0 | (value & 0x1f));
-        } else if (value < 0x10000) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xe0 | (value & 0x0f));
-        } else {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xf0 | (value & 0x07));
-        }
-        cpos -= padding_length;
-        memset(cpos, padding_char, (size_t) padding_length);
-        return PyUnicode_DecodeUTF8(cpos, chars + sizeof(chars) - cpos, NULL);
-    }
-    if (value <= 127 && CYTHON_USE_UNICODE_INTERNALS) {
-        const char chars[1] = {(char) value};
-        return __Pyx_PyUnicode_BuildFromAscii(ulength, chars, 1, 0, padding_char);
-    }
-    {
-        PyObject *uchar, *padding_uchar, *padding, *result;
-        padding_uchar = PyUnicode_FromOrdinal(padding_char);
-        if (unlikely(!padding_uchar)) return NULL;
-        padding = PySequence_Repeat(padding_uchar, padding_length);
-        Py_DECREF(padding_uchar);
-        if (unlikely(!padding)) return NULL;
-        uchar = PyUnicode_FromOrdinal(value);
-        if (unlikely(!uchar)) {
-            Py_DECREF(padding);
-            return NULL;
-        }
-        result = PyUnicode_Concat(padding, uchar);
-        Py_DECREF(padding);
-        Py_DECREF(uchar);
-        return result;
-    }
-}
-
-/* CIntToPyUnicode */
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!(is_unsigned || value == 0 || value > 0) ||
-                    !(sizeof(value) <= 2 || value & ~ (int) 0x01fffff || __Pyx_CheckUnicodeValue((int) value)))) {
-        PyErr_SetString(PyExc_OverflowError, "%c arg not in range(0x110000)");
-        return NULL;
-    }
-    if (width <= 1) {
-        return PyUnicode_FromOrdinal((int) value);
-    }
-    return __Pyx_PyUnicode_FromOrdinal_Padded((int) value, width, padding_char);
-}
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char) {
-    char digits[sizeof(int)*3+2];
-    char *dpos, *end = digits + sizeof(int)*3+2;
-    const char *hex_digits = DIGITS_HEX;
-    Py_ssize_t length, ulength;
-    int prepend_sign, last_one_off;
-    int remaining;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (format_char == 'X') {
-        hex_digits += 16;
-        format_char = 'x';
-    }
-    remaining = value;
-    last_one_off = 0;
-    dpos = end;
-    do {
-        int digit_pos;
-        switch (format_char) {
-        case 'o':
-            digit_pos = abs((int)(remaining % (8*8)));
-            remaining = (int) (remaining / (8*8));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_8 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 8);
-            break;
-        case 'd':
-            digit_pos = abs((int)(remaining % (10*10)));
-            remaining = (int) (remaining / (10*10));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_10 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 10);
-            break;
-        case 'x':
-            *(--dpos) = hex_digits[abs((int)(remaining % 16))];
-            remaining = (int) (remaining / 16);
-            break;
-        default:
-            assert(0);
-            break;
-        }
-    } while (unlikely(remaining != 0));
-    assert(!last_one_off || *dpos == '0');
-    dpos += last_one_off;
-    length = end - dpos;
-    ulength = length;
-    prepend_sign = 0;
-    if (!is_unsigned && value <= neg_one) {
-        if (padding_char == ' ' || width <= length + 1) {
-            *(--dpos) = '-';
-            ++length;
-        } else {
-            prepend_sign = 1;
-        }
-        ++ulength;
-    }
-    if (width > ulength) {
-        ulength = width;
-    }
-    if (ulength == 1) {
-        return PyUnicode_FromOrdinal(*dpos);
-    }
-    return __Pyx_PyUnicode_BuildFromAscii(ulength, dpos, (int) length, prepend_sign, padding_char);
-}
-
-/* JoinPyUnicode */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char) {
-#if CYTHON_USE_UNICODE_INTERNALS && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    PyObject *result_uval;
-    int result_ukind, kind_shift;
-    Py_ssize_t i, char_pos;
-    void *result_udata;
-    if (max_char > 1114111) max_char = 1114111;
-    result_uval = PyUnicode_New(result_ulength, max_char);
-    if (unlikely(!result_uval)) return NULL;
-    result_ukind = (max_char <= 255) ? PyUnicode_1BYTE_KIND : (max_char <= 65535) ? PyUnicode_2BYTE_KIND : PyUnicode_4BYTE_KIND;
-    kind_shift = (result_ukind == PyUnicode_4BYTE_KIND) ? 2 : result_ukind - 1;
-    result_udata = PyUnicode_DATA(result_uval);
-    assert(kind_shift == 2 || kind_shift == 1 || kind_shift == 0);
-    if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - result_ulength < 0))
-        goto overflow;
-    char_pos = 0;
-    for (i=0; i < value_count; i++) {
-        int ukind;
-        Py_ssize_t ulength;
-        void *udata;
-        PyObject *uval = values[i];
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (__Pyx_PyUnicode_READY(uval) == (-1))
-            goto bad;
-        #endif
-        ulength = __Pyx_PyUnicode_GET_LENGTH(uval);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(ulength < 0)) goto bad;
-        #endif
-        if (unlikely(!ulength))
-            continue;
-        if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - ulength < char_pos))
-            goto overflow;
-        ukind = __Pyx_PyUnicode_KIND(uval);
-        udata = __Pyx_PyUnicode_DATA(uval);
-        if (ukind == result_ukind) {
-            memcpy((char *)result_udata + (char_pos << kind_shift), udata, (size_t) (ulength << kind_shift));
-        } else {
-            #if PY_VERSION_HEX >= 0x030d0000
-            if (unlikely(PyUnicode_CopyCharacters(result_uval, char_pos, uval, 0, ulength) < 0)) goto bad;
-            #elif CYTHON_COMPILING_IN_CPYTHON || defined(_PyUnicode_FastCopyCharacters)
-            _PyUnicode_FastCopyCharacters(result_uval, char_pos, uval, 0, ulength);
-            #else
-            Py_ssize_t j;
-            for (j=0; j < ulength; j++) {
-                Py_UCS4 uchar = __Pyx_PyUnicode_READ(ukind, udata, j);
-                __Pyx_PyUnicode_WRITE(result_ukind, result_udata, char_pos+j, uchar);
-            }
-            #endif
-        }
-        char_pos += ulength;
-    }
-    return result_uval;
-overflow:
-    PyErr_SetString(PyExc_OverflowError, "join() result is too long for a Python string");
-bad:
-    Py_DECREF(result_uval);
-    return NULL;
-#else
-    Py_ssize_t i;
-    PyObject *result = NULL;
-    PyObject *value_tuple = PyTuple_New(value_count);
-    if (unlikely(!value_tuple)) return NULL;
-    CYTHON_UNUSED_VAR(max_char);
-    CYTHON_UNUSED_VAR(result_ulength);
-    for (i=0; i<value_count; i++) {
-        Py_INCREF(values[i]);
-        if (__Pyx_PyTuple_SET_ITEM(value_tuple, i, values[i]) != (0)) goto bad;
-    }
-    result = PyUnicode_Join(__pyx_mstate_global->__pyx_empty_unicode, value_tuple);
-bad:
-    Py_DECREF(value_tuple);
-    return result;
-#endif
-}
-
-/* PyErrFetchRestore (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* SliceTupleAndList */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_crop_slice(Py_ssize_t* _start, Py_ssize_t* _stop, Py_ssize_t* _length) {
-    Py_ssize_t start = *_start, stop = *_stop, length = *_length;
-    if (start < 0) {
-        start += length;
-        if (start < 0)
-            start = 0;
-    }
-    if (stop < 0)
-        stop += length;
-    else if (stop > length)
-        stop = length;
-    *_length = stop - start;
-    *_start = start;
-    *_stop = stop;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_GetSlice(
-            PyObject* src, Py_ssize_t start, Py_ssize_t stop) {
-    Py_ssize_t length = PyTuple_GET_SIZE(src);
-    __Pyx_crop_slice(&start, &stop, &length);
-    return __Pyx_PyTuple_FromArray(((PyTupleObject*)src)->ob_item + start, length);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyList_GetSlice_locked(
-            PyObject* src, Py_ssize_t start, Py_ssize_t stop) {
-    Py_ssize_t length = PyList_GET_SIZE(src);
-    __Pyx_crop_slice(&start, &stop, &length);
-    if (length <= 0) {
-        return PyList_New(0);
-    }
-    return __Pyx_PyList_FromArray(((PyListObject*)src)->ob_item + start, length);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyList_GetSlice(
-            PyObject* src, Py_ssize_t start, Py_ssize_t stop) {
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(src);
-    result = __Pyx_PyList_GetSlice_locked(src, start, stop);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-#endif // CYTHON_COMPILING_IN_CPYTHON
-
-/* RaiseTooManyValuesToUnpack */
-static CYTHON_INLINE void __Pyx_RaiseTooManyValuesError(Py_ssize_t expected) {
-    PyErr_Format(PyExc_ValueError,
-                 "too many values to unpack (expected %" CYTHON_FORMAT_SSIZE_T "d)", expected);
-}
-
-/* RaiseNeedMoreValuesToUnpack */
-static CYTHON_INLINE void __Pyx_RaiseNeedMoreValuesError(Py_ssize_t index) {
-    PyErr_Format(PyExc_ValueError,
-                 "need more than %" CYTHON_FORMAT_SSIZE_T "d value%.1s to unpack",
-                 index, (index == 1) ? "" : "s");
-}
-
-/* IterFinish */
-static CYTHON_INLINE int __Pyx_IterFinish(void) {
-    PyObject* exc_type;
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    exc_type = __Pyx_PyErr_CurrentExceptionType();
-    if (unlikely(exc_type)) {
-        if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration)))
-            return -1;
-        __Pyx_PyErr_Clear();
-        return 0;
-    }
-    return 0;
-}
-
-/* UnpackItemEndCheck */
-static int __Pyx_IternextUnpackEndCheck(PyObject *retval, Py_ssize_t expected) {
-    if (unlikely(retval)) {
-        Py_DECREF(retval);
-        __Pyx_RaiseTooManyValuesError(expected);
-        return -1;
-    }
-    return __Pyx_IterFinish();
-}
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
-{
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
-        return NULL;
-    }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
-
-/* SetItemInt */
-static int __Pyx_SetItemInt_Generic(PyObject *o, PyObject *j, PyObject *v) {
-    int r;
-    if (unlikely(!j)) return -1;
-    r = PyObject_SetItem(o, j, v);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE int __Pyx_SetItemInt_Fast(PyObject *o, Py_ssize_t i, PyObject *v, int is_list,
-                                               int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE && !CYTHON_AVOID_BORROWED_REFS
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = (!wraparound) ? i : ((likely(i >= 0)) ? i : i + PyList_GET_SIZE(o));
-        if ((CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared))) {
-            Py_INCREF(v);
-            return PyList_SetItem(o, n, v);
-        } else if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o)))) {
-            PyObject* old;
-            Py_INCREF(v);
-            old = PyList_GET_ITEM(o, n);
-            PyList_SET_ITEM(o, n, v);
-            Py_DECREF(old);
-            return 0;
-        }
-    } else
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_ass_subscript) {
-            int r;
-            PyObject *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return -1;
-            r = mm->mp_ass_subscript(o, key, v);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_ass_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return -1;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_ass_item(o, i, v);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_SetItem(o, i, v);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_SetItemInt_Generic(o, PyLong_FromSsize_t(i), v);
-}
-
-/* RejectKeywords */
-static void __Pyx_RejectKeywords(const char* function_name, PyObject *kwds) {
-    PyObject *key = NULL;
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds))) {
-        key = __Pyx_PySequence_ITEM(kwds, 0);
-    } else {
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *pos = NULL;
-#else
-        Py_ssize_t pos = 0;
-#endif
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-        if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return;
-#endif
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_XDECREF(pos);
-#endif
-    }
-    if (likely(key)) {
-        PyErr_Format(PyExc_TypeError,
-            "%s() got an unexpected keyword argument '%U'",
-            function_name, key);
-        Py_DECREF(key);
-    }
-}
-
-/* AllocateExtensionType */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final) {
-    if (is_final || likely(!__Pyx_PyType_HasFeature(t, Py_TPFLAGS_IS_ABSTRACT))) {
-        allocfunc alloc_func = __Pyx_PyType_GetSlot(t, tp_alloc, allocfunc);
-        return alloc_func(t, 0);
-    } else {
-        newfunc tp_new = __Pyx_PyType_TryGetSlot(&PyBaseObject_Type, tp_new, newfunc);
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (!tp_new) {
-            PyObject *new_str = PyUnicode_FromString("__new__");
-            if (likely(new_str)) {
-                PyObject *o = PyObject_CallMethodObjArgs((PyObject *)&PyBaseObject_Type, new_str, t, NULL);
-                Py_DECREF(new_str);
-                return o;
-            } else
-                return NULL;
-        } else
-    #endif
-        return tp_new(t, __pyx_mstate_global->__pyx_empty_tuple, 0);
-    }
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
+                bool moved = false;
+                for (int k = 2; k < size; k++) {
+                    int lk = c[k];
+                    int kv = as[var_of(lk)];
+                    if (kv < 0 || (lk > 0 ? kv : kv ^ 1) == 1) {
+                        c[1] = lk;
+                        c[k] = false_lit;
+                        std::vector<int>& other = watches[widx(lk)];
+                        other.push_back(cref);
+                        other.push_back(first);
+                        moved = true;
+                        break;
                     }
-                    changed = 1;
                 }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* PyObjectCallNoArg (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func) {
-    PyObject *arg[2] = {NULL, NULL};
-    return __Pyx_PyObject_FastCall(func, arg + 1, 0 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetMethod (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method) {
-    PyObject *attr;
-#if CYTHON_UNPACK_METHODS && CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_PYTYPE_LOOKUP
-    __Pyx_TypeName type_name;
-    PyTypeObject *tp = Py_TYPE(obj);
-    PyObject *descr;
-    descrgetfunc f = NULL;
-    PyObject **dictptr, *dict;
-    int meth_found = 0;
-    assert (*method == NULL);
-    if (unlikely(tp->tp_getattro != PyObject_GenericGetAttr)) {
-        attr = __Pyx_PyObject_GetAttrStr(obj, name);
-        goto try_unpack;
-    }
-    if (unlikely(tp->tp_dict == NULL) && unlikely(PyType_Ready(tp) < 0)) {
-        return 0;
-    }
-    descr = _PyType_Lookup(tp, name);
-    if (likely(descr != NULL)) {
-        Py_INCREF(descr);
-#if defined(Py_TPFLAGS_METHOD_DESCRIPTOR) && Py_TPFLAGS_METHOD_DESCRIPTOR
-        if (__Pyx_PyType_HasFeature(Py_TYPE(descr), Py_TPFLAGS_METHOD_DESCRIPTOR))
-#else
-        #ifdef __Pyx_CyFunction_USED
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type) || __Pyx_CyFunction_Check(descr)))
-        #else
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type)))
-        #endif
-#endif
-        {
-            meth_found = 1;
-        } else {
-            f = Py_TYPE(descr)->tp_descr_get;
-            if (f != NULL && PyDescr_IsData(descr)) {
-                attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-                Py_DECREF(descr);
-                goto try_unpack;
-            }
-        }
-    }
-    dictptr = _PyObject_GetDictPtr(obj);
-    if (dictptr != NULL && (dict = *dictptr) != NULL) {
-        Py_INCREF(dict);
-        attr = __Pyx_PyDict_GetItemStr(dict, name);
-        if (attr != NULL) {
-            Py_INCREF(attr);
-            Py_DECREF(dict);
-            Py_XDECREF(descr);
-            goto try_unpack;
-        }
-        Py_DECREF(dict);
-    }
-    if (meth_found) {
-        *method = descr;
-        return 1;
-    }
-    if (f != NULL) {
-        attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-        Py_DECREF(descr);
-        goto try_unpack;
-    }
-    if (likely(descr != NULL)) {
-        *method = descr;
-        return 0;
-    }
-    type_name = __Pyx_PyType_GetFullyQualifiedName(tp);
-    PyErr_Format(PyExc_AttributeError,
-                 "'" __Pyx_FMT_TYPENAME "' object has no attribute '%U'",
-                 type_name, name);
-    __Pyx_DECREF_TypeName(type_name);
-    return 0;
-#else
-    attr = __Pyx_PyObject_GetAttrStr(obj, name);
-    goto try_unpack;
-#endif
-try_unpack:
-#if CYTHON_UNPACK_METHODS
-    if (likely(attr) && PyMethod_Check(attr) && likely(PyMethod_GET_SELF(attr) == obj)) {
-        PyObject *function = PyMethod_GET_FUNCTION(attr);
-        Py_INCREF(function);
-        Py_DECREF(attr);
-        *method = function;
-        return 1;
-    }
-#endif
-    *method = attr;
-    return 0;
-}
-#endif
-
-/* PyObjectCallMethod0 (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[1] = {obj};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_CallNoArg;
-    return PyObject_VectorcallMethod(method_name, args, 1 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result = NULL;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_CallOneArg(method, obj);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) goto bad;
-    result = __Pyx_PyObject_CallNoArg(method);
-    Py_DECREF(method);
-bad:
-    return result;
-#endif
-}
-
-/* ValidateBasesTuple (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases) {
-    Py_ssize_t i, n;
-#if CYTHON_ASSUME_SAFE_SIZE
-    n = PyTuple_GET_SIZE(bases);
-#else
-    n = PyTuple_Size(bases);
-    if (unlikely(n < 0)) return -1;
-#endif
-    for (i = 1; i < n; i++)
-    {
-        PyTypeObject *b;
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *b0 = PySequence_GetItem(bases, i);
-        if (!b0) return -1;
-#elif CYTHON_ASSUME_SAFE_MACROS
-        PyObject *b0 = PyTuple_GET_ITEM(bases, i);
-#else
-        PyObject *b0 = PyTuple_GetItem(bases, i);
-        if (!b0) return -1;
-#endif
-        b = (PyTypeObject*) b0;
-        if (!__Pyx_PyType_HasFeature(b, Py_TPFLAGS_HEAPTYPE))
-        {
-            __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-            PyErr_Format(PyExc_TypeError,
-                "base class '" __Pyx_FMT_TYPENAME "' is not a heap type", b_name);
-            __Pyx_DECREF_TypeName(b_name);
-#if CYTHON_AVOID_BORROWED_REFS
-            Py_DECREF(b0);
-#endif
-            return -1;
-        }
-        if (dictoffset == 0)
-        {
-            Py_ssize_t b_dictoffset = 0;
-#if CYTHON_USE_TYPE_SLOTS
-            b_dictoffset = b->tp_dictoffset;
-#else
-            PyObject *py_b_dictoffset = PyObject_GetAttrString((PyObject*)b, "__dictoffset__");
-            if (!py_b_dictoffset) goto dictoffset_return;
-            b_dictoffset = PyLong_AsSsize_t(py_b_dictoffset);
-            Py_DECREF(py_b_dictoffset);
-            if (b_dictoffset == -1 && PyErr_Occurred()) goto dictoffset_return;
-#endif
-            if (b_dictoffset) {
-                {
-                    __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-                    PyErr_Format(PyExc_TypeError,
-                        "extension type '%.200s' has no __dict__ slot, "
-                        "but base type '" __Pyx_FMT_TYPENAME "' has: "
-                        "either add 'cdef dict __dict__' to the extension type "
-                        "or add '__slots__ = [...]' to the base type",
-                        type_name, b_name);
-                    __Pyx_DECREF_TypeName(b_name);
-                }
-#if !CYTHON_USE_TYPE_SLOTS
-              dictoffset_return:
-#endif
-#if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(b0);
-#endif
-                return -1;
-            }
-        }
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(b0);
-#endif
-    }
-    return 0;
-}
-#endif
-
-/* PyType_Ready */
-CYTHON_UNUSED static int __Pyx_PyType_HasMultipleInheritance(PyTypeObject *t) {
-    while (t) {
-        PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-        if (bases) {
-            return 1;
-        }
-        t = __Pyx_PyType_GetSlot(t, tp_base, PyTypeObject*);
-    }
-    return 0;
-}
-static int __Pyx_PyType_Ready(PyTypeObject *t) {
-#if CYTHON_USE_TYPE_SPECS || !CYTHON_COMPILING_IN_CPYTHON || defined(PYSTON_MAJOR_VERSION)
-    (void)__Pyx_PyObject_CallMethod0;
-#if CYTHON_USE_TYPE_SPECS
-    (void)__Pyx_validate_bases_tuple;
-#endif
-    return PyType_Ready(t);
-#else
-    int r;
-    if (!__Pyx_PyType_HasMultipleInheritance(t)) {
-        return PyType_Ready(t);
-    }
-    PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-    if (bases && unlikely(__Pyx_validate_bases_tuple(t->tp_name, t->tp_dictoffset, bases) == -1))
-        return -1;
-#if !defined(PYSTON_MAJOR_VERSION)
-    {
-        int gc_was_enabled;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        gc_was_enabled = PyGC_Disable();
-        (void)__Pyx_PyObject_CallMethod0;
-    #else
-        PyObject *ret, *py_status;
-        PyObject *gc = NULL;
-        #if (!CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM+0 >= 0x07030400) &&\
-                !CYTHON_COMPILING_IN_GRAAL
-        gc = PyImport_GetModule(__pyx_mstate_global->__pyx_kp_u_gc);
-        #endif
-        if (unlikely(!gc)) gc = PyImport_Import(__pyx_mstate_global->__pyx_kp_u_gc);
-        if (unlikely(!gc)) return -1;
-        py_status = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_isenabled);
-        if (unlikely(!py_status)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-        gc_was_enabled = __Pyx_PyObject_IsTrue(py_status);
-        Py_DECREF(py_status);
-        if (gc_was_enabled > 0) {
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_disable);
-            if (unlikely(!ret)) {
-                Py_DECREF(gc);
-                return -1;
-            }
-            Py_DECREF(ret);
-        } else if (unlikely(gc_was_enabled == -1)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-    #endif
-        t->tp_flags |= Py_TPFLAGS_HEAPTYPE;
-#if PY_VERSION_HEX >= 0x030A0000
-        t->tp_flags |= Py_TPFLAGS_IMMUTABLETYPE;
-#endif
-#else
-        (void)__Pyx_PyObject_CallMethod0;
-#endif
-    r = PyType_Ready(t);
-#if !defined(PYSTON_MAJOR_VERSION)
-        t->tp_flags &= ~Py_TPFLAGS_HEAPTYPE;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        if (gc_was_enabled)
-            PyGC_Enable();
-    #else
-        if (gc_was_enabled) {
-            PyObject *tp, *v, *tb;
-            PyErr_Fetch(&tp, &v, &tb);
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_enable);
-            if (likely(ret || r == -1)) {
-                Py_XDECREF(ret);
-                PyErr_Restore(tp, v, tb);
-            } else {
-                Py_XDECREF(tp);
-                Py_XDECREF(v);
-                Py_XDECREF(tb);
-                r = -1;
-            }
-        }
-        Py_DECREF(gc);
-    #endif
-    }
-#endif
-    return r;
-#endif
-}
-
-/* SetVTable */
-static int __Pyx_SetVtable(PyTypeObject *type, void *vtable) {
-    PyObject *ob = PyCapsule_New(vtable, 0, 0);
-    if (unlikely(!ob))
-        goto bad;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(PyObject_SetAttr((PyObject *) type, __pyx_mstate_global->__pyx_n_u_pyx_vtable, ob) < 0))
-#else
-    if (unlikely(PyDict_SetItem(type->tp_dict, __pyx_mstate_global->__pyx_n_u_pyx_vtable, ob) < 0))
-#endif
-        goto bad;
-    Py_DECREF(ob);
-    return 0;
-bad:
-    Py_XDECREF(ob);
-    return -1;
-}
-
-/* GetVTable (used by MergeVTables) */
-static void* __Pyx_GetVtable(PyTypeObject *type) {
-    void* ptr;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *ob = PyObject_GetAttr((PyObject *)type, __pyx_mstate_global->__pyx_n_u_pyx_vtable);
-#else
-    PyObject *ob = PyObject_GetItem(type->tp_dict, __pyx_mstate_global->__pyx_n_u_pyx_vtable);
-#endif
-    if (!ob)
-        goto bad;
-    ptr = PyCapsule_GetPointer(ob, 0);
-    if (!ptr && !PyErr_Occurred())
-        PyErr_SetString(PyExc_RuntimeError, "invalid vtable found for imported type");
-    Py_DECREF(ob);
-    return ptr;
-bad:
-    Py_XDECREF(ob);
-    return NULL;
-}
-
-/* MergeVTables */
-static int __Pyx_MergeVtables(PyTypeObject *type) {
-    int i=0;
-    Py_ssize_t size;
-    void** base_vtables;
-    __Pyx_TypeName tp_base_name = NULL;
-    __Pyx_TypeName base_name = NULL;
-    void* unknown = (void*)-1;
-    PyObject* bases = __Pyx_PyType_GetSlot(type, tp_bases, PyObject*);
-    int base_depth = 0;
-    {
-        PyTypeObject* base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-        while (base) {
-            base_depth += 1;
-            base = __Pyx_PyType_GetSlot(base, tp_base, PyTypeObject*);
-        }
-    }
-    base_vtables = (void**) PyMem_Malloc(sizeof(void*) * (size_t)(base_depth + 1));
-    base_vtables[0] = unknown;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    size = PyTuple_Size(bases);
-    if (size < 0) goto other_failure;
-#else
-    size = PyTuple_GET_SIZE(bases);
-#endif
-    for (i = 1; i < size; i++) {
-        PyObject *basei;
-        void* base_vtable;
-#if CYTHON_AVOID_BORROWED_REFS
-        basei = PySequence_GetItem(bases, i);
-        if (unlikely(!basei)) goto other_failure;
-#elif !CYTHON_ASSUME_SAFE_MACROS
-        basei = PyTuple_GetItem(bases, i);
-        if (unlikely(!basei)) goto other_failure;
-#else
-        basei = PyTuple_GET_ITEM(bases, i);
-#endif
-        base_vtable = __Pyx_GetVtable((PyTypeObject*)basei);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(basei);
-#endif
-        if (base_vtable != NULL) {
-            int j;
-            PyTypeObject* base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-            for (j = 0; j < base_depth; j++) {
-                if (base_vtables[j] == unknown) {
-                    base_vtables[j] = __Pyx_GetVtable(base);
-                    base_vtables[j + 1] = unknown;
-                }
-                if (base_vtables[j] == base_vtable) {
+                if (moved) continue;
+                w[j] = cref;
+                w[j + 1] = first;
+                j += 2;
+                if (fv >= 0) {  // first is not true here, so it is false: conflict
+                    while (i < n) w[j++] = w[i++];  // keep the rest of the list
+                    qhead = (int)trail.size();
+                    result = cref;
                     break;
-                } else if (base_vtables[j] == NULL) {
-                    goto bad;
                 }
-                base = __Pyx_PyType_GetSlot(base, tp_base, PyTypeObject*);
+                int v = var_of(first);
+                assign[v] = first > 0 ? 1 : 0;
+                level[v] = lvl;
+                reason[v] = cref;
+                trail.push_back(first);
             }
+            wl.resize(j);
+            if (result != NO_REASON) break;
         }
+        propagations += props;
+        return result;
     }
-    PyErr_Clear();
-    PyMem_Free(base_vtables);
-    return 0;
-bad:
-    {
-        PyTypeObject* basei = NULL;
-        PyTypeObject* tp_base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-        tp_base_name = __Pyx_PyType_GetFullyQualifiedName(tp_base);
-#if CYTHON_AVOID_BORROWED_REFS
-        basei = (PyTypeObject*)PySequence_GetItem(bases, i);
-        if (unlikely(!basei)) goto really_bad;
-#elif !CYTHON_ASSUME_SAFE_MACROS
-        basei = (PyTypeObject*)PyTuple_GetItem(bases, i);
-        if (unlikely(!basei)) goto really_bad;
-#else
-        basei = (PyTypeObject*)PyTuple_GET_ITEM(bases, i);
-#endif
-        base_name = __Pyx_PyType_GetFullyQualifiedName(basei);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(basei);
-#endif
-    }
-    PyErr_Format(PyExc_TypeError,
-        "multiple bases have vtable conflict: '" __Pyx_FMT_TYPENAME "' and '" __Pyx_FMT_TYPENAME "'", tp_base_name, base_name);
-#if CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-really_bad: // bad has failed!
-#endif
-    __Pyx_DECREF_TypeName(tp_base_name);
-    __Pyx_DECREF_TypeName(base_name);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-other_failure:
-#endif
-    PyMem_Free(base_vtables);
-    return -1;
-}
 
-/* DelItemOnTypeDict (used by SetupReduce) */
-static int __Pyx__DelItemOnTypeDict(PyTypeObject *tp, PyObject *k) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_DelItem(tp_dict, k);
-    if (likely(!result)) PyType_Modified(tp);
-    return result;
-}
+    // conflict analysis: first-UIP learning into `learnt`; returns the
+    // backjump level and sets the learnt clause's lbd
 
-/* SetupReduce */
-static int __Pyx_setup_reduce_is_named(PyObject* meth, PyObject* name) {
-  int ret;
-  PyObject *name_attr;
-  name_attr = __Pyx_PyObject_GetAttrStrNoError(meth, __pyx_mstate_global->__pyx_n_u_name);
-  if (likely(name_attr)) {
-      ret = PyObject_RichCompareBool(name_attr, name, Py_EQ);
-  } else {
-      ret = -1;
-  }
-  if (unlikely(ret < 0)) {
-      PyErr_Clear();
-      ret = 0;
-  }
-  Py_XDECREF(name_attr);
-  return ret;
-}
-static int __Pyx_setup_reduce(PyObject* type_obj) {
-    int ret = 0;
-    PyObject *object_reduce = NULL;
-    PyObject *object_getstate = NULL;
-    PyObject *object_reduce_ex = NULL;
-    PyObject *reduce = NULL;
-    PyObject *reduce_ex = NULL;
-    PyObject *reduce_cython = NULL;
-    PyObject *setstate = NULL;
-    PyObject *setstate_cython = NULL;
-    PyObject *getstate = NULL;
-#if CYTHON_USE_PYTYPE_LOOKUP
-    getstate = _PyType_Lookup((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_getstate);
-#else
-    getstate = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_getstate);
-    if (!getstate && PyErr_Occurred()) {
-        goto __PYX_BAD;
-    }
-#endif
-    if (getstate) {
-#if CYTHON_USE_PYTYPE_LOOKUP
-        object_getstate = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_getstate);
-#else
-        object_getstate = __Pyx_PyObject_GetAttrStrNoError((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_getstate);
-        if (!object_getstate && PyErr_Occurred()) {
-            goto __PYX_BAD;
-        }
-#endif
-        if (object_getstate != getstate) {
-            goto __PYX_GOOD;
-        }
-    }
-#if CYTHON_USE_PYTYPE_LOOKUP
-    object_reduce_ex = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (!object_reduce_ex) goto __PYX_BAD;
-#else
-    object_reduce_ex = __Pyx_PyObject_GetAttrStr((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (!object_reduce_ex) goto __PYX_BAD;
-#endif
-    reduce_ex = __Pyx_PyObject_GetAttrStr(type_obj, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (unlikely(!reduce_ex)) goto __PYX_BAD;
-    if (reduce_ex == object_reduce_ex) {
-#if CYTHON_USE_PYTYPE_LOOKUP
-        object_reduce = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce); if (!object_reduce) goto __PYX_BAD;
-#else
-        object_reduce = __Pyx_PyObject_GetAttrStr((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce); if (!object_reduce) goto __PYX_BAD;
-#endif
-        reduce = __Pyx_PyObject_GetAttrStr(type_obj, __pyx_mstate_global->__pyx_n_u_reduce); if (unlikely(!reduce)) goto __PYX_BAD;
-        if (reduce == object_reduce || __Pyx_setup_reduce_is_named(reduce, __pyx_mstate_global->__pyx_n_u_reduce_cython)) {
-            reduce_cython = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_reduce_cython);
-            if (likely(reduce_cython)) {
-                ret = __Pyx_SetItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_reduce, reduce_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                ret = __Pyx_DelItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_reduce_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-            } else if (reduce == object_reduce || PyErr_Occurred()) {
-                goto __PYX_BAD;
-            }
-            setstate = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_setstate);
-            if (!setstate) PyErr_Clear();
-            if (!setstate || __Pyx_setup_reduce_is_named(setstate, __pyx_mstate_global->__pyx_n_u_setstate_cython)) {
-                setstate_cython = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_setstate_cython);
-                if (likely(setstate_cython)) {
-                    ret = __Pyx_SetItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_setstate, setstate_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                    ret = __Pyx_DelItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_setstate_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                } else if (!setstate || PyErr_Occurred()) {
-                    goto __PYX_BAD;
+    int analyze(int confl, int& lbd) {
+        int cur_level = (int)trail_lim.size();
+        int path = 0, p = 0;
+        int index = (int)trail.size() - 1;
+        learnt.assign(1, 0);
+        to_clear.clear();
+        while (true) {
+            int size = ca[confl];
+            for (int k = p == 0 ? 0 : 1; k < size; k++) {
+                int q = ca[confl + 2 + k];
+                int v = var_of(q);
+                if (!seen[v] && level[v] > 0) {
+                    seen[v] = 1;
+                    to_clear.push_back(v);
+                    bump(v);
+                    if (level[v] >= cur_level)
+                        path += 1;
+                    else
+                        learnt.push_back(q);
                 }
             }
-            PyType_Modified((PyTypeObject*)type_obj);
+            while (!seen[var_of(trail[index])]) index -= 1;
+            p = trail[index];
+            index -= 1;
+            int v = var_of(p);
+            confl = reason[v];
+            seen[v] = 0;
+            path -= 1;
+            if (path == 0) break;
         }
-    }
-    goto __PYX_GOOD;
-__PYX_BAD:
-    if (!PyErr_Occurred()) {
-        __Pyx_TypeName type_obj_name =
-            __Pyx_PyType_GetFullyQualifiedName((PyTypeObject*)type_obj);
-        PyErr_Format(PyExc_RuntimeError,
-            "Unable to initialize pickling for " __Pyx_FMT_TYPENAME, type_obj_name);
-        __Pyx_DECREF_TypeName(type_obj_name);
-    }
-    ret = -1;
-__PYX_GOOD:
-#if !CYTHON_USE_PYTYPE_LOOKUP
-    Py_XDECREF(object_reduce);
-    Py_XDECREF(object_reduce_ex);
-    Py_XDECREF(object_getstate);
-    Py_XDECREF(getstate);
-#endif
-    Py_XDECREF(reduce);
-    Py_XDECREF(reduce_ex);
-    Py_XDECREF(reduce_cython);
-    Py_XDECREF(setstate);
-    Py_XDECREF(setstate_cython);
-    return ret;
-}
+        learnt[0] = -p;
 
-/* HasAttr (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *o, PyObject *n) {
-    PyObject *r;
-    if (unlikely(!PyUnicode_Check(n))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "hasattr(): attribute name must be string");
-        return -1;
-    }
-    r = __Pyx_PyObject_GetAttrStrNoError(o, n);
-    if (!r) {
-        return (unlikely(PyErr_Occurred())) ? -1 : 0;
-    } else {
-        Py_DECREF(r);
-        return 1;
-    }
-}
-#endif
+        // drop literals whose whole reason is already in the clause
+        kept.assign(1, learnt[0]);
+        for (size_t k = 1; k < learnt.size(); k++) {
+            int q = learnt[k];
+            int r = reason[var_of(q)];
+            if (r == NO_REASON) {
+                kept.push_back(q);
+                continue;
+            }
+            int rsize = ca[r];
+            for (int o = 1; o < rsize; o++) {
+                int ov = var_of(ca[r + 2 + o]);
+                if (!seen[ov] && level[ov] > 0) {
+                    kept.push_back(q);
+                    break;
+                }
+            }
+        }
+        learnt.swap(kept);
 
-/* ImportImpl (used by Import) */
-static int __Pyx__Import_GetModule(PyObject *qualname, PyObject **module) {
-    PyObject *imported_module = PyImport_GetModule(qualname);
-    if (unlikely(!imported_module)) {
-        *module = NULL;
-        if (PyErr_Occurred()) {
-            return -1;
+        for (int v : to_clear) seen[v] = 0;
+
+        int bt = 0;
+        if (learnt.size() > 1) {
+            size_t best = 1;
+            for (size_t k = 2; k < learnt.size(); k++)
+                if (level[var_of(learnt[k])] > level[var_of(learnt[best])]) best = k;
+            std::swap(learnt[1], learnt[best]);
+            bt = level[var_of(learnt[1])];
+        }
+        lbd = 0;
+        level_seen.resize(std::max(level_seen.size(), trail_lim.size() + 1), 0);
+        for (int q : learnt) {
+            int lv = level[var_of(q)];
+            if (!level_seen[lv]) {
+                level_seen[lv] = 1;
+                lbd += 1;
+            }
+        }
+        for (int q : learnt) level_seen[level[var_of(q)]] = 0;
+        return bt;
+    }
+
+    // learned-clause database reduction
+
+    bool locked(int cref) const {
+        int v = var_of(ca[cref + 2]);
+        return assign[v] != UNDEF && reason[v] == cref;
+    }
+
+    void reduce_db() {
+        std::vector<int> alive;
+        for (int r : learnt_refs)
+            if (ca[r] >= 0) alive.push_back(r);
+        // learnt_refs is in cref order, so ties keep the older clause first
+        std::stable_sort(alive.begin(), alive.end(), [this](int a, int b) {
+            if (ca[a + 1] != ca[b + 1]) return ca[a + 1] < ca[b + 1];
+            return ca[a] < ca[b];
+        });
+        for (size_t k = alive.size() / 2; k < alive.size(); k++) {
+            int r = alive[k];
+            if (ca[r + 1] <= 2 || ca[r] <= 2 || locked(r)) continue;
+            ca[r] = -ca[r];
+            live -= 1;
+        }
+        learnt_refs.erase(std::remove_if(learnt_refs.begin(), learnt_refs.end(),
+                                         [this](int r) { return ca[r] < 0; }),
+                          learnt_refs.end());
+        max_learnts *= 1.2;
+    }
+
+    int pick_branch_var() {
+        while (!heap.empty()) {
+            int v = heap_pop();
+            if (assign[v] == UNDEF) return v;
         }
         return 0;
     }
-    *module = imported_module;
-    return 1;
-}
-static int __Pyx__Import_Lookup(PyObject *qualname, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject **module) {
-    PyObject *imported_module;
-    PyObject *top_level_package_name;
-    Py_ssize_t i;
-    int status, module_found;
-    Py_ssize_t dot_index;
-    module_found = __Pyx__Import_GetModule(qualname, &imported_module);
-    if (unlikely(!module_found || module_found == -1)) {
-        *module = NULL;
-        return module_found;
-    }
-    if (imported_names) {
-        for (i = 0; i < len_imported_names; i++) {
-            PyObject *imported_name = imported_names[i];
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-            int has_imported_attribute = PyObject_HasAttr(imported_module, imported_name);
-#else
-            int has_imported_attribute = PyObject_HasAttrWithError(imported_module, imported_name);
-            if (unlikely(has_imported_attribute == -1)) goto error;
-#endif
-            if (!has_imported_attribute) {
-                goto not_found;
+
+    // CDCL search under the assumption literals; a SAT verdict leaves its
+    // assignment in `model`
+
+    Status solve(const std::vector<int>& assume, bool has_budget, long long conflict_limit,
+                 bool has_deadline, double time_limit) {
+        if (!ok) return S_UNSAT;
+        double deadline = has_deadline ? perf_counter() + time_limit : 0.0;
+        long long conflict_budget = has_budget ? conflicts + conflict_limit : 0;
+        long long restart_count = 0, since_restart = 0, checkpoint = 0;
+        long long next_restart = 100 * luby(0);
+        Status status = S_UNKNOWN;
+
+        if (propagate() != NO_REASON) {
+            ok = false;
+            return S_UNSAT;
+        }
+
+        while (true) {
+            int confl = propagate();
+            if (confl != NO_REASON) {
+                conflicts += 1;
+                since_restart += 1;
+                if (trail_lim.empty()) {
+                    ok = false;
+                    status = S_UNSAT;
+                    break;
+                }
+                int lbd;
+                int bt = analyze(confl, lbd);
+                cancel_until(bt);
+                if (learnt.size() == 1) {
+                    enqueue(learnt[0], NO_REASON);
+                } else {
+                    int cref = new_clause(learnt, lbd);
+                    learnt_refs.push_back(cref);
+                    enqueue(learnt[0], cref);
+                }
+                learned += 1;
+                var_inc /= var_decay;
+                if (has_budget && conflicts >= conflict_budget) break;
+                if (has_deadline && conflicts % 256 == 0 && perf_counter() > deadline) break;
+                if (since_restart >= next_restart) {
+                    restart_count += 1;
+                    since_restart = 0;
+                    next_restart = 100 * luby(restart_count);
+                    restarts += 1;
+                    cancel_until(0);
+                }
+                if ((double)learnt_refs.size() >= max_learnts) reduce_db();
+            } else {
+                if (trail_lim.size() < assume.size()) {
+                    int p = assume[trail_lim.size()];
+                    int val = lit_value(p);
+                    if (val == 1) {
+                        new_level();
+                        continue;
+                    }
+                    if (val == 0) {
+                        status = S_UNSAT;
+                        break;
+                    }
+                    new_level();
+                    enqueue(p, NO_REASON);
+                    continue;
+                }
+                checkpoint += 1;
+                if (has_deadline && checkpoint % 512 == 0 && perf_counter() > deadline) break;
+                int v = pick_branch_var();
+                if (v == 0) {
+                    status = S_SAT;
+                    model = assign;  // slot 0 is unassigned
+                    break;
+                }
+                decisions += 1;
+                new_level();
+                enqueue(phase[v] == 1 ? v : -v, NO_REASON);
             }
         }
-        *module = imported_module;
-        return 1;
+        cancel_until(0);
+        return status;
     }
-    dot_index = PyUnicode_FindChar(qualname, '.', 0, PY_SSIZE_T_MAX, 1);
-    if (dot_index == -1) {
-        *module = imported_module;
-        return 1;
-    }
-    if (unlikely(dot_index == -2)) goto error;
-    top_level_package_name = PyUnicode_Substring(qualname, 0, dot_index);
-    if (unlikely(!top_level_package_name)) goto error;
-    Py_DECREF(imported_module);
-    status = __Pyx__Import_GetModule(top_level_package_name, module);
-    Py_DECREF(top_level_package_name);
-    return status;
-error:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return -1;
-not_found:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return 0;
-}
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level) {
-    PyObject *module = 0;
-    PyObject *empty_dict = 0;
-    PyObject *from_list = 0;
-    int module_found;
-    if (!qualname) {
-        qualname = name;
-    }
-    module_found = __Pyx__Import_Lookup(qualname, imported_names, len_imported_names, &module);
-    if (likely(module_found == 1)) {
-        return module;
-    } else if (unlikely(module_found == -1)) {
-        return NULL;
-    }
-    empty_dict = PyDict_New();
-    if (unlikely(!empty_dict))
-        goto bad;
-    if (imported_names) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        from_list = __Pyx_PyList_FromArray(imported_names, len_imported_names);
-        if (unlikely(!from_list))
-            goto bad;
-#else
-        from_list = PyList_New(len_imported_names);
-        if (unlikely(!from_list)) goto bad;
-        for (Py_ssize_t i=0; i<len_imported_names; ++i) {
-            if (PyList_SetItem(from_list, i, __Pyx_NewRef(imported_names[i])) < 0) goto bad;
-        }
-#endif
-    }
-    if (level == -1) {
-        const char* package_sep = strchr(__Pyx_MODULE_NAME, '.');
-        if (package_sep != (0)) {
-            module = PyImport_ImportModuleLevelObject(
-                name, moddict, empty_dict, from_list, 1);
-            if (unlikely(!module)) {
-                if (unlikely(!PyErr_ExceptionMatches(PyExc_ImportError)))
-                    goto bad;
-                PyErr_Clear();
-            }
-        }
-        level = 0;
-    }
-    if (!module) {
-        module = PyImport_ImportModuleLevelObject(
-            name, moddict, empty_dict, from_list, level);
-    }
-bad:
-    Py_XDECREF(from_list);
-    Py_XDECREF(empty_dict);
-    return module;
-}
-
-/* Import */
-static PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level) {
-    return __Pyx__Import(name, imported_names, len_imported_names, qualname, __pyx_mstate_global->__pyx_d, level);
-}
-
-/* ImportFrom */
-static PyObject* __Pyx_ImportFrom(PyObject* module, PyObject* name) {
-    PyObject* value = __Pyx_PyObject_GetAttrStr(module, name);
-    if (unlikely(!value) && PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        const char* module_name_str = 0;
-        PyObject* module_name = 0;
-        PyObject* module_dot = 0;
-        PyObject* full_name = 0;
-        PyErr_Clear();
-        module_name_str = PyModule_GetName(module);
-        if (unlikely(!module_name_str)) { goto modbad; }
-        module_name = PyUnicode_FromString(module_name_str);
-        if (unlikely(!module_name)) { goto modbad; }
-        module_dot = PyUnicode_Concat(module_name, __pyx_mstate_global->__pyx_kp_u_);
-        if (unlikely(!module_dot)) { goto modbad; }
-        full_name = PyUnicode_Concat(module_dot, name);
-        if (unlikely(!full_name)) { goto modbad; }
-        #if (CYTHON_COMPILING_IN_PYPY && PYPY_VERSION_NUM  < 0x07030400) ||\
-                CYTHON_COMPILING_IN_GRAAL
-        {
-            PyObject *modules = PyImport_GetModuleDict();
-            if (unlikely(!modules))
-                goto modbad;
-            value = PyObject_GetItem(modules, full_name);
-        }
-        #else
-        value = PyImport_GetModule(full_name);
-        #endif
-      modbad:
-        Py_XDECREF(full_name);
-        Py_XDECREF(module_dot);
-        Py_XDECREF(module_name);
-    }
-    if (unlikely(!value)) {
-        PyErr_Format(PyExc_ImportError, "cannot import name %S", name);
-    }
-    return value;
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
 };
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
+
+// ----------------------------------------------------------------------
+// Python binding
+
+struct SolverObject {
+    PyObject_HEAD
+    Core core;
 };
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
 
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
+Core& core_of(PyObject* self) { return reinterpret_cast<SolverObject*>(self)->core; }
 
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
+PyObject* Solver_new(PyTypeObject* type, PyObject*, PyObject*) {
+    PyObject* self = type->tp_alloc(type, 0);
+    if (self != nullptr) new (&core_of(self)) Core();
     return self;
 }
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
+
+int Solver_init(PyObject* self, PyObject* args, PyObject* kwargs) {
+    static const char* keywords[] = {"num_vars", nullptr};
+    long long num_vars = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "|L:Solver", const_cast<char**>(keywords),
+                                     &num_vars))
         return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
+    core_of(self) = Core();
+    if (num_vars) core_of(self).add_vars(num_vars);
     return 0;
 }
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
+
+void Solver_dealloc(PyObject* self) {
+    core_of(self).~Core();
+    Py_TYPE(self)->tp_free(self);
 }
 
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
+PyObject* Solver_num_vars(PyObject* self, void*) { return PyLong_FromLong(core_of(self).nvars); }
+
+PyObject* Solver_add_vars(PyObject* self, PyObject* arg) {
+    long long count = PyLong_AsLongLong(arg);
+    if (count == -1 && PyErr_Occurred()) return nullptr;
+    return PyLong_FromLong(core_of(self).add_vars(count));
 }
 
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
-{
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE size_t __Pyx_PyLong_As_size_t(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const size_t neg_one = (size_t) -1, const_zero = (size_t) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        size_t val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (size_t) -1;
-        val = __Pyx_PyLong_As_size_t(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(size_t, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(size_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) >= 2 * PyLong_SHIFT)) {
-                            return (size_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(size_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) >= 3 * PyLong_SHIFT)) {
-                            return (size_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(size_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) >= 4 * PyLong_SHIFT)) {
-                            return (size_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (size_t) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(size_t) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(size_t) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(size_t, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(size_t) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (size_t) (((size_t)-1)*(((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(size_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (size_t) ((((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(size_t) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (size_t) (((size_t)-1)*(((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(size_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (size_t) ((((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(size_t) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (size_t) (((size_t)-1)*(((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(size_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (size_t) ((((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(size_t) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, long, PyLong_AsLong(x))
-        } else if ((sizeof(size_t) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        size_t val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (size_t) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (size_t) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (size_t) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (size_t) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(size_t) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((size_t) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(size_t) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((size_t) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((size_t) 1) << (sizeof(size_t) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (size_t) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to size_t");
-    return (size_t) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to size_t");
-    return (size_t) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        PY_LONG_LONG val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (PY_LONG_LONG) -1;
-        val = __Pyx_PyLong_As_PY_LONG_LONG(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (PY_LONG_LONG) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, long, PyLong_AsLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        PY_LONG_LONG val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (PY_LONG_LONG) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (PY_LONG_LONG) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (PY_LONG_LONG) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (PY_LONG_LONG) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(PY_LONG_LONG) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(PY_LONG_LONG) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((PY_LONG_LONG) 1) << (sizeof(PY_LONG_LONG) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (PY_LONG_LONG) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u__2);
-    }
-    goto done;
-}
-#endif
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
+// The literal an item names, or 0 with an exception set: ValueError, from
+// `message` (given the item and nvars), when it names no declared variable.
+int literal_of(PyObject* item, int nvars, const char* message) {
+    int overflow;
+    long lit = PyLong_AsLongAndOverflow(item, &overflow);
+    if (lit == -1 && PyErr_Occurred()) return 0;
+    if (overflow || lit == 0 || lit > nvars || lit < -nvars) {
+        PyErr_Format(PyExc_ValueError, message, item, nvars);
         return 0;
     }
-    return __Pyx_InBases(a, b);
+    return (int)lit;
 }
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
+
+PyObject* Solver_add_clause(PyObject* self, PyObject* lits) {
+    Core& s = core_of(self);
+    if (!s.ok) Py_RETURN_NONE;
+    PyObject* seq = PySequence_Fast(lits, "a clause must be an iterable of literals");
+    if (seq == nullptr) return nullptr;
+    std::vector<int> out;
+    int stop = 0;  // 1: a literal names no declared variable, 2: the clause is dropped
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+        int lit = literal_of(PySequence_Fast_GET_ITEM(seq, i), s.nvars,
+                             "literal %S outside declared variables 1..%d");
+        if (lit == 0) {
+            stop = 1;
+            break;
         }
-        return 0;
+        // mark: the sign with which the variable is already in `out`, or 0
+        signed char sign = lit > 0 ? 1 : -1, marked = s.mark[var_of(lit)];
+        int val = s.lit_value(lit);
+        if (marked == -sign || (marked == 0 && val == 1)) {
+            stop = 2;  // tautology, or satisfied at top level
+            break;
+        }
+        if (marked == sign || val == 0) continue;  // repeated, or falsified at top level
+        s.mark[var_of(lit)] = sign;
+        out.push_back(lit);
     }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
+    Py_DECREF(seq);
+    for (int lit : out) s.mark[var_of(lit)] = 0;
+    if (stop == 1) return nullptr;
+    if (stop == 2) Py_RETURN_NONE;
+    if (out.empty()) {
+        s.ok = false;
+    } else if (out.size() == 1) {
+        s.enqueue(out[0], NO_REASON);
+        if (s.propagate() != NO_REASON) s.ok = false;
     } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
+        s.new_clause(out, -1);
     }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
+    Py_RETURN_NONE;
 }
 
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
+PyObject* Solver_stats(PyObject* self, PyObject* = nullptr) {
+    const Core& s = core_of(self);
+    return Py_BuildValue("{s:L,s:L,s:L,s:L,s:L,s:L,s:i}", "conflicts", s.conflicts, "decisions",
+                         s.decisions, "propagations", s.propagations, "restarts", s.restarts,
+                         "learned", s.learned, "clauses", s.live, "vars", s.nvars);
 }
 
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
+PyObject* Solver_solve(PyObject* self, PyObject* args, PyObject* kwargs) {
+    static const char* keywords[] = {"assumptions", "conflict_limit", "time_limit", nullptr};
+    PyObject *assumptions = nullptr, *conflict_limit = Py_None, *time_limit = Py_None;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "|OOO:solve", const_cast<char**>(keywords),
+                                     &assumptions, &conflict_limit, &time_limit))
+        return nullptr;
+    Core& s = core_of(self);
+    std::vector<int> assume;
+    if (assumptions != nullptr) {
+        PyObject* seq = PySequence_Fast(assumptions, "assumptions must be iterable");
+        if (seq == nullptr) return nullptr;
+        for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+            int lit = literal_of(PySequence_Fast_GET_ITEM(seq, i), s.nvars,
+                                 "assumption %S outside declared variables");
+            if (lit == 0) break;
+            assume.push_back(lit);
         }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
+        Py_DECREF(seq);
+        if (PyErr_Occurred()) return nullptr;
     }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
-
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
-        return -1;
-    }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
+    long long budget = conflict_limit == Py_None ? 0 : PyLong_AsLongLong(conflict_limit);
+    double seconds = time_limit == Py_None ? 0.0 : PyFloat_AsDouble(time_limit);
+    if (PyErr_Occurred()) return nullptr;
+    Status status =
+        s.solve(assume, conflict_limit != Py_None, budget, time_limit != Py_None, seconds);
+    PyObject* model = Py_None;
+    if (status == S_SAT) {
+        model = PyList_New(s.nvars + 1);
+        if (model == nullptr) return nullptr;
+        for (int v = 0; v <= s.nvars; v++)
+            PyList_SET_ITEM(model, v, PyBool_FromLong(s.model[v] == 1));
     } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
+        Py_INCREF(model);
     }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
-
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
-    }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
-    return 0;
-}
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
-}
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
+    PyObject* stats = Solver_stats(self);
+    PyObject* verdict = status == S_SAT ? SAT : status == S_UNSAT ? UNSAT : UNKNOWN;
+    PyObject* result = stats == nullptr ? nullptr
+                       : PyObject_CallFunctionObjArgs(SolveResultType, verdict, model, stats, nullptr);
+    Py_DECREF(model);
+    Py_XDECREF(stats);
     return result;
 }
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
-        goto done;
-    }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
-        }
-    }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
+
+PyMethodDef Solver_methods[] = {
+    {"add_vars", Solver_add_vars, METH_O,
+     "Declare ``count`` new variables; returns the first new index."},
+    {"add_clause", Solver_add_clause, METH_O,
+     "Add a problem clause; must be called with no assumptions active."},
+    {"solve", reinterpret_cast<PyCFunction>(reinterpret_cast<void (*)(void)>(Solver_solve)),
+     METH_VARARGS | METH_KEYWORDS,
+     "solve(assumptions=(), conflict_limit=None, time_limit=None) -> SolveResult"},
+    {"stats", reinterpret_cast<PyCFunction>(reinterpret_cast<void (*)(void)>(Solver_stats)),
+     METH_NOARGS, "Cumulative search statistics and the formula size."},
+    {nullptr, nullptr, 0, nullptr}};
+
+PyObject* Solver_counter(PyObject* self, void* which) {
+    const Core& s = core_of(self);
+    const long long values[] = {s.conflicts, s.decisions, s.propagations, s.restarts, s.learned};
+    return PyLong_FromLongLong(values[reinterpret_cast<intptr_t>(which)]);
 }
-#endif
 
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
+PyGetSetDef Solver_getset[] = {
+    {"num_vars", Solver_num_vars, nullptr, "Number of declared variables.", nullptr},
+    {"conflicts", Solver_counter, nullptr, nullptr, reinterpret_cast<void*>(0)},
+    {"decisions", Solver_counter, nullptr, nullptr, reinterpret_cast<void*>(1)},
+    {"propagations", Solver_counter, nullptr, nullptr, reinterpret_cast<void*>(2)},
+    {"restarts", Solver_counter, nullptr, nullptr, reinterpret_cast<void*>(3)},
+    {"learned", Solver_counter, nullptr, nullptr, reinterpret_cast<void*>(4)},
+    {nullptr, nullptr, nullptr, nullptr, nullptr}};
 
+PyTypeObject SolverType = {PyVarObject_HEAD_INIT(nullptr, 0)};
 
+PyModuleDef module = {PyModuleDef_HEAD_INIT, "_engine",
+                      "Compiled CDCL engine, interface-identical to cutstock.satcore.engine.",
+                      -1};
 
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */
+}  // namespace
+
+PyMODINIT_FUNC PyInit__engine() {
+    SolverType.tp_name = "cutstock.satcore._engine.Solver";
+    SolverType.tp_doc = "Solver(num_vars=0)\n--\n\nIncremental CDCL solver over a fixed "
+                        "growable variable range.";
+    SolverType.tp_basicsize = sizeof(SolverObject);
+    SolverType.tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE;
+    SolverType.tp_new = Solver_new;
+    SolverType.tp_init = Solver_init;
+    SolverType.tp_dealloc = Solver_dealloc;
+    SolverType.tp_methods = Solver_methods;
+    SolverType.tp_getset = Solver_getset;
+    if (PyType_Ready(&SolverType) < 0) return nullptr;
+
+    PyObject* reference = PyImport_ImportModule("cutstock.satcore.engine");
+    if (reference == nullptr) return nullptr;
+    SolveResultType = PyObject_GetAttrString(reference, "SolveResult");
+    SAT = PyObject_GetAttrString(reference, "SAT");
+    UNSAT = PyObject_GetAttrString(reference, "UNSAT");
+    UNKNOWN = PyObject_GetAttrString(reference, "UNKNOWN");
+    Py_DECREF(reference);
+    if (!SolveResultType || !SAT || !UNSAT || !UNKNOWN) return nullptr;
+
+    PyObject* m = PyModule_Create(&module);
+    if (m == nullptr) return nullptr;
+    Py_INCREF(&SolverType);
+    if (PyModule_AddObject(m, "Solver", reinterpret_cast<PyObject*>(&SolverType)) < 0) {
+        Py_DECREF(&SolverType);
+        Py_DECREF(m);
+        return nullptr;
+    }
+    return m;
+}

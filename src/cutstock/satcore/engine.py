@@ -17,9 +17,10 @@ The hot loops (``add_clause``, ``_propagate``, the heap) write out the small
 helpers ``_lit_value``, ``_attach``, ``_enqueue`` and ``_widx`` inline;
 the helpers remain for the colder paths.
 
-This module is the reference implementation; ``cutstock.satcore._engine``
-is a compiled twin with the same interface, preferred at import time when
-present.
+This module is the reference implementation.  ``cutstock.satcore._engine``
+is its line-for-line C++ transliteration (``_engine.cpp``), with the same
+interface, verdicts, models and statistics; it is preferred at import time
+when it has been built.
 """
 
 from __future__ import annotations
@@ -62,13 +63,9 @@ def _luby(i: int) -> int:
 
 
 class Solver:
-    """Incremental CDCL solver over a fixed growable variable range.
+    """Incremental CDCL solver over a fixed growable variable range."""
 
-    ``seed`` is accepted, as by the compiled engine's constructor, and
-    ignored: the search is deterministic.
-    """
-
-    def __init__(self, num_vars: int = 0, seed: int = 0):
+    def __init__(self, num_vars: int = 0):
         self._nvars = 0
         self._ok = True
         # per-variable state, slot 0 unused

@@ -4,7 +4,9 @@ When ``g++`` and the Python headers are present, the committed
 ``src/cutstock/satcore/_engine.cpp`` is compiled once per session into a
 temporary directory and served as ``cutstock.satcore._engine``, so every
 engine-parametrised test runs on the compiled engine as well as on the
-pure-Python one.  Nothing is written under ``src/``.
+pure-Python one.  Nothing is written under ``src/``.  When the toolchain is
+present but the build fails, ``test_compiled_engine_builds`` fails with
+g++'s error output.
 """
 
 import atexit
@@ -18,6 +20,7 @@ import sys
 import sysconfig
 import tempfile
 import time
+from typing import NamedTuple
 
 import pytest
 
@@ -34,12 +37,19 @@ class _BuiltEngineFinder(importlib.abc.MetaPathFinder):
         return None
 
 
-def build_compiled_engine() -> str:
-    """Compile the committed engine source; returns a line for the report header."""
+class EngineBuild(NamedTuple):
+    toolchain: bool  # g++ and the Python headers are present
+    error: str | None  # g++'s error output when the build failed
+    header: str  # line for the report header
+
+
+def build_compiled_engine() -> EngineBuild:
+    """Compile the committed engine source and serve it to later imports."""
     compiler = shutil.which("g++")
     include = sysconfig.get_paths()["include"]
     if compiler is None or not os.path.exists(os.path.join(include, "Python.h")):
-        return "compiled engine not built: g++ or the Python headers are missing"
+        missing = "compiled engine not built: g++ or the Python headers are missing"
+        return EngineBuild(False, None, missing)
     package = importlib.util.find_spec("cutstock").submodule_search_locations[0]
     source = os.path.join(package, "satcore", "_engine.cpp")
     folder = tempfile.mkdtemp(prefix="cutstock-engine-")
@@ -52,9 +62,11 @@ def build_compiled_engine() -> str:
         text=True,
     )
     if proc.returncode != 0:
-        return f"compiled engine not built: g++ failed:\n{proc.stderr[-2000:]}"
+        error = proc.stderr[-2000:]
+        return EngineBuild(True, error, f"compiled engine not built: g++ failed:\n{error}")
     sys.meta_path.insert(0, _BuiltEngineFinder(target))
-    return f"compiled engine built from _engine.cpp in {time.perf_counter() - started:.1f}s"
+    took = time.perf_counter() - started
+    return EngineBuild(True, None, f"compiled engine built from _engine.cpp in {took:.1f}s")
 
 
 # before anything imports cutstock.satcore, which looks for the compiled engine
@@ -79,7 +91,7 @@ DEMO_PLACEMENTS = [
 
 
 def pytest_report_header(config):
-    return [f"cutstock engines: {', '.join(sorted(ENGINES))}", ENGINE_BUILD]
+    return [f"cutstock engines: {', '.join(sorted(ENGINES))}", ENGINE_BUILD.header]
 
 
 @pytest.fixture(params=sorted(ENGINES))

@@ -1,9 +1,11 @@
 import csv
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
+from cutstock import cli
 from cutstock.cli import aggregate_rows, main, read_bks
 
 from conftest import DEMO_TEXT
@@ -266,6 +268,33 @@ def test_bench_failing_job_gives_error_row(tmp_path, capsys, jobs):
     assert "CSP: 1 errored runs left out" in err
     lines = {line.split()[0]: line.split() for line in out.splitlines()[2:]}
     assert lines["CSP"][1] == lines["CSP_INC"][1] == "1"  # the demo optimum counts
+
+
+def _die_on_crash_file(job, run_one=cli._run_one):
+    """Stands in for a bench job in a worker process: crash.txt kills its worker."""
+    if Path(job[0]).stem == "crash":
+        os._exit(3)
+    return run_one(job)
+
+
+def test_bench_dead_worker_gives_only_its_error_row(tmp_path, capsys, monkeypatch):
+    """A worker that dies breaks its pool; the jobs that never ran with it
+    run again and are solved, and only the job that killed it errs."""
+    monkeypatch.setattr(cli, "_run_one", _die_on_crash_file)
+    (tmp_path / "inst").mkdir()
+    for name in ("crash", "d1", "d2", "d3"):
+        (tmp_path / "inst" / f"{name}.txt").write_text(DEMO_TEXT)
+    out_csv = tmp_path / "rows.csv"
+    code = main([
+        "bench", "--dir", str(tmp_path / "inst"), "--jobs", "2",
+        "--strategies", "sat", "--out-csv", str(out_csv),
+    ])
+    assert code == 1
+    with open(out_csv, newline="") as fh:
+        rows = [(r["instance"], r["status"], r["k"]) for r in csv.DictReader(fh)]
+    assert rows == [("crash", "error", ""), ("d1", "opt", "2"), ("d2", "opt", "2"),
+                    ("d3", "opt", "2")]
+    assert "error: crash CSP: BrokenProcessPool" in capsys.readouterr().err
 
 
 def test_bench_empty_directory(tmp_path, capsys):

@@ -1,15 +1,13 @@
+import importlib
 import itertools
 import os
 import random
-import re
 import signal
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-from cutstock import satcore
 from cutstock.satcore import (
     SAT,
     UNKNOWN,
@@ -27,9 +25,7 @@ from cutstock.satcore import (
 from cutstock.encoding import EncodeConfig, encode_formula
 from cutstock.model import expand_demands
 
-from conftest import random_cnf, random_instance
-
-CYTHON_MARK = "             # <<<<<<<<<<<<<<"
+from conftest import ENGINE_BUILD, random_cnf, random_instance
 
 
 def enumerate_sat(n, clauses):
@@ -197,7 +193,8 @@ def test_live_clause_count_survives_reductions():
 
 def test_engines_are_lockstep():
     """The compiled engine is a transliteration of the reference: same
-    verdicts, same models, same statistics, conflict for conflict."""
+    verdicts, same models, same statistics, conflict for conflict, through
+    restarts and learned-clause reductions too."""
     engines = available_engines()
     if len(engines) < 2:
         pytest.skip("compiled engine not built")
@@ -230,25 +227,53 @@ def test_engines_are_lockstep():
                 assert (a.status, a.model, a.stats) == (b.status, b.model, b.stats)
             for s in solvers:
                 s.add_clause([-vm.used(m)])
+    # past a learned-clause reduction and 29 restarts, then an assumption call
+    n, clauses = php(9, 8)
+    runs = []
+    for name, cls in sorted(engines.items()):
+        s = cls(n)
+        for c in clauses:
+            s.add_clause(c)
+        first = s.solve(conflict_limit=6000)
+        second = s.solve(assumptions=[(i - 1) * 8 + i for i in range(1, 8)])  # pigeon i in hole i
+        runs.append([(r.status, r.model, r.stats) for r in (first, second)])
+        if name == "python":
+            assert any(c is None for c in s._clauses), "no clause was ever deleted"
+    assert [r[0] for r in runs[0]] == [UNKNOWN, UNSAT]
+    assert runs[0] == runs[1]
 
 
-def test_compiled_source_matches_pyx():
-    """Every .pyx line that the committed _engine.cpp quotes as the source of
-    its code is still that line of _engine.pyx, so the compiled engine the
-    suite builds is the one the .pyx describes."""
-    folder = Path(satcore.__file__).parent
-    pyx = (folder / "_engine.pyx").read_text().splitlines()
-    source = line_no = None
-    checked = 0
-    for line in (folder / "_engine.cpp").read_text().splitlines():
-        header = re.search(r'/\* "([^"]+)":(\d+)$', line)
-        if header:
-            source, line_no = header.group(1), int(header.group(2))
-        elif line.endswith(CYTHON_MARK) and source == "cutstock/satcore/_engine.pyx":
-            quoted = line[len(" * "):-len(CYTHON_MARK)]
-            assert pyx[line_no - 1] == quoted, f"_engine.pyx:{line_no}"
-            checked += 1
-    assert checked > 400
+def test_subclass_forwarding_init(engine_cls):
+    """A subclass that forwards ``__init__`` works on either engine, and both
+    engines show the same public names and statistics keys."""
+
+    class CountingSolver(engine_cls):
+        def __init__(self, num_vars=0):
+            super().__init__(num_vars)
+            self.calls = 0
+
+        def solve(self, *args, **kwargs):
+            self.calls += 1
+            return super().solve(*args, **kwargs)
+
+    s = CountingSolver(2)
+    s.add_clause([1, 2])
+    s.add_clause([-1])
+    r = s.solve()
+    assert (s.calls, s.num_vars, r.status, r.model[2]) == (1, 2, SAT, True)
+    assert CountingSolver().num_vars == 0 and CountingSolver(num_vars=3).num_vars == 3
+    public = lambda cls: {name for name in dir(cls(1)) if not name.startswith("_")}
+    assert public(engine_cls) == public(PurePythonSolver)
+    assert list(r.stats) == list(engine_cls(1).stats()) == list(PurePythonSolver(1).stats())
+
+
+def test_compiled_engine_builds():
+    """When g++ and the Python headers are present, _engine.cpp must build
+    and import: a broken engine fails here instead of skipping its tests."""
+    if not ENGINE_BUILD.toolchain:
+        pytest.skip(ENGINE_BUILD.header)
+    assert ENGINE_BUILD.error is None, f"g++ failed on _engine.cpp:\n{ENGINE_BUILD.error}"
+    importlib.import_module("cutstock.satcore._engine")
 
 
 # ----------------------------------------------------------------------
