@@ -233,11 +233,15 @@ def _row(job, result) -> dict:
 
 
 def read_bks(path: str) -> dict[str, int]:
+    """Instance name -> best known sheet count; ValueError on a malformed line."""
     bks = {}
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].strip().startswith("#"):
                 continue
+            if len(row) < 2:
+                raise ValueError(f"{path} line {reader.line_num}: expected instance,best-known-k")
             name, value = row[0].strip(), row[1].strip()
             if not value.lstrip("-").isdigit():
                 continue  # header line
@@ -335,7 +339,11 @@ def _expand_modes(value: str) -> list[bool]:
 
 
 def cmd_bench(args) -> int:
-    bks = read_bks(args.bks) if args.bks else {}
+    try:
+        bks = read_bks(args.bks) if args.bks else {}
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.rows:
         with open(args.rows, newline="") as fh:
             rows = list(csv.DictReader(fh))

@@ -17,12 +17,12 @@ from .external import ExternalResult, parse_solver_output, run_external
 PurePythonSolver = _engine_py.Solver
 
 try:
-    from . import _engine as _engine_cy
+    from . import _engine as _compiled
 except ImportError:
     CompiledSolver = None
     Solver, ENGINE = PurePythonSolver, "python"
 else:
-    CompiledSolver = Solver = _engine_cy.Solver
+    CompiledSolver = Solver = _compiled.Solver
     ENGINE = "compiled"
 
 

@@ -32,60 +32,79 @@ class ExternalResult:
     diagnostic: str = ""
 
 
-def parse_solver_output(text: str) -> ExternalResult:
-    status = UNKNOWN
-    optimal = False
+VERDICTS = {"SATISFIABLE": SAT, "OPTIMUM FOUND": SAT, "UNSATISFIABLE": UNSAT}
+
+
+def parse_solver_output(text: str, num_vars: int) -> ExternalResult:
+    """Read a solver's ``s``/``o``/``v`` lines for a problem over num_vars
+    variables.  A model has exactly num_vars + 1 entries.  Conflicting
+    status lines, and a SAT verdict without a well-formed model, give
+    UNKNOWN with a diagnostic."""
+    verdicts = set()
     cost = None
-    value_tokens: list[str] = []
+    tokens: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("s "):
-            tail = line[2:].strip().upper()
-            if tail == "SATISFIABLE":
-                status = SAT
-            elif tail == "UNSATISFIABLE":
-                status = UNSAT
-            elif tail == "OPTIMUM FOUND":
-                status, optimal = SAT, True
-            else:
-                status = UNKNOWN
+            verdicts.add(line[2:].strip().upper())
         elif line.startswith("o "):
             try:
                 cost = int(line[2:].strip())
             except ValueError:
                 pass
         elif line.startswith("v ") or line == "v":
-            value_tokens.extend(line[2:].split())
+            tokens.extend(line[1:].split())
+    if len(verdicts) > 1:
+        return ExternalResult(UNKNOWN, diagnostic=f"conflicting status lines {sorted(verdicts)}")
+    verdict = verdicts.pop() if verdicts else "UNKNOWN"
+    status = VERDICTS.get(verdict, UNKNOWN)
+    if status != SAT:
+        return ExternalResult(status, cost=cost)
+    model, problem = _read_model(tokens, num_vars)
+    if model is None:
+        return ExternalResult(UNKNOWN, diagnostic=problem)
+    return ExternalResult(SAT, verdict == "OPTIMUM FOUND", model, cost)
 
-    model = None
-    if status == SAT and value_tokens:
-        if all(set(tok) <= {"0", "1"} for tok in value_tokens):
-            bits = "".join(value_tokens)
-            model = [False] + [b == "1" for b in bits]
-        else:
-            lits = []
-            for tok in value_tokens:
-                try:
-                    lits.append(int(tok))
-                except ValueError:
-                    return ExternalResult(UNKNOWN, diagnostic=f"bad model token {tok!r}")
-            lits = [l for l in lits if l != 0]
-            size = max((abs(l) for l in lits), default=0)
-            model = [False] * (size + 1)
-            for l in lits:
-                model[abs(l)] = l > 0
-    if status == SAT and model is None:
-        return ExternalResult(UNKNOWN, diagnostic="SAT status without a model line")
-    return ExternalResult(status, optimal, model, cost)
+
+def _read_model(tokens: list[str], num_vars: int) -> tuple[list[bool] | None, str]:
+    """The model that ``v`` tokens give, as either a string of num_vars bits
+    or signed literals in 1..num_vars ended by 0; (None, why) otherwise."""
+    if not tokens:
+        return None, "SAT status without a model line"
+    if tokens[-1] != "0":
+        bits = "".join(tokens)
+        if len(bits) == num_vars and set(bits) <= {"0", "1"}:
+            return [False] + [b == "1" for b in bits], ""
+        return None, f"model is neither {num_vars} bits nor literals ended by 0"
+    values: dict[int, bool] = {}
+    for tok in tokens[:-1]:
+        try:
+            lit = int(tok)
+        except ValueError:
+            return None, f"bad model token {tok!r}"
+        if not 1 <= abs(lit) <= num_vars:
+            return None, f"model literal {lit} outside 1..{num_vars}"
+        if values.setdefault(abs(lit), lit > 0) != (lit > 0):
+            return None, f"model sets variable {abs(lit)} both ways"
+    model = [False] * (num_vars + 1)
+    for var, value in values.items():
+        model[var] = value
+    return model, ""
 
 
 def run_external(
-    command: str, problem_path: str, time_limit: float | None = None
+    command: str, problem_path: str, num_vars: int, time_limit: float | None = None
 ) -> ExternalResult:
+    """Run the solver on a problem over num_vars variables; any failure to
+    run it or to read its answer is UNKNOWN with a diagnostic."""
+    try:
+        argv = shlex.split(command)
+    except ValueError as exc:
+        return ExternalResult(UNKNOWN, diagnostic=f"bad solver command {command!r}: {exc}")
     if "{input}" in command:
-        argv = [a.replace("{input}", problem_path) for a in shlex.split(command)]
+        argv = [a.replace("{input}", problem_path) for a in argv]
     else:
-        argv = shlex.split(command) + [problem_path]
+        argv.append(problem_path)
     # Output goes to files, not pipes: a child the solver leaves behind would
     # keep a pipe open, and reading it would wait for that child, not the solver.
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
@@ -110,7 +129,7 @@ def run_external(
         err.seek(0)
         stdout = out.read().decode(errors="replace")
         stderr = err.read().decode(errors="replace")
-    result = parse_solver_output(stdout)
+    result = parse_solver_output(stdout, num_vars)
     if result.status == UNKNOWN and not result.diagnostic:
         result.diagnostic = (
             f"no verdict in solver output (exit {proc.returncode}); "

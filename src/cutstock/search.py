@@ -13,10 +13,13 @@ raises lower to k + 1.  The strategies differ in two choices only:
   ``inc`` turning surplus sheets off with assumptions and ``maxsat`` with
   permanent unit clauses.
 
-``maxsat`` can instead hand the soft sheet-usage clauses to an external
-WCNF solver, falling back to the loop when that fails.  A result is
-OPTIMAL only with a certificate: either the best k equals the area lower
-bound, or an UNSAT verdict exists for one sheet fewer.
+With an external WCNF solver command, ``maxsat`` asks its first question
+of that solver: the formula for upper, with soft clauses preferring sheets
+unused.  Its model is only an incumbent; the same formula is then loaded
+and the loop goes on from the sheets that model used.  A call that gives
+no model leaves the question to the engine.  A result is OPTIMAL only with
+a certificate: either the best k equals the area lower bound, or the
+engine answered UNSAT for one sheet fewer.
 """
 
 from __future__ import annotations
@@ -125,6 +128,7 @@ class _Run:
         self.max_vars = 0
         self.max_clauses = 0
         self.proven_lower = self.lower
+        self.backend = "internal"  # "external" once an external model is adopted
         self.fail_detail = ""
 
     def remaining(self) -> float | None:
@@ -148,13 +152,9 @@ class _Run:
     def _config(self, k: int) -> EncodeConfig:
         return EncodeConfig(sheets=k, rotation=self.rotation, symmetry_breaking=self.sb)
 
-    def new_solver(self, k: int):
-        """Encode k sheets into a fresh engine: (vm, solver), or None when
-        the deadline passes before the formula is fully loaded."""
-        built = self.build(k)
-        if built is None:
-            return None
-        vm, formula = built
+    def load(self, formula):
+        """A fresh engine holding the formula, or None when the deadline
+        passes before it is fully loaded."""
         solver = self.engine(formula.num_vars)
         clauses = formula.clauses
         for start in range(0, len(clauses), LOAD_CHECK_EVERY):
@@ -162,7 +162,7 @@ class _Run:
                 return None
             for clause in clauses[start:start + LOAD_CHECK_EVERY]:
                 solver.add_clause(clause)
-        return vm, solver
+        return solver
 
     def adopt(self, model, vm) -> Solution | None:
         """Decode, compact and verify a model of the formula behind vm, and
@@ -178,7 +178,7 @@ class _Run:
             self.best_time = time.perf_counter() - self.started
         return solution
 
-    def outcome(self, status: str, backend: str = "internal", detail: str = "") -> SolveOutcome:
+    def outcome(self, status: str, detail: str = "") -> SolveOutcome:
         return SolveOutcome(
             status=status,
             best_k=self.best.sheets_used if self.best is not None else 0,
@@ -193,29 +193,41 @@ class _Run:
             formula_builds=self.builds,
             max_vars=self.max_vars,
             max_clauses=self.max_clauses,
-            backend=backend,
+            backend=self.backend,
             wall_time=time.perf_counter() - self.started,
             detail=detail,
         )
 
-    def finish(self, backend: str = "internal") -> SolveOutcome:
+    def finish(self) -> SolveOutcome:
         if self.best is not None and self.best.sheets_used <= self.proven_lower:
-            return self.outcome(OPTIMAL, backend)
+            return self.outcome(OPTIMAL)
         if self.best is not None:
-            return self.outcome(FEASIBLE, backend)
-        return self.outcome(UNKNOWN, backend)
+            return self.outcome(FEASIBLE)
+        return self.outcome(UNKNOWN)
 
 
-def _search(run: _Run) -> SolveOutcome:
-    """Close the [lower, upper] window with internal solver calls."""
+def _search(run: _Run, solver_cmd: str | None) -> SolveOutcome:
+    """Close the [lower, upper] window with solver calls."""
     lower, upper = run.lower, run.upper
-    if run.strategy != "sat" and lower < upper:
-        loaded = run.new_solver(upper)
-        if loaded is None:
-            return run.finish()
-        vm, solver = loaded
-    first = True  # maxsat asks about upper itself once, even after an external attempt
+    first = True  # maxsat asks about upper itself once, unless the external model did
     disabled = upper + 1  # maxsat: sheets from here up are off for good
+    if run.strategy != "sat" and lower < upper:
+        built = run.build(upper)
+        if built is None:
+            return run.finish()
+        vm, formula = built
+        if solver_cmd and run.strategy == "maxsat":
+            model = _external_model(run, solver_cmd, vm, formula)
+            if model is not None:
+                witness = run.adopt(model, vm)
+                if witness is None:
+                    return run.outcome(INFEASIBLE_MODEL_ERROR, detail=run.fail_detail)
+                run.backend = "external"
+                upper, first = witness.sheets_used, False
+        if lower < upper:
+            solver = run.load(formula)
+            if solver is None:
+                return run.finish()
     while lower < upper and not run.out_of_time():
         if run.strategy == "maxsat":
             k = upper if first else upper - 1
@@ -225,10 +237,13 @@ def _search(run: _Run) -> SolveOutcome:
         t0 = time.perf_counter()
         assumptions = []
         if run.strategy == "sat":
-            loaded = run.new_solver(k)
-            if loaded is None:
+            built = run.build(k)
+            if built is None:
                 break
-            vm, solver = loaded
+            vm, formula = built
+            solver = run.load(formula)
+            if solver is None:
+                break
         elif run.strategy == "inc":
             assumptions = [-vm.used(j) for j in range(k + 1, vm.sheets + 1)]
         else:
@@ -254,32 +269,20 @@ def soft_unused_sheets(vm, lower: int) -> list[tuple[int, list[int]]]:
     return [(1, [-vm.used(j)]) for j in range(lower, vm.sheets + 1)]
 
 
-def _solve_maxsat_external(run: _Run, solver_cmd: str) -> SolveOutcome | None:
-    """Optimise via an external WCNF solver; None means fall back internally."""
-    built = run.build(run.upper)
-    if built is None:
-        return run.finish()
-    vm, formula = built
+def _external_model(run: _Run, solver_cmd: str, vm, formula) -> list[bool] | None:
+    """Hand the formula, with soft clauses preferring sheets unused, to the
+    external WCNF solver: its model, or None when it gave none."""
     wcnf = format_wcnf(formula.num_vars, formula.clauses, soft_unused_sheets(vm, run.lower))
     fd, path = tempfile.mkstemp(suffix=".wcnf", prefix="cutstock-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(wcnf)
         t0 = time.perf_counter()
-        result = run_external(solver_cmd, path, time_limit=run.remaining())
+        result = run_external(solver_cmd, path, formula.num_vars, time_limit=run.remaining())
         run.calls.append(CallRecord(run.upper, result.status, time.perf_counter() - t0))
     finally:
         os.unlink(path)
-    if result.status != SAT or not result.optimal or result.model is None:
-        return None
-    model = result.model
-    if len(model) <= formula.num_vars:
-        model = model + [False] * (formula.num_vars + 1 - len(model))
-    witness = run.adopt(model, vm)
-    if witness is None:
-        return run.outcome(INFEASIBLE_MODEL_ERROR, backend="external", detail=run.fail_detail)
-    run.proven_lower = witness.sheets_used  # the solver certified the optimum
-    return run.finish(backend="external")
+    return result.model  # None unless the status is SAT
 
 
 def solve_instance(
@@ -295,16 +298,12 @@ def solve_instance(
     """Minimise the sheet count with the chosen strategy.
 
     strategy: 'sat' rebuilds a formula per midpoint, 'inc' reuses one solver
-    with sheet-disabling assumptions, 'maxsat' optimises soft sheet-usage
-    clauses (externally via solver_cmd when given, else by internal
-    model-improving search).
+    with sheet-disabling assumptions, 'maxsat' improves models one sheet at
+    a time, taking its first model from the WCNF solver solver_cmd when
+    given.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     instance.validate(rotation)
     run = _Run(instance, strategy, rotation, symmetry_breaking, time_limit, engine, started)
-    if strategy == "maxsat" and solver_cmd and run.lower < run.upper:
-        external = _solve_maxsat_external(run, solver_cmd)
-        if external is not None:
-            return external
-    return _search(run)
+    return _search(run, solver_cmd)

@@ -69,6 +69,16 @@ def build_compiled_engine() -> EngineBuild:
     return EngineBuild(True, None, f"compiled engine built from _engine.cpp in {took:.1f}s")
 
 
+def export_package_path() -> None:
+    """Let child processes, such as the bundled external solver, import the
+    same cutstock as the tests, whether it is installed or only on the
+    ``pythonpath`` that pyproject.toml gives pytest."""
+    package = importlib.util.find_spec("cutstock").submodule_search_locations[0]
+    parts = [os.path.dirname(package), os.environ.get("PYTHONPATH")]
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in parts if p)
+
+
+export_package_path()
 # before anything imports cutstock.satcore, which looks for the compiled engine
 ENGINE_BUILD = build_compiled_engine()
 

@@ -316,8 +316,9 @@ def test_criterion_10_rotation_monotonicity(suite):
 
 def test_external_backend_actually_used(suite):
     """The external-solver variant must exercise the subprocess pipeline
-    whenever the bound window is open."""
-    used = 0
+    whenever the bound window is open, and its optima must be certified by
+    the area bound or by an engine call refuting one sheet fewer."""
+    used = refuted = 0
     for entry in suite:
         for rotation in MODES:
             bounds = entry.bounds[rotation]
@@ -326,5 +327,10 @@ def test_external_backend_actually_used(suite):
                 if bounds.lower < bounds.upper:
                     assert out.backend == "external", (entry.instance.name, rotation, sb)
                     used += 1
-    assert used > 0
-    ok("extra", f"external WCNF pipeline exercised on {used} open-window runs")
+                if out.status == OPTIMAL and out.best_k > bounds.lower:
+                    engine_calls = [(c.k, c.verdict) for c in out.calls[1:]]
+                    assert (out.best_k - 1, UNSAT) in engine_calls, (entry.instance.name, rotation, sb)
+                    refuted += 1
+    assert used > 0 and refuted > 0
+    ok("extra", f"external WCNF pipeline exercised on {used} open-window runs, "
+       f"{refuted} optima above the area bound refuted by the engine")

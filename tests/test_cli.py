@@ -50,14 +50,15 @@ def test_solve_feasible_exit_code(tmp_path, capsys):
 
 
 def test_encode_to_bridge_round_trip(demo_file, tmp_path):
-    from cutstock.satcore import run_external
+    from cutstock.satcore import parse_dimacs, run_external
 
     sat_cnf = tmp_path / "k2.cnf"
     unsat_cnf = tmp_path / "k1.cnf"
     assert main(["encode", "--input", demo_file, "--sheets", "2", "--out", str(sat_cnf)]) == 0
     assert main(["encode", "--input", demo_file, "--sheets", "1", "--out", str(unsat_cnf)]) == 0
-    assert run_external(BRIDGE, str(sat_cnf)).status == "SAT"
-    assert run_external(BRIDGE, str(unsat_cnf)).status == "UNSAT"
+    for path, status in ((sat_cnf, "SAT"), (unsat_cnf, "UNSAT")):
+        num_vars, _ = parse_dimacs(path.read_text())
+        assert run_external(BRIDGE, str(path), num_vars).status == status
 
 
 def test_solve_bad_input(tmp_path, capsys):
@@ -306,3 +307,11 @@ def test_read_bks_skips_header(tmp_path):
     path = tmp_path / "b.csv"
     path.write_text("instance,bks\nfoo,3\n# comment,9\nbar,2\n")
     assert read_bks(str(path)) == {"foo": 3, "bar": 2}
+
+
+def test_bench_bks_line_without_value(tmp_path, capsys):
+    bks = tmp_path / "b.csv"
+    bks.write_text("instance,bks\nfoo,3\ndemo\n")
+    (tmp_path / "empty").mkdir()
+    assert main(["bench", "--dir", str(tmp_path / "empty"), "--bks", str(bks)]) == 2
+    assert f"error: {bks} line 3: expected instance,best-known-k" in capsys.readouterr().err

@@ -311,38 +311,89 @@ BRIDGE = f"{sys.executable} -m cutstock.satcore.extsolver_cli {{input}}"
 
 
 def test_parse_solver_output_variants():
-    sat = parse_solver_output("c hi\ns SATISFIABLE\nv 1 -2 0\n")
-    assert sat.status == SAT and sat.model[1] is True and sat.model[2] is False
-    bits = parse_solver_output("s OPTIMUM FOUND\no 3\nv 101\n")
+    sat = parse_solver_output("c hi\ns SATISFIABLE\nv 1 -2 0\n", 3)
+    assert sat.status == SAT and sat.model == [False, True, False, False]
+    bits = parse_solver_output("s OPTIMUM FOUND\no 3\nv 101\n", 3)
     assert bits.status == SAT and bits.optimal and bits.cost == 3
-    assert bits.model[1:4] == [True, False, True]
-    assert parse_solver_output("s UNSATISFIABLE\n").status == UNSAT
-    assert parse_solver_output("garbage\n").status == UNKNOWN
+    assert bits.model == [False, True, False, True]
+    assert parse_solver_output("s UNSATISFIABLE\n", 3).status == UNSAT
+    assert parse_solver_output("garbage\n", 3).status == UNKNOWN
+
+
+# solver output -> (status, model[1:] when SAT), for a problem over 4 variables
+SOLVER_OUTPUTS = {
+    "": (UNKNOWN, None),
+    "\x00\xff garbage\nv\ns\no\n": (UNKNOWN, None),
+    "s SATISFIABLE\n": (UNKNOWN, None),
+    "s SATISFIABLE\nv\n": (UNKNOWN, None),
+    "s MAYBE\nv 1 0\n": (UNKNOWN, None),
+    "s UNKNOWN\n": (UNKNOWN, None),
+    "s SATISFIABLE\nv 1 -2 3 -4 0\n": (SAT, [True, False, True, False]),
+    "s SATISFIABLE\nv 1 -2\nv 3\nv 0\n": (SAT, [True, False, True, False]),
+    "s SATISFIABLE\nv 4 0\n": (SAT, [False, False, False, True]),
+    "s SATISFIABLE\nv 0\n": (SAT, [False, False, False, False]),
+    "s OPTIMUM FOUND\nv 0110\n": (SAT, [False, True, True, False]),
+    "s OPTIMUM FOUND\nv 01 10\n": (SAT, [False, True, True, False]),
+    "s OPTIMUM FOUND\no 2\no 1\nv 1001\n": (SAT, [True, False, False, True]),
+    "s OPTIMUM FOUND\no x\nv 1001\n": (SAT, [True, False, False, True]),
+    # truncated: a bit string one short, literals without their 0
+    "s OPTIMUM FOUND\nv 011\n": (UNKNOWN, None),
+    "s SATISFIABLE\nv 1 -2 3\n": (UNKNOWN, None),
+    # out of range or malformed: a variable above 4, a 0 before the end, huge literals
+    "s SATISFIABLE\nv 1 10 0\n": (UNKNOWN, None),
+    "s SATISFIABLE\nv 5 0\n": (UNKNOWN, None),
+    "s SATISFIABLE\nv 1 0 2 0\n": (UNKNOWN, None),
+    "s SATISFIABLE\nv 2000000000000 0\n": (UNKNOWN, None),
+    "s SATISFIABLE\nv -2000000000000 0\n": (UNKNOWN, None),
+    "s SATISFIABLE\nv 01101 0\n": (UNKNOWN, None),
+    "s SATISFIABLE\nv 1 x 0\n": (UNKNOWN, None),
+    "s SATISFIABLE\nv 1.5 0\n": (UNKNOWN, None),
+    # contradictory
+    "s SATISFIABLE\nv 1 -1 0\n": (UNKNOWN, None),
+    "s SATISFIABLE\ns UNSATISFIABLE\nv 1 0\n": (UNKNOWN, None),
+    "s OPTIMUM FOUND\ns UNKNOWN\nv 1111\n": (UNKNOWN, None),
+    "s SATISFIABLE\nv 1 1 0\n": (SAT, [True, False, False, False]),
+    "s UNSATISFIABLE\nv 1 0\no 3\n": (UNSAT, None),
+}
+
+
+@pytest.mark.parametrize("text", list(SOLVER_OUTPUTS))
+def test_parse_solver_output_never_raises(text):
+    status, values = SOLVER_OUTPUTS[text]
+    result = parse_solver_output(text, 4)
+    assert result.status == status
+    if status == SAT:
+        assert result.model == [False] + values
+    else:
+        assert result.model is None
 
 
 def test_external_sat_and_unsat(tmp_path):
     sat_file = tmp_path / "sat.cnf"
     sat_file.write_text(format_dimacs(1, [[1]]))
-    result = run_external(BRIDGE, str(sat_file))
-    assert result.status == SAT and result.model[1] is True
+    result = run_external(BRIDGE, str(sat_file), 1)
+    assert result.status == SAT and result.model == [False, True]
 
     unsat_file = tmp_path / "unsat.cnf"
     unsat_file.write_text(format_dimacs(1, [[1], [-1]]))
-    assert run_external(BRIDGE, str(unsat_file)).status == UNSAT
+    assert run_external(BRIDGE, str(unsat_file), 1).status == UNSAT
 
 
 def test_external_failure_is_unknown(tmp_path):
     missing = tmp_path / "nope.cnf"
     missing.write_text("p cnf 1 1\n1 0\n")
-    result = run_external("definitely-not-a-solver-binary", str(missing))
+    result = run_external("definitely-not-a-solver-binary", str(missing), 1)
     assert result.status == UNKNOWN
     assert result.diagnostic
+    unbalanced = run_external('foo "bar', str(missing), 1)
+    assert unbalanced.status == UNKNOWN
+    assert "quotation" in unbalanced.diagnostic
 
 
 def test_external_timeout_is_unknown(tmp_path):
     slow = tmp_path / "slow.cnf"
     slow.write_text("p cnf 1 1\n1 0\n")
-    result = run_external("sleep 5", str(slow), time_limit=0.2)
+    result = run_external("sleep 5", str(slow), 1, time_limit=0.2)
     assert result.status == UNKNOWN
     assert "timeout" in result.diagnostic
 
@@ -354,7 +405,7 @@ def test_external_timeout_kills_grandchildren(tmp_path):
     script.write_text(f"sleep 30 &\necho $! > {pid_file}\nwait\n")
     problem = tmp_path / "p.cnf"
     problem.write_text("p cnf 1 1\n1 0\n")
-    result = run_external(f"sh {script}", str(problem), time_limit=1)
+    result = run_external(f"sh {script}", str(problem), 1, time_limit=1)
     assert result.status == UNKNOWN and "timeout" in result.diagnostic
     pid = int(pid_file.read_text())
     try:
@@ -377,7 +428,7 @@ def test_external_answer_not_held_by_leftover_child(tmp_path):
     problem.write_text("p cnf 1 1\n1 0\n")
     for limit in (2.0, None):
         started = time.monotonic()
-        result = run_external(f"sh {script}", str(problem), time_limit=limit)
+        result = run_external(f"sh {script}", str(problem), 1, time_limit=limit)
         took = time.monotonic() - started
         pid = int(pid_file.read_text())
         try:
@@ -411,14 +462,14 @@ def test_external_agrees_with_embedded(tmp_path, engine_cls):
         local = s.solve().status
         path = tmp_path / f"f{i}.cnf"
         path.write_text(format_dimacs(n, clauses))
-        assert run_external(BRIDGE, str(path)).status == local
+        assert run_external(BRIDGE, str(path), n).status == local
 
 
 def test_bridge_wcnf_optimum(tmp_path):
     # hard: x1 required; softs prefer both false -> optimum cost 1
     path = tmp_path / "opt.wcnf"
     path.write_text(format_wcnf(2, [[1]], [(1, [-1]), (1, [-2])]))
-    result = run_external(BRIDGE, str(path))
+    result = run_external(BRIDGE, str(path), 2)
     assert result.status == SAT and result.optimal
     assert result.cost == 1
     assert result.model[1] is True and result.model[2] is False
@@ -427,4 +478,4 @@ def test_bridge_wcnf_optimum(tmp_path):
 def test_bridge_wcnf_hard_unsat(tmp_path):
     path = tmp_path / "un.wcnf"
     path.write_text(format_wcnf(1, [[1], [-1]], [(1, [-1])]))
-    assert run_external(BRIDGE, str(path)).status == UNSAT
+    assert run_external(BRIDGE, str(path), 1).status == UNSAT

@@ -8,7 +8,7 @@ from cutstock import satcore
 from cutstock.bounds import compute_bounds
 from cutstock.encoding import EncodeConfig, encode_formula
 from cutstock.model import Instance, ItemType, expand_demands
-from cutstock.satcore import SAT, UNSAT
+from cutstock.satcore import SAT, UNKNOWN, UNSAT
 from cutstock.search import OPTIMAL, config_name, solve_instance
 from cutstock.verify import brute_force_optimal, verify_solution
 
@@ -162,6 +162,55 @@ def test_maxsat_external_fallback(engine_cls):
     out = solve_instance(inst, "maxsat", solver_cmd="no-such-binary-here", engine=engine_cls)
     assert out.backend == "internal"
     assert out.status == OPTIMAL and out.best_k == best
+
+
+# prints "s OPTIMUM FOUND" with whatever model of the hard clauses it finds first
+LYING_SOLVER = """
+import sys
+from cutstock.satcore.dimacs import parse_wcnf
+from cutstock.satcore.engine import Solver
+num_vars, _, hard, _ = parse_wcnf(open(sys.argv[1]).read())
+solver = Solver(num_vars)
+for clause in hard:
+    solver.add_clause(clause)
+model = solver.solve().model
+print("o 0")
+print("s OPTIMUM FOUND")
+print("v " + " ".join(str(v if model[v] else -v) for v in range(1, num_vars + 1)) + " 0")
+"""
+
+
+def test_maxsat_external_optimum_is_certified(tmp_path, engine_cls):
+    """An external model is an incumbent only: the loop refutes one sheet fewer."""
+    script = tmp_path / "lying_solver.py"
+    script.write_text(LYING_SOLVER)
+    # two 12x12 sheets tiled exactly; FFD needs three
+    inst = Instance(12, 12, (
+        ItemType(10, 6, 1), ItemType(12, 4, 1), ItemType(6, 8, 1), ItemType(12, 3, 2),
+        ItemType(6, 5, 1), ItemType(6, 3, 1), ItemType(2, 6, 1),
+    ))
+    out = solve_instance(inst, "maxsat", solver_cmd=f"{sys.executable} {script}", engine=engine_cls)
+    assert (out.status, out.best_k, out.backend) == (OPTIMAL, 2, "external")
+    assert [(c.k, c.verdict) for c in out.calls] == [(3, SAT), (2, SAT)]
+    assert out.formula_builds == 1
+    assert verify_solution(inst, out.best_solution, False).ok
+
+
+def test_maxsat_external_answer_without_refutation_is_feasible(engine_cls):
+    """When the engine cannot refute one sheet fewer, the external optimum
+    stays uncertified."""
+
+    class Unknowing(engine_cls):
+        def solve(self, *args, **kwargs):
+            return satcore.SolveResult(UNKNOWN, None, self.stats())
+
+    # two 3x3 squares need a sheet each; the area bound says one
+    inst = Instance(5, 5, (ItemType(3, 3, 2),))
+    assert compute_bounds(inst, False).lower == 1
+    out = solve_instance(inst, "maxsat", solver_cmd=BRIDGE, engine=Unknowing)
+    assert (out.status, out.best_k, out.backend) == ("FEASIBLE", 2, "external")
+    assert [(c.k, c.verdict) for c in out.calls] == [(2, SAT), (1, UNKNOWN)]
+    assert out.lower_bound == 1
 
 
 def test_timeout_returns_feasible_witness(engine_cls):
