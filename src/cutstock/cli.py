@@ -110,10 +110,10 @@ def cmd_encode(args) -> int:
     config = EncodeConfig(args.sheets, args.rotation, args.sb)
     vm, formula = encode_formula(copies, instance, config)
     if args.format == "dimacs":
-        text = format_dimacs(formula.num_vars, formula.clauses)
+        text = format_dimacs(formula.num_vars, formula)
     else:
         lower = area_lower_bound(instance)
-        text = format_wcnf(formula.num_vars, formula.clauses, soft_unused_sheets(vm, lower))
+        text = format_wcnf(formula.num_vars, formula, soft_unused_sheets(vm, lower))
     if args.out:
         Path(args.out).write_text(text)
     else:

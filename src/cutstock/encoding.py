@@ -9,16 +9,24 @@ via guard literals on their sheet-assignment variables.
 Clause families are counted separately so tests can audit the formula
 against closed-form sizes.
 
+A ``CnfFormula`` keeps its clauses as blocks: ``(heads, bodies)`` stands
+for ``head + body`` for every head and body, head-major.  The ``link``
+family, almost all of the formula, is one block per pair of copies, axis
+and orientation: a guard head per sheet times bodies shared by every sheet
+(``CnfFormula.add_block``).  Every other clause goes through
+``CnfFormula.add`` into a run block of plain clauses.  Engines load a block
+in one ``add_block`` call, and DIMACS/WCNF export formats each head and
+body once per block.
+
 Every clause is checked to be non-empty and free of repeated variables as it
-is emitted.  The ``link`` family, almost all of the formula, is emitted in
-blocks of guard heads times shared bodies (``CnfFormula.add_block``), which
-checks each head and each body once per block; every other clause goes
-through ``CnfFormula.add``, which checks it on its own.
+is emitted: ``add_block`` checks each head and each body once per block,
+``add`` each plain clause on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 from .model import Copy, Instance, Placement, Solution
 
@@ -91,21 +99,49 @@ class VarMap:
         return self._used0 + j
 
 
-@dataclass
 class CnfFormula:
-    num_vars: int
-    clauses: list[list[int]] = field(default_factory=list)
-    family_counts: dict[str, int] = field(default_factory=dict)
+    """Clauses kept as an ordered list of blocks ``(heads, bodies)``.
+
+    A block stands for the clause ``head + body`` for every head and body,
+    head-major.  ``add_block`` keeps its block as given, so bodies are
+    shared by every head and never copied; clauses from ``add`` go into a
+    trailing run block ``(run, [[]])``.  ``clauses`` lists every clause in
+    order, but building that list costs one list per clause, so loading
+    and export walk ``blocks`` instead.
+    """
+
+    def __init__(self, num_vars: int):
+        self.num_vars = num_vars
+        self.blocks: list[tuple[list[list[int]], list[list[int]]]] = []
+        self.num_clauses = 0
+        self.family_counts: dict[str, int] = {}
+        self._run: list[list[int]] | None = None  # heads of the trailing run block
 
     @property
-    def num_clauses(self) -> int:
-        return len(self.clauses)
+    def clauses(self) -> list[list[int]]:
+        return [head + body for heads, bodies in self.blocks for head in heads for body in bodies]
+
+    def satisfied_by(self, model) -> bool:
+        """Whether ``model[v]``, the value of each variable v, satisfies
+        every clause.  A block holds when all its heads or all its bodies
+        hold."""
+        holds = lambda lits: any(model[l] if l > 0 else not model[-l] for l in lits)
+        return all(
+            all(map(holds, heads)) or all(map(holds, bodies)) for heads, bodies in self.blocks
+        )
+
+    def _count(self, family: str, count: int) -> None:
+        self.num_clauses += count
+        self.family_counts[family] = self.family_counts.get(family, 0) + count
 
     def add(self, family: str, lits: list[int]) -> None:
         assert lits, "empty clause emitted"
         assert len({abs(l) for l in lits}) == len(lits), "repeated variable in clause"
-        self.clauses.append(lits)
-        self.family_counts[family] = self.family_counts.get(family, 0) + 1
+        if self._run is None:
+            self._run = []
+            self.blocks.append((self._run, [[]]))
+        self._run.append(lits)
+        self._count(family, 1)
 
     def add_block(self, family: str, heads: list[list[int]], bodies: list[list[int]]) -> None:
         """Add ``head + body`` for every head and body, head-major.
@@ -121,11 +157,14 @@ class CnfFormula:
             vs = {abs(l) for l in head}
             assert len(vs) == len(head), "repeated variable in clause"
             head_vars |= vs
-        body_vars = {abs(l) for body in bodies for l in body}
-        assert len(body_vars) == sum(map(len, bodies)), "repeated variable in clause"
+        body_lits = list(chain.from_iterable(bodies))
+        body_vars = set(map(abs, body_lits))
+        assert len(body_vars) == len(body_lits), "repeated variable in clause"
         assert head_vars.isdisjoint(body_vars), "repeated variable in clause"
-        self.clauses += [head + body for head in heads for body in bodies]
-        self.family_counts[family] = self.family_counts.get(family, 0) + len(heads) * len(bodies)
+        if heads and bodies:
+            self.blocks.append((heads, bodies))
+            self._run = None
+        self._count(family, len(heads) * len(bodies))
 
 
 def build_varmap(copies: tuple[Copy, ...], instance: Instance, config: EncodeConfig) -> VarMap:

@@ -6,7 +6,9 @@
 // restarts, LBD-based database reduction and solving under assumptions with
 // clause retention.  It gives the same verdicts, models and statistics,
 // conflict for conflict.  Clauses live in one flat arena: [size, lbd, lit...]
-// at each reference offset; size < 0 marks a deleted clause.
+// at each reference offset; size < 0 marks a deleted clause.  add_block
+// loads a whole block of clauses (head + body for every head and body) in
+// one call from Python.
 //
 // Build: g++ -O2 -shared -fPIC -I<python include> _engine.cpp -o _engine<EXT_SUFFIX>
 
@@ -573,6 +575,107 @@ PyObject* Solver_add_clause(PyObject* self, PyObject* lits) {
     Py_RETURN_NONE;
 }
 
+// Read each item of a sequence of literal sequences onto `lits`, ending
+// each with its size pushed on `sizes`; false, with no exception set, when
+// an item is not a sequence of literals naming declared variables.
+bool read_literal_lists(PyObject* outer, int nvars, std::vector<int>& lits,
+                        std::vector<int>& sizes) {
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(outer); i++) {
+        PyObject* seq = PySequence_Fast(PySequence_Fast_GET_ITEM(outer, i), "");
+        if (seq == nullptr) {
+            PyErr_Clear();
+            return false;
+        }
+        Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+        bool ok = true;
+        for (Py_ssize_t k = 0; k < n && ok; k++) {
+            int overflow;
+            long lit = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(seq, k), &overflow);
+            bool error = lit == -1 && PyErr_Occurred();
+            if (error) PyErr_Clear();
+            ok = !error && !overflow && lit != 0 && lit <= nvars && lit >= -nvars;
+            lits.push_back((int)lit);
+        }
+        Py_DECREF(seq);
+        if (!ok) return false;
+        sizes.push_back((int)n);
+    }
+    return true;
+}
+
+PyObject* Solver_add_block(PyObject* self, PyObject* args) {
+    PyObject *heads_arg, *bodies_arg;
+    if (!PyArg_ParseTuple(args, "OO:add_block", &heads_arg, &bodies_arg)) return nullptr;
+    Core& s = core_of(self);
+    if (!s.ok) Py_RETURN_NONE;
+    PyObject* heads = PySequence_Fast(heads_arg, "heads must be a sequence of clauses");
+    if (heads == nullptr) return nullptr;
+    PyObject* bodies = PySequence_Fast(bodies_arg, "bodies must be a sequence of clauses");
+    if (bodies == nullptr) {
+        Py_DECREF(heads);
+        return nullptr;
+    }
+    std::vector<int> hl, hs, bl, bs;  // head and body literals, and their sizes
+    bool plain = s.trail.empty() && read_literal_lists(heads, s.nvars, hl, hs) &&
+                 read_literal_lists(bodies, s.nvars, bl, bs);
+    if (plain) {
+        // mark bits: 1 in the current head, 2 in some head, 4 in some body
+        for (size_t h = 0, at = 0; plain && h < hs.size(); at += hs[h++]) {
+            plain = hs[h] >= 2;
+            for (int k = 0; plain && k < hs[h]; k++) {
+                signed char& m = s.mark[var_of(hl[at + k])];
+                plain = !(m & 1);
+                m |= 3;
+            }
+            for (int k = 0; k < hs[h]; k++) s.mark[var_of(hl[at + k])] &= ~1;
+        }
+        for (size_t k = 0; plain && k < bl.size(); k++) {
+            signed char& m = s.mark[var_of(bl[k])];
+            plain = !(m & 6);
+            m |= 4;
+        }
+        for (int lit : hl) s.mark[var_of(lit)] = 0;
+        for (int lit : bl) s.mark[var_of(lit)] = 0;
+    }
+    PyObject* result = Py_None;
+    if (plain) {
+        for (size_t h = 0, at = 0; h < hs.size(); at += hs[h++]) {
+            const int* head = hl.data() + at;
+            std::vector<int>& wa = s.watches[widx(head[0])];
+            std::vector<int>& wb = s.watches[widx(head[1])];
+            for (size_t b = 0, from = 0; b < bs.size(); from += bs[b++]) {
+                int cref = (int)s.ca.size();
+                s.ca.push_back(hs[h] + bs[b]);
+                s.ca.push_back(-1);
+                s.ca.insert(s.ca.end(), head, head + hs[h]);
+                s.ca.insert(s.ca.end(), bl.begin() + from, bl.begin() + from + bs[b]);
+                wa.push_back(cref);
+                wa.push_back(head[1]);
+                wb.push_back(cref);
+                wb.push_back(head[0]);
+            }
+        }
+        s.live += (long long)hs.size() * (long long)bs.size();
+    } else {  // each clause through add_clause, with all its checks
+        for (Py_ssize_t h = 0; result != nullptr && h < PySequence_Fast_GET_SIZE(heads); h++) {
+            for (Py_ssize_t b = 0; result != nullptr && b < PySequence_Fast_GET_SIZE(bodies); b++) {
+                PyObject* clause = PySequence_Concat(PySequence_Fast_GET_ITEM(heads, h),
+                                                     PySequence_Fast_GET_ITEM(bodies, b));
+                PyObject* done = clause == nullptr
+                                     ? nullptr
+                                     : PyObject_CallMethod(self, "add_clause", "(O)", clause);
+                Py_XDECREF(clause);
+                if (done == nullptr) result = nullptr;
+                Py_XDECREF(done);
+            }
+        }
+    }
+    Py_DECREF(heads);
+    Py_DECREF(bodies);
+    Py_XINCREF(result);
+    return result;
+}
+
 PyObject* Solver_stats(PyObject* self, PyObject* = nullptr) {
     const Core& s = core_of(self);
     return Py_BuildValue("{s:L,s:L,s:L,s:L,s:L,s:L,s:i}", "conflicts", s.conflicts, "decisions",
@@ -628,6 +731,8 @@ PyMethodDef Solver_methods[] = {
      "Declare ``count`` new variables; returns the first new index."},
     {"add_clause", Solver_add_clause, METH_O,
      "Add a problem clause; must be called with no assumptions active."},
+    {"add_block", Solver_add_block, METH_VARARGS,
+     "Add the problem clause ``head + body`` for every head and body, head-major."},
     {"solve", reinterpret_cast<PyCFunction>(reinterpret_cast<void (*)(void)>(Solver_solve)),
      METH_VARARGS | METH_KEYWORDS,
      "solve(assumptions=(), conflict_limit=None, time_limit=None) -> SolveResult"},

@@ -10,28 +10,41 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 
-def format_dimacs(num_vars: int, clauses: Iterable[Sequence[int]]) -> str:
-    clauses = list(clauses)
-    lines = [f"p cnf {num_vars} {len(clauses)}"]
-    for clause in clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
+def _clause_texts(clauses, prefix: str) -> list[str]:
+    """One line per clause: prefix, literals, 0.
+
+    ``clauses`` is a list of literal lists, or has ``blocks`` as a
+    ``CnfFormula`` does: ``(heads, bodies)`` pairs standing for ``head +
+    body`` for every head and body, head-major, with non-empty heads.  Each
+    head and each body is formatted once per block; a plain list is one
+    block whose heads are its clauses.
+    """
+    blocks = getattr(clauses, "blocks", None)
+    if blocks is None:
+        blocks = [(clauses, [[]])]
+    lines = []
+    for heads, bodies in blocks:
+        ends = ["".join([f" {lit}" for lit in body]) + " 0" for body in bodies]
+        for head in heads:
+            start = prefix + " ".join(map(str, head))
+            lines += [start + end for end in ends]
+    return lines
 
 
-def format_wcnf(
-    num_vars: int,
-    hard: Iterable[Sequence[int]],
-    soft: Iterable[tuple[int, Sequence[int]]],
-) -> str:
-    hard = list(hard)
+def format_dimacs(num_vars: int, clauses) -> str:
+    """CNF text for literal lists, or for a CnfFormula's blocks."""
+    lines = _clause_texts(clauses, "")
+    return "\n".join([f"p cnf {num_vars} {len(lines)}", *lines]) + "\n"
+
+
+def format_wcnf(num_vars: int, hard, soft: Iterable[tuple[int, Sequence[int]]]) -> str:
+    """WCNF text: hard clauses as literal lists or a CnfFormula's blocks,
+    then (weight, literals) soft clauses."""
     soft = list(soft)
     top = 1 + sum(weight for weight, _ in soft)
-    lines = [f"p wcnf {num_vars} {len(hard) + len(soft)} {top}"]
-    for clause in hard:
-        lines.append(f"{top} " + " ".join(str(lit) for lit in clause) + " 0")
-    for weight, clause in soft:
-        lines.append(f"{weight} " + " ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
+    lines = _clause_texts(hard, f"{top} ")
+    lines += [f"{weight} " + " ".join(map(str, clause)) + " 0" for weight, clause in soft]
+    return "\n".join([f"p wcnf {num_vars} {len(lines)} {top}", *lines]) + "\n"
 
 
 class DimacsError(ValueError):

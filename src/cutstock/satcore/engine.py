@@ -13,9 +13,13 @@ reduction of the learned-clause database.  Everything is deterministic.
 ``add_clause`` checks every clause it is given: literals must name declared
 variables, and tautologies, repeated and top-level-false literals are
 dropped, so the engine never relies on the encoder's own clause checks.
-The hot loops (``add_clause``, ``_propagate``, the heap) write out the small
-helpers ``_lit_value``, ``_attach``, ``_enqueue`` and ``_widx`` inline;
-the helpers remain for the colder paths.
+``add_block(heads, bodies)`` adds ``head + body`` for every head and body
+in one call, leaving the engine exactly as ``add_clause`` on each of those
+clauses would; it checks the block once and stores its clauses directly
+when none of them could need a per-clause check.
+The hot loops (``add_clause``, ``add_block``, ``_propagate``, the heap) write
+out the small helpers ``_lit_value``, ``_attach``, ``_enqueue`` and
+``_widx`` inline; the helpers remain for the colder paths.
 
 This module is the reference implementation.  ``cutstock.satcore._engine``
 is its line-for-line C++ transliteration (``_engine.cpp``), with the same
@@ -26,6 +30,7 @@ when it has been built.
 from __future__ import annotations
 
 import time
+from itertools import chain
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -171,6 +176,64 @@ class Solver:
         watches = self._watches
         watches[(a << 1) if a > 0 else ((-a) << 1) | 1].extend((cref, b))
         watches[(b << 1) if b > 0 else ((-b) << 1) | 1].extend((cref, a))
+
+    def add_block(self, heads, bodies) -> None:
+        """Add the problem clause ``head + body`` for every head and body,
+        head-major; heads and bodies are lists of literal lists.
+
+        The engine ends exactly as ``add_clause`` on each clause in turn
+        would leave it.  When no clause of the block can need one of
+        ``add_clause``'s checks (nothing is assigned at top level, every
+        head has two or more literals, no variable occurs twice in a head,
+        twice among the bodies or in both, and every variable is declared),
+        each clause is stored with its two head literals watched; otherwise
+        each goes through ``add_clause``.
+        """
+        if not self._ok:
+            return
+        plain = not self._trail
+        if plain:
+            head_vars: set[int] = set()
+            for head in heads:
+                vs = set(map(abs, head))
+                if len(head) < 2 or len(vs) != len(head):
+                    plain = False
+                    break
+                head_vars |= vs
+            body_lits = list(chain.from_iterable(bodies))
+            used = head_vars.union(map(abs, body_lits))
+            # as many variables as head variables and body literals: no body
+            # variable repeats or is in a head
+            plain = (
+                plain
+                and len(used) == len(head_vars) + len(body_lits)
+                and 0 not in used
+                and max(used, default=0) <= self._nvars
+            )
+        if not plain:
+            add = self.add_clause
+            for head in heads:
+                for body in bodies:
+                    add(head + body)
+            return
+        clauses = self._clauses
+        watches = self._watches
+        m = len(bodies)
+        cref = len(clauses)
+        for head in heads:
+            a, b = head[0], head[1]
+            clauses += [head + body for body in bodies]
+            crefs = range(cref, cref + m)
+            pairs = [b] * (2 * m)
+            pairs[::2] = crefs
+            watches[(a << 1) if a > 0 else ((-a) << 1) | 1] += pairs
+            pairs = [a] * (2 * m)
+            pairs[::2] = crefs
+            watches[(b << 1) if b > 0 else ((-b) << 1) | 1] += pairs
+            cref += m
+        added = len(heads) * m
+        self._lbd += [-1] * added
+        self._live += added
 
     def _attach(self, cref: int, c: list[int]) -> None:
         a, b = c[0], c[1]

@@ -17,9 +17,10 @@ With an external WCNF solver command, ``maxsat`` asks its first question
 of that solver: the formula for upper, with soft clauses preferring sheets
 unused.  Its model is only an incumbent; the same formula is then loaded
 and the loop goes on from the sheets that model used.  A call that gives
-no model leaves the question to the engine.  A result is OPTIMAL only with
-a certificate: either the best k equals the area lower bound, or the
-engine answered UNSAT for one sheet fewer.
+no model, or one that breaks a hard clause, leaves the question to the
+engine.  A result is OPTIMAL only with a certificate: either the best k
+equals the area lower bound, or the engine answered UNSAT for one sheet
+fewer.
 """
 
 from __future__ import annotations
@@ -106,6 +107,19 @@ class SolveOutcome:
         }
 
 
+def _pieces(blocks, size: int):
+    """The clauses of the blocks, in order, as blocks of at most size clauses."""
+    for heads, bodies in blocks:
+        if len(bodies) > size:
+            for head in heads:
+                for start in range(0, len(bodies), size):
+                    yield [head], bodies[start:start + size]
+        else:
+            step = size // len(bodies)
+            for start in range(0, len(heads), step):
+                yield heads[start:start + step], bodies
+
+
 class _Run:
     """Shared bookkeeping for one optimisation run."""
 
@@ -156,12 +170,15 @@ class _Run:
         """A fresh engine holding the formula, or None when the deadline
         passes before it is fully loaded."""
         solver = self.engine(formula.num_vars)
-        clauses = formula.clauses
-        for start in range(0, len(clauses), LOAD_CHECK_EVERY):
-            if self.out_of_time():
-                return None
-            for clause in clauses[start:start + LOAD_CHECK_EVERY]:
-                solver.add_clause(clause)
+        unchecked = LOAD_CHECK_EVERY  # clauses loaded since the last deadline check
+        for heads, bodies in _pieces(formula.blocks, LOAD_CHECK_EVERY):
+            size = len(heads) * len(bodies)
+            if unchecked + size > LOAD_CHECK_EVERY:
+                if self.out_of_time():
+                    return None
+                unchecked = 0
+            unchecked += size
+            solver.add_block(heads, bodies)
         return solver
 
     def adopt(self, model, vm) -> Solution | None:
@@ -271,18 +288,23 @@ def soft_unused_sheets(vm, lower: int) -> list[tuple[int, list[int]]]:
 
 def _external_model(run: _Run, solver_cmd: str, vm, formula) -> list[bool] | None:
     """Hand the formula, with soft clauses preferring sheets unused, to the
-    external WCNF solver: its model, or None when it gave none."""
-    wcnf = format_wcnf(formula.num_vars, formula.clauses, soft_unused_sheets(vm, run.lower))
+    external WCNF solver: its model, or None when it gave none or one that
+    breaks a hard clause."""
+    wcnf = format_wcnf(formula.num_vars, formula, soft_unused_sheets(vm, run.lower))
     fd, path = tempfile.mkstemp(suffix=".wcnf", prefix="cutstock-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(wcnf)
         t0 = time.perf_counter()
         result = run_external(solver_cmd, path, formula.num_vars, time_limit=run.remaining())
-        run.calls.append(CallRecord(run.upper, result.status, time.perf_counter() - t0))
+        elapsed = time.perf_counter() - t0
     finally:
         os.unlink(path)
-    return result.model  # None unless the status is SAT
+    model = result.model  # None unless the status is SAT
+    if model is not None and not formula.satisfied_by(model):
+        model, result.status = None, UNKNOWN  # not a model: no answer
+    run.calls.append(CallRecord(run.upper, result.status, elapsed))
+    return model
 
 
 def solve_instance(

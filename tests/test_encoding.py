@@ -5,7 +5,7 @@ import pytest
 from cutstock.bounds import compute_bounds
 from cutstock.encoding import EncodeConfig, build_varmap, decode_model, encode_formula
 from cutstock.model import Instance, ItemType, expand_demands
-from cutstock.satcore import SAT, UNSAT, Solver
+from cutstock.satcore import SAT, UNSAT, Solver, format_dimacs, format_wcnf
 from cutstock.verify import brute_force_optimal, verify_solution
 
 from conftest import random_instance
@@ -203,6 +203,26 @@ def test_deterministic_output(demo):
     a = encode_formula(copies, demo, EncodeConfig(2, True, True))[1]
     b = encode_formula(copies, demo, EncodeConfig(2, True, True))[1]
     assert a.clauses == b.clauses and a.family_counts == b.family_counts
+
+
+def test_blocks_hold_the_clauses_in_order():
+    """Counters, clause list and model check all read the blocks alike."""
+    rng = random.Random(6)
+    for _ in range(20):
+        inst = random_instance(rng, max_copies=6, max_dim=7)
+        config = EncodeConfig(rng.randint(1, 4), rng.random() < 0.5, rng.random() < 0.5)
+        _, formula = encode_formula(expand_demands(inst), inst, config)
+        clauses = formula.clauses
+        assert format_dimacs(formula.num_vars, formula) == format_dimacs(formula.num_vars, clauses)
+        soft = [(1, [-v]) for v in range(1, 4)]
+        assert format_wcnf(formula.num_vars, formula, soft) == format_wcnf(formula.num_vars, clauses, soft)
+        assert formula.num_clauses == len(clauses) == sum(formula.family_counts.values())
+        for _ in range(5):
+            model = [False] + [rng.random() < 0.5 for _ in range(formula.num_vars)]
+            holds = all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
+            assert formula.satisfied_by(model) == holds
+        result = solve_formula(formula)
+        assert result.status == UNSAT or formula.satisfied_by(result.model)
 
 
 def test_decode_rejects_inconsistent_model(demo):

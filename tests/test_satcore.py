@@ -243,6 +243,119 @@ def test_engines_are_lockstep():
     assert runs[0] == runs[1]
 
 
+# ----------------------------------------------------------------------
+# block loading
+
+
+def engine_state(s):
+    """What loading can change, as far as the engine shows it: the
+    statistics, plus the arena, watches and trail of the pure-Python one."""
+    state = [s.stats()]
+    if isinstance(s, PurePythonSolver):
+        state += [s._ok, s._clauses, s._lbd, s._watches, s._trail, s._qhead]
+    return state
+
+
+def add_block_two_ways(by_block, by_clause, heads, bodies):
+    """add_block on one engine, add_clause on each clause on the other: the
+    same error, if any, and the same state after."""
+    errors = []
+    for load in (
+        lambda: by_block.add_block(heads, bodies),
+        lambda: [by_clause.add_clause(h + b) for h in heads for b in bodies],
+    ):
+        try:
+            load()
+            errors.append(None)
+        except ValueError as exc:
+            errors.append(str(exc))
+    assert errors[0] == errors[1], (heads, bodies)
+    assert engine_state(by_block) == engine_state(by_clause), (heads, bodies)
+    return errors[0]
+
+
+def solve_two_ways(by_block, by_clause, **kwargs):
+    a, b = by_block.solve(**kwargs), by_clause.solve(**kwargs)
+    assert (a.status, a.model, a.stats) == (b.status, b.model, b.stats)
+    assert engine_state(by_block) == engine_state(by_clause)
+
+
+def random_block(rng, n):
+    """Heads and bodies over variables 1..n: either disjoint as the plain
+    path needs, or drawn freely, with units, shared and repeated variables
+    and tautologies."""
+    signed = lambda vs: [v if rng.random() < 0.5 else -v for v in vs]
+    if rng.random() < 0.5:
+        order = rng.sample(range(1, n + 1), n)
+        pool, rest = order[: n // 2], order[n // 2:]
+        heads = [signed(rng.sample(pool, rng.randint(2, 3))) for _ in range(rng.randint(1, 4))]
+        bodies = []
+        while rest and len(bodies) < 5:
+            size = rng.randint(0, 2)
+            bodies.append(signed(rest[:size]))
+            rest = rest[size:]
+        return heads, bodies or [[]]
+    pick = lambda: signed(rng.choices(range(1, n + 1), k=rng.randint(0, 3)))
+    return ([pick() for _ in range(rng.randint(0, 3))],
+            [pick() for _ in range(rng.randint(0, 3))])
+
+
+def test_add_block_matches_add_clause_on_random_blocks(engine_cls):
+    """Blocks on their own or after solves that left top-level assignments,
+    with and without the conditions of the plain path."""
+    rng = random.Random(71)
+    for _ in range(120):
+        n = rng.randint(6, 14)
+        by_block, by_clause = engine_cls(n), engine_cls(n)
+        for _ in range(rng.randint(2, 12)):
+            if rng.random() < 0.75:
+                add_block_two_ways(by_block, by_clause, *random_block(rng, n))
+            else:
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, n + 1), rng.randint(0, 3))]
+                solve_two_ways(by_block, by_clause, assumptions=assumptions)
+        solve_two_ways(by_block, by_clause)
+
+
+def test_add_block_matches_add_clause_on_encoded_formulas(engine_cls):
+    """Every block of encoded formulas, k = 1 included, whose exactly-one
+    units come before any link block; then solves, units and a link block
+    loaded again after them."""
+    rng = random.Random(72)
+    for i in range(16):
+        inst = random_instance(rng, max_copies=7, max_dim=7)
+        k = 1 if i % 4 == 0 else rng.randint(2, 4)
+        config = EncodeConfig(k, rng.random() < 0.5, rng.random() < 0.5)
+        vm, formula = encode_formula(expand_demands(inst), inst, config)
+        by_block, by_clause = engine_cls(formula.num_vars), engine_cls(formula.num_vars)
+        for heads, bodies in formula.blocks:
+            add_block_two_ways(by_block, by_clause, heads, bodies)
+        assert by_block.stats() == by_clause.stats()
+        for m in range(k, 0, -1):
+            solve_two_ways(by_block, by_clause,
+                           assumptions=[-vm.used(j) for j in range(m + 1, k + 1)])
+            add_block_two_ways(by_block, by_clause, [[-vm.used(m)]], [[]])
+        for heads, bodies in formula.blocks[1:2]:
+            add_block_two_ways(by_block, by_clause, heads, bodies)
+        solve_two_ways(by_block, by_clause)
+
+
+@pytest.mark.parametrize("heads, bodies, raises", [
+    ([[1, 2], [-3, 4]], [[5], [5, -6], [6]], False),  # bodies share variables 5 and 6
+    ([[1, 2], [3, -3, 4]], [[5], [6]], False),  # a tautological head
+    ([[1, 2], [3, 4]], [[5], [2, 6]], False),  # a body repeats a head variable
+    ([[1], [2, 3]], [[4, 5]], False),  # a head too short to watch
+    ([[1, 2], [3, 4]], [[5], [-99], [6]], True),  # a literal past the declared variables
+    ([[1, 2], [0, 4]], [[5]], True),  # literal 0
+])
+def test_add_block_falls_back_clause_by_clause(engine_cls, heads, bodies, raises):
+    """Same error, after the same clauses went in, as add_clause gives."""
+    by_block, by_clause = engine_cls(10), engine_cls(10)
+    error = add_block_two_ways(by_block, by_clause, heads, bodies)
+    assert (error is not None) == raises
+    solve_two_ways(by_block, by_clause)
+
+
 def test_subclass_forwarding_init(engine_cls):
     """A subclass that forwards ``__init__`` works on either engine, and both
     engines show the same public names and statistics keys."""

@@ -9,7 +9,7 @@ from cutstock.bounds import compute_bounds
 from cutstock.encoding import EncodeConfig, encode_formula
 from cutstock.model import Instance, ItemType, expand_demands
 from cutstock.satcore import SAT, UNKNOWN, UNSAT
-from cutstock.search import OPTIMAL, config_name, solve_instance
+from cutstock.search import LOAD_CHECK_EVERY, OPTIMAL, _pieces, config_name, solve_instance
 from cutstock.verify import brute_force_optimal, verify_solution
 
 from conftest import random_instance
@@ -213,6 +213,30 @@ def test_maxsat_external_answer_without_refutation_is_feasible(engine_cls):
     assert out.lower_bound == 1
 
 
+def test_maxsat_external_non_model_is_no_answer(tmp_path, engine_cls):
+    """A solver that claims an optimum with a model breaking the hard
+    clauses gave no answer: the engine asks the first question itself."""
+    script = tmp_path / "non_model.py"
+    script.write_text('print("s OPTIMUM FOUND")\nprint("v 0")\n')
+    inst = Instance(4, 4, (ItemType(1, 2, 3), ItemType(1, 4, 1), ItemType(3, 2, 1)))
+    out = solve_instance(inst, "maxsat", solver_cmd=f"{sys.executable} {script}", engine=engine_cls)
+    assert (out.status, out.best_k, out.backend) == (OPTIMAL, 1, "internal")
+    assert [(c.k, c.verdict) for c in out.calls] == [(2, UNKNOWN), (2, SAT)]
+    assert verify_solution(inst, out.best_solution, False).ok
+
+
+def test_load_pieces_keep_order_and_size():
+    """Loading cuts blocks into pieces of at most the deadline-check
+    interval without changing the clauses or their order."""
+    rng = random.Random(8)
+    inst = random_instance(rng, max_copies=7, max_dim=7)
+    _, formula = encode_formula(expand_demands(inst), inst, EncodeConfig(3, True, True))
+    for size in (1, 2, 5, 64, LOAD_CHECK_EVERY):
+        pieces = list(_pieces(formula.blocks, size))
+        assert all(1 <= len(heads) * len(bodies) <= size for heads, bodies in pieces)
+        assert [h + b for heads, bodies in pieces for h in heads for b in bodies] == formula.clauses
+
+
 def test_timeout_returns_feasible_witness(engine_cls):
     inst = force_gap_instance()
     for strategy in ("sat", "inc", "maxsat"):
@@ -237,6 +261,10 @@ def test_deadline_stops_build_and_load(monkeypatch):
         def add_clause(self, lits):
             counts["clauses"] += 1
             super().add_clause(lits)
+
+        def add_block(self, heads, bodies):
+            counts["clauses"] += len(heads) * len(bodies)
+            super().add_block(heads, bodies)
 
         def solve(self, *args, **kwargs):
             counts["solves"] += 1
@@ -271,6 +299,9 @@ def test_corrupt_model_reported_not_trusted(engine_cls):
 
         def add_clause(self, lits):
             self.inner.add_clause(lits)
+
+        def add_block(self, heads, bodies):
+            self.inner.add_block(heads, bodies)
 
         def solve(self, **kwargs):
             result = self.inner.solve(**kwargs)
