@@ -3,8 +3,10 @@
 Two interchangeable engines exist: the pure-Python reference
 (``cutstock.satcore.engine``) and its hand-written C++ transliteration
 (``cutstock.satcore._engine``, built from ``_engine.cpp`` on install when a
-C++ compiler is present).  ``Solver`` is the compiled one when it can be
-imported and the pure-Python one otherwise.
+C++ compiler is present).  They share the interface, verdicts, models,
+statistics and trail order, but not the watch layer: the reference watches
+the clauses of one block head as a single run.  ``Solver`` is the compiled
+one when it can be imported and the pure-Python one otherwise.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
 // Compiled CDCL engine, interface-identical to cutstock.satcore.engine.
 //
-// A line-for-line transliteration of the pure-Python reference: two watched
-// literals with blockers, first-UIP learning with basic minimisation, an
-// activity heap with ties to the smaller variable, phase saving, Luby
-// restarts, LBD-based database reduction and solving under assumptions with
-// clause retention.  It gives the same verdicts, models and statistics,
-// conflict for conflict.  Clauses live in one flat arena: [size, lbd, lit...]
-// at each reference offset; size < 0 marks a deleted clause.  add_block
-// loads a whole block of clauses (head + body for every head and body) in
-// one call from Python.
+// A transliteration of the pure-Python reference: two watched literals with
+// blockers, first-UIP learning with basic minimisation, an activity heap
+// with ties to the smaller variable, phase saving, Luby restarts, LBD-based
+// database reduction and solving under assumptions with clause retention.
+// It gives the same verdicts, models, statistics and trail order, conflict
+// for conflict.  Its watch layer is the plain one: every clause is watched
+// on its own, where the reference watches the clauses of one add_block head
+// as a single run until they differ.  Clauses live in one flat arena:
+// [size, lbd, lit...] at each reference offset; size < 0 marks a deleted
+// clause.  add_block loads a whole block of clauses (head + body for every
+// head and body) in one call from Python.
 //
 // Build: g++ -O2 -shared -fPIC -I<python include> _engine.cpp -o _engine<EXT_SUFFIX>
 

@@ -17,14 +17,35 @@ dropped, so the engine never relies on the encoder's own clause checks.
 in one call, leaving the engine exactly as ``add_clause`` on each of those
 clauses would; it checks the block once and stores its clauses directly
 when none of them could need a per-clause check.
-The hot loops (``add_clause``, ``add_block``, ``_propagate``, the heap) write
-out the small helpers ``_lit_value``, ``_attach``, ``_enqueue`` and
-``_widx`` inline; the helpers remain for the colder paths.
+
+Stored that way, the clauses of one head form a *run*: ``[first cref,
+count, prefix, bodies]``, where ``prefix`` is the shared head.  A run has
+one watch entry in each of two lists, marked by the negative cref ``~run
+index``, and its arena slots hold a placeholder.  While some prefix
+literal past position 1 is not false, every clause of the run would take
+the same step on a visit, so the visit takes it once for the run: the
+blocker check, the swap of positions 0/1, the first-literal-true check and
+the move of the watch to another prefix literal.  When every prefix literal
+past position 1 is false, the run dissolves: each clause is written to the
+arena as ``prefix + body``, and the run's entry in the visited list is
+replaced by one ``(cref, blocker)`` pair per clause, which the ordinary
+per-clause loop then visits.  The entry in the run's other list is replaced
+the same way the next time a visit reaches it.  The search is therefore the
+one the engine would run with every clause watched on its own.
+
+``_val`` and ``_watches`` are indexed by the literal itself: slot 0 is
+unused, +v is at v, and -v at the v-th slot from the end, which is Python's
+negative index.  ``add_vars`` inserts new slots in the middle.  A literal
+outside the declared variables would alias another one, so every literal
+that comes in is range-checked first.  The hot loops (``add_clause``,
+``add_block``, ``_propagate``, the heap) write out the small helpers
+``_attach`` and ``_enqueue`` inline; the helpers remain for the colder
+paths.
 
 This module is the reference implementation.  ``cutstock.satcore._engine``
-is its line-for-line C++ transliteration (``_engine.cpp``), with the same
-interface, verdicts, models and statistics; it is preferred at import time
-when it has been built.
+is its C++ transliteration (``_engine.cpp``), which watches every clause
+on its own; it has the same interface, verdicts, models, statistics and
+trail order, and is preferred at import time when it has been built.
 """
 
 from __future__ import annotations
@@ -38,6 +59,7 @@ UNKNOWN = "UNKNOWN"
 
 _UNDEF = -1
 _NO_REASON = -1
+_PENDING = ()  # arena slot of a clause whose run has not dissolved yet
 
 
 class SolveResult:
@@ -73,17 +95,19 @@ class Solver:
     def __init__(self, num_vars: int = 0):
         self._nvars = 0
         self._ok = True
+        # per-literal value (1 true, 0 false, -1 unassigned) and watch lists of
+        # flat (cref, blocker) pairs, indexed by the literal; slot 0 unused
+        self._val = [_UNDEF]
+        self._watches: list[list[int]] = [[]]
         # per-variable state, slot 0 unused
-        self._assign = [_UNDEF]
         self._level = [0]
         self._reason = [_NO_REASON]
         self._activity = [0.0]
         self._phase = [0]
         self._seen = [0]
-        # per-literal watch lists, flat (cref, blocker) pairs; index 2v / 2v+1
-        self._watches: list[list[int]] = [[], []]
-        # clause arena: list of literal lists, None = deleted
-        self._clauses: list[list[int] | None] = []
+        # clause arena: list of literal lists, None = deleted, _PENDING = in a run
+        self._clauses: list = []
+        self._runs: list[list] = []  # [first cref, count, prefix or None once dissolved, bodies]
         self._live = 0  # clauses in the arena that are not deleted
         self._lbd: list[int] = []  # -1 for problem clauses
         self._learnt_refs: list[int] = []
@@ -115,33 +139,27 @@ class Solver:
         """Declare ``count`` new variables; returns the first new index."""
         first = self._nvars + 1
         count = max(count, 0)
+        # the new literals' slots go between +n and -n
+        self._val[first:first] = [_UNDEF] * (2 * count)
+        self._watches[first:first] = [[] for _ in range(2 * count)]
         self._nvars += count
-        self._assign += [_UNDEF] * count
         self._level += [0] * count
         self._reason += [_NO_REASON] * count
         self._activity += [0.0] * count
         self._phase += [0] * count
         self._seen += [0] * count
-        self._watches += [[] for _ in range(2 * count)]
         # activities are never negative, so a new variable (activity 0, the
         # highest index) belongs at the end of the heap without sifting
         self._heap_pos += range(len(self._heap), len(self._heap) + count)
         self._heap += range(first, first + count)
         return first
 
-    def _lit_value(self, lit: int) -> int:
-        """1 true, 0 false, -1 unassigned."""
-        a = self._assign[lit if lit > 0 else -lit]
-        if a < 0:
-            return a
-        return a if lit > 0 else a ^ 1
-
     def add_clause(self, lits) -> None:
         """Add a problem clause; must be called with no assumptions active."""
         if not self._ok:
             return
         nvars = self._nvars
-        assign = self._assign
+        val = self._val
         out = []
         seen = set()
         for lit in lits:
@@ -152,9 +170,9 @@ class Solver:
                 return  # tautology
             if lit in seen:
                 continue
-            a = assign[v]
+            a = val[lit]
             if a >= 0:
-                if (a if lit > 0 else a ^ 1) == 1:
+                if a == 1:
                     return  # satisfied at top level
                 continue  # falsified at top level
             seen.add(lit)
@@ -174,8 +192,8 @@ class Solver:
         self._live += 1
         a, b = out[0], out[1]
         watches = self._watches
-        watches[(a << 1) if a > 0 else ((-a) << 1) | 1].extend((cref, b))
-        watches[(b << 1) if b > 0 else ((-b) << 1) | 1].extend((cref, a))
+        watches[a].extend((cref, b))
+        watches[b].extend((cref, a))
 
     def add_block(self, heads, bodies) -> None:
         """Add the problem clause ``head + body`` for every head and body,
@@ -186,10 +204,12 @@ class Solver:
         ``add_clause``'s checks (nothing is assigned at top level, every
         head has two or more literals, no variable occurs twice in a head,
         twice among the bodies or in both, and every variable is declared),
-        each clause is stored with its two head literals watched; otherwise
-        each goes through ``add_clause``.
+        the clauses of each head are stored as one run watched on its two
+        first literals (a plain clause when there is one body); otherwise
+        each goes through ``add_clause``.  A run keeps the body lists
+        themselves until it dissolves, so they must not change afterwards.
         """
-        if not self._ok:
+        if not self._ok or not bodies:
             return
         plain = not self._trail
         if plain:
@@ -217,19 +237,21 @@ class Solver:
                     add(head + body)
             return
         clauses = self._clauses
+        runs = self._runs
         watches = self._watches
         m = len(bodies)
         cref = len(clauses)
         for head in heads:
             a, b = head[0], head[1]
-            clauses += [head + body for body in bodies]
-            crefs = range(cref, cref + m)
-            pairs = [b] * (2 * m)
-            pairs[::2] = crefs
-            watches[(a << 1) if a > 0 else ((-a) << 1) | 1] += pairs
-            pairs = [a] * (2 * m)
-            pairs[::2] = crefs
-            watches[(b << 1) if b > 0 else ((-b) << 1) | 1] += pairs
+            if m == 1:
+                clauses.append(head + bodies[0])
+                ref = cref
+            else:
+                clauses += [_PENDING] * m
+                ref = ~len(runs)
+                runs.append([cref, m, list(head), bodies])
+            watches[a] += (ref, b)
+            watches[b] += (ref, a)
             cref += m
         added = len(heads) * m
         self._lbd += [-1] * added
@@ -237,13 +259,8 @@ class Solver:
 
     def _attach(self, cref: int, c: list[int]) -> None:
         a, b = c[0], c[1]
-        self._watches[self._widx(a)].extend((cref, b))
-        self._watches[self._widx(b)].extend((cref, a))
-
-    @staticmethod
-    def _widx(lit: int) -> int:
-        """Watch-list index of a literal: 2v for +v, 2v+1 for -v."""
-        return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
+        self._watches[a].extend((cref, b))
+        self._watches[b].extend((cref, a))
 
     # ------------------------------------------------------------------
     # activity heap (max-heap keyed by activity, ties to smaller variable;
@@ -322,7 +339,8 @@ class Solver:
 
     def _enqueue(self, lit: int, reason: int) -> None:
         v = lit if lit > 0 else -lit
-        self._assign[v] = 1 if lit > 0 else 0
+        self._val[lit] = 1
+        self._val[-lit] = 0
         self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
         self._trail.append(lit)
@@ -334,11 +352,12 @@ class Solver:
         if len(self._trail_lim) <= lvl:
             return
         bound = self._trail_lim[lvl]
+        val = self._val
         for i in range(len(self._trail) - 1, bound - 1, -1):
             lit = self._trail[i]
             v = lit if lit > 0 else -lit
-            self._phase[v] = self._assign[v]
-            self._assign[v] = _UNDEF
+            self._phase[v] = val[v]
+            val[v] = val[-v] = _UNDEF
             self._reason[v] = _NO_REASON
             if self._heap_pos[v] < 0:
                 self._heap_insert(v)
@@ -352,7 +371,8 @@ class Solver:
     def _propagate(self) -> int:
         """Unit propagation; returns a conflicting cref or _NO_REASON."""
         clauses = self._clauses
-        assign = self._assign
+        runs = self._runs
+        val = self._val
         level = self._level
         reason = self._reason
         watches = self._watches
@@ -365,51 +385,75 @@ class Solver:
             qhead += 1
             props += 1
             false_lit = -p
-            wl = watches[(p << 1) | 1 if p > 0 else (-p) << 1]
+            wl = watches[false_lit]
             i = j = 0
             n = len(wl)
             while i < n:
                 cref = wl[i]
                 blocker = wl[i + 1]
                 i += 2
-                bv = assign[blocker if blocker > 0 else -blocker]
-                if bv >= 0 and (bv if blocker > 0 else bv ^ 1) == 1:
+                if val[blocker] == 1:
                     wl[j] = cref
                     wl[j + 1] = blocker
                     j += 2
                     continue
-                c = clauses[cref]
-                if c is None:
-                    continue
+                if cref >= 0:
+                    c = clauses[cref]
+                    if c is None:
+                        continue
+                else:
+                    run = runs[~cref]
+                    c = run[2]
+                    if c is None:  # dissolved: visit its clauses one by one
+                        start, count = run[0], run[1]
+                        pairs = [blocker] * (2 * count)
+                        pairs[::2] = range(start, start + count)
+                        i -= 2
+                        wl[i:i + 2] = pairs
+                        n = len(wl)
+                        continue
+                    swapped = c[0] == false_lit
                 if c[0] == false_lit:
                     c[0] = c[1]
                     c[1] = false_lit
                 first = c[0]
-                fv = assign[first if first > 0 else -first]
-                if first != blocker and fv >= 0 and (fv if first > 0 else fv ^ 1) == 1:
+                fv = val[first]
+                if first != blocker and fv == 1:
                     wl[j] = cref
                     wl[j + 1] = first
                     j += 2
                     continue
                 for k in range(2, len(c)):
                     lk = c[k]
-                    kv = assign[lk if lk > 0 else -lk]
-                    if kv < 0 or (kv if lk > 0 else kv ^ 1) == 1:
+                    if val[lk] != 0:
                         c[1] = lk
                         c[k] = false_lit
-                        watches[(lk << 1) if lk > 0 else ((-lk) << 1) | 1].extend((cref, first))
+                        watches[lk].extend((cref, first))
                         break
                 else:
+                    if cref < 0:
+                        # every prefix literal past position 1 is false, so
+                        # the clauses now differ in what they do: write them
+                        # out as they were before this visit, each to make
+                        # its own swap, and revisit the entry as theirs
+                        if swapped:
+                            c[0], c[1] = c[1], c[0]
+                        start, count = run[0], run[1]
+                        clauses[start:start + count] = [c + body for body in run[3]]
+                        run[2] = run[3] = None
+                        i -= 2
+                        continue
                     wl[j] = cref
                     wl[j + 1] = first
                     j += 2
-                    if fv >= 0:  # first is not true here, so it is false: conflict
+                    if fv == 0:  # first is false too: conflict
                         del wl[j:i]  # keep the rest of the list
                         self._qhead = len(trail)
                         self.propagations += props
                         return cref
+                    val[first] = 1
+                    val[-first] = 0
                     v = first if first > 0 else -first
-                    assign[v] = 1 if first > 0 else 0
                     level[v] = lvl
                     reason[v] = cref
                     trail.append(first)
@@ -502,7 +546,7 @@ class Solver:
     def _locked(self, cref: int, c: list[int]) -> bool:
         head = c[0]
         v = head if head > 0 else -head
-        return self._assign[v] != _UNDEF and self._reason[v] == cref
+        return self._val[v] != _UNDEF and self._reason[v] == cref
 
     def _reduce_db(self) -> None:
         live = [r for r in self._learnt_refs if self._clauses[r] is not None]
@@ -592,7 +636,7 @@ class Solver:
             else:
                 if len(self._trail_lim) < len(assumptions):
                     p = assumptions[len(self._trail_lim)]
-                    val = self._lit_value(p)
+                    val = self._val[p]
                     if val == 1:
                         self._new_level()
                         continue
@@ -609,7 +653,7 @@ class Solver:
                 v = self._pick_branch_var()
                 if v == 0:
                     status = SAT
-                    model = [a == 1 for a in self._assign]  # slot 0 is unassigned
+                    model = [a == 1 for a in self._val[: self._nvars + 1]]  # slot 0 is unassigned
                     break
                 self.decisions += 1
                 self._new_level()
@@ -621,7 +665,7 @@ class Solver:
     def _pick_branch_var(self) -> int:
         while self._heap:
             v = self._heap_pop()
-            if self._assign[v] == _UNDEF:
+            if self._val[v] == _UNDEF:
                 return v
         return 0
 

@@ -23,7 +23,8 @@ from cutstock.satcore import (
 )
 
 from cutstock.encoding import EncodeConfig, encode_formula
-from cutstock.model import expand_demands
+from cutstock.model import Instance, ItemType, expand_demands
+from cutstock.search import LOAD_CHECK_EVERY, _pieces
 
 from conftest import ENGINE_BUILD, random_cnf, random_instance
 
@@ -77,6 +78,22 @@ def test_variable_range_checked(engine_cls):
         s.add_clause([3])
     with pytest.raises(ValueError):
         s.solve(assumptions=[5])
+    # n+1 and -(n+1) name no variable, though a literal-indexed array would
+    # read them as -n and n
+    s = engine_cls(3)
+    s.add_clause([1, 2])
+    for lit in (4, -4):
+        with pytest.raises(ValueError):
+            s.add_clause([1, lit])
+        with pytest.raises(ValueError):
+            s.add_block([[1, 2], [-1, 3]], [[lit]])
+        with pytest.raises(ValueError):
+            s.add_block([[2, lit]], [[3], [-1]])
+        with pytest.raises(ValueError):
+            s.solve(assumptions=[1, lit])
+    r = s.solve(assumptions=[-3])
+    assert r.status == SAT and r.stats["clauses"] == 1
+    assert (r.model[1] or r.model[2]) and not r.model[3]
 
 
 def test_tautology_and_duplicates_ignored(engine_cls):
@@ -243,16 +260,75 @@ def test_engines_are_lockstep():
     assert runs[0] == runs[1]
 
 
+def test_engines_are_lockstep_through_add_block():
+    """Encoded formulas loaded block by block, in the pieces the search
+    loads, keep the engines lockstep call for call: assumption calls,
+    permanent unit clauses, and a conflict-limited call that crosses a
+    learned-clause reduction."""
+    engines = available_engines()
+    if len(engines) < 2:
+        pytest.skip("compiled engine not built")
+
+    def load(cls, formula, size):
+        s = cls(formula.num_vars)
+        for heads, bodies in _pieces(formula.blocks, size):
+            s.add_block(heads, bodies)
+        return s
+
+    def lockstep(solvers, **kwargs):
+        a, b = [s.solve(**kwargs) for s in solvers]
+        assert (a.status, a.model, a.stats) == (b.status, b.model, b.stats)
+        return a
+
+    rng = random.Random(33)
+    for i in range(12):
+        inst = random_instance(rng, max_copies=7, max_dim=7)
+        k = rng.randint(1, 4)
+        config = EncodeConfig(k, rng.random() < 0.5, rng.random() < 0.5)
+        vm, formula = encode_formula(expand_demands(inst), inst, config)
+        size = 3 if i % 2 else LOAD_CHECK_EVERY
+        solvers = [load(cls, formula, size) for cls in engines.values()]
+        for m in range(k, 0, -1):
+            lockstep(solvers, assumptions=[-vm.used(j) for j in range(m + 1, k + 1)])
+            for s in solvers:
+                s.add_clause([-vm.used(m)])
+        lockstep(solvers)
+    # seven 2x4 copies, at most two to a 4x4 sheet, do not fit on three
+    inst = Instance(4, 4, (ItemType(2, 4, 7),))
+    vm, formula = encode_formula(expand_demands(inst), inst, EncodeConfig(3, rotation=True))
+    solvers = [load(engines[name], formula, 5) for name in ("compiled", "python")]
+    first = lockstep(solvers, conflict_limit=4500)
+    assert first.status == UNKNOWN and first.stats["learned"] > 4000
+    assert any(c is None for c in solvers[1]._clauses), "no clause was ever deleted"
+    assert lockstep(solvers, assumptions=[-vm.used(3)]).status == UNSAT
+    assert lockstep(solvers).status == UNSAT
+
+
 # ----------------------------------------------------------------------
 # block loading
 
 
 def engine_state(s):
     """What loading can change, as far as the engine shows it: the
-    statistics, plus the arena, watches and trail of the pure-Python one."""
+    statistics, plus the values, arena, watches and trail of the pure-Python
+    one.  Runs that have not dissolved are expanded into what watching each
+    clause on its own gives: ``prefix + body`` in each arena slot, and one
+    ``(cref, blocker)`` pair per clause in place of a run's watch entry."""
     state = [s.stats()]
     if isinstance(s, PurePythonSolver):
-        state += [s._ok, s._clauses, s._lbd, s._watches, s._trail, s._qhead]
+        clauses = list(s._clauses)
+        for first, count, prefix, bodies in s._runs:
+            if prefix is not None:
+                clauses[first:first + count] = [prefix + body for body in bodies]
+        watches = []
+        for wl in s._watches:
+            pairs = []
+            for cref, blocker in zip(wl[::2], wl[1::2]):
+                first, count = (cref, 1) if cref >= 0 else s._runs[~cref][:2]
+                for ref in range(first, first + count):
+                    pairs += [ref, blocker]
+            watches.append(pairs)
+        state += [s._ok, s._val, clauses, s._lbd, watches, s._trail, s._qhead]
     return state
 
 
@@ -354,6 +430,54 @@ def test_add_block_falls_back_clause_by_clause(engine_cls, heads, bodies, raises
     error = add_block_two_ways(by_block, by_clause, heads, bodies)
     assert (error is not None) == raises
     solve_two_ways(by_block, by_clause)
+
+
+def test_add_block_matches_add_clause_after_learning_and_add_vars(engine_cls):
+    """Blocks of one body and of none; blocks added after a solve that left
+    learned clauses; variables declared after clauses and top-level units,
+    then used by blocks and units."""
+    n, clauses = php(6, 5)
+    n += 1  # a gate: the pigeonhole clauses bind only when it is false
+    clauses = [c + [n] for c in clauses]
+    by_block, by_clause = engine_cls(n), engine_cls(n)
+    add_block_two_ways(by_block, by_clause, clauses[:5], [[]])
+    add_block_two_ways(by_block, by_clause, [[1, 2], [-3, 4, 5]], [])
+    add_block_two_ways(by_block, by_clause, [[-1, -6], [-2, -7]], [[-8, 9]])
+    for c in clauses[5:]:
+        add_block_two_ways(by_block, by_clause, [c], [[]])
+    solve_two_ways(by_block, by_clause, assumptions=[-n], conflict_limit=40)
+    assert by_block.stats()["learned"] > 0
+    if isinstance(by_block, PurePythonSolver):
+        assert not by_block._trail  # so the block below takes the plain path
+    for s in (by_block, by_clause):
+        s.add_vars(4)
+    add_block_two_ways(by_block, by_clause, [[1, -2], [3, n + 1]], [[n + 2], [-(n + 3), 7], [n + 4]])
+    solve_two_ways(by_block, by_clause, assumptions=[-1, n + 3])
+    # top-level units, then new variables whose slots sit among the old ones
+    add_block_two_ways(by_block, by_clause, [[-(n + 4)], [n + 1]], [[]])
+    for s in (by_block, by_clause):
+        s.add_vars(3)
+    add_block_two_ways(by_block, by_clause, [[n + 5, n + 4], [-(n + 7)]], [[]])
+    add_block_two_ways(by_block, by_clause, [[-(n + 5), -(n + 6)]], [[-(n + 1)], [n + 7]])
+    solve_two_ways(by_block, by_clause)
+    r = by_block.solve()
+    assert r.status == SAT and len(r.model) == n + 8
+    assert [r.model[n + i] for i in (1, 4, 5, 6, 7)] == [True, False, True, False, False]
+
+
+def test_link_blocks_are_watched_once_per_head(demo):
+    """Loading an encoded formula watches every head of a block with two
+    or more bodies once, not each of its clauses: one watch entry in each
+    of two lists per head and per other stored clause."""
+    for k, rotation, sb in ((2, False, False), (3, True, False), (3, False, True)):
+        vm, formula = encode_formula(expand_demands(demo), demo, EncodeConfig(k, rotation, sb))
+        s = PurePythonSolver(formula.num_vars)
+        for heads, bodies in formula.blocks:
+            s.add_block(heads, bodies)
+        stored = s.stats()["clauses"]
+        shared = sum(len(heads) * (len(bodies) - 1) for heads, bodies in formula.blocks)
+        assert shared > stored // 2
+        assert sum(map(len, s._watches)) // 2 == 2 * (stored - shared)
 
 
 def test_subclass_forwarding_init(engine_cls):
