@@ -4,7 +4,8 @@ The command template gets ``{input}`` substituted with the problem path
 (appended as the last argument when the placeholder is absent).  The solver
 is expected to follow the usual output conventions: an ``s`` status line
 (SATISFIABLE / UNSATISFIABLE / OPTIMUM FOUND / UNKNOWN), ``v`` model lines
-with signed literals or a 0/1 string, and optional ``o`` cost lines.
+with signed literals or a 0/1 string.  Other lines, ``o`` cost lines
+among them, are ignored.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ UNKNOWN = "UNKNOWN"
 @dataclass
 class ExternalResult:
     status: str
-    optimal: bool = False
     model: list[bool] | None = None  # index 0 unused
-    cost: int | None = None
     diagnostic: str = ""
 
 
@@ -36,22 +35,16 @@ VERDICTS = {"SATISFIABLE": SAT, "OPTIMUM FOUND": SAT, "UNSATISFIABLE": UNSAT}
 
 
 def parse_solver_output(text: str, num_vars: int) -> ExternalResult:
-    """Read a solver's ``s``/``o``/``v`` lines for a problem over num_vars
+    """Read a solver's ``s`` and ``v`` lines for a problem over num_vars
     variables.  A model has exactly num_vars + 1 entries.  Conflicting
     status lines, and a SAT verdict without a well-formed model, give
     UNKNOWN with a diagnostic."""
     verdicts = set()
-    cost = None
     tokens: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("s "):
             verdicts.add(line[2:].strip().upper())
-        elif line.startswith("o "):
-            try:
-                cost = int(line[2:].strip())
-            except ValueError:
-                pass
         elif line.startswith("v ") or line == "v":
             tokens.extend(line[1:].split())
     if len(verdicts) > 1:
@@ -59,11 +52,11 @@ def parse_solver_output(text: str, num_vars: int) -> ExternalResult:
     verdict = verdicts.pop() if verdicts else "UNKNOWN"
     status = VERDICTS.get(verdict, UNKNOWN)
     if status != SAT:
-        return ExternalResult(status, cost=cost)
+        return ExternalResult(status)
     model, problem = _read_model(tokens, num_vars)
     if model is None:
         return ExternalResult(UNKNOWN, diagnostic=problem)
-    return ExternalResult(SAT, verdict == "OPTIMUM FOUND", model, cost)
+    return ExternalResult(SAT, model)
 
 
 def _read_model(tokens: list[str], num_vars: int) -> tuple[list[bool] | None, str]:

@@ -2,11 +2,16 @@
 
 Usage: ``python -m cutstock.satcore.extsolver_cli FILE [TIME_LIMIT]``
 
-CNF files get a plain SAT verdict.  WCNF files are optimised by upward
-linear search on the number of falsified softs, using a sequential-counter
-cardinality bound; only unit-weight unit soft clauses are supported (which
-is what this package exports).  Exit codes follow solver conventions:
-10 satisfiable / optimum, 20 unsatisfiable, 0 unknown.
+CNF and WCNF files take one path; a CNF file is a WCNF without soft
+clauses.  The hard clauses go into one incremental solver, once.  Each
+model is improved by linear SAT-UNSAT search: after the first model, one
+sequential counter (Sinz 2005) as wide as that model's cost counts the
+falsified soft clauses, and every later call adds the unit clause "at most
+cost - 1" for the last model's cost.  The first UNSAT proves the last model
+optimal.  Only unit-weight unit soft clauses are supported (which is what
+this package exports).  TIME_LIMIT, in seconds, bounds the whole run.
+Exit codes follow solver conventions: 10 satisfiable / optimum,
+20 unsatisfiable, 0 unknown, 2 bad arguments.
 
 This doubles as a scriptable stand-in for third-party solvers, so the
 external-adapter pipeline can be exercised without network access.
@@ -15,110 +20,87 @@ external-adapter pipeline can be exercised without network access.
 from __future__ import annotations
 
 import sys
+import time
 
+from .. import satcore
 from .dimacs import parse_dimacs, parse_wcnf
-from .engine import SAT, UNSAT
+from .engine import SAT, UNKNOWN
 
 
-def _load_engine():
-    from . import Solver
-
-    return Solver
-
-
-def _print_model(model: list[bool], num_vars: int) -> None:
-    lits = [str(v if model[v] else -v) for v in range(1, num_vars + 1)]
-    print("v " + " ".join(lits) + " 0")
-
-
-def _at_most(solver, lits: list[int], bound: int) -> None:
-    """Sequential-counter at-most-k over the given literals."""
-    n = len(lits)
-    if bound >= n:
-        return
-    if bound == 0:
-        for lit in lits:
-            solver.add_clause([-lit])
-        return
-    # reg[i][j] true when at least j+1 of lits[0..i] hold
-    base = solver.add_vars(n * bound)
-    reg = lambda i, j: base + i * bound + j
-    solver.add_clause([-lits[0], reg(0, 0)])
-    for j in range(1, bound):
-        solver.add_clause([-reg(0, j)])
-    for i in range(1, n):
-        solver.add_clause([-lits[i], reg(i, 0)])
-        solver.add_clause([-reg(i - 1, 0), reg(i, 0)])
-        for j in range(1, bound):
-            solver.add_clause([-lits[i], -reg(i - 1, j - 1), reg(i, j)])
-            solver.add_clause([-reg(i - 1, j), reg(i, j)])
-        solver.add_clause([-lits[i], -reg(i - 1, bound - 1)])
+def _counter(solver, lits: list[int], width: int) -> list[int]:
+    """Sequential counter over lits: output j is forced true whenever at
+    least j + 1 of lits hold, for j < width."""
+    row: list[int] = []
+    for lit in lits:
+        first = solver.add_vars(width)
+        new = list(range(first, first + width))
+        solver.add_clause([-lit, new[0]])
+        for j, prev in enumerate(row):
+            solver.add_clause([-prev, new[j]])
+            if j + 1 < width:
+                solver.add_clause([-lit, -prev, new[j + 1]])
+        row = new
+    return row
 
 
-def solve_cnf(path: str, time_limit: float | None) -> int:
+def solve(path: str, time_limit: float | None) -> int:
+    """Print the verdict on a CNF or WCNF file; returns the exit code."""
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
     with open(path) as fh:
-        num_vars, clauses = parse_dimacs(fh.read())
-    solver = _load_engine()(num_vars)
-    for clause in clauses:
-        solver.add_clause(clause)
-    result = solver.solve(time_limit=time_limit)
-    if result.status == SAT:
-        print("s SATISFIABLE")
-        _print_model(result.model, num_vars)
-        return 10
-    if result.status == UNSAT:
-        print("s UNSATISFIABLE")
-        return 20
-    print("s UNKNOWN")
-    return 0
-
-
-def solve_wcnf(path: str, time_limit: float | None) -> int:
-    with open(path) as fh:
-        num_vars, top, hard, soft = parse_wcnf(fh.read())
+        text = fh.read()
+    is_wcnf = path.endswith(".wcnf") or "p wcnf" in text[:4096]
+    if is_wcnf:
+        num_vars, _, hard, soft = parse_wcnf(text)
+    else:
+        (num_vars, hard), soft = parse_dimacs(text), []
     if any(weight != 1 or len(lits) != 1 for weight, lits in soft):
         print("c only unit-weight unit soft clauses are supported")
         print("s UNKNOWN")
         return 0
-    soft_lits = [lits[0] for _, lits in soft]
+    broken = [-lits[0] for _, lits in soft]  # true where a soft clause is falsified
 
-    make = _load_engine()
-    probe = make(num_vars)
+    solver = satcore.Solver(num_vars)
     for clause in hard:
-        probe.add_clause(clause)
-    if probe.solve(time_limit=time_limit).status == UNSAT:
+        solver.add_clause(clause)
+    model, at_least = None, []
+    while True:
+        left = None if deadline is None else max(0.0, deadline - time.perf_counter())
+        result = solver.solve(time_limit=left)
+        if result.status != SAT:
+            break
+        model = result.model
+        cost = sum(model[lit] if lit > 0 else not model[-lit] for lit in broken)
+        if cost == 0:
+            break
+        if not at_least:
+            at_least = _counter(solver, broken, cost)
+        solver.add_clause([-at_least[cost - 1]])
+
+    if result.status == UNKNOWN:
+        print("s UNKNOWN")
+        return 0
+    if model is None:
         print("s UNSATISFIABLE")
         return 20
-
-    for allowed in range(len(soft_lits) + 1):
-        solver = make(num_vars)
-        for clause in hard:
-            solver.add_clause(clause)
-        _at_most(solver, [-lit for lit in soft_lits], allowed)
-        result = solver.solve(time_limit=time_limit)
-        if result.status == SAT:
-            print(f"o {allowed}")
-            print("s OPTIMUM FOUND")
-            _print_model(result.model, num_vars)
-            return 10
-        if result.status != UNSAT:
-            print("s UNKNOWN")
-            return 0
-    print("s UNKNOWN")
-    return 0
+    if is_wcnf:
+        print(f"o {cost}")
+        print("s OPTIMUM FOUND")
+    else:
+        print("s SATISFIABLE")
+    print("v " + " ".join(str(v if model[v] else -v) for v in range(1, num_vars + 1)) + " 0")
+    return 10
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if not argv or len(argv) > 2:
+    try:
+        time_limit = float(argv[1]) if len(argv) == 2 else None
+    except ValueError:
+        time_limit = -1.0  # refused below, as a negative limit is
+    if not argv or len(argv) > 2 or not (time_limit is None or time_limit >= 0):
         print("usage: extsolver_cli FILE [TIME_LIMIT]", file=sys.stderr)
         return 2
-    path = argv[0]
-    time_limit = float(argv[1]) if len(argv) == 2 else None
-    with open(path) as fh:
-        head = fh.read(4096)
-    is_wcnf = path.endswith(".wcnf") or "p wcnf" in head
-    return solve_wcnf(path, time_limit) if is_wcnf else solve_cnf(path, time_limit)
+    return solve(argv[0], time_limit)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from cutstock.satcore import (
     UNSAT,
     PurePythonSolver,
     available_engines,
+    extsolver_cli,
     format_dimacs,
     format_wcnf,
     parse_dimacs,
@@ -551,7 +552,7 @@ def test_parse_solver_output_variants():
     sat = parse_solver_output("c hi\ns SATISFIABLE\nv 1 -2 0\n", 3)
     assert sat.status == SAT and sat.model == [False, True, False, False]
     bits = parse_solver_output("s OPTIMUM FOUND\no 3\nv 101\n", 3)
-    assert bits.status == SAT and bits.optimal and bits.cost == 3
+    assert bits.status == SAT
     assert bits.model == [False, True, False, True]
     assert parse_solver_output("s UNSATISFIABLE\n", 3).status == UNSAT
     assert parse_solver_output("garbage\n", 3).status == UNKNOWN
@@ -702,17 +703,144 @@ def test_external_agrees_with_embedded(tmp_path, engine_cls):
         assert run_external(BRIDGE, str(path), n).status == local
 
 
-def test_bridge_wcnf_optimum(tmp_path):
+def test_bridge_wcnf_optimum(tmp_path, capsys):
     # hard: x1 required; softs prefer both false -> optimum cost 1
     path = tmp_path / "opt.wcnf"
     path.write_text(format_wcnf(2, [[1]], [(1, [-1]), (1, [-2])]))
     result = run_external(BRIDGE, str(path), 2)
-    assert result.status == SAT and result.optimal
-    assert result.cost == 1
+    assert result.status == SAT
     assert result.model[1] is True and result.model[2] is False
+    assert extsolver_cli.main([str(path)]) == 10
+    assert "o 1" in capsys.readouterr().out.splitlines()
 
 
 def test_bridge_wcnf_hard_unsat(tmp_path):
     path = tmp_path / "un.wcnf"
     path.write_text(format_wcnf(1, [[1], [-1]], [(1, [-1])]))
     assert run_external(BRIDGE, str(path), 1).status == UNSAT
+
+
+def bridge_answer(capsys, path, *args):
+    """(exit code, {line kind: rest of the line}) of an in-process bridge run."""
+    code = extsolver_cli.main([str(path), *map(str, args)])
+    return code, {line[0]: line[2:] for line in capsys.readouterr().out.splitlines()}
+
+
+def test_bridge_refuses_bad_time_limit(tmp_path, capsys):
+    path = tmp_path / "one.cnf"
+    path.write_text(format_dimacs(1, [[1]]))
+    for limit in ("abc", "-1", "nan"):
+        assert extsolver_cli.main([str(path), limit]) == 2
+        assert "usage" in capsys.readouterr().err
+    assert extsolver_cli.main([str(path), "0"]) in (0, 10)
+
+
+def write_improvable_wcnf(path):
+    """A WCNF whose first model, with every decision false, has cost 3 of an
+    optimum 1; returns its hard clauses."""
+    hard = [[1, 2, 3, 4], [-1, -2]]
+    path.write_text(format_wcnf(4, hard, [(1, [v]) for v in range(1, 5)]))
+    return hard
+
+
+def test_bridge_time_limit_bounds_the_whole_run(tmp_path, capsys, monkeypatch, engine_cls):
+    monkeypatch.setattr("cutstock.satcore.Solver", engine_cls)
+    n, hard = php(12, 11)
+    path = tmp_path / "php.wcnf"
+    path.write_text(format_wcnf(n, hard, [(1, [-v]) for v in range(1, n + 1)]))
+    started = time.perf_counter()
+    code, lines = bridge_answer(capsys, path, 0.5)
+    assert (code, lines["s"]) == (0, "UNKNOWN")
+    assert time.perf_counter() - started < 3.0
+
+    limits = []
+
+    class Slow(engine_cls):
+        def solve(self, *args, time_limit=None, **kwargs):
+            limits.append(time_limit)
+            time.sleep(0.2)
+            return super().solve(*args, time_limit=time_limit, **kwargs)
+
+    monkeypatch.setattr("cutstock.satcore.Solver", Slow)
+    write_improvable_wcnf(path)
+    bridge_answer(capsys, path, 0.5)
+    assert len(limits) > 1
+    assert all(limit <= max(0.0, 0.5 - 0.2 * i) for i, limit in enumerate(limits)), limits
+
+
+def brute_force_cost(n, hard, soft_lits):
+    """Fewest falsified unit soft clauses over models of hard, or None."""
+    costs = [
+        sum(bits[abs(l) - 1] != (l > 0) for l in soft_lits)
+        for bits in itertools.product((False, True), repeat=n)
+        if all(any(bits[abs(l) - 1] == (l > 0) for l in c) for c in hard)
+    ]
+    return min(costs, default=None)
+
+
+def test_bridge_optimum_matches_exhaustive_search(tmp_path, capsys, monkeypatch, engine_cls):
+    """Random WCNFs over at most 9 variables: the bridge's verdict and cost
+    are the exhaustive ones, and its model has the cost it prints."""
+    statuses = []
+
+    class Recording(engine_cls):
+        def solve(self, *args, **kwargs):
+            result = super().solve(*args, **kwargs)
+            statuses.append(result.status)
+            return result
+
+    monkeypatch.setattr("cutstock.satcore.Solver", Recording)
+    rng = random.Random(41)
+    seen = set()
+    path = tmp_path / "f.wcnf"
+    for _ in range(200):
+        n, hard = random_cnf(rng, max_vars=9)
+        soft_lits = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, n + 2))]
+        path.write_text(format_wcnf(n, hard, [(1, [lit]) for lit in soft_lits]))
+        statuses.clear()
+        code, lines = bridge_answer(capsys, path)
+        best = brute_force_cost(n, hard, soft_lits)
+        if best is None:
+            assert (code, lines["s"]) == (20, "UNSATISFIABLE")
+            seen.add("hard unsat")
+            continue
+        assert (code, lines["s"], int(lines["o"])) == (10, "OPTIMUM FOUND", best)
+        model = [False] * (n + 1)
+        for tok in lines["v"].split()[:-1]:
+            model[abs(int(tok))] = int(tok) > 0
+        assert satisfies(model, hard)
+        assert sum(model[abs(l)] != (l > 0) for l in soft_lits) == best
+        seen.add("cost 0" if best == 0 else "cost > 0")
+        if statuses.count(SAT) > 1:
+            seen.add("first model improved")
+    assert seen == {"hard unsat", "cost 0", "cost > 0", "first model improved"}
+
+
+def test_bridge_loads_hard_clauses_once(tmp_path, capsys, monkeypatch, engine_cls):
+    """One solver per run, each hard clause added to it once, even when the
+    first model is not optimal."""
+    built, added, costs = [], [], []
+
+    class Counting(engine_cls):
+        def __init__(self, num_vars=0):
+            super().__init__(num_vars)
+            built.append(num_vars)
+
+        def add_clause(self, lits):
+            added.append(tuple(lits))
+            return super().add_clause(lits)
+
+        def solve(self, *args, **kwargs):
+            result = super().solve(*args, **kwargs)
+            if result.status == SAT:
+                costs.append(sum(not result.model[v] for v in range(1, 5)))
+            return result
+
+    monkeypatch.setattr("cutstock.satcore.Solver", Counting)
+    path = tmp_path / "improve.wcnf"
+    hard = write_improvable_wcnf(path)
+    code, lines = bridge_answer(capsys, path)
+    assert (code, lines["s"], lines["o"]) == (10, "OPTIMUM FOUND", "1")
+    assert costs[0] > 1  # the first model is not optimal
+    assert built == [4]
+    assert [c for c in added if all(abs(l) <= 4 for l in c)] == [tuple(c) for c in hard]
