@@ -11,14 +11,12 @@ variable supplies a default external MaxSAT solver command.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import itertools
 import os
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -204,6 +202,8 @@ def _pooled(pool, job):
     the pool and fails every job not yet done with it, whether it ran or not,
     so such a job runs again alone in a fresh one-worker pool: only the job
     whose own worker dies gets an error row."""
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     try:
         future = pool.submit(_run_one, job)
     except BrokenProcessPool:  # the pool broke before this job was queued
@@ -215,7 +215,7 @@ def _pooled(pool, job):
                 return future.result()
             except BrokenProcessPool:
                 pass
-        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as alone:
+        with ProcessPoolExecutor(max_workers=1) as alone:
             return alone.submit(_run_one, job).result()
 
     return result
@@ -361,7 +361,10 @@ def cmd_bench(args) -> int:
             for sb in _expand_modes(args.sb)
         ]
         if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # imported here: bench is the only command that uses a process pool
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = [_pooled(pool, job) for job in jobs]
                 rows = [_row(job, result) for job, result in zip(jobs, results)]
         else:

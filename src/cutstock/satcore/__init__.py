@@ -7,14 +7,19 @@ C++ compiler is present).  They share the interface, verdicts, models,
 statistics and trail order, but not the watch layer: the reference watches
 the clauses of one block head as a single run.  ``Solver`` is the compiled
 one when it can be imported and the pure-Python one otherwise.
+
+The external adapter (``ExternalResult``, ``parse_solver_output``,
+``run_external``) loads on first use, so the bundled MaxSAT bridge, which
+needs only the engine and the DIMACS reader, never imports it.
 """
 
 from __future__ import annotations
 
+import importlib
+
 from . import engine as _engine_py
 from .dimacs import format_dimacs, format_wcnf, parse_dimacs, parse_wcnf
 from .engine import SAT, UNKNOWN, UNSAT, SolveResult
-from .external import ExternalResult, parse_solver_output, run_external
 
 PurePythonSolver = _engine_py.Solver
 
@@ -34,6 +39,21 @@ def available_engines() -> dict[str, type]:
     if CompiledSolver is not None:
         engines["compiled"] = CompiledSolver
     return engines
+
+
+_FROM_EXTERNAL = ("ExternalResult", "parse_solver_output", "run_external")
+
+
+def __getattr__(name: str):
+    if name not in _FROM_EXTERNAL and name != "external":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    external = importlib.import_module(".external", __name__)
+    globals().update((n, getattr(external, n)) for n in _FROM_EXTERNAL)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
 
 
 __all__ = [

@@ -9,9 +9,11 @@ sequential counter (Sinz 2005) as wide as that model's cost counts the
 falsified soft clauses, and every later call adds the unit clause "at most
 cost - 1" for the last model's cost.  The first UNSAT proves the last model
 optimal.  Only unit-weight unit soft clauses are supported (which is what
-this package exports).  TIME_LIMIT, in seconds, bounds the whole run.
-Exit codes follow solver conventions: 10 satisfiable / optimum,
-20 unsatisfiable, 0 unknown, 2 bad arguments.
+this package exports).  TIME_LIMIT, in seconds, bounds the whole run; when
+it runs out after a model, the last model is printed with its ``o`` cost
+and ``s SATISFIABLE``, as MaxSAT solvers do.  Exit codes follow solver
+conventions: 10 satisfiable / optimum, 20 unsatisfiable, 0 unknown,
+2 bad arguments.
 
 This doubles as a scriptable stand-in for third-party solvers, so the
 external-adapter pipeline can be exercised without network access.
@@ -76,15 +78,15 @@ def solve(path: str, time_limit: float | None) -> int:
             at_least = _counter(solver, broken, cost)
         solver.add_clause([-at_least[cost - 1]])
 
-    if result.status == UNKNOWN:
-        print("s UNKNOWN")
-        return 0
     if model is None:
+        if result.status == UNKNOWN:
+            print("s UNKNOWN")
+            return 0
         print("s UNSATISFIABLE")
         return 20
     if is_wcnf:
         print(f"o {cost}")
-        print("s OPTIMUM FOUND")
+        print("s SATISFIABLE" if result.status == UNKNOWN else "s OPTIMUM FOUND")
     else:
         print("s SATISFIABLE")
     print("v " + " ".join(str(v if model[v] else -v) for v in range(1, num_vars + 1)) + " 0")

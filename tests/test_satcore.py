@@ -13,6 +13,7 @@ from cutstock.satcore import (
     UNKNOWN,
     UNSAT,
     PurePythonSolver,
+    SolveResult,
     available_engines,
     extsolver_cli,
     format_dimacs,
@@ -766,6 +767,30 @@ def test_bridge_time_limit_bounds_the_whole_run(tmp_path, capsys, monkeypatch, e
     bridge_answer(capsys, path, 0.5)
     assert len(limits) > 1
     assert all(limit <= max(0.0, 0.5 - 0.2 * i) for i, limit in enumerate(limits)), limits
+
+
+def test_bridge_keeps_its_model_when_time_runs_out(tmp_path, capsys, monkeypatch, engine_cls):
+    """Time running out after a model prints that model with its cost and
+    s SATISFIABLE, as MaxSAT solvers do, instead of s UNKNOWN."""
+    calls = []
+
+    class OutOfTime(engine_cls):
+        def solve(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:  # the first improvement call
+                return SolveResult(UNKNOWN, None, {})
+            return super().solve(*args, **kwargs)
+
+    monkeypatch.setattr("cutstock.satcore.Solver", OutOfTime)
+    path = tmp_path / "improve.wcnf"
+    hard = write_improvable_wcnf(path)
+    code, lines = bridge_answer(capsys, path)
+    assert (code, lines["s"], lines["o"]) == (10, "SATISFIABLE", "3")
+    model = [False] * 5
+    for tok in lines["v"].split()[:-1]:
+        model[abs(int(tok))] = int(tok) > 0
+    assert satisfies(model, hard)
+    assert sum(not model[v] for v in range(1, 5)) == 3
 
 
 def brute_force_cost(n, hard, soft_lits):
