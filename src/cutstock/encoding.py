@@ -25,6 +25,7 @@ is emitted: ``add_block`` checks each head and each body once per block,
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import chain
 
@@ -199,9 +200,15 @@ def _permitted_orientations(c: Copy, instance: Instance, config: EncodeConfig) -
 
 
 def encode_formula(
-    copies: tuple[Copy, ...], instance: Instance, config: EncodeConfig
+    copies: tuple[Copy, ...], instance: Instance, config: EncodeConfig, *, deadline=None
 ) -> tuple[VarMap, CnfFormula]:
-    """Build the feasibility formula for config.sheets sheets."""
+    """Build the feasibility formula for config.sheets sheets.
+
+    With a ``deadline`` (a ``time.perf_counter()`` value), raises
+    ``TimeoutError`` when it passes before the formula is complete; it is
+    checked once per pair of copies of the ``link`` family, almost all of
+    the formula.
+    """
     instance.validate(config.rotation)
     vm = build_varmap(copies, instance, config)
     formula = CnfFormula(vm.total)
@@ -269,6 +276,8 @@ def encode_formula(
         for d in range(n):
             if c == d:
                 continue
+            if deadline is not None and time.perf_counter() >= deadline:
+                raise TimeoutError("deadline passed while encoding")
             guards = list(zip(not_sheet[c], not_sheet[d]))
             for orient, ew, eh in orientation_cases(c):
                 for rel, bodies in (

@@ -18,20 +18,23 @@ in one call, leaving the engine exactly as ``add_clause`` on each of those
 clauses would; it checks the block once and stores its clauses directly
 when none of them could need a per-clause check.
 
-Stored that way, the clauses of one head form a *run*: ``[first cref,
-count, prefix, bodies]``, where ``prefix`` is the shared head.  A run has
-one watch entry in each of two lists, marked by the negative cref ``~run
-index``, and its arena slots hold a placeholder.  While some prefix
+Stored that way, the clauses of one head form a *run*: ``[prefix,
+bodies]``, where ``prefix`` is the shared head.  A run has one watch entry
+in each of two lists, marked by the negative cref ``~run index``, and its
+clauses have no cref and no arena slot of their own.  While some prefix
 literal past position 1 is not false, every clause of the run would take
 the same step on a visit, so the visit takes it once for the run: the
 blocker check, the swap of positions 0/1, the first-literal-true check and
 the move of the watch to another prefix literal.  When every prefix literal
-past position 1 is false, the run dissolves: each clause is written to the
-arena as ``prefix + body``, and the run's entry in the visited list is
-replaced by one ``(cref, blocker)`` pair per clause, which the ordinary
-per-clause loop then visits.  The entry in the run's other list is replaced
-the same way the next time a visit reaches it.  The search is therefore the
-one the engine would run with every clause watched on its own.
+past position 1 is false, the run dissolves: each clause is appended to the
+arena as ``prefix + body``, in body order, which gives the clauses their
+crefs, and the run becomes ``[None, crefs]``.  The run's entry in the
+visited list is replaced by one ``(cref, blocker)`` pair per clause, which
+the ordinary per-clause loop then visits.  The entry in the run's other
+list is replaced the same way, with the same cref objects, the next time a
+visit reaches it.  A cref is only an identity (of a reason, a watch entry
+or a learned clause), so the search is the one the engine would run with
+every clause watched on its own.
 
 ``_val`` and ``_watches`` are indexed by the literal itself: slot 0 is
 unused, +v is at v, and -v at the v-th slot from the end, which is Python's
@@ -59,7 +62,6 @@ UNKNOWN = "UNKNOWN"
 
 _UNDEF = -1
 _NO_REASON = -1
-_PENDING = ()  # arena slot of a clause whose run has not dissolved yet
 
 
 class SolveResult:
@@ -105,11 +107,12 @@ class Solver:
         self._activity = [0.0]
         self._phase = [0]
         self._seen = [0]
-        # clause arena: list of literal lists, None = deleted, _PENDING = in a run
+        # clause arena: literal lists, None = deleted; a run's clauses join it
+        # when the run dissolves
         self._clauses: list = []
-        self._runs: list[list] = []  # [first cref, count, prefix or None once dissolved, bodies]
-        self._live = 0  # clauses in the arena that are not deleted
-        self._lbd: list[int] = []  # -1 for problem clauses
+        self._runs: list[list] = []  # [prefix, bodies], or [None, crefs] once dissolved
+        self._live = 0  # clauses not deleted, in the arena or in runs not dissolved
+        self._lbd: dict[int, int] = {}  # learned cref -> LBD
         self._learnt_refs: list[int] = []
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
@@ -188,7 +191,6 @@ class Solver:
         clauses = self._clauses
         cref = len(clauses)
         clauses.append(out)
-        self._lbd.append(-1)
         self._live += 1
         a, b = out[0], out[1]
         watches = self._watches
@@ -240,22 +242,17 @@ class Solver:
         runs = self._runs
         watches = self._watches
         m = len(bodies)
-        cref = len(clauses)
         for head in heads:
             a, b = head[0], head[1]
             if m == 1:
+                ref = len(clauses)
                 clauses.append(head + bodies[0])
-                ref = cref
             else:
-                clauses += [_PENDING] * m
                 ref = ~len(runs)
-                runs.append([cref, m, list(head), bodies])
+                runs.append([list(head), bodies])
             watches[a] += (ref, b)
             watches[b] += (ref, a)
-            cref += m
-        added = len(heads) * m
-        self._lbd += [-1] * added
-        self._live += added
+        self._live += len(heads) * m
 
     def _attach(self, cref: int, c: list[int]) -> None:
         a, b = c[0], c[1]
@@ -403,19 +400,18 @@ class Solver:
                         continue
                 else:
                     run = runs[~cref]
-                    c = run[2]
+                    c = run[0]
                     if c is None:  # dissolved: visit its clauses one by one
-                        start, count = run[0], run[1]
-                        pairs = [blocker] * (2 * count)
-                        pairs[::2] = range(start, start + count)
+                        refs = run[1]
+                        pairs = [blocker] * (2 * len(refs))
+                        pairs[::2] = refs
                         i -= 2
                         wl[i:i + 2] = pairs
                         n = len(wl)
                         continue
                     swapped = c[0] == false_lit
                 if c[0] == false_lit:
-                    c[0] = c[1]
-                    c[1] = false_lit
+                    c[0], c[1] = c[1], c[0]
                 first = c[0]
                 fv = val[first]
                 if first != blocker and fv == 1:
@@ -426,21 +422,20 @@ class Solver:
                 for k in range(2, len(c)):
                     lk = c[k]
                     if val[lk] != 0:
-                        c[1] = lk
-                        c[k] = false_lit
+                        c[1], c[k] = lk, c[1]
                         watches[lk].extend((cref, first))
                         break
                 else:
                     if cref < 0:
                         # every prefix literal past position 1 is false, so
-                        # the clauses now differ in what they do: write them
-                        # out as they were before this visit, each to make
-                        # its own swap, and revisit the entry as theirs
+                        # the clauses now differ in what they do: append them
+                        # as they were before this visit, each to make its
+                        # own swap, and revisit the entry as theirs
                         if swapped:
                             c[0], c[1] = c[1], c[0]
-                        start, count = run[0], run[1]
-                        clauses[start:start + count] = [c + body for body in run[3]]
-                        run[2] = run[3] = None
+                        start = len(clauses)
+                        clauses += [c + body for body in run[1]]
+                        run[0], run[1] = None, list(range(start, len(clauses)))
                         i -= 2
                         continue
                     wl[j] = cref
@@ -557,6 +552,7 @@ class Solver:
             if self._lbd[r] <= 2 or len(c) <= 2 or self._locked(r, c):
                 continue
             self._clauses[r] = None
+            del self._lbd[r]
             self._live -= 1
         self._learnt_refs = [r for r in self._learnt_refs if self._clauses[r] is not None]
         self._max_learnts *= 1.2
@@ -613,7 +609,7 @@ class Solver:
                 else:
                     cref = len(self._clauses)
                     self._clauses.append(learnt)
-                    self._lbd.append(lbd)
+                    self._lbd[cref] = lbd
                     self._learnt_refs.append(cref)
                     self._live += 1
                     self._attach(cref, learnt)

@@ -154,10 +154,16 @@ class _Run:
         return self.deadline is not None and time.perf_counter() >= self.deadline
 
     def build(self, k: int):
-        """Encode k sheets: (vm, formula), or None when the deadline has passed."""
+        """Encode k sheets: (vm, formula), or None when the deadline passes
+        before the formula is complete."""
         if self.out_of_time():
             return None
-        vm, formula = encode_formula(self.copies, self.instance, self._config(k))
+        try:
+            vm, formula = encode_formula(
+                self.copies, self.instance, self._config(k), deadline=self.deadline
+            )
+        except TimeoutError:
+            return None
         self.builds += 1
         self.max_vars = max(self.max_vars, formula.num_vars)
         self.max_clauses = max(self.max_clauses, formula.num_clauses)
@@ -229,10 +235,9 @@ def _search(run: _Run, solver_cmd: str | None) -> SolveOutcome:
     first = True  # maxsat asks about upper itself once, unless the external model did
     disabled = upper + 1  # maxsat: sheets from here up are off for good
     if run.strategy != "sat" and lower < upper:
-        built = run.build(upper)
-        if built is None:
+        vm, formula = run.build(upper) or (None, None)
+        if formula is None:
             return run.finish()
-        vm, formula = built
         if solver_cmd and run.strategy == "maxsat":
             model = _external_model(run, solver_cmd, vm, formula)
             if model is not None:
@@ -245,6 +250,7 @@ def _search(run: _Run, solver_cmd: str | None) -> SolveOutcome:
             solver = run.load(formula)
             if solver is None:
                 return run.finish()
+        formula = None  # only vm is read from here on
     while lower < upper and not run.out_of_time():
         if run.strategy == "maxsat":
             k = upper if first else upper - 1
@@ -254,11 +260,12 @@ def _search(run: _Run, solver_cmd: str | None) -> SolveOutcome:
         t0 = time.perf_counter()
         assumptions = []
         if run.strategy == "sat":
-            built = run.build(k)
-            if built is None:
+            solver = None  # one engine alive at a time
+            vm, formula = run.build(k) or (None, None)
+            if formula is None:
                 break
-            vm, formula = built
             solver = run.load(formula)
+            formula = None
             if solver is None:
                 break
         elif run.strategy == "inc":

@@ -199,15 +199,31 @@ def test_conflict_budget_returns_unknown(engine_cls):
 
 
 def test_live_clause_count_survives_reductions():
+    """The clause count covers the arena's live entries and the clauses of
+    runs not yet dissolved, and LBDs are kept for live learned clauses only,
+    for a formula loaded clause by clause and a packing formula loaded block
+    by block."""
     n, clauses = php(8, 7)
-    s = PurePythonSolver(n)
+    by_clause = PurePythonSolver(n)
     for c in clauses:
-        s.add_clause(c)
-    s._max_learnts = 20.0  # reduce the learned-clause database early and often
-    for budget in (300, 600):
-        r = s.solve(conflict_limit=budget)
-        assert r.stats["clauses"] == sum(1 for c in s._clauses if c is not None)
-    assert any(c is None for c in s._clauses), "no clause was ever deleted"
+        by_clause.add_clause(c)
+    # seven 2x4 copies, at most two to a 4x4 sheet, do not fit on three
+    inst = Instance(4, 4, (ItemType(2, 4, 7),))
+    _, formula = encode_formula(expand_demands(inst), inst, EncodeConfig(3, rotation=True))
+    by_block = PurePythonSolver(formula.num_vars)
+    for heads, bodies in formula.blocks:
+        by_block.add_block(heads, bodies)
+    for s in (by_clause, by_block):
+        s._max_learnts = 20.0  # reduce the learned-clause database early and often
+        for budget in (300, 600):
+            r = s.solve(conflict_limit=budget)
+            pending = sum(len(bodies) for prefix, bodies in s._runs if prefix is not None)
+            assert r.stats["clauses"] == sum(c is not None for c in s._clauses) + pending
+            assert set(s._lbd) == set(s._learnt_refs)
+            assert all(s._clauses[r] is not None for r in s._lbd)
+        assert any(c is None for c in s._clauses), "no clause was ever deleted"
+    runs = by_block._runs
+    assert any(p is None for p, _ in runs) and any(p is not None for p, _ in runs)
 
 
 def test_engines_are_lockstep():
@@ -312,25 +328,46 @@ def test_engines_are_lockstep_through_add_block():
 
 def engine_state(s):
     """What loading can change, as far as the engine shows it: the
-    statistics, plus the values, arena, watches and trail of the pure-Python
-    one.  Runs that have not dissolved are expanded into what watching each
-    clause on its own gives: ``prefix + body`` in each arena slot, and one
-    ``(cref, blocker)`` pair per clause in place of a run's watch entry."""
+    statistics, plus the values, arena, watches, reasons, learned clauses
+    and trail of the pure-Python one, up to a renaming of crefs.  A cref is
+    only an identity, so clauses are numbered by first appearance along the
+    watch lists, then the reasons, then the learned refs; arena entries
+    that none of these name are compared as a sorted list.  Runs are
+    expanded into what watching each clause on its own gives: one
+    ``(clause, blocker)`` pair per clause in place of a run's watch entry,
+    where a clause of a run that has not dissolved is ``prefix + body``."""
     state = [s.stats()]
     if isinstance(s, PurePythonSolver):
-        clauses = list(s._clauses)
-        for first, count, prefix, bodies in s._runs:
-            if prefix is not None:
-                clauses[first:first + count] = [prefix + body for body in bodies]
+        names = {}  # cref, or (run entry, body index) -> number
+        clauses = []  # number -> literals
+
+        def name(key, lits):
+            if key not in names:
+                names[key] = len(clauses)
+                clauses.append(lits)  # None for a deleted clause still watched
+            return names[key]
+
+        arena = lambda cref: name(cref, s._clauses[cref])
         watches = []
         for wl in s._watches:
             pairs = []
             for cref, blocker in zip(wl[::2], wl[1::2]):
-                first, count = (cref, 1) if cref >= 0 else s._runs[~cref][:2]
-                for ref in range(first, first + count):
-                    pairs += [ref, blocker]
+                if cref >= 0:
+                    refs = [arena(cref)]
+                else:
+                    prefix, rest = s._runs[~cref]
+                    if prefix is None:
+                        refs = [arena(r) for r in rest]
+                    else:
+                        refs = [name((cref, i), prefix + body) for i, body in enumerate(rest)]
+                pairs += [(ref, blocker) for ref in refs]
             watches.append(pairs)
-        state += [s._ok, s._val, clauses, s._lbd, watches, s._trail, s._qhead]
+        reasons = [arena(r) if r >= 0 else r for r in s._reason]
+        learnt = [arena(r) for r in s._learnt_refs]
+        lbd = {arena(r): v for r, v in s._lbd.items()}
+        unnamed = sorted(repr(c) for r, c in enumerate(s._clauses) if r not in names)
+        state += [s._ok, s._val, clauses, unnamed, lbd, watches, reasons, learnt,
+                  s._trail, s._qhead]
     return state
 
 
@@ -480,6 +517,46 @@ def test_link_blocks_are_watched_once_per_head(demo):
         shared = sum(len(heads) * (len(bodies) - 1) for heads, bodies in formula.blocks)
         assert shared > stored // 2
         assert sum(map(len, s._watches)) // 2 == 2 * (stored - shared)
+
+
+def test_block_clauses_take_no_arena_slot_until_their_run_dissolves():
+    """Loaded block by block, the arena holds exactly the clauses stored on
+    their own, those of one-body blocks and of blocks that fall back clause
+    by clause, as add_clause stores them, apart from the clauses of runs
+    that dissolved.  No clause has an LBD.  The formula is loaded, then a
+    unit, then the formula again, so that its blocks of two or more bodies
+    fall back the second time."""
+    rng = random.Random(74)
+    for i in range(8):
+        inst = random_instance(rng, max_copies=7, max_dim=7)
+        while len(expand_demands(inst)) < 2:  # no link blocks without a pair of copies
+            inst = random_instance(rng, max_copies=7, max_dim=7)
+        config = EncodeConfig(rng.randint(2, 4), rng.random() < 0.5, rng.random() < 0.5)
+        vm, formula = encode_formula(expand_demands(inst), inst, config)
+        pieces = list(_pieces(formula.blocks, 3 if i % 2 else LOAD_CHECK_EVERY))
+        s = PurePythonSolver(formula.num_vars)
+        twin = PurePythonSolver(formula.num_vars)
+        stored = []  # what the twin stores for the pieces that make no runs
+        kinds = set()
+        for heads, bodies in pieces + [([[-vm.used(config.sheets)]], [[]])] + pieces:
+            runs, before = len(s._runs), len(twin._clauses)
+            s.add_block(heads, bodies)
+            for head in heads:
+                for body in bodies:
+                    twin.add_clause(head + body)
+            if len(s._runs) == runs:
+                stored += twin._clauses[before:]
+                kinds.add("fallback" if len(bodies) > 1 else "one body")
+            else:
+                assert len(s._runs) - runs == len(heads) and len(bodies) > 1
+                kinds.add("runs")
+        assert kinds == {"one body", "fallback", "runs"}
+        # units propagate at top level, which can dissolve runs: their
+        # clauses join the arena under the crefs the run lists
+        dissolved = {r for prefix, refs in s._runs if prefix is None for r in refs}
+        assert [c for r, c in enumerate(s._clauses) if r not in dissolved] == stored
+        assert s._lbd == {}
+        assert s.stats() == twin.stats()
 
 
 def test_subclass_forwarding_init(engine_cls):

@@ -1,6 +1,8 @@
 import random
+import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -279,8 +281,8 @@ def test_deadline_stops_build_and_load(monkeypatch):
     started = time.perf_counter()
     real_encode = search_mod.encode_formula
 
-    def slow_encode(*args):
-        result = real_encode(*args)
+    def slow_encode(*args, **kwargs):
+        result = real_encode(*args, **kwargs)
         time.sleep(max(0.0, started + 1.0 - time.perf_counter()) + 0.01)
         return result
 
@@ -288,6 +290,75 @@ def test_deadline_stops_build_and_load(monkeypatch):
     out = solve_instance(inst, "inc", engine=Counting, time_limit=1.0, started=started)
     assert (out.status, out.formula_builds, out.calls) == ("FEASIBLE", 1, [])
     assert counts == {"clauses": 0, "solves": 0}
+
+
+def test_search_keeps_one_engine_and_no_formula_alive(engine_cls, monkeypatch):
+    """sat drops each engine and formula before it builds the next; every
+    strategy drops its formula once the engine holds it."""
+    from cutstock import search as search_mod
+
+    engines, formulas = [], []
+    real_encode = search_mod.encode_formula
+
+    def recording_encode(*args, **kwargs):
+        vm, formula = real_encode(*args, **kwargs)
+        formulas.append(weakref.ref(formula))
+        return vm, formula
+
+    class Single(engine_cls):
+        def __init__(self, num_vars):
+            assert all(ref() is None for ref in engines), "an earlier engine is alive"
+            super().__init__(num_vars)
+            engines.append(weakref.ref(self))
+
+        def solve(self, *args, **kwargs):
+            assert formulas and all(ref() is None for ref in formulas), "a formula is alive"
+            return super().solve(*args, **kwargs)
+
+    monkeypatch.setattr(search_mod, "encode_formula", recording_encode)
+    # six 3x3 pieces on a 5x5 sheet: the window [3, 6] takes two refutations
+    inst = Instance(5, 5, (ItemType(3, 3, 6),))
+    out = solve_instance(inst, "sat", engine=Single)
+    assert (out.status, out.best_k, out.formula_builds) == (OPTIMAL, 6, 2)
+    assert [(c.k, c.verdict) for c in out.calls] == [(4, UNSAT), (5, UNSAT)]
+    assert len(engines) == 2
+    for strategy in ("inc", "maxsat"):
+        engines.clear()
+        out = solve_instance(inst, strategy, engine=Single)
+        assert (out.status, out.best_k, out.formula_builds) == (OPTIMAL, 6, 1)
+        assert len(engines) == 1 and len(out.calls) >= 1
+
+
+# a 300x300 sheet and 30 random types of three copies each: at 11 sheets
+# and with symmetry breaking this is 39.1M clauses, the order of the
+# largest published instances, and encoding it takes seconds
+PUBLISHED_SCALE = """
+import random, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from cutstock.model import Instance, ItemType
+from cutstock.search import solve_instance
+rng = random.Random(7)
+inst = Instance(300, 300, tuple(
+    ItemType(rng.randint(20, 150), rng.randint(20, 150), 3) for _ in range(30)))
+for strategy in ("inc", "sat"):
+    start = time.perf_counter()
+    out = solve_instance(inst, strategy, symmetry_breaking=True, time_limit=0.5)
+    print(strategy, out.status, out.formula_builds, time.perf_counter() - start)
+"""
+DEADLINE_SLACK = 1.0  # seconds past the time limit a run may take to end
+
+
+def test_deadline_holds_while_encoding_at_published_scale():
+    """Under a 2 GiB address-space cap, a 0.5 s limit ends the run during
+    its first encoding, with the FFD witness, instead of after it."""
+    proc = subprocess.run([sys.executable, "-c", PUBLISHED_SCALE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["inc", "sat"]
+    for strategy, status, builds, elapsed in rows:
+        assert (status, builds) == ("FEASIBLE", "0"), strategy
+        assert float(elapsed) <= 0.5 + DEADLINE_SLACK, strategy
 
 
 def test_corrupt_model_reported_not_trusted(engine_cls):
