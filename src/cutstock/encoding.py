@@ -12,15 +12,12 @@ against closed-form sizes.
 A ``CnfFormula`` keeps its clauses as blocks: ``(heads, bodies)`` stands
 for ``head + body`` for every head and body, head-major.  The ``link``
 family, almost all of the formula, is one block per pair of copies, axis
-and orientation: a guard head per sheet times bodies shared by every sheet
-(``CnfFormula.add_block``).  Every other clause goes through
-``CnfFormula.add`` into a run block of plain clauses.  Engines load a block
-in one ``add_block`` call, and DIMACS/WCNF export formats each head and
-body once per block.
-
-Every clause is checked to be non-empty and free of repeated variables as it
-is emitted: ``add_block`` checks each head and each body once per block,
-``add`` each plain clause on its own.
+and orientation: a guard head per sheet times bodies shared by every sheet.
+Every other family is one block of plain clauses, ``(clauses, [[]])``.
+``CnfFormula.add_block`` is the only way in, and checks every clause to be
+non-empty and free of repeated variables at the cost of one check per head
+and body.  Engines load a block in one ``add_block`` call, and DIMACS/WCNF
+export formats each head and body once per block.
 """
 
 from __future__ import annotations
@@ -105,10 +102,10 @@ class CnfFormula:
 
     A block stands for the clause ``head + body`` for every head and body,
     head-major.  ``add_block`` keeps its block as given, so bodies are
-    shared by every head and never copied; clauses from ``add`` go into a
-    trailing run block ``(run, [[]])``.  ``clauses`` lists every clause in
-    order, but building that list costs one list per clause, so loading
-    and export walk ``blocks`` instead.
+    shared by every head and never copied; a list of plain clauses is the
+    block ``(clauses, [[]])``.  ``clauses`` lists every clause in order,
+    but building that list costs one list per clause, so loading and export
+    walk ``blocks`` instead.
     """
 
     def __init__(self, num_vars: int):
@@ -116,7 +113,6 @@ class CnfFormula:
         self.blocks: list[tuple[list[list[int]], list[list[int]]]] = []
         self.num_clauses = 0
         self.family_counts: dict[str, int] = {}
-        self._run: list[list[int]] | None = None  # heads of the trailing run block
 
     @property
     def clauses(self) -> list[list[int]]:
@@ -131,26 +127,14 @@ class CnfFormula:
             all(map(holds, heads)) or all(map(holds, bodies)) for heads, bodies in self.blocks
         )
 
-    def _count(self, family: str, count: int) -> None:
-        self.num_clauses += count
-        self.family_counts[family] = self.family_counts.get(family, 0) + count
-
-    def add(self, family: str, lits: list[int]) -> None:
-        assert lits, "empty clause emitted"
-        assert len({abs(l) for l in lits}) == len(lits), "repeated variable in clause"
-        if self._run is None:
-            self._run = []
-            self.blocks.append((self._run, [[]]))
-        self._run.append(lits)
-        self._count(family, 1)
-
     def add_block(self, family: str, heads: list[list[int]], bodies: list[list[int]]) -> None:
         """Add ``head + body`` for every head and body, head-major.
 
         Heads must be non-empty and free of repeated variables.  No
         variable may occur twice among the bodies, or in a body and a head.
         Together these make every emitted clause non-empty and free of
-        repeated variables, at the cost of one check per head and body.
+        repeated variables, at the cost of one check per head and body.  A
+        block with no clauses leaves the formula as it was.
         """
         head_vars: set[int] = set()
         for head in heads:
@@ -164,39 +148,26 @@ class CnfFormula:
         assert head_vars.isdisjoint(body_vars), "repeated variable in clause"
         if heads and bodies:
             self.blocks.append((heads, bodies))
-            self._run = None
-        self._count(family, len(heads) * len(bodies))
-
-
-def build_varmap(copies: tuple[Copy, ...], instance: Instance, config: EncodeConfig) -> VarMap:
-    return VarMap(len(copies), instance.sheet_width, instance.sheet_height, config)
+            count = len(heads) * len(bodies)
+            self.num_clauses += count
+            self.family_counts[family] = self.family_counts.get(family, 0) + count
 
 
 def _permitted_orientations(c: Copy, instance: Instance, config: EncodeConfig) -> list[bool]:
-    """Orientations (rotated?) that keep the copy inside the sheet.
+    """Orientations (rotated?) that symmetry breaking leaves open: exactly
+    the set its rotation-fixing units leave open.
 
-    With symmetry breaking on, squares are pinned to unrotated; this is
-    exactly the set the rotation-fixing units leave open.
+    Squares are pinned to unrotated, and a copy that fits the sheet one way
+    only is pinned to that way.
     """
-    w, h = instance.sheet_width, instance.sheet_height
-    if not config.rotation:
+    if not config.rotation or c.width == c.height:
         return [False]
+    w, h = instance.sheet_width, instance.sheet_height
     fits_plain = c.width <= w and c.height <= h
     fits_rot = c.height <= w and c.width <= h
-    if config.symmetry_breaking:
-        if c.width == c.height:
-            return [False]
-        if fits_plain and not fits_rot:
-            return [False]
-        if fits_rot and not fits_plain:
-            return [True]
-        return [False, True]
-    out = []
-    if fits_plain:
-        out.append(False)
-    if fits_rot:
-        out.append(True)
-    return out or [False]
+    if fits_plain != fits_rot:
+        return [fits_rot]
+    return [False, True]
 
 
 def encode_formula(
@@ -210,56 +181,52 @@ def encode_formula(
     the formula.
     """
     instance.validate(config.rotation)
-    vm = build_varmap(copies, instance, config)
+    vm = VarMap(len(copies), instance.sheet_width, instance.sheet_height, config)
     formula = CnfFormula(vm.total)
     n, k = vm.n, vm.sheets
     width, height = vm.width, vm.height
-
-    # one sheet per copy
-    for c in range(n):
-        formula.add("exactly_one", [vm.sheet(c, j) for j in range(1, k + 1)])
-        for j1 in range(1, k + 1):
-            for j2 in range(j1 + 1, k + 1):
-                formula.add("exactly_one", [-vm.sheet(c, j1), -vm.sheet(c, j2)])
-
-    # coordinate thresholds are monotone
-    for c in range(n):
-        for e in range(width - 2):
-            formula.add("order", [-vm.x_at_most(c, e), vm.x_at_most(c, e + 1)])
-        for f in range(height - 2):
-            formula.add("order", [-vm.y_at_most(c, f), vm.y_at_most(c, f + 1)])
-
-    # some separating direction must hold for same-sheet pairs
-    for c in range(n):
-        for d in range(c + 1, n):
-            for j in range(1, k + 1):
-                formula.add(
-                    "separation",
-                    [
-                        -vm.sheet(c, j),
-                        -vm.sheet(d, j),
-                        vm.left(c, d),
-                        vm.left(d, c),
-                        vm.below(c, d),
-                        vm.below(d, c),
-                    ],
-                )
-
-    # tie the separating directions to coordinates, per sheet and orientation:
-    # one block per (c, d, axis, orientation) with a guard head per sheet
     not_sheet = [[-vm.sheet(c, j) for j in range(1, k + 1)] for c in range(n)]
     xs = [[vm.x_at_most(c, e) for e in range(width - 1)] for c in range(n)]
     ys = [[vm.y_at_most(c, f) for f in range(height - 1)] for c in range(n)]
+    # each copy's orientations as (selector, width, height); the selector
+    # literal is satisfied when the copy is in the *other* orientation, so a
+    # clause carrying it only binds in the named one
+    if config.rotation:
+        orientations = [
+            [(vm.rot(c), copy.width, copy.height), (-vm.rot(c), copy.height, copy.width)]
+            for c, copy in enumerate(copies)
+        ]
+    else:
+        orientations = [[(0, copy.width, copy.height)] for copy in copies]
+
+    # one sheet per copy
+    exactly_one = []
+    for c in range(n):
+        exactly_one.append([vm.sheet(c, j) for j in range(1, k + 1)])
+        for j1 in range(1, k + 1):
+            for j2 in range(j1 + 1, k + 1):
+                exactly_one.append([-vm.sheet(c, j1), -vm.sheet(c, j2)])
+    formula.add_block("exactly_one", exactly_one, [[]])
+
+    # coordinate thresholds are monotone
+    order = []
+    for c in range(n):
+        order += [[-a, b] for a, b in zip(xs[c], xs[c][1:])]
+        order += [[-a, b] for a, b in zip(ys[c], ys[c][1:])]
+    formula.add_block("order", order, [[]])
+
+    # some separating direction must hold for same-sheet pairs
+    separation = []
+    for c in range(n):
+        for d in range(c + 1, n):
+            apart = [vm.left(c, d), vm.left(d, c), vm.below(c, d), vm.below(d, c)]
+            separation += [[gc, gd] + apart for gc, gd in zip(not_sheet[c], not_sheet[d])]
+    formula.add_block("separation", separation, [[]])
+
+    # tie the separating directions to coordinates, per sheet and orientation:
+    # one block per (c, d, axis, orientation) with a guard head per sheet
     not_xs = [[-v for v in row] for row in xs]
     not_ys = [[-v for v in row] for row in ys]
-
-    def orientation_cases(c: int):
-        copy = copies[c]
-        if config.rotation:
-            # clause literal is satisfied when the copy is in the *other*
-            # orientation, so the body only binds in the named one
-            return [(vm.rot(c), copy.width, copy.height), (-vm.rot(c), copy.height, copy.width)]
-        return [(0, copy.width, copy.height)]
 
     def link_bodies(at_c: list[int], not_at_d: list[int], extent: int, limit: int):
         # x_d >= extent even when x_c = 0; a copy too long to fit leaves the
@@ -279,7 +246,7 @@ def encode_formula(
             if deadline is not None and time.perf_counter() >= deadline:
                 raise TimeoutError("deadline passed while encoding")
             guards = list(zip(not_sheet[c], not_sheet[d]))
-            for orient, ew, eh in orientation_cases(c):
+            for orient, ew, eh in orientations[c]:
                 for rel, bodies in (
                     (vm.left(c, d), link_bodies(xs[c], not_xs[d], ew, width)),
                     (vm.below(c, d), link_bodies(ys[c], not_ys[d], eh, height)),
@@ -288,35 +255,25 @@ def encode_formula(
                     heads = [[gc, gd] + tail for gc, gd in guards]
                     formula.add_block("link", heads, bodies)
 
-    # every copy fits inside its sheet
-    def domain_clause(selector: int, threshold, c: int, extent: int, limit: int):
-        slack = limit - extent
-        if slack >= limit - 1:
-            return  # constant TRUE
-        if slack < 0:
-            if selector:
-                formula.add("domain", [selector])
-            else:
-                raise ValueError("copy does not fit the sheet; instance validation missed it")
-        else:
-            lits = ([selector] if selector else []) + [threshold(c, slack)]
-            formula.add("domain", lits)
-
+    # every copy fits inside its sheet: x in each orientation, then y
+    domain = []
     for c in range(n):
-        copy = copies[c]
-        if config.rotation:
-            domain_clause(vm.rot(c), vm.x_at_most, c, copy.width, width)
-            domain_clause(-vm.rot(c), vm.x_at_most, c, copy.height, width)
-            domain_clause(vm.rot(c), vm.y_at_most, c, copy.height, height)
-            domain_clause(-vm.rot(c), vm.y_at_most, c, copy.width, height)
-        else:
-            domain_clause(0, vm.x_at_most, c, copy.width, width)
-            domain_clause(0, vm.y_at_most, c, copy.height, height)
+        for at, limit, axis in ((xs[c], width, 1), (ys[c], height, 2)):
+            for case in orientations[c]:
+                selector, slack = case[0], limit - case[axis]
+                if slack >= limit - 1:
+                    continue  # constant TRUE
+                lits = [selector] if selector else []
+                if slack >= 0:
+                    lits.append(at[slack])
+                elif not lits:
+                    raise ValueError("copy does not fit the sheet; instance validation missed it")
+                domain.append(lits)
+    formula.add_block("domain", domain, [[]])
 
     # usage indicators
-    for c in range(n):
-        for j in range(1, k + 1):
-            formula.add("usage", [-vm.sheet(c, j), vm.used(j)])
+    usage = [[-vm.sheet(c, j), vm.used(j)] for c in range(n) for j in range(1, k + 1)]
+    formula.add_block("usage", usage, [[]])
 
     if config.symmetry_breaking:
         _encode_symmetry_breaking(copies, instance, config, vm, formula)
@@ -333,48 +290,46 @@ def _encode_symmetry_breaking(
     n, k = vm.n, vm.sheets
     width, height = vm.width, vm.height
     permitted = [_permitted_orientations(c, instance, config) for c in copies]
-
-    def extents(c: int) -> list[tuple[int, int]]:
-        return [
-            (copies[c].height, copies[c].width) if rot else (copies[c].width, copies[c].height)
-            for rot in permitted[c]
-        ]
+    extents = [
+        [(copy.height, copy.width) if rot else (copy.width, copy.height) for rot in rots]
+        for copy, rots in zip(copies, permitted)
+    ]
 
     # oversized pairs can never sit side by side / stacked
+    large = []
     for c in range(n):
         for d in range(c + 1, n):
-            if all(wc + wd > width for wc, _ in extents(c) for wd, _ in extents(d)):
-                formula.add("sb_large", [-vm.left(c, d)])
-                formula.add("sb_large", [-vm.left(d, c)])
-            if all(hc + hd > height for _, hc in extents(c) for _, hd in extents(d)):
-                formula.add("sb_large", [-vm.below(c, d)])
-                formula.add("sb_large", [-vm.below(d, c)])
+            if all(wc + wd > width for wc, _ in extents[c] for wd, _ in extents[d]):
+                large += [[-vm.left(c, d)], [-vm.left(d, c)]]
+            if all(hc + hd > height for _, hc in extents[c] for _, hd in extents[d]):
+                large += [[-vm.below(c, d)], [-vm.below(d, c)]]
+    formula.add_block("sb_large", large, [[]])
 
     # later copies of a type never go strictly left of earlier ones
+    same_type = []
     for c in range(n):
         for d in range(c + 1, n):
             if copies[c].type_index == copies[d].type_index:
-                formula.add("sb_same_type", [-vm.left(d, c)])
+                same_type.append([-vm.left(d, c)])
+    formula.add_block("sb_same_type", same_type, [[]])
 
     # pin the rotation flag when only one orientation is possible
     if config.rotation:
+        pins = []
         for c in range(n):
             if permitted[c] == [False]:
-                formula.add("sb_orientation", [-vm.rot(c)])
+                pins.append([-vm.rot(c)])
             elif permitted[c] == [True]:
-                formula.add("sb_orientation", [vm.rot(c)])
+                pins.append([vm.rot(c)])
+        formula.add_block("sb_orientation", pins, [[]])
 
     # sheets are brought into use in index order
-    for j in range(1, k):
-        formula.add("sb_sheet_order", [-vm.used(j + 1), vm.used(j)])
+    sheet_order = [[-vm.used(j + 1), vm.used(j)] for j in range(1, k)]
+    formula.add_block("sb_sheet_order", sheet_order, [[]])
 
 
 def decode_model(
-    model: list[bool],
-    vm: VarMap,
-    copies: tuple[Copy, ...],
-    instance: Instance,
-    config: EncodeConfig,
+    model: list[bool], vm: VarMap, copies: tuple[Copy, ...], instance: Instance
 ) -> Solution:
     """Read a satisfying assignment back into placements."""
     placements = []
@@ -394,6 +349,6 @@ def decode_model(
             if model[vm.y_at_most(c, f)]:
                 y = f
                 break
-        rotated = bool(config.rotation and model[vm.rot(c)])
+        rotated = bool(vm.rotation and model[vm.rot(c)])
         placements.append(Placement(copy, sheets[0], x, y, rotated))
     return Solution(instance, tuple(placements))

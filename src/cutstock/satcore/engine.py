@@ -32,9 +32,10 @@ crefs, and the run becomes ``[None, crefs]``.  The run's entry in the
 visited list is replaced by one ``(cref, blocker)`` pair per clause, which
 the ordinary per-clause loop then visits.  The entry in the run's other
 list is replaced the same way, with the same cref objects, the next time a
-visit reaches it.  A cref is only an identity (of a reason, a watch entry
-or a learned clause), so the search is the one the engine would run with
-every clause watched on its own.
+visit reaches it; that is the run's last watch entry, so the run then
+drops its crefs and becomes ``[None, None]``.  A cref is only an identity
+(of a reason, a watch entry or a learned clause), so the search is the one
+the engine would run with every clause watched on its own.
 
 ``_val`` and ``_watches`` are indexed by the literal itself: slot 0 is
 unused, +v is at v, and -v at the v-th slot from the end, which is Python's
@@ -91,6 +92,13 @@ def _luby(i: int) -> int:
     return 1 << seq
 
 
+def _watch_pairs(refs: list[int], blocker: int) -> list[int]:
+    """Flat ``(cref, blocker)`` watch entries, one per cref."""
+    pairs = [blocker] * (2 * len(refs))
+    pairs[::2] = refs
+    return pairs
+
+
 class Solver:
     """Incremental CDCL solver over a fixed growable variable range."""
 
@@ -110,7 +118,9 @@ class Solver:
         # clause arena: literal lists, None = deleted; a run's clauses join it
         # when the run dissolves
         self._clauses: list = []
-        self._runs: list[list] = []  # [prefix, bodies], or [None, crefs] once dissolved
+        # [prefix, bodies]; [None, crefs] once dissolved, until its last watch
+        # entry is expanded; [None, None] after
+        self._runs: list[list] = []
         self._live = 0  # clauses not deleted, in the arena or in runs not dissolved
         self._lbd: dict[int, int] = {}  # learned cref -> LBD
         self._learnt_refs: list[int] = []
@@ -401,13 +411,11 @@ class Solver:
                 else:
                     run = runs[~cref]
                     c = run[0]
-                    if c is None:  # dissolved: visit its clauses one by one
-                        refs = run[1]
-                        pairs = [blocker] * (2 * len(refs))
-                        pairs[::2] = refs
+                    if c is None:  # dissolved: the run's last entry becomes its clauses'
                         i -= 2
-                        wl[i:i + 2] = pairs
+                        wl[i:i + 2] = _watch_pairs(run[1], blocker)
                         n = len(wl)
+                        run[1] = None
                         continue
                     swapped = c[0] == false_lit
                 if c[0] == false_lit:
@@ -430,13 +438,16 @@ class Solver:
                         # every prefix literal past position 1 is false, so
                         # the clauses now differ in what they do: append them
                         # as they were before this visit, each to make its
-                        # own swap, and revisit the entry as theirs
+                        # own swap, and visit their entries in its place
                         if swapped:
                             c[0], c[1] = c[1], c[0]
                         start = len(clauses)
                         clauses += [c + body for body in run[1]]
-                        run[0], run[1] = None, list(range(start, len(clauses)))
+                        refs = list(range(start, len(clauses)))
+                        run[0], run[1] = None, refs
                         i -= 2
+                        wl[i:i + 2] = _watch_pairs(refs, blocker)
+                        n = len(wl)
                         continue
                     wl[j] = cref
                     wl[j + 1] = first

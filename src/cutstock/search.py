@@ -158,19 +158,15 @@ class _Run:
         before the formula is complete."""
         if self.out_of_time():
             return None
+        config = EncodeConfig(sheets=k, rotation=self.rotation, symmetry_breaking=self.sb)
         try:
-            vm, formula = encode_formula(
-                self.copies, self.instance, self._config(k), deadline=self.deadline
-            )
+            vm, formula = encode_formula(self.copies, self.instance, config, deadline=self.deadline)
         except TimeoutError:
             return None
         self.builds += 1
         self.max_vars = max(self.max_vars, formula.num_vars)
         self.max_clauses = max(self.max_clauses, formula.num_clauses)
         return vm, formula
-
-    def _config(self, k: int) -> EncodeConfig:
-        return EncodeConfig(sheets=k, rotation=self.rotation, symmetry_breaking=self.sb)
 
     def load(self, formula):
         """A fresh engine holding the formula, or None when the deadline
@@ -190,7 +186,7 @@ class _Run:
     def adopt(self, model, vm) -> Solution | None:
         """Decode, compact and verify a model of the formula behind vm, and
         keep it when it beats the incumbent; None means a bad model."""
-        decoded = decode_model(model, vm, self.copies, self.instance, self._config(vm.sheets))
+        decoded = decode_model(model, vm, self.copies, self.instance)
         solution = relabel_sheets(decoded)
         report = verify_solution(self.instance, solution, self.rotation)
         if not report.ok:
@@ -204,14 +200,14 @@ class _Run:
     def outcome(self, status: str, detail: str = "") -> SolveOutcome:
         return SolveOutcome(
             status=status,
-            best_k=self.best.sheets_used if self.best is not None else 0,
+            best_k=self.best.sheets_used,
             best_solution=self.best,
             time_to_best=self.best_time,
             strategy=self.strategy,
             rotation=self.rotation,
             symmetry_breaking=self.sb,
             lower_bound=self.proven_lower,
-            upper_bound=self.best.sheets_used if self.best is not None else self.upper,
+            upper_bound=self.best.sheets_used,
             calls=self.calls,
             formula_builds=self.builds,
             max_vars=self.max_vars,
@@ -222,11 +218,7 @@ class _Run:
         )
 
     def finish(self) -> SolveOutcome:
-        if self.best is not None and self.best.sheets_used <= self.proven_lower:
-            return self.outcome(OPTIMAL)
-        if self.best is not None:
-            return self.outcome(FEASIBLE)
-        return self.outcome(UNKNOWN)
+        return self.outcome(OPTIMAL if self.best.sheets_used <= self.proven_lower else FEASIBLE)
 
 
 def _search(run: _Run, solver_cmd: str | None) -> SolveOutcome:

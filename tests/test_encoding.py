@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cutstock.bounds import compute_bounds
-from cutstock.encoding import EncodeConfig, build_varmap, decode_model, encode_formula
+from cutstock.encoding import CnfFormula, EncodeConfig, VarMap, decode_model, encode_formula
 from cutstock.model import Instance, ItemType, expand_demands
 from cutstock.satcore import SAT, UNSAT, Solver, format_dimacs, format_wcnf
 from cutstock.verify import brute_force_optimal, verify_solution
@@ -29,7 +29,7 @@ def feasible(instance, k, rotation, sb, engine_cls=Solver):
     result = solve_formula(formula, engine_cls)
     assert result.status in (SAT, UNSAT)
     if result.status == SAT:
-        decoded = decode_model(result.model, vm, copies, instance, config)
+        decoded = decode_model(result.model, vm, copies, instance)
         report = verify_solution(instance, decoded, rotation)
         assert report.ok, str(report)
         assert decoded.sheets_used <= k
@@ -38,22 +38,22 @@ def feasible(instance, k, rotation, sb, engine_cls=Solver):
 
 def test_varmap_count_demo(demo):
     copies = expand_demands(demo)
-    vm = build_varmap(copies, demo, EncodeConfig(2))
+    vm = VarMap(len(copies), demo.sheet_width, demo.sheet_height, EncodeConfig(2))
     assert vm.total == 122 == closed_form_vars(6, 2, 6, 4, False)
-    vm_rot = build_varmap(copies, demo, EncodeConfig(2, rotation=True))
+    vm_rot = VarMap(len(copies), demo.sheet_width, demo.sheet_height, EncodeConfig(2, rotation=True))
     assert vm_rot.total == 128
 
 
 def test_varmap_count_minimal():
     inst = Instance(1, 1, (ItemType(1, 1, 1),))
-    vm = build_varmap(expand_demands(inst), inst, EncodeConfig(1))
+    vm = VarMap(len(expand_demands(inst)), inst.sheet_width, inst.sheet_height, EncodeConfig(1))
     assert vm.total == 2  # one assignment var, one usage var
 
 
 def test_varmap_is_bijection(demo):
     copies = expand_demands(demo)
     for config in (EncodeConfig(2), EncodeConfig(3, rotation=True)):
-        vm = build_varmap(copies, demo, config)
+        vm = VarMap(len(copies), demo.sheet_width, demo.sheet_height, config)
         seen = set()
         n = len(copies)
         for c in range(n):
@@ -131,7 +131,7 @@ def test_single_cell(engine_cls):
     vm, formula = encode_formula(copies, inst, config)
     result = solve_formula(formula, engine_cls)
     assert result.status == SAT
-    decoded = decode_model(result.model, vm, copies, inst, config)
+    decoded = decode_model(result.model, vm, copies, inst)
     assert decoded.placements[0].x == 0 and decoded.placements[0].y == 0
 
 
@@ -225,6 +225,39 @@ def test_blocks_hold_the_clauses_in_order():
         assert result.status == UNSAT or formula.satisfied_by(result.model)
 
 
+@pytest.mark.parametrize(
+    "heads, bodies, count",
+    [
+        # plain clauses, the block (clauses, [[]])
+        ([[1, 2], [-1, 3], [4]], [[]], 3),
+        ([[1, 2], []], [[]], None),  # an empty clause
+        ([[1, 2, 1]], [[]], None),  # a variable twice in a clause
+        ([[1, -1]], [[]], None),  # ... with opposite signs
+        # heads times shared bodies
+        ([[1, 2], [-1, 3]], [[4], [-5, 6]], 4),
+        ([[]], [[4], [5]], None),  # an empty head
+        ([[1, 2, -2]], [[4], [5]], None),  # a variable twice in a head
+        ([[1, 2]], [[4, -4]], None),  # ... in a body
+        ([[1, 2]], [[4], [4, 5]], None),  # ... among the bodies
+        ([[1, 2]], [[4], [-4]], None),  # ... with opposite signs
+        ([[1, 2], [3, 5]], [[4], [5]], None),  # in a head and a body
+    ],
+)
+def test_add_block_rejects_malformed_blocks(heads, bodies, count):
+    """A block is accepted and counted only when every clause it stands
+    for is non-empty and free of repeated variables."""
+    formula = CnfFormula(6)
+    if count is None:
+        with pytest.raises(AssertionError):
+            formula.add_block("family", heads, bodies)
+        assert (formula.blocks, formula.num_clauses, formula.family_counts) == ([], 0, {})
+    else:
+        formula.add_block("family", heads, bodies)
+        assert formula.blocks == [(heads, bodies)]
+        assert formula.num_clauses == len(formula.clauses) == count
+        assert formula.family_counts == {"family": count}
+
+
 def test_decode_rejects_inconsistent_model(demo):
     copies = expand_demands(demo)
     config = EncodeConfig(2)
@@ -235,7 +268,7 @@ def test_decode_rejects_inconsistent_model(demo):
     for j in range(1, 3):
         broken[vm.sheet(0, j)] = False  # first copy now on no sheet at all
     with pytest.raises(RuntimeError, match="0 sheets"):
-        decode_model(broken, vm, copies, demo, config)
+        decode_model(broken, vm, copies, demo)
 
 
 def test_unit_width_sheet(engine_cls):
@@ -302,7 +335,7 @@ def test_model_space_decodes_to_exactly_the_valid_packings():
             break
         models += 1
         assert models < 20000, "blocking loop runaway"
-        decoded = decode_model(result.model, vm, copies, inst, config)
+        decoded = decode_model(result.model, vm, copies, inst)
         assert verify_solution(inst, decoded, False).ok
         packings.add(tuple((p.sheet, p.x, p.y) for p in decoded.placements))
         solver.add_clause(

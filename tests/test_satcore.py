@@ -226,6 +226,34 @@ def test_live_clause_count_survives_reductions():
     assert any(p is None for p, _ in runs) and any(p is not None for p, _ in runs)
 
 
+def test_dissolved_runs_keep_their_crefs_only_while_watched():
+    """A run has two watch entries: both until it dissolves, then one until
+    a visit expands it into the run's clauses, then none, and a run with
+    no entry left holds no crefs list."""
+    inst = Instance(4, 4, (ItemType(2, 4, 7),))
+    _, formula = encode_formula(expand_demands(inst), inst, EncodeConfig(3, rotation=True))
+    s = PurePythonSolver(formula.num_vars)
+    for heads, bodies in formula.blocks:
+        s.add_block(heads, bodies)
+    seen = set()
+    for budget in (100, 300, 600):
+        s.solve(conflict_limit=budget)
+        entries = [0] * len(s._runs)
+        for wl in s._watches:
+            for cref in wl[::2]:
+                if cref < 0:
+                    entries[~cref] += 1
+        for (prefix, rest), count in zip(s._runs, entries):
+            if prefix is not None:
+                assert count == 2
+            elif count == 1:
+                assert isinstance(rest, list) and rest
+            else:
+                assert count == 0 and rest is None
+            seen.add(count)
+    assert seen == {0, 1, 2}
+
+
 def test_engines_are_lockstep():
     """The compiled engine is a transliteration of the reference: same
     verdicts, same models, same statistics, conflict for conflict, through

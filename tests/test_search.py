@@ -398,8 +398,8 @@ def test_bad_decoded_placement_reported(engine_cls, monkeypatch):
 
     real_decode = search_mod.decode_model
 
-    def squashing_decode(model, vm, copies, instance, config):
-        sol = real_decode(model, vm, copies, instance, config)
+    def squashing_decode(model, vm, copies, instance):
+        sol = real_decode(model, vm, copies, instance)
         piled = tuple(Placement(p.copy, 1, 0, 0, False) for p in sol.placements)
         return Solution(instance, piled)
 
