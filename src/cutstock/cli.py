@@ -4,8 +4,9 @@ Exit codes for ``solve``: 0 optimal, 10 feasible (no optimality proof),
 20 unknown, 2 bad input.  ``bench`` writes per-run CSV rows and prints a
 summary table aggregated per configuration; it can also re-aggregate an
 existing rows file; a run that raises gives a row with status ``error``,
-and then ``bench`` exits with 1.  The ``CUTSTOCK_SOLVER_CMD`` environment
-variable supplies a default external MaxSAT solver command.
+and then ``bench`` exits with 1, while inputs it cannot read make it exit
+2.  The ``CUTSTOCK_SOLVER_CMD`` environment variable supplies a default
+external MaxSAT solver command.
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ def cmd_solve(args) -> int:
     print(f"{outcome.status} k={outcome.best_k}")
     for key, value in outcome.record().items():
         print(f"{key}={value}")
-    if args.out and outcome.best_solution is not None:
+    if args.out:
         Path(args.out).write_text(write_solution(outcome.best_solution))
         print(f"solution written to {args.out}")
-    if args.svg and outcome.best_solution is not None:
+    if args.svg:
         for sheet, text in render_solution(instance, outcome.best_solution).items():
             path = f"{args.svg}_sheet{sheet}.svg"
             Path(path).write_text(text)
@@ -249,6 +250,25 @@ def read_bks(path: str) -> dict[str, int]:
     return bks
 
 
+def read_rows(path: str) -> list[dict]:
+    """The rows of a bench CSV; ValueError unless it has the ROW_FIELDS
+    columns and integer k, vars and clauses in every row but error rows."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if not set(ROW_FIELDS) <= set(reader.fieldnames or ()):
+            raise ValueError(f"{path}: expected the columns {','.join(ROW_FIELDS)}")
+        rows = list(reader)
+    for number, row in enumerate(rows, 1):
+        if row["status"] == ERROR:
+            continue
+        for name in ("k", "vars", "clauses"):
+            try:
+                int(row[name])
+            except (TypeError, ValueError):
+                raise ValueError(f"{path} row {number}: {name} {row[name]!r} is not an integer")
+    return rows
+
+
 def aggregate_rows(rows: list[dict], bks: dict[str, int]) -> list[BenchMetrics]:
     """Fold per-run rows into one metrics row per configuration.
 
@@ -341,15 +361,16 @@ def _expand_modes(value: str) -> list[bool]:
 def cmd_bench(args) -> int:
     try:
         bks = read_bks(args.bks) if args.bks else {}
+        rows = read_rows(args.rows) if args.rows else None
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.rows:
-        with open(args.rows, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    else:
+    if rows is None:
         if not args.dir:
             print("error: either --dir or --rows is required", file=sys.stderr)
+            return 2
+        if not Path(args.dir).is_dir():
+            print(f"error: {args.dir} is not a directory", file=sys.stderr)
             return 2
         paths = sorted(str(p) for p in Path(args.dir).glob("*.txt"))
         solver_cmd = args.solver_cmd or os.environ.get("CUTSTOCK_SOLVER_CMD")

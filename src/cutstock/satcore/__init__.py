@@ -1,4 +1,4 @@
-"""SAT substrate: embedded CDCL engine, DIMACS/WCNF export, external adapter.
+"""SAT substrate: embedded CDCL engine, DIMACS/WCNF writer and reader, external adapter.
 
 Two interchangeable engines exist: the pure-Python reference
 (``cutstock.satcore.engine``) and its hand-written C++ transliteration
@@ -18,7 +18,7 @@ from __future__ import annotations
 import importlib
 
 from . import engine as _engine_py
-from .dimacs import format_dimacs, format_wcnf, parse_dimacs, parse_wcnf
+from .dimacs import format_dimacs, format_wcnf, parse_wcnf
 from .engine import SAT, UNKNOWN, UNSAT, SolveResult
 
 PurePythonSolver = _engine_py.Solver
@@ -68,7 +68,6 @@ __all__ = [
     "available_engines",
     "format_dimacs",
     "format_wcnf",
-    "parse_dimacs",
     "parse_wcnf",
     "run_external",
     "parse_solver_output",

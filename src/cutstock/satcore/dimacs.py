@@ -51,55 +51,43 @@ class DimacsError(ValueError):
     pass
 
 
-def _clause_lines(text: str):
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith(("c", "%")):
-            continue
-        yield line
-
-
-def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
-    num_vars = None
-    clauses: list[list[int]] = []
-    for line in _clause_lines(text):
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise DimacsError(f"bad problem line: {line!r}")
-            num_vars = int(parts[2])
-            continue
-        lits = [int(t) for t in line.split()]
-        if not lits or lits[-1] != 0:
-            raise DimacsError(f"clause not 0-terminated: {line!r}")
-        clauses.append(lits[:-1])
-    if num_vars is None:
-        raise DimacsError("missing 'p cnf' header")
-    return num_vars, clauses
-
-
-def parse_wcnf(text: str) -> tuple[int, int, list[list[int]], list[tuple[int, list[int]]]]:
-    """Returns (num_vars, top, hard clauses, weighted soft clauses)."""
+def parse_wcnf(text: str) -> tuple[int, int | None, list[list[int]], list[tuple[int, list[int]]]]:
+    """Read a CNF or a WCNF, as its ``p`` line says: (num_vars, top, hard
+    clauses, weighted soft clauses), where a CNF has top None and only hard
+    clauses.  ``c`` lines are comments, and a ``%`` line ends the formula.
+    Literals are not checked against num_vars; the engine refuses
+    undeclared ones when they are loaded."""
     num_vars = top = None
     hard: list[list[int]] = []
     soft: list[tuple[int, list[int]]] = []
-    for line in _clause_lines(text):
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 5 or parts[1] != "wcnf":
-                raise DimacsError(f"bad problem line: {line!r}")
-            num_vars, top = int(parts[2]), int(parts[4])
+    for line in text.splitlines():
+        toks = line.split()
+        if not toks or toks[0].startswith("c"):
             continue
-        if top is None:
-            raise DimacsError("clause before 'p wcnf' header")
-        toks = [int(t) for t in line.split()]
-        if len(toks) < 2 or toks[-1] != 0:
-            raise DimacsError(f"clause not 0-terminated: {line!r}")
-        weight, lits = toks[0], toks[1:-1]
-        if weight >= top:
-            hard.append(lits)
+        kind = toks[0][0]
+        if kind == "%":
+            break
+        try:
+            nums = list(map(int, toks[2:] if kind == "p" else toks))
+        except ValueError:
+            raise DimacsError(f"non-integer token: {line.strip()!r}") from None
+        if kind == "p":
+            if num_vars is not None:
+                raise DimacsError(f"second problem line: {line.strip()!r}")
+            # how many numbers follow "p cnf" and "p wcnf"
+            if {("p", "cnf"): 2, ("p", "wcnf"): 3}.get(tuple(toks[:2])) != len(nums):
+                raise DimacsError(f"bad problem line: {line.strip()!r}")
+            num_vars, top = nums[0], (nums[2] if len(nums) == 3 else None)
+        elif num_vars is None:
+            raise DimacsError(f"clause before the problem line: {line.strip()!r}")
+        elif nums[-1] != 0 or (top is not None and len(nums) < 2):
+            raise DimacsError(f"clause not 0-terminated: {line.strip()!r}")
+        elif top is None:
+            hard.append(nums[:-1])
+        elif nums[0] >= top:
+            hard.append(nums[1:-1])
         else:
-            soft.append((weight, lits))
+            soft.append((nums[0], nums[1:-1]))
     if num_vars is None:
-        raise DimacsError("missing 'p wcnf' header")
+        raise DimacsError("missing 'p cnf' or 'p wcnf' problem line")
     return num_vars, top, hard, soft

@@ -19,9 +19,7 @@ import tempfile
 import threading
 from dataclasses import dataclass
 
-SAT = "SAT"
-UNSAT = "UNSAT"
-UNKNOWN = "UNKNOWN"
+from .engine import SAT, UNKNOWN, UNSAT
 
 
 @dataclass

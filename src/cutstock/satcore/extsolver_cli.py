@@ -2,18 +2,19 @@
 
 Usage: ``python -m cutstock.satcore.extsolver_cli FILE [TIME_LIMIT]``
 
-CNF and WCNF files take one path; a CNF file is a WCNF without soft
-clauses.  The hard clauses go into one incremental solver, once.  Each
-model is improved by linear SAT-UNSAT search: after the first model, one
-sequential counter (Sinz 2005) as wide as that model's cost counts the
-falsified soft clauses, and every later call adds the unit clause "at most
-cost - 1" for the last model's cost.  The first UNSAT proves the last model
-optimal.  Only unit-weight unit soft clauses are supported (which is what
-this package exports).  TIME_LIMIT, in seconds, bounds the whole run; when
-it runs out after a model, the last model is printed with its ``o`` cost
-and ``s SATISFIABLE``, as MaxSAT solvers do.  Exit codes follow solver
-conventions: 10 satisfiable / optimum, 20 unsatisfiable, 0 unknown,
-2 bad arguments.
+CNF and WCNF files take one path, whose ``p`` line says which it is; a CNF
+is a WCNF without soft clauses.  The hard clauses go into one incremental
+solver, once.  Each model is improved by linear SAT-UNSAT search: after the
+first model, one sequential counter (Sinz 2005) as wide as that model's
+cost counts the falsified soft clauses, and every later call adds the unit
+clause "at most cost - 1" for the last model's cost.  The first UNSAT
+proves the last model optimal.  Only unit-weight unit soft clauses are
+supported (which is what this package exports).  TIME_LIMIT, in seconds,
+bounds the whole run; when it runs out after a model, the last model is
+printed with its ``o`` cost and ``s SATISFIABLE``, as MaxSAT solvers do.
+Exit codes follow solver conventions: 10 satisfiable / optimum, 20
+unsatisfiable, 0 unknown, 2 bad arguments or a file that cannot be read,
+parsed or loaded (with ``error: REASON`` on stderr).
 
 This doubles as a scriptable stand-in for third-party solvers, so the
 external-adapter pipeline can be exercised without network access.
@@ -25,7 +26,7 @@ import sys
 import time
 
 from .. import satcore
-from .dimacs import parse_dimacs, parse_wcnf
+from .dimacs import DimacsError, parse_wcnf
 from .engine import SAT, UNKNOWN
 
 
@@ -48,22 +49,23 @@ def _counter(solver, lits: list[int], width: int) -> list[int]:
 def solve(path: str, time_limit: float | None) -> int:
     """Print the verdict on a CNF or WCNF file; returns the exit code."""
     deadline = None if time_limit is None else time.perf_counter() + time_limit
-    with open(path) as fh:
-        text = fh.read()
-    is_wcnf = path.endswith(".wcnf") or "p wcnf" in text[:4096]
-    if is_wcnf:
-        num_vars, _, hard, soft = parse_wcnf(text)
-    else:
-        (num_vars, hard), soft = parse_dimacs(text), []
-    if any(weight != 1 or len(lits) != 1 for weight, lits in soft):
-        print("c only unit-weight unit soft clauses are supported")
-        print("s UNKNOWN")
-        return 0
-    broken = [-lits[0] for _, lits in soft]  # true where a soft clause is falsified
+    try:
+        with open(path) as fh:
+            num_vars, top, hard, soft = parse_wcnf(fh.read())
+        if any(weight != 1 or len(lits) != 1 for weight, lits in soft):
+            print("c only unit-weight unit soft clauses are supported")
+            print("s UNKNOWN")
+            return 0
+        broken = [-lits[0] for _, lits in soft]  # true where a soft clause is falsified
+        if not all(0 < abs(lit) <= num_vars for lit in broken):
+            raise DimacsError(f"soft clause literal outside declared variables 1..{num_vars}")
+        solver = satcore.Solver(num_vars)
+        for clause in hard:
+            solver.add_clause(clause)
+    except (OSError, ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    solver = satcore.Solver(num_vars)
-    for clause in hard:
-        solver.add_clause(clause)
     model, at_least = None, []
     while True:
         left = None if deadline is None else max(0.0, deadline - time.perf_counter())
@@ -84,7 +86,7 @@ def solve(path: str, time_limit: float | None) -> int:
             return 0
         print("s UNSATISFIABLE")
         return 20
-    if is_wcnf:
+    if top is not None:
         print(f"o {cost}")
         print("s SATISFIABLE" if result.status == UNKNOWN else "s OPTIMUM FOUND")
     else:

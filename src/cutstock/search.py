@@ -69,13 +69,12 @@ class CallRecord:
 class SolveOutcome:
     status: str
     best_k: int
-    best_solution: Solution | None
+    best_solution: Solution
     time_to_best: float
     strategy: str
     rotation: bool
     symmetry_breaking: bool
     lower_bound: int
-    upper_bound: int
     calls: list[CallRecord] = field(default_factory=list)
     formula_builds: int = 0
     max_vars: int = 0
@@ -83,6 +82,10 @@ class SolveOutcome:
     backend: str = "internal"
     wall_time: float = 0.0
     detail: str = ""
+
+    @property
+    def upper_bound(self) -> int:
+        return self.best_k  # the incumbent's sheet count
 
     @property
     def config(self) -> str:
@@ -207,7 +210,6 @@ class _Run:
             rotation=self.rotation,
             symmetry_breaking=self.sb,
             lower_bound=self.proven_lower,
-            upper_bound=self.best.sheets_used,
             calls=self.calls,
             formula_builds=self.builds,
             max_vars=self.max_vars,

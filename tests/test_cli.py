@@ -50,14 +50,14 @@ def test_solve_feasible_exit_code(tmp_path, capsys):
 
 
 def test_encode_to_bridge_round_trip(demo_file, tmp_path):
-    from cutstock.satcore import parse_dimacs, run_external
+    from cutstock.satcore import parse_wcnf, run_external
 
     sat_cnf = tmp_path / "k2.cnf"
     unsat_cnf = tmp_path / "k1.cnf"
     assert main(["encode", "--input", demo_file, "--sheets", "2", "--out", str(sat_cnf)]) == 0
     assert main(["encode", "--input", demo_file, "--sheets", "1", "--out", str(unsat_cnf)]) == 0
     for path, status in ((sat_cnf, "SAT"), (unsat_cnf, "UNSAT")):
-        num_vars, _ = parse_dimacs(path.read_text())
+        num_vars, _, _, _ = parse_wcnf(path.read_text())
         assert run_external(BRIDGE, str(path), num_vars).status == status
 
 
@@ -301,6 +301,39 @@ def test_bench_dead_worker_gives_only_its_error_row(tmp_path, capsys, monkeypatc
 def test_bench_empty_directory(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["bench", "--dir", str(tmp_path / "empty")]) == 0
+
+
+def test_bench_dir_that_is_not_a_directory(tmp_path, capsys):
+    (tmp_path / "file.txt").write_text(DEMO_TEXT)
+    for path in (tmp_path / "missing", tmp_path / "file.txt"):
+        assert main(["bench", "--dir", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path} is not a directory\n" and captured.out == ""
+
+
+HEADER = "instance,config,status,k,vars,clauses,ttb\n"
+# rows files that bench --rows refuses: (text or None for no file, what its error names)
+BAD_ROWS = {
+    "missing file": (None, "No such file"),
+    "missing columns": ("instance,config,k\na,CSP,2\n", "expected the columns " + HEADER[:-1]),
+    "empty": ("", "expected the columns " + HEADER[:-1]),
+    "word for k": (HEADER + "a,CSP,opt,two,1,1,0.1\n", "row 1: k 'two'"),
+    "fraction for clauses": (HEADER + "a,CSP,error,,,,\nb,CSP,opt,2,1,1.5,0.1\n",
+                             "row 2: clauses '1.5'"),
+    "short row": (HEADER + "a,CSP,opt,2\n", "row 1: vars None"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_ROWS))
+def test_bench_refuses_malformed_rows(name, tmp_path, capsys):
+    text, message = BAD_ROWS[name]
+    path = tmp_path / "rows.csv"
+    if text is not None:
+        path.write_text(text)
+    assert main(["bench", "--rows", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(path) in captured.err and message in captured.err and captured.out == ""
 
 
 def test_read_bks_skips_header(tmp_path):

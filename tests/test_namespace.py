@@ -27,7 +27,7 @@ HOMES = {
     },
     "cutstock.satcore": {
         "engine": ["SAT", "UNSAT", "UNKNOWN", "SolveResult"],
-        "dimacs": ["format_dimacs", "format_wcnf", "parse_dimacs", "parse_wcnf"],
+        "dimacs": ["format_dimacs", "format_wcnf", "parse_wcnf"],
         "external": ["ExternalResult", "parse_solver_output", "run_external"],
     },
 }

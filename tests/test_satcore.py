@@ -18,7 +18,6 @@ from cutstock.satcore import (
     extsolver_cli,
     format_dimacs,
     format_wcnf,
-    parse_dimacs,
     parse_solver_output,
     parse_wcnf,
     run_external,
@@ -632,12 +631,27 @@ def test_format_wcnf_exact():
     assert format_wcnf(2, [[1]], [(1, [-2])]) == "p wcnf 2 2 2\n2 1 0\n1 -2 0\n"
 
 
+def with_noise(rng, text):
+    """text with comment and blank lines between its lines, and a SATLIB
+    ``%`` trailer, whose ``0`` line is not an empty clause."""
+    lines = []
+    for line in text.splitlines():
+        lines += rng.choice(([], ["c a comment"], [""], ["   ", "c", "\tc x 0"]))
+        lines.append(line)
+    return "\n".join(lines + ["%", "0", ""])
+
+
 def test_dimacs_round_trip():
     rng = random.Random(17)
-    n, clauses = random_cnf(rng)
-    text = format_dimacs(n, clauses)
-    n2, clauses2 = parse_dimacs(text)
-    assert (n2, clauses2) == (n, clauses)
+    for _ in range(50):
+        n, clauses = random_cnf(rng)
+        soft = [
+            (rng.randint(1, 3), [rng.choice((1, -1)) * v for v in rng.sample(range(1, n + 1), 2)])
+            for _ in range(rng.randint(0, 5))
+        ]
+        top = 1 + sum(weight for weight, _ in soft)
+        assert parse_wcnf(with_noise(rng, format_dimacs(n, clauses))) == (n, None, clauses, [])
+        assert parse_wcnf(with_noise(rng, format_wcnf(n, clauses, soft))) == (n, top, clauses, soft)
 
 
 def test_wcnf_round_trip():
@@ -818,6 +832,65 @@ def test_bridge_wcnf_optimum(tmp_path, capsys):
     assert result.model[1] is True and result.model[2] is False
     assert extsolver_cli.main([str(path)]) == 10
     assert "o 1" in capsys.readouterr().out.splitlines()
+
+
+def test_external_bridge_error_is_unknown(tmp_path):
+    path = tmp_path / "bad.cnf"
+    path.write_text("p cnf 2 1\n1 3 0\n")
+    result = run_external(BRIDGE, str(path), 2)
+    assert result.status == UNKNOWN
+    assert "(exit 2)" in result.diagnostic and "error: " in result.diagnostic
+
+
+# files the bridge cannot read, parse or load; None: no file at all
+MALFORMED = {
+    "no p line": b"1 -2 0\n",
+    "clause before p": b"1 0\np cnf 1 1\n",
+    "two p lines": b"p cnf 1 1\np cnf 1 1\n1 0\n",
+    "p cnf with 3 fields": b"p cnf 1\n1 0\n",
+    "p wcnf without top": b"p wcnf 1 1\n1 1 0\n",
+    "unknown format": b"p sat 1 1\n1 0\n",
+    "non-integer token": b"p cnf 2 1\n1 x 0\n",
+    "non-integer weight": b"p wcnf 2 1 2\nw 1 0\n",
+    "non-integer count": b"p cnf two 1\n1 0\n",
+    "no final 0": b"p cnf 2 1\n1 -2\n",
+    "wcnf line without weight": b"p wcnf 2 1 2\n0\n",
+    "literal beyond the count": b"p cnf 2 1\n1 3 0\n",
+    "zero inside a clause": b"p cnf 2 1\n1 0 2 0\n",
+    "huge literal": b"p cnf 2 1\n1 %d 0\n" % 2**70,
+    "huge variable count": b"p cnf %d 1\n1 0\n" % 2**70,
+    "soft literal beyond the count": b"p wcnf 2 2 2\n2 1 0\n1 -3 0\n",
+    "not text": b"p cnf 1 1\n\xff\xfe 0\n",
+    "missing file": None,
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_bridge_refuses_malformed_file(name, tmp_path, capsys, monkeypatch, engine_cls):
+    """Exit 2 with one error line on stderr and nothing on stdout."""
+    monkeypatch.setattr("cutstock.satcore.Solver", engine_cls)
+    path = tmp_path / "bad.wcnf"
+    if MALFORMED[name] is not None:
+        path.write_bytes(MALFORMED[name])
+    assert extsolver_cli.main([str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bridge_reads_the_p_line_not_the_name(tmp_path, capsys):
+    """A CNF named .wcnf and a WCNF named .cnf answer as under their own names."""
+    texts = {"cnf": format_dimacs(2, [[1, 2], [-1, -2]]),
+             "wcnf": format_wcnf(2, [[1, 2]], [(1, [-1]), (1, [-2])])}
+    for kind, text in texts.items():
+        answers = []
+        for suffix in ("cnf", "wcnf"):
+            path = tmp_path / f"f.{suffix}"
+            path.write_text(text)
+            answers.append((extsolver_cli.main([str(path)]), capsys.readouterr()))
+        assert answers[0] == answers[1]
+        code, (out, err) = answers[0]
+        assert (code, err) == (10, "")
+        assert ("o 1" in out.splitlines()) == (kind == "wcnf")
 
 
 def test_bridge_wcnf_hard_unsat(tmp_path):
