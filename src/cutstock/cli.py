@@ -252,7 +252,8 @@ def read_bks(path: str) -> dict[str, int]:
 
 def read_rows(path: str) -> list[dict]:
     """The rows of a bench CSV; ValueError unless it has the ROW_FIELDS
-    columns and integer k, vars and clauses in every row but error rows."""
+    columns, and integer k, vars and clauses and a ttb that is a number,
+    empty or ``--`` in every row but error rows."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if not set(ROW_FIELDS) <= set(reader.fieldnames or ()):
@@ -266,6 +267,12 @@ def read_rows(path: str) -> list[dict]:
                 int(row[name])
             except (TypeError, ValueError):
                 raise ValueError(f"{path} row {number}: {name} {row[name]!r} is not an integer")
+        ttb = row["ttb"]
+        if ttb not in ("", "--", None):
+            try:
+                float(ttb)
+            except ValueError:
+                raise ValueError(f"{path} row {number}: ttb {ttb!r} is not a number")
     return rows
 
 

@@ -1,11 +1,16 @@
 // Compiled CDCL engine, interface-identical to cutstock.satcore.engine.
 //
 // A transliteration of the pure-Python reference: two watched literals with
-// blockers, first-UIP learning with basic minimisation, an activity heap
-// with ties to the smaller variable, phase saving, Luby restarts, LBD-based
-// database reduction and solving under assumptions with clause retention.
-// It gives the same verdicts, models, statistics and trail order, conflict
-// for conflict.  Its watch layer is the plain one: every clause is watched
+// blockers, first-UIP learning with basic minimisation, activity branching,
+// phase saving, Luby restarts, LBD-based database reduction and solving
+// under assumptions with clause retention.  It gives the same verdicts,
+// models, statistics and trail order, conflict for conflict.  The decision
+// rule is the reference's: the unassigned variable of highest activity, the
+// smaller on a tie.  Here an indexed sift heap serves it, where the reference
+// keeps a lazy-deletion heapq.  An activity rescale can round two different
+// activities to one float, which can break the heap order, so bump
+// re-heapifies after a rescale; while no tie appears that moves nothing.
+// Its watch layer is the plain one: every clause is watched
 // on its own, where the reference watches the clauses of one add_block head
 // as a single run until they differ.  Clauses live in one flat arena:
 // [size, lbd, lit...] at each reference offset; size < 0 marks a deleted
@@ -18,6 +23,7 @@
 #include <Python.h>
 
 #include <algorithm>
+#include <climits>
 #include <ctime>
 #include <new>
 #include <vector>
@@ -72,11 +78,12 @@ struct Core {
 
     Core() { add_vars(0); }
 
+    // count must not take nvars past INT_MAX; throws std::bad_alloc when
+    // memory runs out
     int add_vars(long long count) {
         int first = nvars + 1;
         if (count < 0) count = 0;
-        nvars += (int)count;
-        size_t n = nvars + 1;
+        size_t n = (size_t)nvars + (size_t)count + 1;
         assign.resize(n, UNDEF);
         level.resize(n, 0);
         reason.resize(n, NO_REASON);
@@ -86,6 +93,7 @@ struct Core {
         mark.resize(n, 0);
         watches.resize(2 * n);
         heap_pos.resize(n, -1);
+        nvars = (int)(n - 1);
         // activities are never negative, so a new variable (activity 0, the
         // highest index) belongs at the end of the heap without sifting
         for (int v = first; v <= nvars; v++) {
@@ -176,11 +184,14 @@ struct Core {
 
     void bump(int v) {
         activity[v] += var_inc;
-        if (activity[v] > 1e100) {
+        bool rescale = activity[v] > 1e100;
+        if (rescale) {
             for (int u = 1; u <= nvars; u++) activity[u] *= 1e-100;
             var_inc *= 1e-100;
         }
         if (heap_pos[v] >= 0) heap_up(heap_pos[v]);
+        if (rescale)  // Floyd's bottom-up heapify: a no-op unless the rescale made a tie
+            for (int i = (int)heap.size() / 2 - 1; i >= 0; i--) heap_down(i);
     }
 
     // trail
@@ -500,15 +511,33 @@ PyObject* Solver_new(PyTypeObject* type, PyObject*, PyObject*) {
     return self;
 }
 
+// Declare `count` more variables: the first new index, or 0 with an
+// exception set (ValueError past INT_MAX variables, MemoryError).
+int declare_vars(Core& s, PyObject* count) {
+    int overflow;
+    long long n = PyLong_AsLongLongAndOverflow(count, &overflow);
+    if (n == -1 && PyErr_Occurred()) return 0;
+    if (overflow > 0 || n > (long long)INT_MAX - s.nvars) {
+        PyErr_Format(PyExc_ValueError, "%S more variables would take num_vars past %d", count,
+                     INT_MAX);
+        return 0;
+    }
+    try {
+        return s.add_vars(overflow < 0 ? 0 : n);
+    } catch (const std::bad_alloc&) {
+        PyErr_NoMemory();
+        return 0;
+    }
+}
+
 int Solver_init(PyObject* self, PyObject* args, PyObject* kwargs) {
     static const char* keywords[] = {"num_vars", nullptr};
-    long long num_vars = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "|L:Solver", const_cast<char**>(keywords),
+    PyObject* num_vars = nullptr;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "|O:Solver", const_cast<char**>(keywords),
                                      &num_vars))
         return -1;
     core_of(self) = Core();
-    if (num_vars) core_of(self).add_vars(num_vars);
-    return 0;
+    return num_vars == nullptr || declare_vars(core_of(self), num_vars) ? 0 : -1;
 }
 
 void Solver_dealloc(PyObject* self) {
@@ -519,9 +548,8 @@ void Solver_dealloc(PyObject* self) {
 PyObject* Solver_num_vars(PyObject* self, void*) { return PyLong_FromLong(core_of(self).nvars); }
 
 PyObject* Solver_add_vars(PyObject* self, PyObject* arg) {
-    long long count = PyLong_AsLongLong(arg);
-    if (count == -1 && PyErr_Occurred()) return nullptr;
-    return PyLong_FromLong(core_of(self).add_vars(count));
+    int first = declare_vars(core_of(self), arg);
+    return first == 0 ? nullptr : PyLong_FromLong(first);
 }
 
 // The literal an item names, or 0 with an exception set: ValueError, from

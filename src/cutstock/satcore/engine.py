@@ -7,8 +7,20 @@ whatever the verdict was.
 
 Search machinery: two watched literals with blockers, first-UIP learning
 with basic reason-side minimisation, activity-driven branching (exponential
-decay, indexed max-heap), phase saving, Luby restarts and LBD-based
-reduction of the learned-clause database.  Everything is deterministic.
+decay), phase saving, Luby restarts and LBD-based reduction of the
+learned-clause database.  Everything is deterministic.
+
+Branching picks the unassigned variable of highest activity, the smaller
+on a tie, from a lazy-deletion ``heapq`` of int keys ``-bits << 31 | v``.
+They order as ``(-activity, v)`` does, since the IEEE-754 bit pattern
+``bits`` orders non-negative doubles by value.  ``_entry[v]`` is v's
+current key or None, and every unassigned variable has one.  A bump makes
+the (assigned) variable's key stale, backtracking keys each variable that
+has none, and a pick pops until it meets the current key of an unassigned
+variable.  The heap is rebuilt after an activity rescale, and when stale
+keys make it a quarter longer than the variable count.  A rescale can round
+two different activities to one double, so the C++ engine re-heapifies its
+sift heap after one, and both engines keep to this rule.
 
 ``add_clause`` checks every clause it is given: literals must name declared
 variables, and tautologies, repeated and top-level-false literals are
@@ -42,7 +54,7 @@ unused, +v is at v, and -v at the v-th slot from the end, which is Python's
 negative index.  ``add_vars`` inserts new slots in the middle.  A literal
 outside the declared variables would alias another one, so every literal
 that comes in is range-checked first.  The hot loops (``add_clause``,
-``add_block``, ``_propagate``, the heap) write out the small helpers
+``add_block``, ``_propagate``) write out the small helpers
 ``_attach`` and ``_enqueue`` inline; the helpers remain for the colder
 paths.
 
@@ -55,6 +67,7 @@ trail order, and is preferred at import time when it has been built.
 from __future__ import annotations
 
 import time
+from heapq import heapify, heappop, heappush
 from itertools import chain
 
 SAT = "SAT"
@@ -63,6 +76,7 @@ UNKNOWN = "UNKNOWN"
 
 _UNDEF = -1
 _NO_REASON = -1
+MAX_VARS = 2**31 - 1  # the compiled engine's int variable index; masks v in a heap key
 
 
 class SolveResult:
@@ -92,6 +106,13 @@ def _luby(i: int) -> int:
     return 1 << seq
 
 
+def _double_views(buf: bytearray) -> tuple[memoryview, memoryview]:
+    """The doubles in ``buf``, and the same doubles read as their IEEE-754
+    bit patterns."""
+    view = memoryview(buf)
+    return view.cast("d"), view.cast("q")
+
+
 def _watch_pairs(refs: list[int], blocker: int) -> list[int]:
     """Flat ``(cref, blocker)`` watch entries, one per cref."""
     pairs = [blocker] * (2 * len(refs))
@@ -112,7 +133,9 @@ class Solver:
         # per-variable state, slot 0 unused
         self._level = [0]
         self._reason = [_NO_REASON]
-        self._activity = [0.0]
+        # activities: doubles in a bytearray, read through two views
+        self._activity_buf = bytearray(8)
+        self._activity, self._activity_bits = _double_views(self._activity_buf)
         self._phase = [0]
         self._seen = [0]
         # clause arena: literal lists, None = deleted; a run's clauses join it
@@ -127,9 +150,9 @@ class Solver:
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
-        # indexed max-heap over variable activity
+        # lazy-deletion heap of keys -bits << 31 | v
         self._heap: list[int] = []
-        self._heap_pos: list[int] = [-1]
+        self._entry: list = [None]  # per variable: its current key, or None
         self._var_inc = 1.0
         self._var_decay = 0.95
         self._max_learnts = 4000.0
@@ -152,19 +175,25 @@ class Solver:
         """Declare ``count`` new variables; returns the first new index."""
         first = self._nvars + 1
         count = max(count, 0)
+        if count > MAX_VARS - self._nvars:
+            raise ValueError(f"{count} more variables would take num_vars past {MAX_VARS}")
         # the new literals' slots go between +n and -n
         self._val[first:first] = [_UNDEF] * (2 * count)
         self._watches[first:first] = [[] for _ in range(2 * count)]
         self._nvars += count
         self._level += [0] * count
         self._reason += [_NO_REASON] * count
-        self._activity += [0.0] * count
+        self._activity = self._activity_bits = None  # a bytearray with views cannot grow
+        self._activity_buf += bytes(8 * count)  # 0.0 each
+        self._activity, self._activity_bits = _double_views(self._activity_buf)
         self._phase += [0] * count
         self._seen += [0] * count
-        # activities are never negative, so a new variable (activity 0, the
-        # highest index) belongs at the end of the heap without sifting
-        self._heap_pos += range(len(self._heap), len(self._heap) + count)
-        self._heap += range(first, first + count)
+        # a new variable's key is v (activity 0); the heap holds no larger one,
+        # so the new keys belong at its end without sifting.  A key is current
+        # by identity, so both lists must hold the same int objects.
+        keys = list(range(first, first + count))
+        self._entry += keys
+        self._heap += keys
         return first
 
     def add_clause(self, lits) -> None:
@@ -270,76 +299,33 @@ class Solver:
         self._watches[b].extend((cref, a))
 
     # ------------------------------------------------------------------
-    # activity heap (max-heap keyed by activity, ties to smaller variable;
-    # the order test is written out in _heap_up and _heap_down)
+    # activity heap (lazy deletion; see the module docstring)
 
-    def _heap_insert(self, v: int) -> None:
-        if self._heap_pos[v] >= 0:
-            return
-        self._heap.append(v)
-        self._heap_pos[v] = len(self._heap) - 1
-        self._heap_up(len(self._heap) - 1)
-
-    def _heap_up(self, i: int) -> None:
-        heap, pos, activity = self._heap, self._heap_pos, self._activity
-        v = heap[i]
-        av = activity[v]
-        while i > 0:
-            parent = (i - 1) >> 1
-            p = heap[parent]
-            ap = activity[p]
-            if not (av > ap or (av == ap and v < p)):
-                break
-            heap[i] = p
-            pos[p] = i
-            i = parent
-        heap[i] = v
-        pos[v] = i
-
-    def _heap_down(self, i: int) -> None:
-        heap, pos, activity = self._heap, self._heap_pos, self._activity
-        v = heap[i]
-        av = activity[v]
-        n = len(heap)
-        while True:
-            child = 2 * i + 1
-            if child >= n:
-                break
-            c = heap[child]
-            ac = activity[c]
-            right = child + 1
-            if right < n:
-                r = heap[right]
-                ar = activity[r]
-                if ar > ac or (ar == ac and r < c):
-                    child, c, ac = right, r, ar
-            if not (ac > av or (ac == av and c < v)):
-                break
-            heap[i] = c
-            pos[c] = i
-            i = child
-        heap[i] = v
-        pos[v] = i
-
-    def _heap_pop(self) -> int:
-        heap, pos = self._heap, self._heap_pos
-        top = heap[0]
-        last = heap.pop()
-        pos[top] = -1
-        if heap:
-            heap[0] = last
-            pos[last] = 0
-            self._heap_down(0)
-        return top
+    def _rebuild_heap(self) -> None:
+        """A heap of the current keys only."""
+        heap = [e for e in self._entry if e is not None]
+        heapify(heap)
+        self._heap = heap
 
     def _bump(self, v: int) -> None:
-        self._activity[v] += self._var_inc
-        if self._activity[v] > 1e100:
-            for u in range(1, self._nvars + 1):
-                self._activity[u] *= 1e-100
-            self._var_inc *= 1e-100
-        if self._heap_pos[v] >= 0:
-            self._heap_up(self._heap_pos[v])
+        """Raise the activity of v, which is assigned."""
+        activity = self._activity
+        activity[v] += self._var_inc
+        self._entry[v] = None  # its key is stale now
+        if activity[v] > 1e100:
+            self._rescale()
+
+    def _rescale(self) -> None:
+        """Scale every activity by 1e-100, and re-key the heap."""
+        activity = self._activity
+        for u in range(1, self._nvars + 1):
+            activity[u] *= 1e-100
+        self._var_inc *= 1e-100
+        bits, entry = self._activity_bits, self._entry
+        for u, e in enumerate(entry):
+            if e is not None:
+                entry[u] = -bits[u] << 31 | u
+        self._rebuild_heap()
 
     # ------------------------------------------------------------------
     # trail
@@ -359,18 +345,22 @@ class Solver:
         if len(self._trail_lim) <= lvl:
             return
         bound = self._trail_lim[lvl]
-        val = self._val
-        for i in range(len(self._trail) - 1, bound - 1, -1):
-            lit = self._trail[i]
+        val, phase, reason = self._val, self._phase, self._reason
+        bits, entry, heap = self._activity_bits, self._entry, self._heap
+        trail = self._trail
+        for lit in trail[bound:]:
             v = lit if lit > 0 else -lit
-            self._phase[v] = val[v]
+            phase[v] = val[v]
             val[v] = val[-v] = _UNDEF
-            self._reason[v] = _NO_REASON
-            if self._heap_pos[v] < 0:
-                self._heap_insert(v)
-        del self._trail[bound:]
+            reason[v] = _NO_REASON
+            if entry[v] is None:
+                e = entry[v] = -bits[v] << 31 | v
+                heappush(heap, e)
+        del trail[bound:]
         del self._trail_lim[lvl:]
-        self._qhead = len(self._trail)
+        self._qhead = bound
+        if len(heap) > self._nvars + (self._nvars >> 2):
+            self._rebuild_heap()  # drop the stale keys
 
     # ------------------------------------------------------------------
     # propagation
@@ -670,10 +660,16 @@ class Solver:
         return SolveResult(status, model, self.stats())
 
     def _pick_branch_var(self) -> int:
-        while self._heap:
-            v = self._heap_pop()
-            if self._val[v] == _UNDEF:
-                return v
+        """The unassigned variable of highest activity, the smaller on a tie;
+        0 when every variable is assigned."""
+        heap, entry, val = self._heap, self._entry, self._val
+        while heap:
+            e = heappop(heap)
+            v = e & MAX_VARS
+            if entry[v] is e:
+                entry[v] = None
+                if val[v] == _UNDEF:
+                    return v
         return 0
 
     def stats(self) -> dict:

@@ -22,6 +22,7 @@ external-adapter pipeline can be exercised without network access.
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 
@@ -62,8 +63,8 @@ def solve(path: str, time_limit: float | None) -> int:
         solver = satcore.Solver(num_vars)
         for clause in hard:
             solver.add_clause(clause)
-    except (OSError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
     model, at_least = None, []
@@ -108,4 +109,5 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    gc.disable()  # a short-lived process whose data holds no reference cycle
     sys.exit(main())

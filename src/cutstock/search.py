@@ -25,6 +25,7 @@ fewer.
 
 from __future__ import annotations
 
+import gc
 import os
 import tempfile
 import time
@@ -324,9 +325,21 @@ def solve_instance(
     with sheet-disabling assumptions, 'maxsat' improves models one sheet at
     a time, taking its first model from the WCNF solver solver_cmd when
     given.
+
+    The cyclic garbage collector is paused for the run and the caller's
+    setting restored afterwards, also when the run raises.  Nothing a solve
+    builds (formulas, engines, models) holds a reference cycle, so a
+    collection could free nothing: reference counting frees it all, and
+    the pause only saves the collector's passes over the engine's lists.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     instance.validate(rotation)
-    run = _Run(instance, strategy, rotation, symmetry_breaking, time_limit, engine, started)
-    return _search(run, solver_cmd)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        run = _Run(instance, strategy, rotation, symmetry_breaking, time_limit, engine, started)
+        return _search(run, solver_cmd)
+    finally:
+        if collecting:
+            gc.enable()

@@ -321,6 +321,7 @@ BAD_ROWS = {
     "fraction for clauses": (HEADER + "a,CSP,error,,,,\nb,CSP,opt,2,1,1.5,0.1\n",
                              "row 2: clauses '1.5'"),
     "short row": (HEADER + "a,CSP,opt,2\n", "row 1: vars None"),
+    "word for ttb": (HEADER + "a,CSP,opt,2,1,1,fast\n", "row 1: ttb 'fast'"),
 }
 
 

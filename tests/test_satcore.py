@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import os
 import random
 import signal
@@ -195,6 +196,89 @@ def test_conflict_budget_returns_unknown(engine_cls):
     r = s.solve(conflict_limit=10)
     assert r.status == UNKNOWN
     assert s.solve().status == UNSAT
+
+
+def test_declared_variable_count_is_bounded(engine_cls):
+    """Both engines refuse a count that takes num_vars past 2**31 - 1, the
+    compiled engine's index range, before allocating anything."""
+    for count in (2**31, 4294967297, 2**70):
+        with pytest.raises(ValueError):
+            engine_cls(count)
+    s = engine_cls(5)
+    with pytest.raises(ValueError):
+        s.add_vars(2**31 - 5)
+    assert s.num_vars == 5 and s.add_vars(2) == 6 and s.num_vars == 7
+    s.add_clause([7, -6])
+    r = s.solve(assumptions=[6])
+    assert r.status == SAT and r.model[7]
+
+
+class ArgmaxCheckedSolver(PurePythonSolver):
+    """Checks that every decision is the argmax of (activity, -v) over the
+    unassigned variables."""
+
+    def __init__(self, num_vars=0):
+        super().__init__(num_vars)
+        self.picks = []
+
+    def _pick_branch_var(self):
+        free = [v for v in range(1, self.num_vars + 1) if self._val[v] == -1]
+        best = max(free, key=lambda v: (self._activity[v], -v), default=0)
+        v = super()._pick_branch_var()
+        assert v == best
+        self.picks.append(v)
+        return v
+
+
+def test_decision_is_the_argmax_after_a_rescale_that_ties():
+    """White-box, pure-Python engine: a rescale that rounds two different
+    activities to one double leaves the tie to the smaller variable."""
+    s = ArgmaxCheckedSolver(4)
+    s._activity[1], s._activity[2], s._activity[3] = 1e-250, 3e-250, 1.0
+    s._rescale()  # 1e-350 and 3e-350 both underflow to 0.0
+    assert s._activity[1] == s._activity[2] == s._activity[4] == 0.0 < s._activity[3]
+    assert s.solve().status == SAT
+    assert s.picks == [3, 1, 2, 4, 0]  # 0: every variable assigned
+
+
+def test_decisions_are_the_activity_argmax():
+    """Every decision of a search through conflicts, restarts, assumption
+    calls and added variables is the argmax of (activity, -v), on a formula
+    with more variables than Python caches small ints for."""
+    rng = random.Random(34)
+    n = 300
+    s = ArgmaxCheckedSolver(n)
+    for _ in range(4 * n):
+        s.add_clause([v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)])
+    s.solve(conflict_limit=400)
+    s.solve(assumptions=[1, -2, 3], conflict_limit=200)
+    first = s.add_vars(20)
+    for v in range(first, first + 19):
+        s.add_clause([-v, v + 1, rng.randint(1, n)])
+    s.solve(conflict_limit=200)
+    assert s.conflicts > 500 and s.restarts > 0 and len(s.picks) > 1000
+
+
+def test_engines_are_lockstep_across_rescales():
+    """Two activity rescales, where a tie made by rounding would tell a
+    stale heap order from the decision rule, keep the engines lockstep."""
+    engines = available_engines()
+    if len(engines) < 2:
+        pytest.skip("compiled engine not built")
+    n, clauses = php(9, 8)
+    solvers = {name: cls(n) for name, cls in engines.items()}
+    runs = []
+    for s in solvers.values():
+        for c in clauses:
+            s.add_clause(c)
+        first = s.solve(conflict_limit=9200)
+        second = s.solve(assumptions=[1, 10], conflict_limit=300)
+        runs.append([(r.status, r.model, r.stats) for r in (first, second)])
+    assert runs[0] == runs[1]
+    python = solvers["python"]
+    # var_inc grows by 1/0.95 per conflict and shrinks by 1e-100 per rescale
+    rescales = (python.conflicts * math.log10(1 / 0.95) - math.log10(python._var_inc)) / 100
+    assert round(rescales) >= 2
 
 
 def test_live_clause_count_survives_reductions():
@@ -859,6 +943,7 @@ MALFORMED = {
     "zero inside a clause": b"p cnf 2 1\n1 0 2 0\n",
     "huge literal": b"p cnf 2 1\n1 %d 0\n" % 2**70,
     "huge variable count": b"p cnf %d 1\n1 0\n" % 2**70,
+    "variable count past 2**31 - 1": b"p cnf 4294967297 1\n1 0\n",
     "soft literal beyond the count": b"p wcnf 2 2 2\n2 1 0\n1 -3 0\n",
     "not text": b"p cnf 1 1\n\xff\xfe 0\n",
     "missing file": None,
@@ -875,6 +960,19 @@ def test_bridge_refuses_malformed_file(name, tmp_path, capsys, monkeypatch, engi
     assert extsolver_cli.main([str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bridge_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    """A formula too large for memory ends like any file the bridge cannot load."""
+
+    def no_memory(num_vars):
+        raise MemoryError
+
+    monkeypatch.setattr("cutstock.satcore.Solver", no_memory)
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 2 1\n1 2 0\n")
+    assert extsolver_cli.main([str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 def test_bridge_reads_the_p_line_not_the_name(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import gc
 import random
 import subprocess
 import sys
@@ -59,6 +60,63 @@ def force_gap_instance():
     """FFD needs two sheets here but everything fits on one, so the window
     is open and at least one solver call happens."""
     return Instance(4, 4, (ItemType(1, 2, 3), ItemType(1, 4, 1), ItemType(3, 2, 1)))
+
+
+def gap_3_4_instance():
+    """Area bound 3, FFD 4 sheets, optimum 3: a formula of 4 sheets takes a
+    few milliseconds to encode."""
+    return Instance(10, 10, (ItemType(6, 4, 5), ItemType(4, 6, 4), ItemType(3, 5, 3)))
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_solve_instance_restores_the_gc_setting(collecting):
+    """The cyclic collector is paused during a run, and the caller's setting
+    is back afterwards, also after a run that raises."""
+
+    class Failing(satcore.PurePythonSolver):
+        def solve(self, *args, **kwargs):
+            assert not gc.isenabled()
+            raise RuntimeError("engine failure")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        out = solve_instance(force_gap_instance(), "inc")
+        assert out.status == OPTIMAL and len(out.calls) == 1
+        assert gc.isenabled() == collecting
+        with pytest.raises(RuntimeError, match="engine failure"):
+            solve_instance(force_gap_instance(), "inc", engine=Failing)
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("strategy, solver_cmd, time_limit", [
+    ("sat", None, None),
+    ("inc", None, None),
+    ("maxsat", None, None),
+    ("maxsat", BRIDGE, None),
+    ("inc", None, 0.001),
+], ids=["sat", "inc", "maxsat", "maxsat-bridge", "deadline"])
+def test_solves_leave_no_reference_cycles(strategy, solver_cmd, time_limit, engine_cls):
+    """What the collector pause rests on: a solve builds no reference cycle,
+    so a collection right after one finds nothing to free."""
+    inst = gap_3_4_instance()
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        out = solve_instance(inst, strategy, solver_cmd=solver_cmd, time_limit=time_limit,
+                             engine=engine_cls)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+    if time_limit is None:
+        assert out.status == OPTIMAL and out.best_k == 3
+        assert out.backend == ("external" if solver_cmd else "internal")
+    else:
+        assert out.status == "FEASIBLE" and out.best_k == 4
 
 
 def test_binary_search_runs_calls(engine_cls):
