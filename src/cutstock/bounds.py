@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Copy, Instance, Placement, Solution, expand_demands
+from .model import Copy, Instance, Placement, Solution, expand_demands, orientations
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,8 @@ def ffd_solution(instance: Instance, rotation: bool) -> Solution:
 
     items: list[tuple[Copy, bool, int, int]] = []
     for c in expand_demands(instance):
-        if c.width <= sheet_w and c.height <= sheet_h:
-            items.append((c, False, c.width, c.height))
-        else:
-            items.append((c, True, c.height, c.width))
+        rot = orientations(c.width, c.height, sheet_w, sheet_h, rotation)[0]
+        items.append((c, rot, c.height, c.width) if rot else (c, rot, c.width, c.height))
     items.sort(key=lambda it: (-it[3], -it[2], it[0].type_index, it[0].ordinal))
 
     sheets: list[list[_Shelf]] = []

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 
-from .model import Copy, Instance, Placement, Solution
+from .model import Copy, Instance, Placement, Solution, orientations
 
 
 @dataclass(frozen=True)
@@ -153,23 +153,6 @@ class CnfFormula:
             self.family_counts[family] = self.family_counts.get(family, 0) + count
 
 
-def _permitted_orientations(c: Copy, instance: Instance, config: EncodeConfig) -> list[bool]:
-    """Orientations (rotated?) that symmetry breaking leaves open: exactly
-    the set its rotation-fixing units leave open.
-
-    Squares are pinned to unrotated, and a copy that fits the sheet one way
-    only is pinned to that way.
-    """
-    if not config.rotation or c.width == c.height:
-        return [False]
-    w, h = instance.sheet_width, instance.sheet_height
-    fits_plain = c.width <= w and c.height <= h
-    fits_rot = c.height <= w and c.width <= h
-    if fits_plain != fits_rot:
-        return [fits_rot]
-    return [False, True]
-
-
 def encode_formula(
     copies: tuple[Copy, ...], instance: Instance, config: EncodeConfig, *, deadline=None
 ) -> tuple[VarMap, CnfFormula]:
@@ -188,16 +171,16 @@ def encode_formula(
     not_sheet = [[-vm.sheet(c, j) for j in range(1, k + 1)] for c in range(n)]
     xs = [[vm.x_at_most(c, e) for e in range(width - 1)] for c in range(n)]
     ys = [[vm.y_at_most(c, f) for f in range(height - 1)] for c in range(n)]
-    # each copy's orientations as (selector, width, height); the selector
-    # literal is satisfied when the copy is in the *other* orientation, so a
-    # clause carrying it only binds in the named one
+    # each copy's shape per orientation as (selector, width, height); the
+    # selector literal is satisfied when the copy is in the *other*
+    # orientation, so a clause carrying it only binds in the named one
     if config.rotation:
-        orientations = [
+        shapes = [
             [(vm.rot(c), copy.width, copy.height), (-vm.rot(c), copy.height, copy.width)]
             for c, copy in enumerate(copies)
         ]
     else:
-        orientations = [[(0, copy.width, copy.height)] for copy in copies]
+        shapes = [[(0, copy.width, copy.height)] for copy in copies]
 
     # one sheet per copy
     exactly_one = []
@@ -246,7 +229,7 @@ def encode_formula(
             if deadline is not None and time.perf_counter() >= deadline:
                 raise TimeoutError("deadline passed while encoding")
             guards = list(zip(not_sheet[c], not_sheet[d]))
-            for orient, ew, eh in orientations[c]:
+            for orient, ew, eh in shapes[c]:
                 for rel, bodies in (
                     (vm.left(c, d), link_bodies(xs[c], not_xs[d], ew, width)),
                     (vm.below(c, d), link_bodies(ys[c], not_ys[d], eh, height)),
@@ -259,7 +242,7 @@ def encode_formula(
     domain = []
     for c in range(n):
         for at, limit, axis in ((xs[c], width, 1), (ys[c], height, 2)):
-            for case in orientations[c]:
+            for case in shapes[c]:
                 selector, slack = case[0], limit - case[axis]
                 if slack >= limit - 1:
                     continue  # constant TRUE
@@ -276,20 +259,16 @@ def encode_formula(
     formula.add_block("usage", usage, [[]])
 
     if config.symmetry_breaking:
-        _encode_symmetry_breaking(copies, instance, config, vm, formula)
+        _encode_symmetry_breaking(copies, config, vm, formula)
     return vm, formula
 
 
 def _encode_symmetry_breaking(
-    copies: tuple[Copy, ...],
-    instance: Instance,
-    config: EncodeConfig,
-    vm: VarMap,
-    formula: CnfFormula,
+    copies: tuple[Copy, ...], config: EncodeConfig, vm: VarMap, formula: CnfFormula
 ) -> None:
     n, k = vm.n, vm.sheets
     width, height = vm.width, vm.height
-    permitted = [_permitted_orientations(c, instance, config) for c in copies]
+    permitted = [orientations(c.width, c.height, width, height, config.rotation) for c in copies]
     extents = [
         [(copy.height, copy.width) if rot else (copy.width, copy.height) for rot in rots]
         for copy, rots in zip(copies, permitted)

@@ -35,6 +35,18 @@ class SolutionError(ValueError):
     """Invalid solution text or a placement that violates basic constraints."""
 
 
+def orientations(
+    width: int, height: int, sheet_w: int, sheet_h: int, rotation: bool
+) -> list[bool]:
+    """The orientations (rotated?) a width x height rectangle may take on the
+    sheet, after the elimination of infeasible orientations: those it fits
+    in, rotated only when rotation is allowed and changes the shape, so a
+    square is never rotated."""
+    plain = width <= sheet_w and height <= sheet_h
+    turned = rotation and width != height and height <= sheet_w and width <= sheet_h
+    return [rot for rot, ok in ((False, plain), (True, turned)) if ok]
+
+
 @dataclass(frozen=True)
 class ItemType:
     width: int
@@ -53,9 +65,7 @@ class ItemType:
 
     def fits(self, sheet_w: int, sheet_h: int, rotation: bool) -> bool:
         """True if the item fits the sheet in some permitted orientation."""
-        if self.width <= sheet_w and self.height <= sheet_h:
-            return True
-        return rotation and self.height <= sheet_w and self.width <= sheet_h
+        return bool(orientations(self.width, self.height, sheet_w, sheet_h, rotation))
 
 
 @dataclass(frozen=True)
@@ -139,15 +149,19 @@ class Solution:
         return [p for p in self.placements if p.sheet == sheet]
 
 
+def _rows(text: str) -> list[tuple[int, list[str]]]:
+    """(1-based line number, fields) of each line that is neither blank nor
+    a '#' comment."""
+    return [
+        (no, line.split())
+        for no, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+
+
 def parse_instance(text: str, name: str = "instance", rotation: bool = True) -> Instance:
     """Parse and validate instance text; raises InstanceError with line numbers."""
-    lines = text.splitlines()
-    fields: list[tuple[int, list[str]]] = []
-    for no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields.append((no, stripped.split()))
+    fields = _rows(text)
 
     def ints(entry: tuple[int, list[str]], expect: int, what: str) -> list[int]:
         no, toks = entry
@@ -222,12 +236,7 @@ def read_solution(text: str, instance: Instance) -> Solution:
     coordinates are non-negative and each rectangle lies inside the sheet.
     Overlap and rotation legality are the verifier's business.
     """
-    rows = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((no, stripped.split()))
+    rows = _rows(text)
     if not rows:
         raise SolutionError("empty solution file")
 

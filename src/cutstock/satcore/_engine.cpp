@@ -770,19 +770,8 @@ PyMethodDef Solver_methods[] = {
      METH_NOARGS, "Cumulative search statistics and the formula size."},
     {nullptr, nullptr, 0, nullptr}};
 
-PyObject* Solver_counter(PyObject* self, void* which) {
-    const Core& s = core_of(self);
-    const long long values[] = {s.conflicts, s.decisions, s.propagations, s.restarts, s.learned};
-    return PyLong_FromLongLong(values[reinterpret_cast<intptr_t>(which)]);
-}
-
 PyGetSetDef Solver_getset[] = {
     {"num_vars", Solver_num_vars, nullptr, "Number of declared variables.", nullptr},
-    {"conflicts", Solver_counter, nullptr, nullptr, reinterpret_cast<void*>(0)},
-    {"decisions", Solver_counter, nullptr, nullptr, reinterpret_cast<void*>(1)},
-    {"propagations", Solver_counter, nullptr, nullptr, reinterpret_cast<void*>(2)},
-    {"restarts", Solver_counter, nullptr, nullptr, reinterpret_cast<void*>(3)},
-    {"learned", Solver_counter, nullptr, nullptr, reinterpret_cast<void*>(4)},
     {nullptr, nullptr, nullptr, nullptr, nullptr}};
 
 PyTypeObject SolverType = {PyVarObject_HEAD_INIT(nullptr, 0)};

@@ -156,11 +156,11 @@ class Solver:
         self._var_inc = 1.0
         self._var_decay = 0.95
         self._max_learnts = 4000.0
-        self.conflicts = 0
-        self.decisions = 0
-        self.propagations = 0
-        self.restarts = 0
-        self.learned = 0
+        self._conflicts = 0
+        self._decisions = 0
+        self._propagations = 0
+        self._restarts = 0
+        self._learned = 0
         if num_vars:
             self.add_vars(num_vars)
 
@@ -445,7 +445,7 @@ class Solver:
                     if fv == 0:  # first is false too: conflict
                         del wl[j:i]  # keep the rest of the list
                         self._qhead = len(trail)
-                        self.propagations += props
+                        self._propagations += props
                         return cref
                     val[first] = 1
                     val[-first] = 0
@@ -455,7 +455,7 @@ class Solver:
                     trail.append(first)
             del wl[j:]
         self._qhead = qhead
-        self.propagations += props
+        self._propagations += props
         return _NO_REASON
 
     # ------------------------------------------------------------------
@@ -582,7 +582,7 @@ class Solver:
             return SolveResult(UNSAT, None, self.stats())
 
         deadline = time.perf_counter() + time_limit if time_limit is not None else None
-        conflict_budget = self.conflicts + conflict_limit if conflict_limit is not None else None
+        conflict_budget = self._conflicts + conflict_limit if conflict_limit is not None else None
         restart_count = 0
         since_restart = 0
         next_restart = 100 * _luby(0)
@@ -597,7 +597,7 @@ class Solver:
         while True:
             confl = self._propagate()
             if confl != _NO_REASON:
-                self.conflicts += 1
+                self._conflicts += 1
                 since_restart += 1
                 if not self._trail_lim:
                     self._ok = False
@@ -615,18 +615,18 @@ class Solver:
                     self._live += 1
                     self._attach(cref, learnt)
                     self._enqueue(learnt[0], cref)
-                self.learned += 1
+                self._learned += 1
                 self._var_inc /= self._var_decay
-                if conflict_budget is not None and self.conflicts >= conflict_budget:
+                if conflict_budget is not None and self._conflicts >= conflict_budget:
                     break
-                if deadline is not None and self.conflicts % 256 == 0:
+                if deadline is not None and self._conflicts % 256 == 0:
                     if time.perf_counter() > deadline:
                         break
                 if since_restart >= next_restart:
                     restart_count += 1
                     since_restart = 0
                     next_restart = 100 * _luby(restart_count)
-                    self.restarts += 1
+                    self._restarts += 1
                     self._cancel_until(0)
                 if len(self._learnt_refs) >= self._max_learnts:
                     self._reduce_db()
@@ -652,7 +652,7 @@ class Solver:
                     status = SAT
                     model = [a == 1 for a in self._val[: self._nvars + 1]]  # slot 0 is unassigned
                     break
-                self.decisions += 1
+                self._decisions += 1
                 self._new_level()
                 self._enqueue(v if self._phase[v] == 1 else -v, _NO_REASON)
 
@@ -674,11 +674,11 @@ class Solver:
 
     def stats(self) -> dict:
         return {
-            "conflicts": self.conflicts,
-            "decisions": self.decisions,
-            "propagations": self.propagations,
-            "restarts": self.restarts,
-            "learned": self.learned,
+            "conflicts": self._conflicts,
+            "decisions": self._decisions,
+            "propagations": self._propagations,
+            "restarts": self._restarts,
+            "learned": self._learned,
             "clauses": self._live,
             "vars": self._nvars,
         }

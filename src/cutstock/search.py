@@ -18,7 +18,10 @@ of that solver: the formula for upper, with soft clauses preferring sheets
 unused.  Its model is only an incumbent; the same formula is then loaded
 and the loop goes on from the sheets that model used.  A call that gives
 no model, or one that breaks a hard clause, leaves the question to the
-engine.  A result is OPTIMAL only with a certificate: either the best k
+engine.  A run ends in ``solve_instance`` when the window closes, the
+engine answers UNKNOWN, the deadline passes (a ``TimeoutError``) or a model
+fails verification (INFEASIBLE_MODEL_ERROR).  Only an engine UNSAT raises
+lower, so a result is OPTIMAL only with a certificate: either the best k
 equals the area lower bound, or the engine answered UNSAT for one sheet
 fewer.
 """
@@ -124,8 +127,20 @@ def _pieces(blocks, size: int):
                 yield heads[start:start + step], bodies
 
 
+class _BadModel(Exception):
+    """A model whose packing fails verification; carries the report."""
+
+
 class _Run:
-    """Shared bookkeeping for one optimisation run."""
+    """The only holder of one run's state.
+
+    The window [lower, upper] holds the optimum.  lower starts at the area
+    bound and rises only on an engine UNSAT for k, to k + 1; upper starts at
+    the FFD count and falls only to the k of a verified model (maxsat: the
+    sheets it used).  The incumbent best never uses more than upper sheets.
+    A passed deadline raises TimeoutError, and a model that fails
+    verification raises _BadModel.
+    """
 
     def __init__(self, instance, strategy, rotation, sb, time_limit, engine, started):
         self.instance = instance
@@ -145,57 +160,49 @@ class _Run:
         self.builds = 0
         self.max_vars = 0
         self.max_clauses = 0
-        self.proven_lower = self.lower
         self.backend = "internal"  # "external" once an external model is adopted
-        self.fail_detail = ""
 
     def remaining(self) -> float | None:
         if self.deadline is None:
             return None
         return max(0.0, self.deadline - time.perf_counter())
 
-    def out_of_time(self) -> bool:
-        return self.deadline is not None and time.perf_counter() >= self.deadline
+    def check_time(self) -> None:
+        """Raise TimeoutError once the deadline has passed."""
+        if self.deadline is not None and time.perf_counter() >= self.deadline:
+            raise TimeoutError("time limit reached")
 
     def build(self, k: int):
-        """Encode k sheets: (vm, formula), or None when the deadline passes
-        before the formula is complete."""
-        if self.out_of_time():
-            return None
+        """Encode k sheets: (vm, formula)."""
+        self.check_time()
         config = EncodeConfig(sheets=k, rotation=self.rotation, symmetry_breaking=self.sb)
-        try:
-            vm, formula = encode_formula(self.copies, self.instance, config, deadline=self.deadline)
-        except TimeoutError:
-            return None
+        vm, formula = encode_formula(self.copies, self.instance, config, deadline=self.deadline)
         self.builds += 1
         self.max_vars = max(self.max_vars, formula.num_vars)
         self.max_clauses = max(self.max_clauses, formula.num_clauses)
         return vm, formula
 
     def load(self, formula):
-        """A fresh engine holding the formula, or None when the deadline
-        passes before it is fully loaded."""
+        """A fresh engine holding the formula."""
         solver = self.engine(formula.num_vars)
         unchecked = LOAD_CHECK_EVERY  # clauses loaded since the last deadline check
         for heads, bodies in _pieces(formula.blocks, LOAD_CHECK_EVERY):
             size = len(heads) * len(bodies)
             if unchecked + size > LOAD_CHECK_EVERY:
-                if self.out_of_time():
-                    return None
+                self.check_time()
                 unchecked = 0
             unchecked += size
             solver.add_block(heads, bodies)
         return solver
 
-    def adopt(self, model, vm) -> Solution | None:
+    def adopt(self, model, vm) -> Solution:
         """Decode, compact and verify a model of the formula behind vm, and
-        keep it when it beats the incumbent; None means a bad model."""
+        keep it when it beats the incumbent."""
         decoded = decode_model(model, vm, self.copies, self.instance)
         solution = relabel_sheets(decoded)
         report = verify_solution(self.instance, solution, self.rotation)
         if not report.ok:
-            self.fail_detail = str(report)
-            return None
+            raise _BadModel(report)
         if solution.sheets_used < self.best.sheets_used:
             self.best = solution
             self.best_time = time.perf_counter() - self.started
@@ -210,7 +217,7 @@ class _Run:
             strategy=self.strategy,
             rotation=self.rotation,
             symmetry_breaking=self.sb,
-            lower_bound=self.proven_lower,
+            lower_bound=self.lower,
             calls=self.calls,
             formula_builds=self.builds,
             max_vars=self.max_vars,
@@ -220,49 +227,36 @@ class _Run:
             detail=detail,
         )
 
-    def finish(self) -> SolveOutcome:
-        return self.outcome(OPTIMAL if self.best.sheets_used <= self.proven_lower else FEASIBLE)
 
-
-def _search(run: _Run, solver_cmd: str | None) -> SolveOutcome:
-    """Close the [lower, upper] window with solver calls."""
-    lower, upper = run.lower, run.upper
+def _search(run: _Run, solver_cmd: str | None) -> None:
+    """Close the window with solver calls, or stop at an UNKNOWN answer."""
     first = True  # maxsat asks about upper itself once, unless the external model did
-    disabled = upper + 1  # maxsat: sheets from here up are off for good
-    if run.strategy != "sat" and lower < upper:
-        vm, formula = run.build(upper) or (None, None)
-        if formula is None:
-            return run.finish()
+    disabled = run.upper + 1  # maxsat: sheets from here up are off for good
+    if run.strategy != "sat" and run.lower < run.upper:
+        vm, formula = run.build(run.upper)
         if solver_cmd and run.strategy == "maxsat":
             model = _external_model(run, solver_cmd, vm, formula)
             if model is not None:
-                witness = run.adopt(model, vm)
-                if witness is None:
-                    return run.outcome(INFEASIBLE_MODEL_ERROR, detail=run.fail_detail)
+                run.upper = run.adopt(model, vm).sheets_used
                 run.backend = "external"
-                upper, first = witness.sheets_used, False
-        if lower < upper:
+                first = False
+        if run.lower < run.upper:
             solver = run.load(formula)
-            if solver is None:
-                return run.finish()
         formula = None  # only vm is read from here on
-    while lower < upper and not run.out_of_time():
+    while run.lower < run.upper:
+        run.check_time()
         if run.strategy == "maxsat":
-            k = upper if first else upper - 1
+            k = run.upper if first else run.upper - 1
             first = False
         else:
-            k = (lower + upper) // 2
+            k = (run.lower + run.upper) // 2
         t0 = time.perf_counter()
         assumptions = []
         if run.strategy == "sat":
             solver = None  # one engine alive at a time
-            vm, formula = run.build(k) or (None, None)
-            if formula is None:
-                break
+            vm, formula = run.build(k)
             solver = run.load(formula)
             formula = None
-            if solver is None:
-                break
         elif run.strategy == "inc":
             assumptions = [-vm.used(j) for j in range(k + 1, vm.sheets + 1)]
         else:
@@ -273,14 +267,11 @@ def _search(run: _Run, solver_cmd: str | None) -> SolveOutcome:
         run.calls.append(CallRecord(k, result.status, time.perf_counter() - t0))
         if result.status == SAT:
             witness = run.adopt(result.model, vm)
-            if witness is None:
-                return run.outcome(INFEASIBLE_MODEL_ERROR, detail=run.fail_detail)
-            upper = witness.sheets_used if run.strategy == "maxsat" else k
+            run.upper = witness.sheets_used if run.strategy == "maxsat" else k
         elif result.status == UNSAT:
-            lower = run.proven_lower = k + 1
+            run.lower = k + 1
         else:
             break
-    return run.finish()
 
 
 def soft_unused_sheets(vm, lower: int) -> list[tuple[int, list[int]]]:
@@ -339,7 +330,13 @@ def solve_instance(
     gc.disable()
     try:
         run = _Run(instance, strategy, rotation, symmetry_breaking, time_limit, engine, started)
-        return _search(run, solver_cmd)
+        try:
+            _search(run, solver_cmd)
+        except TimeoutError:
+            pass  # the window stays where the deadline found it
+        except _BadModel as bad:
+            return run.outcome(INFEASIBLE_MODEL_ERROR, detail=str(bad))
+        return run.outcome(OPTIMAL if run.best.sheets_used <= run.lower else FEASIBLE)
     finally:
         if collecting:
             gc.enable()

@@ -256,7 +256,8 @@ def test_decisions_are_the_activity_argmax():
     for v in range(first, first + 19):
         s.add_clause([-v, v + 1, rng.randint(1, n)])
     s.solve(conflict_limit=200)
-    assert s.conflicts > 500 and s.restarts > 0 and len(s.picks) > 1000
+    stats = s.stats()
+    assert stats["conflicts"] > 500 and stats["restarts"] > 0 and len(s.picks) > 1000
 
 
 def test_engines_are_lockstep_across_rescales():
@@ -276,8 +277,9 @@ def test_engines_are_lockstep_across_rescales():
         runs.append([(r.status, r.model, r.stats) for r in (first, second)])
     assert runs[0] == runs[1]
     python = solvers["python"]
+    conflicts = python.stats()["conflicts"]
     # var_inc grows by 1/0.95 per conflict and shrinks by 1e-100 per rescale
-    rescales = (python.conflicts * math.log10(1 / 0.95) - math.log10(python._var_inc)) / 100
+    rescales = (conflicts * math.log10(1 / 0.95) - math.log10(python._var_inc)) / 100
     assert round(rescales) >= 2
 
 

@@ -1,9 +1,11 @@
 import gc
+import importlib.util
 import random
 import subprocess
 import sys
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +299,20 @@ def test_load_pieces_keep_order_and_size():
         assert [h + b for heads, bodies in pieces for h in heads for b in bodies] == formula.clauses
 
 
+def test_bench_engines_quick_run(monkeypatch, capsys):
+    """benchmarks/bench_engines.py, which loads formulas through the search's
+    own piece cutting, runs its quick workloads on every built engine."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_engines.py"
+    spec = importlib.util.spec_from_file_location("bench_engines", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(sys, "argv", [str(path), "--quick", "--repeat", "1"])
+    assert bench.main() == 0
+    out = capsys.readouterr().out
+    assert all(f"{name} solve" in out for name in satcore.available_engines())
+    assert "packing k=7 (UNSAT)" in out and "pigeonhole 7->6 (UNSAT)" in out
+
+
 def test_timeout_returns_feasible_witness(engine_cls):
     inst = force_gap_instance()
     for strategy in ("sat", "inc", "maxsat"):
@@ -348,6 +364,30 @@ def test_deadline_stops_build_and_load(monkeypatch):
     out = solve_instance(inst, "inc", engine=Counting, time_limit=1.0, started=started)
     assert (out.status, out.formula_builds, out.calls) == ("FEASIBLE", 1, [])
     assert counts == {"clauses": 0, "solves": 0}
+
+
+def test_deadline_after_unsat_keeps_its_lower_bound(engine_cls, monkeypatch):
+    """A deadline that passes after an UNSAT answer ends the run FEASIBLE,
+    with lower raised by that answer and nothing else."""
+    from cutstock import search as search_mod
+
+    inst = Instance(5, 5, (ItemType(3, 3, 6),))  # window [3, 6], one copy per sheet
+    real_encode = search_mod.encode_formula
+    started = time.perf_counter()
+    builds = []
+
+    def slow_second_encode(copies, instance, config, **kwargs):
+        result = real_encode(copies, instance, config, **kwargs)
+        builds.append(config.sheets)
+        if len(builds) == 2:
+            time.sleep(max(0.0, started + 1.0 - time.perf_counter()) + 0.01)
+        return result
+
+    monkeypatch.setattr(search_mod, "encode_formula", slow_second_encode)
+    out = solve_instance(inst, "sat", engine=engine_cls, time_limit=1.0, started=started)
+    assert (out.status, out.best_k, out.lower_bound, out.formula_builds) == ("FEASIBLE", 6, 5, 2)
+    assert [(c.k, c.verdict) for c in out.calls] == [(4, UNSAT)] and builds == [4, 5]
+    assert verify_solution(inst, out.best_solution, False).ok
 
 
 def test_search_keeps_one_engine_and_no_formula_alive(engine_cls, monkeypatch):
@@ -449,8 +489,15 @@ def test_corrupt_model_reported_not_trusted(engine_cls):
         solve_instance(inst, "sat", engine=LyingSolver)
 
 
-def test_bad_decoded_placement_reported(engine_cls, monkeypatch):
-    """Decoded packings are verified; a failing one ends the run honestly."""
+@pytest.mark.parametrize("strategy, solver_cmd", [
+    ("sat", None),
+    ("inc", None),
+    ("maxsat", None),
+    ("maxsat", BRIDGE),
+], ids=["sat", "inc", "maxsat", "maxsat-bridge"])
+def test_bad_decoded_placement_reported(strategy, solver_cmd, engine_cls, monkeypatch):
+    """Decoded packings are verified, the external solver's too; the first
+    one that fails ends the run honestly."""
     from cutstock import search as search_mod
     from cutstock.model import Placement, Solution
 
@@ -462,9 +509,10 @@ def test_bad_decoded_placement_reported(engine_cls, monkeypatch):
         return Solution(instance, piled)
 
     monkeypatch.setattr(search_mod, "decode_model", squashing_decode)
-    out = solve_instance(force_gap_instance(), "sat", engine=engine_cls)
+    out = solve_instance(force_gap_instance(), strategy, solver_cmd=solver_cmd, engine=engine_cls)
     assert out.status == "INFEASIBLE_MODEL_ERROR"
     assert "OVERLAP" in out.detail
+    assert [c.verdict for c in out.calls] == [SAT]  # the first model, the bridge's if any
 
 
 def test_rotation_never_hurts(engine_cls):
