@@ -3,9 +3,9 @@
 
 Workloads: cutting-stock feasibility formulas at and just below the
 optimum, random 3-SAT near the phase transition, and a pigeonhole
-refutation.  Each formula is loaded as ``solve_instance`` loads it: its
-blocks cut into pieces of at most ``LOAD_CHECK_EVERY`` clauses, each added
-through ``add_block``.  Loading and solving are timed apart.
+refutation.  Each formula is loaded as ``solve_instance`` loads it: each
+block whole, in one ``add_block`` call.  Loading and solving are timed
+apart.
 Usage::
 
     python benchmarks/bench_engines.py [--repeat N] [--quick]
@@ -20,7 +20,6 @@ import time
 from cutstock.encoding import EncodeConfig, encode_formula
 from cutstock.model import Instance, ItemType, expand_demands
 from cutstock.satcore import available_engines
-from cutstock.search import LOAD_CHECK_EVERY, _pieces
 
 
 def packing_formula(k: int, rotation: bool):
@@ -85,7 +84,7 @@ def run(engine_cls, num_vars, blocks, repeat):
     for _ in range(repeat):
         t0 = time.perf_counter()
         solver = engine_cls(num_vars)
-        for heads, bodies in _pieces(blocks, LOAD_CHECK_EVERY):
+        for heads, bodies in blocks:
             solver.add_block(heads, bodies)
         t1 = time.perf_counter()
         result = solver.solve()

@@ -97,17 +97,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    if args.sheets < 1:
-        print("error: sheet count must be >= 1", file=sys.stderr)
-        return 2
     try:
+        config = EncodeConfig(args.sheets, args.rotation, args.sb)
         instance = _load_instance(args.input, args.rotation)
-    except (OSError, InstanceError) as exc:
+    except (OSError, ValueError) as exc:  # InstanceError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    copies = expand_demands(instance)
-    config = EncodeConfig(args.sheets, args.rotation, args.sb)
-    vm, formula = encode_formula(copies, instance, config)
+    vm, formula = encode_formula(expand_demands(instance), instance, config)
     if args.format == "dimacs":
         text = format_dimacs(formula.num_vars, formula)
     else:

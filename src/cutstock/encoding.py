@@ -133,19 +133,22 @@ class CnfFormula:
         Heads must be non-empty and free of repeated variables.  No
         variable may occur twice among the bodies, or in a body and a head.
         Together these make every emitted clause non-empty and free of
-        repeated variables, at the cost of one check per head and body.  A
-        block with no clauses leaves the formula as it was.
+        repeated variables, at the cost of one check per head and body; a
+        block that breaks them raises ValueError.  A block with no clauses
+        leaves the formula as it was.
         """
         head_vars: set[int] = set()
         for head in heads:
-            assert head, "empty clause emitted"
+            if not head:
+                raise ValueError("empty clause emitted")
             vs = {abs(l) for l in head}
-            assert len(vs) == len(head), "repeated variable in clause"
+            if len(vs) != len(head):
+                raise ValueError("repeated variable in clause")
             head_vars |= vs
         body_lits = list(chain.from_iterable(bodies))
         body_vars = set(map(abs, body_lits))
-        assert len(body_vars) == len(body_lits), "repeated variable in clause"
-        assert head_vars.isdisjoint(body_vars), "repeated variable in clause"
+        if len(body_vars) != len(body_lits) or not head_vars.isdisjoint(body_vars):
+            raise ValueError("repeated variable in clause")
         if heads and bodies:
             self.blocks.append((heads, bodies))
             count = len(heads) * len(bodies)

@@ -20,10 +20,15 @@ and the loop goes on from the sheets that model used.  A call that gives
 no model, or one that breaks a hard clause, leaves the question to the
 engine.  A run ends in ``solve_instance`` when the window closes, the
 engine answers UNKNOWN, the deadline passes (a ``TimeoutError``) or a model
-fails verification (INFEASIBLE_MODEL_ERROR).  Only an engine UNSAT raises
-lower, so a result is OPTIMAL only with a certificate: either the best k
-equals the area lower bound, or the engine answered UNSAT for one sheet
-fewer.
+fails to decode or verify (INFEASIBLE_MODEL_ERROR).  Only an engine UNSAT
+raises lower, so a result is OPTIMAL only with a certificate: either the
+best k equals the area lower bound, or the engine answered UNSAT for one
+sheet fewer.
+
+The deadline is checked between steps: the encoder checks it between
+pairs of copies, loading between the formula's blocks, and the loop before
+each solver call, which gets the time that remains.  A run so ends late
+by at most one step that does not check, such as loading one block whole.
 """
 
 from __future__ import annotations
@@ -49,8 +54,6 @@ UNKNOWN = "UNKNOWN"
 INFEASIBLE_MODEL_ERROR = "INFEASIBLE_MODEL_ERROR"
 
 STRATEGIES = ("sat", "inc", "maxsat")
-
-LOAD_CHECK_EVERY = 4096  # clauses loaded between deadline checks
 
 
 def config_name(strategy: str, rotation: bool, sb: bool) -> str:
@@ -114,21 +117,9 @@ class SolveOutcome:
         }
 
 
-def _pieces(blocks, size: int):
-    """The clauses of the blocks, in order, as blocks of at most size clauses."""
-    for heads, bodies in blocks:
-        if len(bodies) > size:
-            for head in heads:
-                for start in range(0, len(bodies), size):
-                    yield [head], bodies[start:start + size]
-        else:
-            step = size // len(bodies)
-            for start in range(0, len(heads), step):
-                yield heads[start:start + step], bodies
-
-
 class _BadModel(Exception):
-    """A model whose packing fails verification; carries the report."""
+    """A model that does not decode, or whose packing fails verification;
+    carries the decoder's error or the verification report."""
 
 
 class _Run:
@@ -138,8 +129,8 @@ class _Run:
     bound and rises only on an engine UNSAT for k, to k + 1; upper starts at
     the FFD count and falls only to the k of a verified model (maxsat: the
     sheets it used).  The incumbent best never uses more than upper sheets.
-    A passed deadline raises TimeoutError, and a model that fails
-    verification raises _BadModel.
+    A passed deadline raises TimeoutError, and a model that fails to
+    decode or verify raises _BadModel.
     """
 
     def __init__(self, instance, strategy, rotation, sb, time_limit, engine, started):
@@ -185,20 +176,18 @@ class _Run:
     def load(self, formula):
         """A fresh engine holding the formula."""
         solver = self.engine(formula.num_vars)
-        unchecked = LOAD_CHECK_EVERY  # clauses loaded since the last deadline check
-        for heads, bodies in _pieces(formula.blocks, LOAD_CHECK_EVERY):
-            size = len(heads) * len(bodies)
-            if unchecked + size > LOAD_CHECK_EVERY:
-                self.check_time()
-                unchecked = 0
-            unchecked += size
+        for heads, bodies in formula.blocks:
+            self.check_time()
             solver.add_block(heads, bodies)
         return solver
 
     def adopt(self, model, vm) -> Solution:
         """Decode, compact and verify a model of the formula behind vm, and
         keep it when it beats the incumbent."""
-        decoded = decode_model(model, vm, self.copies, self.instance)
+        try:
+            decoded = decode_model(model, vm, self.copies, self.instance)
+        except RuntimeError as exc:  # a copy on no sheet or on two
+            raise _BadModel(exc) from exc
         solution = relabel_sheets(decoded)
         report = verify_solution(self.instance, solution, self.rotation)
         if not report.ok:

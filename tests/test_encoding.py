@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -248,7 +250,7 @@ def test_add_block_rejects_malformed_blocks(heads, bodies, count):
     for is non-empty and free of repeated variables."""
     formula = CnfFormula(6)
     if count is None:
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="empty clause|repeated variable"):
             formula.add_block("family", heads, bodies)
         assert (formula.blocks, formula.num_clauses, formula.family_counts) == ([], 0, {})
     else:
@@ -256,6 +258,25 @@ def test_add_block_rejects_malformed_blocks(heads, bodies, count):
         assert formula.blocks == [(heads, bodies)]
         assert formula.num_clauses == len(formula.clauses) == count
         assert formula.family_counts == {"family": count}
+
+
+REFUSE_UNDER_O = """
+from cutstock.encoding import CnfFormula
+for heads, bodies in (([[1, 2, 1]], [[]]), ([[1, 2]], [[4], [4, 5]])):
+    try:
+        CnfFormula(6).add_block("family", heads, bodies)
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_add_block_checks_survive_python_O():
+    """The block checks are not asserts: python -O still refuses a
+    malformed block."""
+    proc = subprocess.run([sys.executable, "-O", "-c", REFUSE_UNDER_O],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == ["repeated variable in clause"] * 2
 
 
 def test_decode_rejects_inconsistent_model(demo):

@@ -26,7 +26,6 @@ from cutstock.satcore import (
 
 from cutstock.encoding import EncodeConfig, encode_formula
 from cutstock.model import Instance, ItemType, expand_demands
-from cutstock.search import LOAD_CHECK_EVERY, _pieces
 
 from conftest import ENGINE_BUILD, random_cnf, random_instance
 
@@ -391,18 +390,23 @@ def test_engines_are_lockstep():
     assert runs[0] == runs[1]
 
 
+def head_slices(blocks, size):
+    """The blocks cut into blocks of at most size heads, in order."""
+    return [(heads[i:i + size], bodies) for heads, bodies in blocks for i in range(0, len(heads), size)]
+
+
 def test_engines_are_lockstep_through_add_block():
-    """Encoded formulas loaded block by block, in the pieces the search
-    loads, keep the engines lockstep call for call: assumption calls,
-    permanent unit clauses, and a conflict-limited call that crosses a
-    learned-clause reduction."""
+    """Encoded formulas loaded block by block, whole as the search loads
+    them or cut into blocks of three heads, keep the engines lockstep call
+    for call: assumption calls, permanent unit clauses, and a
+    conflict-limited call that crosses a learned-clause reduction."""
     engines = available_engines()
     if len(engines) < 2:
         pytest.skip("compiled engine not built")
 
-    def load(cls, formula, size):
-        s = cls(formula.num_vars)
-        for heads, bodies in _pieces(formula.blocks, size):
+    def load(cls, num_vars, blocks):
+        s = cls(num_vars)
+        for heads, bodies in blocks:
             s.add_block(heads, bodies)
         return s
 
@@ -417,8 +421,8 @@ def test_engines_are_lockstep_through_add_block():
         k = rng.randint(1, 4)
         config = EncodeConfig(k, rng.random() < 0.5, rng.random() < 0.5)
         vm, formula = encode_formula(expand_demands(inst), inst, config)
-        size = 3 if i % 2 else LOAD_CHECK_EVERY
-        solvers = [load(cls, formula, size) for cls in engines.values()]
+        blocks = head_slices(formula.blocks, 3) if i % 2 else formula.blocks
+        solvers = [load(cls, formula.num_vars, blocks) for cls in engines.values()]
         for m in range(k, 0, -1):
             lockstep(solvers, assumptions=[-vm.used(j) for j in range(m + 1, k + 1)])
             for s in solvers:
@@ -427,7 +431,8 @@ def test_engines_are_lockstep_through_add_block():
     # seven 2x4 copies, at most two to a 4x4 sheet, do not fit on three
     inst = Instance(4, 4, (ItemType(2, 4, 7),))
     vm, formula = encode_formula(expand_demands(inst), inst, EncodeConfig(3, rotation=True))
-    solvers = [load(engines[name], formula, 5) for name in ("compiled", "python")]
+    blocks = head_slices(formula.blocks, 5)
+    solvers = [load(engines[name], formula.num_vars, blocks) for name in ("compiled", "python")]
     first = lockstep(solvers, conflict_limit=4500)
     assert first.status == UNKNOWN and first.stats["learned"] > 4000
     assert any(c is None for c in solvers[1]._clauses), "no clause was ever deleted"
@@ -646,7 +651,7 @@ def test_block_clauses_take_no_arena_slot_until_their_run_dissolves():
             inst = random_instance(rng, max_copies=7, max_dim=7)
         config = EncodeConfig(rng.randint(2, 4), rng.random() < 0.5, rng.random() < 0.5)
         vm, formula = encode_formula(expand_demands(inst), inst, config)
-        pieces = list(_pieces(formula.blocks, 3 if i % 2 else LOAD_CHECK_EVERY))
+        pieces = head_slices(formula.blocks, 3) if i % 2 else formula.blocks
         s = PurePythonSolver(formula.num_vars)
         twin = PurePythonSolver(formula.num_vars)
         stored = []  # what the twin stores for the pieces that make no runs

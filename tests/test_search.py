@@ -14,7 +14,7 @@ from cutstock.bounds import compute_bounds
 from cutstock.encoding import EncodeConfig, encode_formula
 from cutstock.model import Instance, ItemType, expand_demands
 from cutstock.satcore import SAT, UNKNOWN, UNSAT
-from cutstock.search import LOAD_CHECK_EVERY, OPTIMAL, _pieces, config_name, solve_instance
+from cutstock.search import OPTIMAL, config_name, solve_instance
 from cutstock.verify import brute_force_optimal, verify_solution
 
 from conftest import random_instance
@@ -287,21 +287,9 @@ def test_maxsat_external_non_model_is_no_answer(tmp_path, engine_cls):
     assert verify_solution(inst, out.best_solution, False).ok
 
 
-def test_load_pieces_keep_order_and_size():
-    """Loading cuts blocks into pieces of at most the deadline-check
-    interval without changing the clauses or their order."""
-    rng = random.Random(8)
-    inst = random_instance(rng, max_copies=7, max_dim=7)
-    _, formula = encode_formula(expand_demands(inst), inst, EncodeConfig(3, True, True))
-    for size in (1, 2, 5, 64, LOAD_CHECK_EVERY):
-        pieces = list(_pieces(formula.blocks, size))
-        assert all(1 <= len(heads) * len(bodies) <= size for heads, bodies in pieces)
-        assert [h + b for heads, bodies in pieces for h in heads for b in bodies] == formula.clauses
-
-
 def test_bench_engines_quick_run(monkeypatch, capsys):
-    """benchmarks/bench_engines.py, which loads formulas through the search's
-    own piece cutting, runs its quick workloads on every built engine."""
+    """benchmarks/bench_engines.py, which loads formulas block by block as
+    the search does, runs its quick workloads on every built engine."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_engines.py"
     spec = importlib.util.spec_from_file_location("bench_engines", path)
     bench = importlib.util.module_from_spec(spec)
@@ -364,6 +352,29 @@ def test_deadline_stops_build_and_load(monkeypatch):
     out = solve_instance(inst, "inc", engine=Counting, time_limit=1.0, started=started)
     assert (out.status, out.formula_builds, out.calls) == ("FEASIBLE", 1, [])
     assert counts == {"clauses": 0, "solves": 0}
+
+
+def test_deadline_passing_mid_load_stops_loading():
+    """A deadline that passes while a block loads stops the loading before
+    the next block: the run ends FEASIBLE without a solver call."""
+    inst = Instance(5, 5, (ItemType(3, 3, 6),))  # window [3, 6]
+    started = time.perf_counter()
+    loaded = []
+
+    class SlowFirstBlock(satcore.Solver):
+        def add_block(self, heads, bodies):
+            if not loaded:
+                time.sleep(max(0.0, started + 1.0 - time.perf_counter()) + 0.01)
+            loaded.append(len(heads) * len(bodies))
+            super().add_block(heads, bodies)
+
+        def solve(self, *args, **kwargs):
+            raise AssertionError("solved after the deadline")
+
+    out = solve_instance(inst, "inc", engine=SlowFirstBlock, time_limit=1.0, started=started)
+    assert (out.status, out.best_k, out.formula_builds, out.calls) == ("FEASIBLE", 6, 1, [])
+    assert len(loaded) == 1
+    assert verify_solution(inst, out.best_solution, False).ok
 
 
 def test_deadline_after_unsat_keeps_its_lower_bound(engine_cls, monkeypatch):
@@ -483,10 +494,11 @@ def test_corrupt_model_reported_not_trusted(engine_cls):
                 result = type(result)(result.status, flipped, result.stats)
             return result
 
-    inst = force_gap_instance()
-    with pytest.raises(RuntimeError):
-        # wholesale flipping breaks the one-sheet-per-copy invariant
-        solve_instance(inst, "sat", engine=LyingSolver)
+    # wholesale flipping breaks the one-sheet-per-copy invariant
+    out = solve_instance(force_gap_instance(), "sat", engine=LyingSolver)
+    assert out.status == "INFEASIBLE_MODEL_ERROR"
+    assert "sheets; encoder bug" in out.detail
+    assert [c.verdict for c in out.calls] == [SAT]
 
 
 @pytest.mark.parametrize("strategy, solver_cmd", [
