@@ -3,17 +3,18 @@
 Exit codes for ``solve``: 0 optimal, 10 feasible (no optimality proof),
 20 unknown, 2 bad input.  ``bench`` writes per-run CSV rows and prints a
 summary table aggregated per configuration; it can also re-aggregate an
-existing rows file; a run that raises gives a row with status ``error``,
-and then ``bench`` exits with 1, while inputs it cannot read make it exit
-2.  The ``CUTSTOCK_SOLVER_CMD`` environment variable supplies a default
-external MaxSAT solver command.
+existing rows file.  Every bench run is a job in a worker process, and
+``--jobs`` (at least 1) sets how many run at once; a job that raises, or
+whose worker dies, gives a row with status ``error``, and then ``bench``
+exits with 1, while inputs it cannot read make it exit 2.  The
+``CUTSTOCK_SOLVER_CMD`` environment variable supplies a default external
+MaxSAT solver command.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import itertools
 import os
 import sys
@@ -55,6 +56,17 @@ def _read(path: str) -> str:
 
 def _load_instance(path: str, rotation: bool):
     return parse_instance(_read(path), name=Path(path).stem, rotation=rotation)
+
+
+def _load_solved(args):
+    """The instance and solution that ``verify`` and ``render`` read, or None
+    after printing why they cannot be read."""
+    try:
+        instance = _load_instance(args.input, args.rotation)
+        return instance, read_solution(_read(args.solution), instance)
+    except (OSError, InstanceError, SolutionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -121,12 +133,10 @@ def cmd_encode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        instance = _load_instance(args.input, args.rotation)
-        solution = read_solution(_read(args.solution), instance)
-    except (OSError, InstanceError, SolutionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    loaded = _load_solved(args)
+    if loaded is None:
         return 2
+    instance, solution = loaded
     report = verify_solution(instance, solution, args.rotation)
     print(report)
     return 0 if report.ok else 1
@@ -137,12 +147,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        instance = _load_instance(args.input, args.rotation)
-        solution = read_solution(_read(args.solution), instance)
-    except (OSError, InstanceError, SolutionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    loaded = _load_solved(args)
+    if loaded is None:
         return 2
+    instance, solution = loaded
     report = verify_solution(instance, solution, args.rotation)
     if not report.ok:
         print(f"refusing to render an invalid solution:\n{report}", file=sys.stderr)
@@ -195,10 +203,11 @@ def _run_one(job) -> dict:
 
 
 def _pooled(pool, job):
-    """result() for the job run in a process pool.  A worker that dies breaks
-    the pool and fails every job not yet done with it, whether it ran or not,
-    so such a job runs again alone in a fresh one-worker pool: only the job
-    whose own worker dies gets an error row."""
+    """Queue the job in a process pool; the function returned gives its row,
+    or an error row if the job raises or its worker dies.  A worker that dies
+    breaks the pool and fails every job not yet done with it, whether it ran
+    or not, so such a job runs again alone in a fresh one-worker pool: only
+    the job whose own worker dies gets an error row."""
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     try:
@@ -206,27 +215,22 @@ def _pooled(pool, job):
     except BrokenProcessPool:  # the pool broke before this job was queued
         future = None
 
-    def result():
-        if future is not None:
-            try:
-                return future.result()
-            except BrokenProcessPool:
-                pass
-        with ProcessPoolExecutor(max_workers=1) as alone:
-            return alone.submit(_run_one, job).result()
+    def result() -> dict:
+        try:
+            if future is not None:
+                try:
+                    return future.result()
+                except BrokenProcessPool:
+                    pass
+            with ProcessPoolExecutor(max_workers=1) as alone:
+                return alone.submit(_run_one, job).result()
+        except Exception as exc:  # the job raised, or its own worker died
+            path, strategy, rotation, sb = job[:4]
+            name, config = Path(path).stem, config_name(strategy, rotation, sb)
+            print(f"error: {name} {config}: {exc!r}", file=sys.stderr)
+            return dict(dict.fromkeys(ROW_FIELDS, ""), instance=name, config=config, status=ERROR)
 
     return result
-
-
-def _row(job, result) -> dict:
-    """The row that result() returns for the job, or an error row if it raises."""
-    try:
-        return result()
-    except Exception as exc:  # the job raised, or its worker died (BrokenProcessPool)
-        path, strategy, rotation, sb = job[:4]
-        name, config = Path(path).stem, config_name(strategy, rotation, sb)
-        print(f"error: {name} {config}: {exc!r}", file=sys.stderr)
-        return dict(dict.fromkeys(ROW_FIELDS, ""), instance=name, config=config, status=ERROR)
 
 
 def read_bks(path: str) -> dict[str, int]:
@@ -362,6 +366,9 @@ def _expand_modes(value: str) -> list[bool]:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return 2
     try:
         bks = read_bks(args.bks) if args.bks else {}
         rows = read_rows(args.rows) if args.rows else None
@@ -384,15 +391,12 @@ def cmd_bench(args) -> int:
             for rotation in _expand_modes(args.rotation)
             for sb in _expand_modes(args.sb)
         ]
-        if args.jobs > 1:
-            # imported here: bench is the only command that uses a process pool
-            from concurrent.futures import ProcessPoolExecutor
+        # imported here: bench is the only command that uses a process pool
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = [_pooled(pool, job) for job in jobs]
-                rows = [_row(job, result) for job, result in zip(jobs, results)]
-        else:
-            rows = [_row(job, functools.partial(_run_one, job)) for job in jobs]
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = [_pooled(pool, job) for job in jobs]
+            rows = [result() for result in results]
         rows.sort(key=lambda r: (r["instance"], _config_sort_key(r["config"])))
         for row in rows:
             status = row["status"]

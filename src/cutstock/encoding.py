@@ -313,14 +313,13 @@ def _encode_symmetry_breaking(
 def decode_model(
     model: list[bool], vm: VarMap, copies: tuple[Copy, ...], instance: Instance
 ) -> Solution:
-    """Read a satisfying assignment back into placements."""
+    """Read a satisfying assignment back into placements; RuntimeError when
+    the model puts a copy on no sheet or on two."""
     placements = []
     for c, copy in enumerate(copies):
         sheets = [j for j in range(1, vm.sheets + 1) if model[vm.sheet(c, j)]]
         if len(sheets) != 1:
-            raise RuntimeError(
-                f"copy {copy.label()} assigned to {len(sheets)} sheets; encoder bug"
-            )
+            raise RuntimeError(f"model puts copy {copy.label()} on {len(sheets)} sheets")
         x = vm.width - 1
         for e in range(vm.width - 1):
             if model[vm.x_at_most(c, e)]:

@@ -84,10 +84,6 @@ class Instance:
             raise InstanceError("instance has no item types")
 
     @property
-    def num_copies(self) -> int:
-        return sum(t.demand for t in self.types)
-
-    @property
     def total_item_area(self) -> int:
         return sum(t.area * t.demand for t in self.types)
 

@@ -160,6 +160,29 @@ def test_render_refuses_invalid(demo_file, tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("broken", ["instance file", "instance", "solution"])
+def test_verify_and_render_refuse_unreadable_files_alike(broken, demo_file, tmp_path, capsys):
+    sol = tmp_path / "s.sol"
+    main(["solve", "--input", demo_file, "--out", str(sol)])
+    capsys.readouterr()
+    inst = demo_file
+    if broken == "instance file":
+        inst = str(tmp_path / "missing.txt")
+    elif broken == "instance":
+        inst = str(tmp_path / "bad.txt")
+        Path(inst).write_text("6 4\n1\n9 9 1\n")  # fits no sheet
+    else:
+        sol.write_text("k 2\n")
+    captured = []
+    for command in (["verify"], ["render", "--out", str(tmp_path / "x")]):
+        assert main(command + ["--input", inst, "--solution", str(sol)]) == 2
+        captured.append(capsys.readouterr())
+    assert captured[0] == captured[1]
+    assert captured[0].out == "" and captured[0].err.startswith("error: ")
+    assert captured[0].err.count("\n") == 1
+    assert not list(tmp_path.glob("x_sheet*.svg"))
+
+
 def test_solve_svg_output(demo_file, tmp_path, capsys):
     code = main(["solve", "--input", demo_file, "--svg", str(tmp_path / "pic")])
     assert code == 0
@@ -278,16 +301,18 @@ def _die_on_crash_file(job, run_one=cli._run_one):
     return run_one(job)
 
 
-def test_bench_dead_worker_gives_only_its_error_row(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_dead_worker_gives_only_its_error_row(tmp_path, capsys, monkeypatch, jobs):
     """A worker that dies breaks its pool; the jobs that never ran with it
-    run again and are solved, and only the job that killed it errs."""
+    run again and are solved, and only the job that killed it errs.  With
+    one job at a time too: the dying job never takes bench down with it."""
     monkeypatch.setattr(cli, "_run_one", _die_on_crash_file)
     (tmp_path / "inst").mkdir()
     for name in ("crash", "d1", "d2", "d3"):
         (tmp_path / "inst" / f"{name}.txt").write_text(DEMO_TEXT)
     out_csv = tmp_path / "rows.csv"
     code = main([
-        "bench", "--dir", str(tmp_path / "inst"), "--jobs", "2",
+        "bench", "--dir", str(tmp_path / "inst"), "--jobs", jobs,
         "--strategies", "sat", "--out-csv", str(out_csv),
     ])
     assert code == 1
@@ -296,6 +321,45 @@ def test_bench_dead_worker_gives_only_its_error_row(tmp_path, capsys, monkeypatc
     assert rows == [("crash", "error", ""), ("d1", "opt", "2"), ("d2", "opt", "2"),
                     ("d3", "opt", "2")]
     assert "error: crash CSP: BrokenProcessPool" in capsys.readouterr().err
+
+
+# optimum 2 (area 144 of two 12x12 sheets), FFD 3; a zero time limit keeps FFD's 3
+NOT_SOLVED = "12 12\n7\n10 6 1\n12 4 1\n6 8 1\n12 3 2\n6 5 1\n6 3 1\n2 6 1\n"
+
+
+@pytest.mark.parametrize("best_known, status, ttb, n_feas", [("3", "feas", "0.000", "1"),
+                                                              ("2", "timeout", "", "0")])
+def test_bench_rows_that_are_not_optimal(best_known, status, ttb, n_feas, tmp_path, capsys):
+    """A run without a proof is feas when it matches the best known count,
+    and otherwise timeout with its time-to-best cleared."""
+    (tmp_path / "inst").mkdir()
+    (tmp_path / "inst" / "t.txt").write_text(NOT_SOLVED)
+    bks = tmp_path / "bks.csv"
+    bks.write_text(f"t,{best_known}\n")
+    out_csv = tmp_path / "rows.csv"
+    code = main([
+        "bench", "--dir", str(tmp_path / "inst"), "--bks", str(bks),
+        "--strategies", "sat,inc", "--time-limit", "0", "--out-csv", str(out_csv),
+    ])
+    assert code == 0
+    with open(out_csv, newline="") as fh:
+        rows = [(r["instance"], r["config"], r["status"], r["k"], r["ttb"])
+                for r in csv.DictReader(fh)]
+    assert rows == [("t", "CSP", status, "3", ttb), ("t", "CSP_INC", status, "3", ttb)]
+    lines = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[2:]}
+    assert lines["CSP"][1:3] == lines["CSP_INC"][1:3] == ["0", n_feas]  # #Opt, #Feas
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_refuses_fewer_than_one_job(jobs, tmp_path, capsys):
+    (tmp_path / "inst").mkdir()
+    (tmp_path / "inst" / "demo.txt").write_text(DEMO_TEXT)
+    out_csv = tmp_path / "rows.csv"
+    assert main(["bench", "--dir", str(tmp_path / "inst"), "--jobs", jobs,
+                 "--out-csv", str(out_csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --jobs must be at least 1\n" and captured.out == ""
+    assert not out_csv.exists()
 
 
 def test_bench_empty_directory(tmp_path, capsys):

@@ -497,7 +497,7 @@ def test_corrupt_model_reported_not_trusted(engine_cls):
     # wholesale flipping breaks the one-sheet-per-copy invariant
     out = solve_instance(force_gap_instance(), "sat", engine=LyingSolver)
     assert out.status == "INFEASIBLE_MODEL_ERROR"
-    assert "sheets; encoder bug" in out.detail
+    assert "model puts copy c1,1 on 0 sheets" in out.detail
     assert [c.verdict for c in out.calls] == [SAT]
 
 
