@@ -1,19 +1,23 @@
 """Command-line front end: solve, encode, verify, bench and render.
 
-Exit codes for ``solve``: 0 optimal, 10 feasible (no optimality proof),
-20 unknown, 2 bad input.  ``bench`` writes per-run CSV rows and prints a
-summary table aggregated per configuration; it can also re-aggregate an
+Every command ends with ``error: <reason>`` on stderr and exit 2 when an
+input file cannot be read, decoded or parsed, an output path cannot be
+written, or an argument cannot be used; ``main`` is the one place that
+refuses.  Exit codes for ``solve``: 0 optimal, 10 feasible (no optimality
+proof), 20 unknown, 1 a solver model that fails verification
+(``INFEASIBLE_MODEL_ERROR``).  ``bench`` writes per-run CSV rows and prints
+a summary table aggregated per configuration; it can also re-aggregate an
 existing rows file.  Every bench run is a job in a worker process, and
 ``--jobs`` (at least 1) sets how many run at once; a job that raises, or
 whose worker dies, gives a row with status ``error``, and then ``bench``
-exits with 1, while inputs it cannot read make it exit 2.  The
-``CUTSTOCK_SOLVER_CMD`` environment variable supplies a default external
-MaxSAT solver command.
+exits with 1.  The ``CUTSTOCK_SOLVER_CMD`` environment variable supplies a
+default external MaxSAT solver command.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import os
@@ -49,6 +53,16 @@ from .verify import verify_solution
 _EXIT_BY_STATUS = {OPTIMAL: 0, FEASIBLE: 10, UNKNOWN: 20, INFEASIBLE_MODEL_ERROR: 1}
 
 
+class BadArgument(ValueError):
+    """An argument, or the contents of a file it names, that the command
+    cannot use."""
+
+
+def _check_time_limit(time_limit: float | None) -> None:
+    if time_limit is not None and not time_limit >= 0:  # nan too
+        raise BadArgument("--time-limit must be a number >= 0")
+
+
 def _read(path: str) -> str:
     with open(path) as fh:
         return fh.read()
@@ -58,28 +72,14 @@ def _load_instance(path: str, rotation: bool):
     return parse_instance(_read(path), name=Path(path).stem, rotation=rotation)
 
 
-def _load_solved(args):
-    """The instance and solution that ``verify`` and ``render`` read, or None
-    after printing why they cannot be read."""
-    try:
-        instance = _load_instance(args.input, args.rotation)
-        return instance, read_solution(_read(args.solution), instance)
-    except (OSError, InstanceError, SolutionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
 # ----------------------------------------------------------------------
 # solve
 
 
 def cmd_solve(args) -> int:
+    _check_time_limit(args.time_limit)
     started = time.perf_counter()
-    try:
-        instance = _load_instance(args.input, args.rotation)
-    except (OSError, InstanceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    instance = _load_instance(args.input, args.rotation)
     solver_cmd = args.solver_cmd or os.environ.get("CUTSTOCK_SOLVER_CMD")
     outcome = solve_instance(
         instance,
@@ -111,10 +111,9 @@ def cmd_solve(args) -> int:
 def cmd_encode(args) -> int:
     try:
         config = EncodeConfig(args.sheets, args.rotation, args.sb)
-        instance = _load_instance(args.input, args.rotation)
-    except (OSError, ValueError) as exc:  # InstanceError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise BadArgument(exc) from None
+    instance = _load_instance(args.input, args.rotation)
     vm, formula = encode_formula(expand_demands(instance), instance, config)
     if args.format == "dimacs":
         text = format_dimacs(formula.num_vars, formula)
@@ -133,10 +132,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    loaded = _load_solved(args)
-    if loaded is None:
-        return 2
-    instance, solution = loaded
+    instance = _load_instance(args.input, args.rotation)
+    solution = read_solution(_read(args.solution), instance)
     report = verify_solution(instance, solution, args.rotation)
     print(report)
     return 0 if report.ok else 1
@@ -147,10 +144,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    loaded = _load_solved(args)
-    if loaded is None:
-        return 2
-    instance, solution = loaded
+    instance = _load_instance(args.input, args.rotation)
+    solution = read_solution(_read(args.solution), instance)
     report = verify_solution(instance, solution, args.rotation)
     if not report.ok:
         print(f"refusing to render an invalid solution:\n{report}", file=sys.stderr)
@@ -234,7 +229,7 @@ def _pooled(pool, job):
 
 
 def read_bks(path: str) -> dict[str, int]:
-    """Instance name -> best known sheet count; ValueError on a malformed line."""
+    """Instance name -> best known sheet count; BadArgument on a malformed line."""
     bks = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -242,7 +237,7 @@ def read_bks(path: str) -> dict[str, int]:
             if not row or row[0].strip().startswith("#"):
                 continue
             if len(row) < 2:
-                raise ValueError(f"{path} line {reader.line_num}: expected instance,best-known-k")
+                raise BadArgument(f"{path} line {reader.line_num}: expected instance,best-known-k")
             name, value = row[0].strip(), row[1].strip()
             if not value.lstrip("-").isdigit():
                 continue  # header line
@@ -251,13 +246,13 @@ def read_bks(path: str) -> dict[str, int]:
 
 
 def read_rows(path: str) -> list[dict]:
-    """The rows of a bench CSV; ValueError unless it has the ROW_FIELDS
+    """The rows of a bench CSV; BadArgument unless it has the ROW_FIELDS
     columns, and integer k, vars and clauses and a ttb that is a number,
     empty or ``--`` in every row but error rows."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if not set(ROW_FIELDS) <= set(reader.fieldnames or ()):
-            raise ValueError(f"{path}: expected the columns {','.join(ROW_FIELDS)}")
+            raise BadArgument(f"{path}: expected the columns {','.join(ROW_FIELDS)}")
         rows = list(reader)
     for number, row in enumerate(rows, 1):
         if row["status"] == ERROR:
@@ -266,13 +261,13 @@ def read_rows(path: str) -> list[dict]:
             try:
                 int(row[name])
             except (TypeError, ValueError):
-                raise ValueError(f"{path} row {number}: {name} {row[name]!r} is not an integer")
+                raise BadArgument(f"{path} row {number}: {name} {row[name]!r} is not an integer")
         ttb = row["ttb"]
         if ttb not in ("", "--", None):
             try:
                 float(ttb)
             except ValueError:
-                raise ValueError(f"{path} row {number}: ttb {ttb!r} is not a number")
+                raise BadArgument(f"{path} row {number}: ttb {ttb!r} is not a number")
     return rows
 
 
@@ -367,21 +362,15 @@ def _expand_modes(value: str) -> list[bool]:
 
 def cmd_bench(args) -> int:
     if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
-    try:
-        bks = read_bks(args.bks) if args.bks else {}
-        rows = read_rows(args.rows) if args.rows else None
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise BadArgument("--jobs must be at least 1")
+    _check_time_limit(args.time_limit)
+    bks = read_bks(args.bks) if args.bks else {}
+    rows = read_rows(args.rows) if args.rows else None
     if rows is None:
         if not args.dir:
-            print("error: either --dir or --rows is required", file=sys.stderr)
-            return 2
+            raise BadArgument("either --dir or --rows is required")
         if not Path(args.dir).is_dir():
-            print(f"error: {args.dir} is not a directory", file=sys.stderr)
-            return 2
+            raise BadArgument(f"{args.dir} is not a directory")
         paths = sorted(str(p) for p in Path(args.dir).glob("*.txt"))
         solver_cmd = args.solver_cmd or os.environ.get("CUTSTOCK_SOLVER_CMD")
         jobs = [
@@ -391,30 +380,34 @@ def cmd_bench(args) -> int:
             for rotation in _expand_modes(args.rotation)
             for sb in _expand_modes(args.sb)
         ]
-        # imported here: bench is the only command that uses a process pool
-        from concurrent.futures import ProcessPoolExecutor
+    # opened before any job runs, so that a path it cannot write costs no solving
+    with open(args.out_csv, "w", newline="") if args.out_csv else contextlib.nullcontext() as fh:
+        if rows is None:
+            # imported here: bench is the only command that uses a process pool
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = [_pooled(pool, job) for job in jobs]
-            rows = [result() for result in results]
-        rows.sort(key=lambda r: (r["instance"], _config_sort_key(r["config"])))
-        for row in rows:
-            status = row["status"]
-            if status == ERROR:
-                continue
-            if status == OPTIMAL:
-                row["status"] = "opt"
-            elif bks.get(row["instance"]) == int(row["k"]):
-                row["status"] = "feas"
-            else:
-                row["status"] = "timeout"
-                row["ttb"] = ""
-    if args.out_csv:
-        with open(args.out_csv, "w", newline="") as fh:
+            # at most one worker per job, as a fork pool starts them all at once;
+            # a pool needs one, and with no job it starts none
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs) or 1)) as pool:
+                results = [_pooled(pool, job) for job in jobs]
+                rows = [result() for result in results]
+            rows.sort(key=lambda r: (r["instance"], _config_sort_key(r["config"])))
+            for row in rows:
+                status = row["status"]
+                if status == ERROR:
+                    continue
+                if status == OPTIMAL:
+                    row["status"] = "opt"
+                elif bks.get(row["instance"]) == int(row["k"]):
+                    row["status"] = "feas"
+                else:
+                    row["status"] = "timeout"
+                    row["ttb"] = ""
+        if fh is not None:
             writer = csv.DictWriter(fh, fieldnames=ROW_FIELDS)
             writer.writeheader()
             writer.writerows(rows)
-        print(f"rows written to {args.out_csv}")
+            print(f"rows written to {args.out_csv}")
     metrics = aggregate_rows(rows, bks)
     print(format_metrics_table(metrics))
     return 1 if any(row["status"] == ERROR for row in rows) else 0
@@ -480,7 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, UnicodeError, InstanceError, SolutionError, BadArgument) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

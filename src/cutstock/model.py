@@ -192,10 +192,7 @@ def parse_instance(text: str, name: str = "instance", rotation: bool = True) -> 
             raise InstanceError(str(exc), entry[0]) from None
 
     instance = Instance(w, h, tuple(types), name=name)
-    try:
-        instance.validate(rotation)
-    except InstanceError as exc:
-        raise InstanceError(str(exc)) from None
+    instance.validate(rotation)
     return instance
 
 

@@ -1,5 +1,7 @@
+import concurrent.futures
 import csv
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 from cutstock import cli
 from cutstock.cli import aggregate_rows, main, read_bks
 
-from conftest import DEMO_TEXT
+from conftest import DEMO_PLACEMENTS, DEMO_TEXT
 
 DATA = Path(__file__).parent / "data"
 BRIDGE = f"{sys.executable} -m cutstock.satcore.extsolver_cli {{input}}"
@@ -413,3 +415,95 @@ def test_bench_bks_line_without_value(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["bench", "--dir", str(tmp_path / "empty"), "--bks", str(bks)]) == 2
     assert f"error: {bks} line 3: expected instance,best-known-k" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# refusals: main ends each with one error line and exit 2
+
+# {bad} is not UTF-8, {missing} lies in a directory that does not exist
+REFUSALS = [
+    "solve --input {bad}",
+    "verify --input {bad} --solution {sol}",
+    "render --input {bad} --solution {sol} --out {out}",
+    "verify --input {inst} --solution {bad}",
+    "render --input {inst} --solution {bad} --out {out}",
+    "solve --input {inst} --out {missing}",
+    "solve --input {inst} --svg {missing}",
+    "encode --input {inst} --sheets 2 --out {missing}",
+    "render --input {inst} --solution {sol} --out {missing}",
+    "bench --dir {dir} --out-csv {missing}",
+    "solve --input {inst} --time-limit nan",
+    "solve --input {inst} --time-limit -1",
+    "bench --dir {dir} --time-limit nan",
+    "bench --dir {dir} --time-limit -1",
+]
+
+
+@pytest.fixture
+def refusal_paths(tmp_path):
+    (tmp_path / "dir").mkdir()
+    inst = tmp_path / "dir" / "demo.txt"
+    inst.write_text(DEMO_TEXT)
+    sol = tmp_path / "demo.sol"
+    sol.write_text("2 6\n" + "".join(" ".join(map(str, p)) + "\n" for p in DEMO_PLACEMENTS))
+    (tmp_path / "bad.txt").write_bytes(b"6 4\n1\n3 2 \xff\n")
+    names = {"inst": inst, "sol": sol, "bad": tmp_path / "bad.txt", "dir": tmp_path / "dir",
+             "out": tmp_path / "out", "missing": tmp_path / "missing" / "x"}
+    return {name: str(path) for name, path in names.items()}
+
+
+def _no_job(pool, job):
+    raise AssertionError(f"bench ran {job} before refusing")
+
+
+@pytest.mark.parametrize("command", REFUSALS)
+def test_main_refuses_with_one_error_line(command, refusal_paths, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_pooled", _no_job)
+    assert main([arg.format(**refusal_paths) for arg in command.split()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_refusal_reaches_the_shell_without_traceback(refusal_paths):
+    proc = subprocess.run([sys.executable, "-m", "cutstock", "solve", "--input",
+                           refusal_paths["bad"]], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_solver_errors_are_not_refusals(error, demo_file, monkeypatch):
+    """Only input, output and arguments are refused: an error from solving
+    a valid instance is a fault, and main lets it through."""
+    def fail(*args, **kwargs):
+        raise error("solver fault")
+
+    monkeypatch.setattr(cli, "solve_instance", fail)
+    with pytest.raises(error, match="solver fault"):
+        main(["solve", "--input", demo_file])
+
+
+class _AtMostTwoWorkers(concurrent.futures.ProcessPoolExecutor):
+    """Records the pool size bench asks for, and starts at most two workers."""
+
+    asked: list[int] = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+        super().__init__(max_workers=min(max_workers, 2))
+
+
+def test_bench_starts_at_most_one_worker_per_job(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _AtMostTwoWorkers)
+    monkeypatch.setattr(_AtMostTwoWorkers, "asked", [])
+    (tmp_path / "inst").mkdir()
+    (tmp_path / "inst" / "a.txt").write_text("3 3\n1\n3 3 2\n")
+    (tmp_path / "inst" / "b.txt").write_text(DEMO_TEXT)
+    (tmp_path / "empty").mkdir()
+    for folder, rows in (("inst", 2), ("empty", 0)):
+        assert main(["bench", "--dir", str(tmp_path / folder), "--jobs", "1000",
+                     "--strategies", "sat"]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[0].startswith("Config") and len(table) == 2 + (rows > 0)
+    assert _AtMostTwoWorkers.asked == [2, 1]

@@ -42,6 +42,14 @@ def test_parse_rejects_unfittable_type():
         parse_instance("6 4\n1\n7 5 1\n")
 
 
+@pytest.mark.parametrize("rotation, mode", [(False, "unrotated"), (True, "in any orientation")])
+def test_unfittable_type_error_names_no_line(rotation, mode):
+    with pytest.raises(InstanceError) as info:
+        parse_instance("6 4\n1\n7 5 1\n", rotation=rotation)
+    assert str(info.value) == f"item type 0 (7x5) does not fit the 6x4 sheet {mode}"
+    assert info.value.line is None
+
+
 def test_parse_rotation_mode_fit():
     text = "6 4\n1\n3 5 1\n"  # only fits rotated
     inst = parse_instance(text, rotation=True)
