@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import itertools
 import os
 import sys
@@ -64,8 +65,11 @@ def _check_time_limit(time_limit: float | None) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise BadArgument(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _load_instance(path: str, rotation: bool):
@@ -80,22 +84,28 @@ def cmd_solve(args) -> int:
     _check_time_limit(args.time_limit)
     started = time.perf_counter()
     instance = _load_instance(args.input, args.rotation)
+    if args.svg and not Path(args.svg).parent.is_dir():
+        raise BadArgument(f"--svg {args.svg}: {Path(args.svg).parent} is not a directory")
     solver_cmd = args.solver_cmd or os.environ.get("CUTSTOCK_SOLVER_CMD")
-    outcome = solve_instance(
-        instance,
-        strategy=args.strategy,
-        rotation=args.rotation,
-        symmetry_breaking=args.sb,
-        time_limit=args.time_limit,
-        solver_cmd=solver_cmd,
-        started=started,
-    )
-    print(f"{outcome.status} k={outcome.best_k}")
-    for key, value in outcome.record().items():
-        print(f"{key}={value}")
-    if args.out:
-        Path(args.out).write_text(write_solution(outcome.best_solution))
-        print(f"solution written to {args.out}")
+    # opened first, so that a path it cannot write costs no solving, but not
+    # emptied until there is a solution: a solve cut short keeps the old file
+    with open(args.out, "a") if args.out else contextlib.nullcontext() as out:
+        outcome = solve_instance(
+            instance,
+            strategy=args.strategy,
+            rotation=args.rotation,
+            symmetry_breaking=args.sb,
+            time_limit=args.time_limit,
+            solver_cmd=solver_cmd,
+            started=started,
+        )
+        print(f"{outcome.status} k={outcome.best_k}")
+        for key, value in outcome.record().items():
+            print(f"{key}={value}")
+        if out is not None:
+            out.truncate(0)
+            out.write(write_solution(outcome.best_solution))
+            print(f"solution written to {args.out}")
     if args.svg:
         for sheet, text in render_solution(instance, outcome.best_solution).items():
             path = f"{args.svg}_sheet{sheet}.svg"
@@ -231,17 +241,19 @@ def _pooled(pool, job):
 def read_bks(path: str) -> dict[str, int]:
     """Instance name -> best known sheet count; BadArgument on a malformed line."""
     bks = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(_read(path)))
+    try:
         for row in reader:
             if not row or row[0].strip().startswith("#"):
                 continue
             if len(row) < 2:
-                raise BadArgument(f"{path} line {reader.line_num}: expected instance,best-known-k")
+                raise csv.Error("expected instance,best-known-k")
             name, value = row[0].strip(), row[1].strip()
             if not value.lstrip("-").isdigit():
                 continue  # header line
             bks[name] = int(value)
+    except csv.Error as exc:
+        raise BadArgument(f"{path} line {reader.line_num}: {exc}") from None
     return bks
 
 
@@ -249,11 +261,13 @@ def read_rows(path: str) -> list[dict]:
     """The rows of a bench CSV; BadArgument unless it has the ROW_FIELDS
     columns, and integer k, vars and clauses and a ttb that is a number,
     empty or ``--`` in every row but error rows."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    reader = csv.DictReader(io.StringIO(_read(path)))
+    try:
         if not set(ROW_FIELDS) <= set(reader.fieldnames or ()):
             raise BadArgument(f"{path}: expected the columns {','.join(ROW_FIELDS)}")
         rows = list(reader)
+    except csv.Error as exc:  # a DictReader counts only the lines it has returned
+        raise BadArgument(f"{path} line {reader.reader.line_num}: {exc}") from None
     for number, row in enumerate(rows, 1):
         if row["status"] == ERROR:
             continue

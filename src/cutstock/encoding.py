@@ -13,10 +13,11 @@ A ``CnfFormula`` keeps its clauses as blocks: ``(heads, bodies)`` stands
 for ``head + body`` for every head and body, head-major.  The ``link``
 family, almost all of the formula, is one block per pair of copies, axis
 and orientation: a guard head per sheet times bodies shared by every sheet.
-Every other family is one block of plain clauses, ``(clauses, [[]])``.
-``CnfFormula.add_block`` is the only way in, and checks every clause to be
-non-empty and free of repeated variables at the cost of one check per head
-and body.  Engines load a block in one ``add_block`` call, and DIMACS/WCNF
+Every other family is one block of plain clauses, ``(clauses, [()])``.
+``CnfFormula.add_block`` is the only way in.  It passes each block once
+through ``satcore.engine.check_block``, the one home of the block rules,
+and keeps the immutable block of int tuples it returns.  The pure-Python
+engine loads such a block without checking it again, and DIMACS/WCNF
 export formats each head and body once per block.
 """
 
@@ -24,9 +25,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 
 from .model import Copy, Instance, Placement, Solution, orientations
+from .satcore.engine import check_block
 
 
 @dataclass(frozen=True)
@@ -101,22 +102,22 @@ class CnfFormula:
     """Clauses kept as an ordered list of blocks ``(heads, bodies)``.
 
     A block stands for the clause ``head + body`` for every head and body,
-    head-major.  ``add_block`` keeps its block as given, so bodies are
-    shared by every head and never copied; a list of plain clauses is the
-    block ``(clauses, [[]])``.  ``clauses`` lists every clause in order,
-    but building that list costs one list per clause, so loading and export
-    walk ``blocks`` instead.
+    head-major.  ``add_block`` keeps the block ``check_block`` returns, so
+    bodies are shared by every head and never copied; a list of plain
+    clauses is the block ``(clauses, [()])``.  ``clauses`` lists every
+    clause in order, but building that list costs one list per clause, so
+    loading and export walk ``blocks`` instead.
     """
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
-        self.blocks: list[tuple[list[list[int]], list[list[int]]]] = []
+        self.blocks: list[tuple[tuple, tuple]] = []
         self.num_clauses = 0
         self.family_counts: dict[str, int] = {}
 
     @property
     def clauses(self) -> list[list[int]]:
-        return [head + body for heads, bodies in self.blocks for head in heads for body in bodies]
+        return [list(h + b) for heads, bodies in self.blocks for h in heads for b in bodies]
 
     def satisfied_by(self, model) -> bool:
         """Whether ``model[v]``, the value of each variable v, satisfies
@@ -127,31 +128,15 @@ class CnfFormula:
             all(map(holds, heads)) or all(map(holds, bodies)) for heads, bodies in self.blocks
         )
 
-    def add_block(self, family: str, heads: list[list[int]], bodies: list[list[int]]) -> None:
-        """Add ``head + body`` for every head and body, head-major.
-
-        Heads must be non-empty and free of repeated variables.  No
-        variable may occur twice among the bodies, or in a body and a head.
-        Together these make every emitted clause non-empty and free of
-        repeated variables, at the cost of one check per head and body; a
-        block that breaks them raises ValueError.  A block with no clauses
-        leaves the formula as it was.
+    def add_block(self, family: str, heads, bodies) -> None:
+        """Add ``head + body`` for every head and body, head-major, as the
+        block ``check_block`` returns; a block that breaks its rules raises
+        ValueError.  A block with no clauses leaves the formula as it was.
         """
-        head_vars: set[int] = set()
-        for head in heads:
-            if not head:
-                raise ValueError("empty clause emitted")
-            vs = {abs(l) for l in head}
-            if len(vs) != len(head):
-                raise ValueError("repeated variable in clause")
-            head_vars |= vs
-        body_lits = list(chain.from_iterable(bodies))
-        body_vars = set(map(abs, body_lits))
-        if len(body_vars) != len(body_lits) or not head_vars.isdisjoint(body_vars):
-            raise ValueError("repeated variable in clause")
-        if heads and bodies:
-            self.blocks.append((heads, bodies))
-            count = len(heads) * len(bodies)
+        heads, bodies = block = check_block(heads, bodies)
+        count = len(heads) * len(bodies)
+        if count:
+            self.blocks.append(block)
             self.num_clauses += count
             self.family_counts[family] = self.family_counts.get(family, 0) + count
 
@@ -188,26 +173,26 @@ def encode_formula(
     # one sheet per copy
     exactly_one = []
     for c in range(n):
-        exactly_one.append([vm.sheet(c, j) for j in range(1, k + 1)])
+        exactly_one.append(tuple(vm.sheet(c, j) for j in range(1, k + 1)))
         for j1 in range(1, k + 1):
             for j2 in range(j1 + 1, k + 1):
-                exactly_one.append([-vm.sheet(c, j1), -vm.sheet(c, j2)])
-    formula.add_block("exactly_one", exactly_one, [[]])
+                exactly_one.append((-vm.sheet(c, j1), -vm.sheet(c, j2)))
+    formula.add_block("exactly_one", exactly_one, [()])
 
     # coordinate thresholds are monotone
     order = []
     for c in range(n):
-        order += [[-a, b] for a, b in zip(xs[c], xs[c][1:])]
-        order += [[-a, b] for a, b in zip(ys[c], ys[c][1:])]
-    formula.add_block("order", order, [[]])
+        order += [(-a, b) for a, b in zip(xs[c], xs[c][1:])]
+        order += [(-a, b) for a, b in zip(ys[c], ys[c][1:])]
+    formula.add_block("order", order, [()])
 
     # some separating direction must hold for same-sheet pairs
     separation = []
     for c in range(n):
         for d in range(c + 1, n):
-            apart = [vm.left(c, d), vm.left(d, c), vm.below(c, d), vm.below(d, c)]
-            separation += [[gc, gd] + apart for gc, gd in zip(not_sheet[c], not_sheet[d])]
-    formula.add_block("separation", separation, [[]])
+            apart = (vm.left(c, d), vm.left(d, c), vm.below(c, d), vm.below(d, c))
+            separation += [guard + apart for guard in zip(not_sheet[c], not_sheet[d])]
+    formula.add_block("separation", separation, [()])
 
     # tie the separating directions to coordinates, per sheet and orientation:
     # one block per (c, d, axis, orientation) with a guard head per sheet
@@ -217,12 +202,12 @@ def encode_formula(
     def link_bodies(at_c: list[int], not_at_d: list[int], extent: int, limit: int):
         # x_d >= extent even when x_c = 0; a copy too long to fit leaves the
         # bare head, which forbids the relation outright
-        bodies = [[not_at_d[extent - 1]]] if extent < limit else [[]]
+        bodies = [(not_at_d[extent - 1],)] if extent < limit else [()]
         # x_c > e forces x_d > e + extent ...
-        bodies += [[a, b] for a, b in zip(at_c, not_at_d[extent:])]
+        bodies += zip(at_c, not_at_d[extent:])
         # ... which past the last threshold is impossible
         if extent < limit:
-            bodies.append([at_c[limit - extent - 1]])
+            bodies.append((at_c[limit - extent - 1],))
         return bodies
 
     for c in range(n):
@@ -237,8 +222,8 @@ def encode_formula(
                     (vm.left(c, d), link_bodies(xs[c], not_xs[d], ew, width)),
                     (vm.below(c, d), link_bodies(ys[c], not_ys[d], eh, height)),
                 ):
-                    tail = [orient, -rel] if orient else [-rel]
-                    heads = [[gc, gd] + tail for gc, gd in guards]
+                    tail = (orient, -rel) if orient else (-rel,)
+                    heads = [guard + tail for guard in guards]
                     formula.add_block("link", heads, bodies)
 
     # every copy fits inside its sheet: x in each orientation, then y
@@ -254,12 +239,12 @@ def encode_formula(
                     lits.append(at[slack])
                 elif not lits:
                     raise ValueError("copy does not fit the sheet; instance validation missed it")
-                domain.append(lits)
-    formula.add_block("domain", domain, [[]])
+                domain.append(tuple(lits))
+    formula.add_block("domain", domain, [()])
 
     # usage indicators
-    usage = [[-vm.sheet(c, j), vm.used(j)] for c in range(n) for j in range(1, k + 1)]
-    formula.add_block("usage", usage, [[]])
+    usage = [(-vm.sheet(c, j), vm.used(j)) for c in range(n) for j in range(1, k + 1)]
+    formula.add_block("usage", usage, [()])
 
     if config.symmetry_breaking:
         _encode_symmetry_breaking(copies, config, vm, formula)
@@ -282,32 +267,32 @@ def _encode_symmetry_breaking(
     for c in range(n):
         for d in range(c + 1, n):
             if all(wc + wd > width for wc, _ in extents[c] for wd, _ in extents[d]):
-                large += [[-vm.left(c, d)], [-vm.left(d, c)]]
+                large += [(-vm.left(c, d),), (-vm.left(d, c),)]
             if all(hc + hd > height for _, hc in extents[c] for _, hd in extents[d]):
-                large += [[-vm.below(c, d)], [-vm.below(d, c)]]
-    formula.add_block("sb_large", large, [[]])
+                large += [(-vm.below(c, d),), (-vm.below(d, c),)]
+    formula.add_block("sb_large", large, [()])
 
     # later copies of a type never go strictly left of earlier ones
     same_type = []
     for c in range(n):
         for d in range(c + 1, n):
             if copies[c].type_index == copies[d].type_index:
-                same_type.append([-vm.left(d, c)])
-    formula.add_block("sb_same_type", same_type, [[]])
+                same_type.append((-vm.left(d, c),))
+    formula.add_block("sb_same_type", same_type, [()])
 
     # pin the rotation flag when only one orientation is possible
     if config.rotation:
         pins = []
         for c in range(n):
             if permitted[c] == [False]:
-                pins.append([-vm.rot(c)])
+                pins.append((-vm.rot(c),))
             elif permitted[c] == [True]:
-                pins.append([vm.rot(c)])
-        formula.add_block("sb_orientation", pins, [[]])
+                pins.append((vm.rot(c),))
+        formula.add_block("sb_orientation", pins, [()])
 
     # sheets are brought into use in index order
-    sheet_order = [[-vm.used(j + 1), vm.used(j)] for j in range(1, k)]
-    formula.add_block("sb_sheet_order", sheet_order, [[]])
+    sheet_order = [(-vm.used(j + 1), vm.used(j)) for j in range(1, k)]
+    formula.add_block("sb_sheet_order", sheet_order, [()])
 
 
 def decode_model(

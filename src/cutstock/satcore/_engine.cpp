@@ -413,7 +413,8 @@ struct Core {
     }
 
     // CDCL search under the assumption literals; a SAT verdict leaves its
-    // assignment in `model`
+    // assignment in `model`.  Where it checks the deadline it runs the signal
+    // handlers too, and stops with the exception set if one raises (Ctrl-C).
 
     Status solve(const std::vector<int>& assume, bool has_budget, long long conflict_limit,
                  bool has_deadline, double time_limit) {
@@ -423,6 +424,9 @@ struct Core {
         long long restart_count = 0, since_restart = 0, checkpoint = 0;
         long long next_restart = 100 * luby(0);
         Status status = S_UNKNOWN;
+        auto stop = [&] {
+            return PyErr_CheckSignals() < 0 || (has_deadline && perf_counter() > deadline);
+        };
 
         if (propagate() != NO_REASON) {
             ok = false;
@@ -452,7 +456,7 @@ struct Core {
                 learned += 1;
                 var_inc /= var_decay;
                 if (has_budget && conflicts >= conflict_budget) break;
-                if (has_deadline && conflicts % 256 == 0 && perf_counter() > deadline) break;
+                if (conflicts % 256 == 0 && stop()) break;
                 if (since_restart >= next_restart) {
                     restart_count += 1;
                     since_restart = 0;
@@ -478,7 +482,7 @@ struct Core {
                     continue;
                 }
                 checkpoint += 1;
-                if (has_deadline && checkpoint % 512 == 0 && perf_counter() > deadline) break;
+                if (checkpoint % 512 == 0 && stop()) break;
                 int v = pick_branch_var();
                 if (v == 0) {
                     status = S_SAT;
@@ -738,6 +742,7 @@ PyObject* Solver_solve(PyObject* self, PyObject* args, PyObject* kwargs) {
     if (PyErr_Occurred()) return nullptr;
     Status status =
         s.solve(assume, conflict_limit != Py_None, budget, time_limit != Py_None, seconds);
+    if (PyErr_Occurred()) return nullptr;  // a signal handler raised
     PyObject* model = Py_None;
     if (status == S_SAT) {
         model = PyList_New(s.nvars + 1);

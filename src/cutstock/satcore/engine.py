@@ -24,11 +24,14 @@ sift heap after one, and both engines keep to this rule.
 
 ``add_clause`` checks every clause it is given: literals must name declared
 variables, and tautologies, repeated and top-level-false literals are
-dropped, so the engine never relies on the encoder's own clause checks.
-``add_block(heads, bodies)`` adds ``head + body`` for every head and body
-in one call, leaving the engine exactly as ``add_clause`` on each of those
-clauses would; it checks the block once and stores its clauses directly
-when none of them could need a per-clause check.
+dropped.  ``add_block(heads, bodies)`` adds ``head + body`` for every head
+and body in one call, leaving the engine exactly as ``add_clause`` on each
+of those clauses would.  ``check_block`` is the one check of a block's
+rules.  This engine trusts only heads that ``check_block`` made, such as
+the encoder's, given with their own bodies; it checks any other pair with
+it, never relies on a check made outside this module, and stores a block's
+clauses directly when none of them could need a per-clause check.  The C++
+engine checks every block itself, as it crosses from Python.
 
 Stored that way, the clauses of one head form a *run*: ``[prefix,
 bodies]``, where ``prefix`` is the shared head.  A run has one watch entry
@@ -118,6 +121,49 @@ def _watch_pairs(refs: list[int], blocker: int) -> list[int]:
     pairs = [blocker] * (2 * len(refs))
     pairs[::2] = refs
     return pairs
+
+
+class CheckedHeads(tuple):
+    """Heads, as int tuples, that passed ``check_block``, which alone makes
+    them, with the block's ``bodies`` (int tuples), its largest variable
+    ``max_var`` and ``wide``: whether every head has two or more literals."""
+
+    def __new__(cls, *args):
+        raise TypeError("only check_block makes CheckedHeads")
+
+    def __setattr__(self, *args):
+        raise AttributeError("a checked block cannot change")
+
+    __delattr__ = __setattr__
+
+
+def check_block(heads, bodies) -> tuple[CheckedHeads, tuple]:
+    """The block ``head + body`` for every head and body as ``(CheckedHeads,
+    bodies)``, or ValueError unless every head is non-empty and free of
+    repeated variables, no variable is twice among the bodies or in both a
+    body and a head, and no literal is 0: then no clause is empty or
+    repeats a variable."""
+    checked = tuple.__new__(CheckedHeads, map(tuple, heads))
+    bodies = tuple(map(tuple, bodies))
+    head_vars: set[int] = set()
+    for head in checked:
+        if not head:
+            raise ValueError("empty clause emitted")
+        vs = set(map(abs, head))
+        if len(vs) != len(head):
+            raise ValueError("repeated variable in clause")
+        head_vars |= vs
+    body_lits = tuple(chain.from_iterable(bodies))
+    used = head_vars.union(map(abs, body_lits))
+    # no body variable repeats or is in a head: one per head variable and body literal
+    if len(used) != len(head_vars) + len(body_lits):
+        raise ValueError("repeated variable in clause")
+    if 0 in used:
+        raise ValueError("literal 0 in clause")
+    # heads are non-empty, so none of length 1 means every one has two or more
+    vars(checked).update(bodies=bodies, max_var=max(used) if used else 0,
+                         wide=1 not in map(len, checked))
+    return checked, bodies
 
 
 class Solver:
@@ -238,44 +284,30 @@ class Solver:
 
     def add_block(self, heads, bodies) -> None:
         """Add the problem clause ``head + body`` for every head and body,
-        head-major; heads and bodies are lists of literal lists.
+        head-major, leaving the engine exactly as ``add_clause`` on each
+        clause in turn would.
 
-        The engine ends exactly as ``add_clause`` on each clause in turn
-        would leave it.  When no clause of the block can need one of
-        ``add_clause``'s checks (nothing is assigned at top level, every
-        head has two or more literals, no variable occurs twice in a head,
-        twice among the bodies or in both, and every variable is declared),
-        the clauses of each head are stored as one run watched on its two
-        first literals (a plain clause when there is one body); otherwise
-        each goes through ``add_clause``.  A run keeps the body lists
-        themselves until it dissolves, so they must not change afterwards.
+        Heads made by ``check_block``, given with the bodies it returned
+        with them, are not checked again; any other pair is checked here.
+        When the check passes, every head has two or more literals, every
+        variable is declared and nothing is assigned at top level, the
+        clauses of each head are stored as one run watched on its two first
+        literals (a plain clause when there is one body) that keeps the
+        checked bodies; otherwise each goes through ``add_clause``.
         """
         if not self._ok or not bodies:
             return
-        plain = not self._trail
-        if plain:
-            head_vars: set[int] = set()
-            for head in heads:
-                vs = set(map(abs, head))
-                if len(head) < 2 or len(vs) != len(head):
-                    plain = False
-                    break
-                head_vars |= vs
-            body_lits = list(chain.from_iterable(bodies))
-            used = head_vars.union(map(abs, body_lits))
-            # as many variables as head variables and body literals: no body
-            # variable repeats or is in a head
-            plain = (
-                plain
-                and len(used) == len(head_vars) + len(body_lits)
-                and 0 not in used
-                and max(used, default=0) <= self._nvars
-            )
+        try:
+            if type(heads) is not CheckedHeads or heads.bodies is not bodies:
+                heads, bodies = check_block(heads, bodies)
+            plain = heads.wide and heads.max_var <= self._nvars and not self._trail
+        except ValueError:  # add_clause gives the verdict, clause by clause
+            plain = False
         if not plain:
             add = self.add_clause
             for head in heads:
                 for body in bodies:
-                    add(head + body)
+                    add([*head, *body])
             return
         clauses = self._clauses
         runs = self._runs
@@ -285,7 +317,7 @@ class Solver:
             a, b = head[0], head[1]
             if m == 1:
                 ref = len(clauses)
-                clauses.append(head + bodies[0])
+                clauses.append(list(head + bodies[0]))
             else:
                 ref = ~len(runs)
                 runs.append([list(head), bodies])
@@ -432,7 +464,7 @@ class Solver:
                         if swapped:
                             c[0], c[1] = c[1], c[0]
                         start = len(clauses)
-                        clauses += [c + body for body in run[1]]
+                        clauses += [c + list(body) for body in run[1]]
                         refs = list(range(start, len(clauses)))
                         run[0], run[1] = None, refs
                         i -= 2

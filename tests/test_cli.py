@@ -388,6 +388,9 @@ BAD_ROWS = {
                              "row 2: clauses '1.5'"),
     "short row": (HEADER + "a,CSP,opt,2\n", "row 1: vars None"),
     "word for ttb": (HEADER + "a,CSP,opt,2,1,1,fast\n", "row 1: ttb 'fast'"),
+    # past the csv module's field size limit of 131,072 characters
+    "huge field": (HEADER + "a," + "x" * 200_000 + ",opt,2,1,1,0.1\n",
+                   "line 2: field larger than field limit"),
 }
 
 
@@ -420,7 +423,8 @@ def test_bench_bks_line_without_value(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # refusals: main ends each with one error line and exit 2
 
-# {bad} is not UTF-8, {missing} lies in a directory that does not exist
+# {bad} is not UTF-8, {missing} lies in a directory that does not exist, {huge}
+# has a field past the csv module's size limit
 REFUSALS = [
     "solve --input {bad}",
     "verify --input {bad} --solution {sol}",
@@ -432,6 +436,8 @@ REFUSALS = [
     "encode --input {inst} --sheets 2 --out {missing}",
     "render --input {inst} --solution {sol} --out {missing}",
     "bench --dir {dir} --out-csv {missing}",
+    "bench --rows {huge}",
+    "bench --dir {dir} --bks {huge}",
     "solve --input {inst} --time-limit nan",
     "solve --input {inst} --time-limit -1",
     "bench --dir {dir} --time-limit nan",
@@ -447,8 +453,10 @@ def refusal_paths(tmp_path):
     sol = tmp_path / "demo.sol"
     sol.write_text("2 6\n" + "".join(" ".join(map(str, p)) + "\n" for p in DEMO_PLACEMENTS))
     (tmp_path / "bad.txt").write_bytes(b"6 4\n1\n3 2 \xff\n")
+    (tmp_path / "huge.csv").write_text(BAD_ROWS["huge field"][0])  # rows and BKS alike
     names = {"inst": inst, "sol": sol, "bad": tmp_path / "bad.txt", "dir": tmp_path / "dir",
-             "out": tmp_path / "out", "missing": tmp_path / "missing" / "x"}
+             "out": tmp_path / "out", "missing": tmp_path / "missing" / "x",
+             "huge": tmp_path / "huge.csv"}
     return {name: str(path) for name, path in names.items()}
 
 
@@ -456,12 +464,27 @@ def _no_job(pool, job):
     raise AssertionError(f"bench ran {job} before refusing")
 
 
+def _no_solve(instance, **kwargs):
+    raise AssertionError(f"solve ran {instance.name} before refusing")
+
+
 @pytest.mark.parametrize("command", REFUSALS)
 def test_main_refuses_with_one_error_line(command, refusal_paths, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_pooled", _no_job)
+    monkeypatch.setattr(cli, "solve_instance", _no_solve)
     assert main([arg.format(**refusal_paths) for arg in command.split()]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify --input {inst} --solution {bad}",
+                                     "bench --rows {bad}", "bench --dir {dir} --bks {bad}"])
+def test_undecodable_file_is_named(command, refusal_paths, capsys, monkeypatch):
+    """A file that is not UTF-8 text is refused by its path."""
+    monkeypatch.setattr(cli, "_pooled", _no_job)
+    assert main([arg.format(**refusal_paths) for arg in command.split()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {refusal_paths['bad']} is not UTF-8 text: ")
 
 
 def test_refusal_reaches_the_shell_without_traceback(refusal_paths):
@@ -472,16 +495,20 @@ def test_refusal_reaches_the_shell_without_traceback(refusal_paths):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("error", [RuntimeError, ValueError])
-def test_solver_errors_are_not_refusals(error, demo_file, monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, ValueError, KeyboardInterrupt])
+def test_solver_errors_are_not_refusals(error, demo_file, tmp_path, monkeypatch):
     """Only input, output and arguments are refused: an error from solving
-    a valid instance is a fault, and main lets it through."""
+    a valid instance is a fault, and main lets it through.  A solve cut
+    short leaves an existing --out file as it was."""
     def fail(*args, **kwargs):
         raise error("solver fault")
 
+    out = tmp_path / "kept.sol"
+    out.write_text("an earlier solution\n")
     monkeypatch.setattr(cli, "solve_instance", fail)
     with pytest.raises(error, match="solver fault"):
-        main(["solve", "--input", demo_file])
+        main(["solve", "--input", demo_file, "--out", str(out)])
+    assert out.read_text() == "an earlier solution\n"
 
 
 class _AtMostTwoWorkers(concurrent.futures.ProcessPoolExecutor):

@@ -255,7 +255,7 @@ def test_add_block_rejects_malformed_blocks(heads, bodies, count):
         assert (formula.blocks, formula.num_clauses, formula.family_counts) == ([], 0, {})
     else:
         formula.add_block("family", heads, bodies)
-        assert formula.blocks == [(heads, bodies)]
+        assert formula.blocks == [(tuple(map(tuple, heads)), tuple(map(tuple, bodies)))]
         assert formula.num_clauses == len(formula.clauses) == count
         assert formula.family_counts == {"family": count}
 

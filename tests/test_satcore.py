@@ -4,6 +4,7 @@ import math
 import os
 import random
 import signal
+import subprocess
 import sys
 import time
 
@@ -24,8 +25,12 @@ from cutstock.satcore import (
     run_external,
 )
 
-from cutstock.encoding import EncodeConfig, encode_formula
+from cutstock import encoding as encoding_module
+from cutstock.encoding import CnfFormula, EncodeConfig, encode_formula
 from cutstock.model import Instance, ItemType, expand_demands
+from cutstock.satcore import engine as engine_module
+from cutstock.satcore.engine import CheckedHeads, check_block
+from cutstock.search import solve_instance
 
 from conftest import ENGINE_BUILD, random_cnf, random_instance
 
@@ -195,6 +200,45 @@ def test_conflict_budget_returns_unknown(engine_cls):
     r = s.solve(conflict_limit=10)
     assert r.status == UNKNOWN
     assert s.solve().status == UNSAT
+
+
+INTERRUPTED_SOLVE = """
+import importlib.util, sys
+from cutstock.satcore.dimacs import parse_wcnf
+name, path, cnf = sys.argv[1:]
+spec = importlib.util.spec_from_file_location(name, path)
+engine = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(engine)
+n, _, clauses, _ = parse_wcnf(open(cnf).read())
+s = engine.Solver(n)
+for c in clauses:
+    s.add_clause(c)
+print("solving", flush=True)
+try:
+    s.solve()
+except KeyboardInterrupt:
+    print("interrupted", flush=True)
+"""
+
+
+def test_solve_without_limits_stops_on_ctrl_c(engine_cls, tmp_path):
+    """SIGINT a second into a solve with no limit, on a pigeonhole formula
+    that takes far longer to refute: KeyboardInterrupt within a second."""
+    cnf = tmp_path / "php.cnf"
+    cnf.write_text(format_dimacs(*php(12, 11)))
+    module = sys.modules[engine_cls.__module__]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_SOLVE, module.__name__, module.__file__, str(cnf)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == "solving\n"
+        time.sleep(1)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=1)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert out == "interrupted\n", err[-2000:]
 
 
 def test_declared_variable_count_is_bounded(engine_cls):
@@ -477,7 +521,7 @@ def engine_state(s):
                     if prefix is None:
                         refs = [arena(r) for r in rest]
                     else:
-                        refs = [name((cref, i), prefix + body) for i, body in enumerate(rest)]
+                        refs = [name((cref, i), [*prefix, *body]) for i, body in enumerate(rest)]
                 pairs += [(ref, blocker) for ref in refs]
             watches.append(pairs)
         reasons = [arena(r) if r >= 0 else r for r in s._reason]
@@ -620,6 +664,88 @@ def test_add_block_matches_add_clause_after_learning_and_add_vars(engine_cls):
     r = by_block.solve()
     assert r.status == SAT and len(r.model) == n + 8
     assert [r.model[n + i] for i in (1, 4, 5, 6, 7)] == [True, False, True, False, False]
+
+
+def test_check_block_returns_tuples_that_cannot_change():
+    """A checked block is made of int tuples and records its largest
+    variable and whether every head can be watched; changing the lists it
+    was made from, or its own attributes, changes nothing."""
+    heads, bodies = [[1, -2], [3, 4, -5]], [[6], [], [-7, 8]]
+    checked, tail = check_block(heads, bodies)
+    heads[0].append(9)
+    bodies[0][0] = 9
+    assert type(checked) is CheckedHeads and checked.bodies is tail
+    assert (checked, tail) == (((1, -2), (3, 4, -5)), ((6,), (), (-7, 8)))
+    assert all(type(part) is tuple for part in (*checked, tail, *tail))
+    assert (checked.max_var, checked.wide) == (8, True)
+    with pytest.raises(AttributeError):
+        checked.max_var = 1
+    with pytest.raises(TypeError):
+        CheckedHeads([(1, 2)])
+    assert check_block([[1], [2, 3]], [[]])[0].wide is False
+    assert check_block([], [[]])[0].max_var == 0
+    for heads, bodies in (([[1, 0]], [[]]), ([[1, 2]], [[0]])):
+        with pytest.raises(ValueError, match="literal 0"):
+            check_block(heads, bodies)
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """check_block, counted wherever the encoder and the engine call it."""
+    calls = []
+
+    def counted(heads, bodies):
+        calls.append(1)
+        return check_block(heads, bodies)
+
+    monkeypatch.setattr(engine_module, "check_block", counted)
+    monkeypatch.setattr(encoding_module, "check_block", counted)
+    return calls
+
+
+def test_solve_checks_each_block_once(engine_cls, check_calls, monkeypatch):
+    """On the solve path every block is checked by the encoder, and the
+    engine loads it without checking it again."""
+    added = []
+    add_block = CnfFormula.add_block
+    monkeypatch.setattr(CnfFormula, "add_block",
+                        lambda self, *args: added.append(1) or add_block(self, *args))
+    # 60-unit sheets cut into a few large pieces: the area bound is 2 and
+    # the optimum 3, so every strategy builds and loads a formula
+    inst = Instance(60, 60, (ItemType(60, 20, 3), ItemType(30, 40, 2), ItemType(40, 30, 1)))
+    for strategy, rotation, sb in (("sat", False, False), ("inc", True, True),
+                                   ("maxsat", False, True)):
+        added.clear()
+        check_calls.clear()
+        outcome = solve_instance(inst, strategy=strategy, rotation=rotation,
+                                 symmetry_breaking=sb, engine=engine_cls)
+        assert outcome.status == "OPTIMAL" and outcome.best_k == 3
+        assert len(check_calls) == len(added) > 0
+
+
+def test_add_block_checks_every_pair_it_did_not_check(check_calls):
+    """Only heads from check_block, given with the very bodies they were
+    checked with, skip the check: equal heads or bodies made elsewhere are
+    checked again."""
+    checked, bodies = check_block([[1, 2], [3, 4]], [[5], [-6]])
+    assert len(check_calls) == 0  # the fixture counts only the calls below
+    for heads, tail, calls in ((checked, bodies, 0), (((1, 2), (3, 4)), bodies, 1),
+                               (checked, ((5,), (-6,)), 1), (checked, [[5], [-6]], 1)):
+        s = PurePythonSolver(6)
+        s.add_block(heads, tail)
+        assert len(check_calls) == calls and len(s._runs) == 2
+        check_calls.clear()
+
+
+def test_checked_heads_with_other_bodies_load_as_add_clause(engine_cls):
+    """Checked heads given with bodies they were not checked with, which
+    break the block rules or name undeclared variables, leave the engine
+    exactly as add_clause on each clause would."""
+    checked, _ = check_block([[1, 2], [3, -4]], [[5], [6]])
+    for bodies in (((5,), (1,)), ((5, -5),), ((0,),), ((7,), (-99,)), ((5,), (5, 6))):
+        by_block, by_clause = engine_cls(8), engine_cls(8)
+        add_block_two_ways(by_block, by_clause, checked, bodies)
+        solve_two_ways(by_block, by_clause)
 
 
 def test_link_blocks_are_watched_once_per_head(demo):
