@@ -124,16 +124,18 @@ def cmd_encode(args) -> int:
     except ValueError as exc:
         raise BadArgument(exc) from None
     instance = _load_instance(args.input, args.rotation)
-    vm, formula = encode_formula(expand_demands(instance), instance, config)
-    if args.format == "dimacs":
-        text = format_dimacs(formula.num_vars, formula)
-    else:
-        lower = area_lower_bound(instance)
-        text = format_wcnf(formula.num_vars, formula, soft_unused_sheets(vm, lower))
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    # opened first, so that a path it cannot write costs no encoding, but not
+    # emptied until the text is ready
+    with open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        vm, formula = encode_formula(expand_demands(instance), instance, config)
+        if args.format == "dimacs":
+            text = format_dimacs(formula.num_vars, formula)
+        else:
+            lower = area_lower_bound(instance)
+            text = format_wcnf(formula.num_vars, formula, soft_unused_sheets(vm, lower))
+        if args.out:
+            out.truncate(0)
+        out.write(text)
     return 0
 
 
@@ -385,12 +387,17 @@ def cmd_bench(args) -> int:
             raise BadArgument("either --dir or --rows is required")
         if not Path(args.dir).is_dir():
             raise BadArgument(f"{args.dir} is not a directory")
+        strategies = args.strategies.split(",")
+        for strategy in strategies:
+            if strategy not in STRATEGIES:
+                raise BadArgument(f"--strategies: unknown strategy {strategy!r}; "
+                                  f"pick from {','.join(STRATEGIES)}")
         paths = sorted(str(p) for p in Path(args.dir).glob("*.txt"))
         solver_cmd = args.solver_cmd or os.environ.get("CUTSTOCK_SOLVER_CMD")
         jobs = [
             (path, strategy, rotation, sb, args.time_limit, solver_cmd)
             for path in paths
-            for strategy in args.strategies.split(",")
+            for strategy in strategies
             for rotation in _expand_modes(args.rotation)
             for sb in _expand_modes(args.sb)
         ]

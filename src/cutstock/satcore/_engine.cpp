@@ -4,18 +4,15 @@
 // blockers, first-UIP learning with basic minimisation, activity branching,
 // phase saving, Luby restarts, LBD-based database reduction and solving
 // under assumptions with clause retention.  It gives the same verdicts,
-// models, statistics and trail order, conflict for conflict.  The decision
-// rule is the reference's: the unassigned variable of highest activity, the
-// smaller on a tie.  Here an indexed sift heap serves it, where the reference
-// keeps a lazy-deletion heapq.  An activity rescale can round two different
-// activities to one float, which can break the heap order, so bump
-// re-heapifies after a rescale; while no tie appears that moves nothing.
-// Its watch layer is the plain one: every clause is watched
-// on its own, where the reference watches the clauses of one add_block head
-// as a single run until they differ.  Clauses live in one flat arena:
-// [size, lbd, lit...] at each reference offset; size < 0 marks a deleted
-// clause.  add_block loads a whole block of clauses (head + body for every
-// head and body) in one call from Python.
+// models, statistics and trail order, conflict for conflict.  Its decision
+// rule and activity heap are the reference's: the unassigned variable of
+// highest activity, the smaller on a tie, from a lazy-deletion heap of keys
+// (-activity, v).  It differs only in its watch layer, the plain one: every
+// clause is watched on its own, where the reference watches the clauses of
+// one add_block head as a single run until they differ.  Clauses live in one
+// flat arena: [size, lbd, lit...] at each reference offset; size < 0 marks a
+// deleted clause.  add_block loads a whole block of clauses (head + body for
+// every head and body) in one call from Python.
 //
 // Build: g++ -O2 -shared -fPIC -I<python include> _engine.cpp -o _engine<EXT_SUFFIX>
 
@@ -25,7 +22,9 @@
 #include <algorithm>
 #include <climits>
 #include <ctime>
+#include <functional>
 #include <new>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -60,13 +59,17 @@ inline int widx(int lit) { return lit > 0 ? lit << 1 : ((-lit) << 1) | 1; }
 
 enum Status { S_UNKNOWN, S_SAT, S_UNSAT };
 
+using Key = std::pair<double, int>;  // (-activity, v): the least key branches first
+
 struct Core {
     std::vector<int> ca;                    // clause arena
     std::vector<std::vector<int>> watches;  // per literal index, (cref, blocker) pairs
     std::vector<signed char> assign, phase, seen, mark;
-    std::vector<int> level, reason, trail, trail_lim, heap, heap_pos, learnt_refs;
+    std::vector<int> level, reason, trail, trail_lim, learnt_refs;
     std::vector<int> to_clear, learnt, kept;
     std::vector<char> level_seen;
+    std::vector<Key> heap;    // lazy deletion: stale keys stay until popped
+    std::vector<char> keyed;  // per variable: it has a current key in the heap
     std::vector<double> activity;
     std::vector<signed char> model;  // the assignment of the last SAT verdict
     int nvars = 0;
@@ -92,14 +95,11 @@ struct Core {
         seen.resize(n, 0);
         mark.resize(n, 0);
         watches.resize(2 * n);
-        heap_pos.resize(n, -1);
+        keyed.resize(n, 1);
         nvars = (int)(n - 1);
-        // activities are never negative, so a new variable (activity 0, the
-        // highest index) belongs at the end of the heap without sifting
-        for (int v = first; v <= nvars; v++) {
-            heap_pos[v] = (int)heap.size();
-            heap.push_back(v);
-        }
+        // a new variable's key (activity 0, the highest index) is larger than
+        // every key in the heap, so the new keys belong at its end without sifting
+        for (int v = first; v <= nvars; v++) heap.push_back(key(v));
         return first;
     }
 
@@ -125,73 +125,25 @@ struct Core {
         return cref;
     }
 
-    // activity heap: max-heap keyed by activity, ties to the smaller variable
+    // activity heap (lazy deletion, as the reference's)
 
-    bool heap_less(int u, int v) const {
-        double au = activity[u], av = activity[v];
-        return au > av || (au == av && u < v);
+    Key key(int v) const { return Key(-activity[v], v); }
+
+    void rebuild_heap() {  // a heap of the current keys only
+        heap.clear();
+        for (int v = 1; v <= nvars; v++)
+            if (keyed[v]) heap.push_back(key(v));
+        std::make_heap(heap.begin(), heap.end(), std::greater<Key>());
     }
 
-    void heap_up(int i) {
-        int v = heap[i];
-        while (i > 0) {
-            int parent = (i - 1) >> 1;
-            int p = heap[parent];
-            if (!heap_less(v, p)) break;
-            heap[i] = p;
-            heap_pos[p] = i;
-            i = parent;
-        }
-        heap[i] = v;
-        heap_pos[v] = i;
-    }
-
-    void heap_down(int i) {
-        int v = heap[i];
-        int n = (int)heap.size();
-        while (true) {
-            int child = 2 * i + 1;
-            if (child >= n) break;
-            if (child + 1 < n && heap_less(heap[child + 1], heap[child])) child += 1;
-            if (!heap_less(heap[child], v)) break;
-            heap[i] = heap[child];
-            heap_pos[heap[i]] = i;
-            i = child;
-        }
-        heap[i] = v;
-        heap_pos[v] = i;
-    }
-
-    void heap_insert(int v) {
-        if (heap_pos[v] >= 0) return;
-        heap.push_back(v);
-        heap_pos[v] = (int)heap.size() - 1;
-        heap_up((int)heap.size() - 1);
-    }
-
-    int heap_pop() {
-        int top = heap[0];
-        int last = heap.back();
-        heap.pop_back();
-        heap_pos[top] = -1;
-        if (!heap.empty()) {
-            heap[0] = last;
-            heap_pos[last] = 0;
-            heap_down(0);
-        }
-        return top;
-    }
-
-    void bump(int v) {
+    void bump(int v) {  // v is assigned
         activity[v] += var_inc;
-        bool rescale = activity[v] > 1e100;
-        if (rescale) {
+        keyed[v] = 0;  // its key is stale now
+        if (activity[v] > 1e100) {
             for (int u = 1; u <= nvars; u++) activity[u] *= 1e-100;
             var_inc *= 1e-100;
+            rebuild_heap();
         }
-        if (heap_pos[v] >= 0) heap_up(heap_pos[v]);
-        if (rescale)  // Floyd's bottom-up heapify: a no-op unless the rescale made a tie
-            for (int i = (int)heap.size() / 2 - 1; i >= 0; i--) heap_down(i);
     }
 
     // trail
@@ -214,11 +166,16 @@ struct Core {
             phase[v] = assign[v];
             assign[v] = UNDEF;
             reason[v] = NO_REASON;
-            if (heap_pos[v] < 0) heap_insert(v);
+            if (!keyed[v]) {
+                keyed[v] = 1;
+                heap.push_back(key(v));
+                std::push_heap(heap.begin(), heap.end(), std::greater<Key>());
+            }
         }
         trail.resize(bound);
         trail_lim.resize(lvl);
         qhead = bound;
+        if (heap.size() > (size_t)nvars + nvars / 4) rebuild_heap();  // drop the stale keys
     }
 
     // propagation: returns a conflicting cref or NO_REASON
@@ -404,10 +361,19 @@ struct Core {
         max_learnts *= 1.2;
     }
 
+    // The unassigned variable of highest activity, the smaller on a tie; 0
+    // when every variable is assigned.  A stale key of v is never less than
+    // v's current key, as v's activity has only grown since the stale key was
+    // made, so keyed[v] tells the current key apart.
     int pick_branch_var() {
         while (!heap.empty()) {
-            int v = heap_pop();
-            if (assign[v] == UNDEF) return v;
+            std::pop_heap(heap.begin(), heap.end(), std::greater<Key>());
+            int v = heap.back().second;
+            heap.pop_back();
+            if (keyed[v]) {
+                keyed[v] = 0;
+                if (assign[v] == UNDEF) return v;
+            }
         }
         return 0;
     }

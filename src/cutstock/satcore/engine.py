@@ -18,9 +18,8 @@ current key or None, and every unassigned variable has one.  A bump makes
 the (assigned) variable's key stale, backtracking keys each variable that
 has none, and a pick pops until it meets the current key of an unassigned
 variable.  The heap is rebuilt after an activity rescale, and when stale
-keys make it a quarter longer than the variable count.  A rescale can round
-two different activities to one double, so the C++ engine re-heapifies its
-sift heap after one, and both engines keep to this rule.
+keys make it a quarter longer than the variable count.  The C++ engine
+keeps the same heap, with ``(-activity, v)`` pairs for keys.
 
 ``add_clause`` checks every clause it is given: literals must name declared
 variables, and tautologies, repeated and top-level-false literals are
@@ -62,9 +61,10 @@ that comes in is range-checked first.  The hot loops (``add_clause``,
 paths.
 
 This module is the reference implementation.  ``cutstock.satcore._engine``
-is its C++ transliteration (``_engine.cpp``), which watches every clause
-on its own; it has the same interface, verdicts, models, statistics and
-trail order, and is preferred at import time when it has been built.
+is its C++ transliteration (``_engine.cpp``), whose search differs only
+in its watch layer: it watches every clause on its own.  It has the same
+interface, verdicts, models, statistics and trail order, and is preferred
+at import time when it has been built.
 """
 
 from __future__ import annotations

@@ -84,8 +84,11 @@ def test_encode_dimacs_header(demo_file, capsys):
 
 
 def test_encode_deterministic(demo_file, tmp_path):
+    """Two encodings give the same bytes, the second over a longer file
+    that it replaces whole."""
     a = tmp_path / "a.cnf"
     b = tmp_path / "b.cnf"
+    b.write_text("c stale\n" * 100_000)
     for target in (a, b):
         assert main(["encode", "--input", demo_file, "--sheets", "2", "--sb",
                      "--rotation", "--out", str(target)]) == 0
@@ -442,6 +445,8 @@ REFUSALS = [
     "solve --input {inst} --time-limit -1",
     "bench --dir {dir} --time-limit nan",
     "bench --dir {dir} --time-limit -1",
+    "bench --dir {dir} --strategies sat,foo",
+    "bench --dir {dir} --strategies sat,,inc",
 ]
 
 
@@ -468,10 +473,15 @@ def _no_solve(instance, **kwargs):
     raise AssertionError(f"solve ran {instance.name} before refusing")
 
 
+def _no_encode(copies, instance, config):
+    raise AssertionError(f"encode ran {instance.name} before refusing")
+
+
 @pytest.mark.parametrize("command", REFUSALS)
 def test_main_refuses_with_one_error_line(command, refusal_paths, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_pooled", _no_job)
     monkeypatch.setattr(cli, "solve_instance", _no_solve)
+    monkeypatch.setattr(cli, "encode_formula", _no_encode)
     assert main([arg.format(**refusal_paths) for arg in command.split()]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -434,6 +434,38 @@ def test_engines_are_lockstep():
     assert runs[0] == runs[1]
 
 
+def test_engines_are_lockstep_through_add_vars():
+    """Variables declared between solves, as the bundled bridge declares
+    its counter's, keep the engines lockstep call for call: a
+    conflict-limited call, then 20 new variables with clauses over them, an
+    assumption call and a call without limits, on random 3-SAT formulas."""
+    engines = available_engines()
+    if len(engines) < 2:
+        pytest.skip("compiled engine not built")
+    n = 100
+    statuses = set()
+    for seed in range(8, 16):
+        runs = []
+        for cls in engines.values():
+            rng = random.Random(seed)
+            s = cls(n)
+            for _ in range(410):
+                vs = rng.sample(range(1, n + 1), 3)
+                s.add_clause([v if rng.random() < 0.5 else -v for v in vs])
+            calls = [s.solve(conflict_limit=200)]
+            first = s.add_vars(20)
+            last = first + 19
+            for v in range(first, last + 1):
+                s.add_clause([-v, v + 1 if v < last else first, rng.randint(1, n)])
+                s.add_clause([v, -rng.randint(1, n), rng.randint(first, last)])
+            calls.append(s.solve(assumptions=[first, -(first + 7), 2]))
+            calls.append(s.solve())
+            runs.append([(r.status, r.model, r.stats) for r in calls])
+        assert runs[0] == runs[1]
+        statuses.update(status for status, _, _ in runs[0])
+    assert statuses == {SAT, UNSAT, UNKNOWN}
+
+
 def head_slices(blocks, size):
     """The blocks cut into blocks of at most size heads, in order."""
     return [(heads[i:i + size], bodies) for heads, bodies in blocks for i in range(0, len(heads), size)]
