@@ -11,8 +11,9 @@
 // clause is watched on its own, where the reference watches the clauses of
 // one add_block head as a single run until they differ.  Clauses live in one
 // flat arena: [size, lbd, lit...] at each reference offset; size < 0 marks a
-// deleted clause.  add_block loads a whole block of clauses (head + body for
-// every head and body) in one call from Python.
+// deleted clause.  add_block stores a block (head + body for every head and
+// body) in one call from Python only when check_block made it, and sends
+// every other block through add_clause: it keeps no block rules of its own.
 //
 // Build: g++ -O2 -shared -fPIC -I<python include> _engine.cpp -o _engine<EXT_SUFFIX>
 
@@ -32,7 +33,7 @@ namespace {
 const int UNDEF = -1;
 const int NO_REASON = -1;
 
-PyObject *SolveResultType, *SAT, *UNSAT, *UNKNOWN;
+PyObject *SolveResultType, *CheckedHeadsType, *SAT, *UNSAT, *UNKNOWN, *BODIES;
 
 long long luby(long long i) {
     long long size = 1, seq = 0;
@@ -575,39 +576,68 @@ PyObject* Solver_add_clause(PyObject* self, PyObject* lits) {
     Py_RETURN_NONE;
 }
 
-// Read each item of a sequence of literal sequences onto `lits`, ending
-// each with its size pushed on `sizes`; false, with no exception set, when
-// an item is not a sequence of literals naming declared variables.
-bool read_literal_lists(PyObject* outer, int nvars, std::vector<int>& lits,
-                        std::vector<int>& sizes) {
-    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(outer); i++) {
-        PyObject* seq = PySequence_Fast(PySequence_Fast_GET_ITEM(outer, i), "");
-        if (seq == nullptr) {
-            PyErr_Clear();
-            return false;
+// Store the clause head + body for every head and body of a block that
+// check_block made, reading its tuples in place, and watch head[0] and
+// head[1] in each.  check_block rules out repeated variables, but not float
+// literals, and vars(heads) can be changed, so this reads only tuples, of
+// literals naming declared variables, with at least two in each head.
+// False, with nothing stored and no exception set, when that does not hold.
+bool store_checked(Core& s, PyObject* heads, PyObject* bodies) {
+    std::vector<int> hl, hs, bl, bs;  // head and body literals, and their sizes
+    auto read = [&s](PyObject* items, Py_ssize_t least, std::vector<int>& lits,
+                     std::vector<int>& sizes) {
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(items); i++) {
+            PyObject* clause = PyTuple_GET_ITEM(items, i);
+            if (!PyTuple_Check(clause) || PyTuple_GET_SIZE(clause) < least) return false;
+            for (Py_ssize_t k = 0; k < PyTuple_GET_SIZE(clause); k++) {
+                int lit = literal_of(PyTuple_GET_ITEM(clause, k), s.nvars, "");
+                if (lit == 0) {
+                    PyErr_Clear();
+                    return false;
+                }
+                lits.push_back(lit);
+            }
+            sizes.push_back((int)PyTuple_GET_SIZE(clause));
         }
-        Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-        bool ok = true;
-        for (Py_ssize_t k = 0; k < n && ok; k++) {
-            int overflow;
-            long lit = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(seq, k), &overflow);
-            bool error = lit == -1 && PyErr_Occurred();
-            if (error) PyErr_Clear();
-            ok = !error && !overflow && lit != 0 && lit <= nvars && lit >= -nvars;
-            lits.push_back((int)lit);
+        return true;
+    };
+    if (!PyTuple_Check(bodies) || !read(heads, 2, hl, hs) || !read(bodies, 0, bl, bs))
+        return false;
+    for (size_t h = 0, at = 0; h < hs.size(); at += hs[h++]) {
+        const int* head = hl.data() + at;
+        std::vector<int>& wa = s.watches[widx(head[0])];
+        std::vector<int>& wb = s.watches[widx(head[1])];
+        for (size_t b = 0, from = 0; b < bs.size(); from += bs[b++]) {
+            int cref = (int)s.ca.size();
+            s.ca.push_back(hs[h] + bs[b]);
+            s.ca.push_back(-1);
+            s.ca.insert(s.ca.end(), head, head + hs[h]);
+            s.ca.insert(s.ca.end(), bl.begin() + from, bl.begin() + from + bs[b]);
+            wa.push_back(cref);
+            wa.push_back(head[1]);
+            wb.push_back(cref);
+            wb.push_back(head[0]);
         }
-        Py_DECREF(seq);
-        if (!ok) return false;
-        sizes.push_back((int)n);
     }
+    s.live += (long long)hs.size() * (long long)bs.size();
     return true;
 }
 
+// A block that check_block made, given with its own bodies while nothing is
+// assigned, is stored directly; every other block goes through add_clause,
+// clause by clause, with all its checks.  Both leave the same state.
 PyObject* Solver_add_block(PyObject* self, PyObject* args) {
     PyObject *heads_arg, *bodies_arg;
     if (!PyArg_ParseTuple(args, "OO:add_block", &heads_arg, &bodies_arg)) return nullptr;
     Core& s = core_of(self);
     if (!s.ok) Py_RETURN_NONE;
+    if (reinterpret_cast<PyObject*>(Py_TYPE(heads_arg)) == CheckedHeadsType) {
+        PyObject* own = PyObject_GetAttr(heads_arg, BODIES);
+        if (own == nullptr) return nullptr;
+        Py_DECREF(own);  // only its identity is used
+        if (own == bodies_arg && s.trail.empty() && store_checked(s, heads_arg, bodies_arg))
+            Py_RETURN_NONE;
+    }
     PyObject* heads = PySequence_Fast(heads_arg, "heads must be a sequence of clauses");
     if (heads == nullptr) return nullptr;
     PyObject* bodies = PySequence_Fast(bodies_arg, "bodies must be a sequence of clauses");
@@ -615,59 +645,20 @@ PyObject* Solver_add_block(PyObject* self, PyObject* args) {
         Py_DECREF(heads);
         return nullptr;
     }
-    std::vector<int> hl, hs, bl, bs;  // head and body literals, and their sizes
-    bool plain = s.trail.empty() && read_literal_lists(heads, s.nvars, hl, hs) &&
-                 read_literal_lists(bodies, s.nvars, bl, bs);
-    if (plain) {
-        // mark bits: 1 in the current head, 2 in some head, 4 in some body
-        for (size_t h = 0, at = 0; plain && h < hs.size(); at += hs[h++]) {
-            plain = hs[h] >= 2;
-            for (int k = 0; plain && k < hs[h]; k++) {
-                signed char& m = s.mark[var_of(hl[at + k])];
-                plain = !(m & 1);
-                m |= 3;
-            }
-            for (int k = 0; k < hs[h]; k++) s.mark[var_of(hl[at + k])] &= ~1;
-        }
-        for (size_t k = 0; plain && k < bl.size(); k++) {
-            signed char& m = s.mark[var_of(bl[k])];
-            plain = !(m & 6);
-            m |= 4;
-        }
-        for (int lit : hl) s.mark[var_of(lit)] = 0;
-        for (int lit : bl) s.mark[var_of(lit)] = 0;
-    }
     PyObject* result = Py_None;
-    if (plain) {
-        for (size_t h = 0, at = 0; h < hs.size(); at += hs[h++]) {
-            const int* head = hl.data() + at;
-            std::vector<int>& wa = s.watches[widx(head[0])];
-            std::vector<int>& wb = s.watches[widx(head[1])];
-            for (size_t b = 0, from = 0; b < bs.size(); from += bs[b++]) {
-                int cref = (int)s.ca.size();
-                s.ca.push_back(hs[h] + bs[b]);
-                s.ca.push_back(-1);
-                s.ca.insert(s.ca.end(), head, head + hs[h]);
-                s.ca.insert(s.ca.end(), bl.begin() + from, bl.begin() + from + bs[b]);
-                wa.push_back(cref);
-                wa.push_back(head[1]);
-                wb.push_back(cref);
-                wb.push_back(head[0]);
-            }
-        }
-        s.live += (long long)hs.size() * (long long)bs.size();
-    } else {  // each clause through add_clause, with all its checks
-        for (Py_ssize_t h = 0; result != nullptr && h < PySequence_Fast_GET_SIZE(heads); h++) {
-            for (Py_ssize_t b = 0; result != nullptr && b < PySequence_Fast_GET_SIZE(bodies); b++) {
-                PyObject* clause = PySequence_Concat(PySequence_Fast_GET_ITEM(heads, h),
-                                                     PySequence_Fast_GET_ITEM(bodies, b));
-                PyObject* done = clause == nullptr
-                                     ? nullptr
-                                     : PyObject_CallMethod(self, "add_clause", "(O)", clause);
-                Py_XDECREF(clause);
-                if (done == nullptr) result = nullptr;
-                Py_XDECREF(done);
-            }
+    for (Py_ssize_t h = 0; result != nullptr && h < PySequence_Fast_GET_SIZE(heads); h++) {
+        for (Py_ssize_t b = 0; result != nullptr && b < PySequence_Fast_GET_SIZE(bodies); b++) {
+            // [*head, *body], as the reference makes it: any two iterables
+            PyObject* head = PySequence_List(PySequence_Fast_GET_ITEM(heads, h));
+            PyObject* clause = head == nullptr ? nullptr
+                               : PyNumber_InPlaceAdd(head, PySequence_Fast_GET_ITEM(bodies, b));
+            PyObject* done = clause == nullptr
+                                 ? nullptr
+                                 : PyObject_CallMethod(self, "add_clause", "(O)", clause);
+            Py_XDECREF(head);
+            Py_XDECREF(clause);
+            if (done == nullptr) result = nullptr;
+            Py_XDECREF(done);
         }
     }
     Py_DECREF(heads);
@@ -769,11 +760,14 @@ PyMODINIT_FUNC PyInit__engine() {
     PyObject* reference = PyImport_ImportModule("cutstock.satcore.engine");
     if (reference == nullptr) return nullptr;
     SolveResultType = PyObject_GetAttrString(reference, "SolveResult");
+    CheckedHeadsType = PyObject_GetAttrString(reference, "CheckedHeads");
+    BODIES = PyUnicode_InternFromString("bodies");
     SAT = PyObject_GetAttrString(reference, "SAT");
     UNSAT = PyObject_GetAttrString(reference, "UNSAT");
     UNKNOWN = PyObject_GetAttrString(reference, "UNKNOWN");
     Py_DECREF(reference);
-    if (!SolveResultType || !SAT || !UNSAT || !UNKNOWN) return nullptr;
+    if (!SolveResultType || !CheckedHeadsType || !SAT || !UNSAT || !UNKNOWN || !BODIES)
+        return nullptr;
 
     PyObject* m = PyModule_Create(&module);
     if (m == nullptr) return nullptr;

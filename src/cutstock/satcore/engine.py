@@ -26,11 +26,11 @@ variables, and tautologies, repeated and top-level-false literals are
 dropped.  ``add_block(heads, bodies)`` adds ``head + body`` for every head
 and body in one call, leaving the engine exactly as ``add_clause`` on each
 of those clauses would.  ``check_block`` is the one check of a block's
-rules.  This engine trusts only heads that ``check_block`` made, such as
-the encoder's, given with their own bodies; it checks any other pair with
-it, never relies on a check made outside this module, and stores a block's
-clauses directly when none of them could need a per-clause check.  The C++
-engine checks every block itself, as it crosses from Python.
+rules.  Both engines trust only heads that ``check_block`` made, such as
+the encoder's, given with their own bodies, and rely on no check made
+outside this module.  This engine checks any other pair with it and
+stores its clauses directly when none could need a per-clause check;
+the C++ engine sends any other block through ``add_clause``.
 
 Stored that way, the clauses of one head form a *run*: ``[prefix,
 bodies]``, where ``prefix`` is the shared head.  A run has one watch entry

@@ -108,7 +108,8 @@ def run_external(
         waiter = threading.Thread(target=proc.wait, daemon=True)
         waiter.start()
         try:
-            waiter.join(time_limit)
+            # join refuses a wait past TIMEOUT_MAX (about 49 days), inf among them
+            waiter.join(None if time_limit is None else min(time_limit, threading.TIMEOUT_MAX))
             if waiter.is_alive():
                 return ExternalResult(UNKNOWN, diagnostic=f"timeout after {time_limit}s")
         finally:

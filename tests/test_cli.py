@@ -63,6 +63,18 @@ def test_encode_to_bridge_round_trip(demo_file, tmp_path):
         assert run_external(BRIDGE, str(path), num_vars).status == status
 
 
+@pytest.mark.parametrize("limit", ["inf", "1e300"])
+def test_solve_external_with_a_limit_too_long_to_wait_for(limit, tmp_path, capsys):
+    # two 12x12 sheets tiled exactly; FFD needs three
+    inst = tmp_path / "tiled.txt"
+    inst.write_text("12 12\n7\n10 6 1\n12 4 1\n6 8 1\n12 3 2\n6 5 1\n6 3 1\n2 6 1\n")
+    code = main(["solve", "--input", str(inst), "--strategy", "maxsat", "--time-limit", limit,
+                 "--solver-cmd", BRIDGE])
+    out = capsys.readouterr().out
+    assert code == 0 and out.splitlines()[0] == "OPTIMAL k=2"
+    assert "backend=external" in out
+
+
 def test_solve_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not an instance\n")

@@ -258,6 +258,18 @@ def test_maxsat_external_optimum_is_certified(tmp_path, engine_cls):
     assert verify_solution(inst, out.best_solution, False).ok
 
 
+def test_maxsat_external_takes_limits_too_long_to_wait_for():
+    """A time limit past threading.TIMEOUT_MAX, inf among them, bounds
+    nothing: the external solver runs to its end."""
+    inst = Instance(12, 12, (
+        ItemType(10, 6, 1), ItemType(12, 4, 1), ItemType(6, 8, 1), ItemType(12, 3, 2),
+        ItemType(6, 5, 1), ItemType(6, 3, 1), ItemType(2, 6, 1),
+    ))
+    for limit in (float("inf"), 1e300):
+        out = solve_instance(inst, "maxsat", time_limit=limit, solver_cmd=BRIDGE)
+        assert (out.status, out.best_k, out.backend) == (OPTIMAL, 2, "external")
+
+
 def test_maxsat_external_answer_without_refutation_is_feasible(engine_cls):
     """When the engine cannot refute one sheet fewer, the external optimum
     stays uncertified."""
