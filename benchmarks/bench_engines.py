@@ -4,8 +4,8 @@
 Workloads: cutting-stock feasibility formulas at and just below the
 optimum, random 3-SAT near the phase transition, and a pigeonhole
 refutation.  Each formula is loaded as ``solve_instance`` loads it: each
-block whole, in one ``add_block`` call.  Loading and solving are timed
-apart.
+block whole, as the ``Block`` that ``check_block`` made before timing
+starts, in one ``add_block`` call.  Loading and solving are timed apart.
 Usage::
 
     python benchmarks/bench_engines.py [--repeat N] [--quick]
@@ -20,6 +20,7 @@ import time
 from cutstock.encoding import EncodeConfig, encode_formula
 from cutstock.model import Instance, ItemType, expand_demands
 from cutstock.satcore import available_engines
+from cutstock.satcore.engine import check_block
 
 
 def packing_formula(k: int, rotation: bool):
@@ -71,10 +72,10 @@ def workloads(quick: bool):
     for n in sizes:
         for seed in (1, 2):
             vn, clauses = random_3sat(seed, n)
-            yield f"3-SAT n={n} seed={seed}", vn, [(clauses, [[]])]
+            yield f"3-SAT n={n} seed={seed}", vn, [check_block(clauses, [()])]
     php = (7, 6) if quick else (8, 7)
     n, clauses = pigeonhole(*php)
-    yield f"pigeonhole {php[0]}->{php[1]} (UNSAT)", n, [(clauses, [[]])]
+    yield f"pigeonhole {php[0]}->{php[1]} (UNSAT)", n, [check_block(clauses, [()])]
 
 
 def run(engine_cls, num_vars, blocks, repeat):
@@ -84,8 +85,8 @@ def run(engine_cls, num_vars, blocks, repeat):
     for _ in range(repeat):
         t0 = time.perf_counter()
         solver = engine_cls(num_vars)
-        for heads, bodies in blocks:
-            solver.add_block(heads, bodies)
+        for block in blocks:
+            solver.add_block(block)
         t1 = time.perf_counter()
         result = solver.solve()
         load = min(load, t1 - t0)

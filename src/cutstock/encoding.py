@@ -9,16 +9,18 @@ via guard literals on their sheet-assignment variables.
 Clause families are counted separately so tests can audit the formula
 against closed-form sizes.
 
-A ``CnfFormula`` keeps its clauses as blocks: ``(heads, bodies)`` stands
+A ``CnfFormula`` keeps its clauses as blocks: heads and bodies standing
 for ``head + body`` for every head and body, head-major.  The ``link``
 family, almost all of the formula, is one block per pair of copies, axis
 and orientation: a guard head per sheet times bodies shared by every sheet.
-Every other family is one block of plain clauses, ``(clauses, [()])``.
+Every other family is one block of plain clauses, with the one body ``()``.
 ``CnfFormula.add_block`` is the only way in.  It passes each block once
 through ``satcore.engine.check_block``, the one home of the block rules,
-and keeps the immutable block of int tuples it returns.  The pure-Python
-engine loads such a block without checking it again, and DIMACS/WCNF
-export formats each head and body once per block.
+and keeps the ``Block`` it returns: an immutable tuple of int tuples, the
+only form in which either engine takes a block.  The engines load it
+without checking it again, storing its clauses directly or, when they
+cannot (a one-literal head, say), clause by clause through ``add_clause``,
+and DIMACS/WCNF export formats each head and body once per block.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import time
 from dataclasses import dataclass
 
 from .model import Copy, Instance, Placement, Solution, orientations
-from .satcore.engine import check_block
+from .satcore.engine import Block, check_block
 
 
 @dataclass(frozen=True)
@@ -99,25 +101,26 @@ class VarMap:
 
 
 class CnfFormula:
-    """Clauses kept as an ordered list of blocks ``(heads, bodies)``.
+    """Clauses kept as an ordered list of ``Block``s, ``(heads, bodies,
+    max_var, wide)``.
 
     A block stands for the clause ``head + body`` for every head and body,
-    head-major.  ``add_block`` keeps the block ``check_block`` returns, so
+    head-major.  ``add_block`` keeps the Block ``check_block`` returns, so
     bodies are shared by every head and never copied; a list of plain
-    clauses is the block ``(clauses, [()])``.  ``clauses`` lists every
+    clauses is the block with the one body ``()``.  ``clauses`` lists every
     clause in order, but building that list costs one list per clause, so
     loading and export walk ``blocks`` instead.
     """
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
-        self.blocks: list[tuple[tuple, tuple]] = []
+        self.blocks: list[Block] = []
         self.num_clauses = 0
         self.family_counts: dict[str, int] = {}
 
     @property
     def clauses(self) -> list[list[int]]:
-        return [list(h + b) for heads, bodies in self.blocks for h in heads for b in bodies]
+        return [list(h + b) for heads, bodies, _, _ in self.blocks for h in heads for b in bodies]
 
     def satisfied_by(self, model) -> bool:
         """Whether ``model[v]``, the value of each variable v, satisfies
@@ -125,15 +128,15 @@ class CnfFormula:
         hold."""
         holds = lambda lits: any(model[l] if l > 0 else not model[-l] for l in lits)
         return all(
-            all(map(holds, heads)) or all(map(holds, bodies)) for heads, bodies in self.blocks
+            all(map(holds, heads)) or all(map(holds, bodies)) for heads, bodies, _, _ in self.blocks
         )
 
     def add_block(self, family: str, heads, bodies) -> None:
         """Add ``head + body`` for every head and body, head-major, as the
-        block ``check_block`` returns; a block that breaks its rules raises
+        Block ``check_block`` returns; a block that breaks its rules raises
         ValueError.  A block with no clauses leaves the formula as it was.
         """
-        heads, bodies = block = check_block(heads, bodies)
+        heads, bodies, _, _ = block = check_block(heads, bodies)
         count = len(heads) * len(bodies)
         if count:
             self.blocks.append(block)

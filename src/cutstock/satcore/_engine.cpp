@@ -11,9 +11,10 @@
 // clause is watched on its own, where the reference watches the clauses of
 // one add_block head as a single run until they differ.  Clauses live in one
 // flat arena: [size, lbd, lit...] at each reference offset; size < 0 marks a
-// deleted clause.  add_block stores a block (head + body for every head and
-// body) in one call from Python only when check_block made it, and sends
-// every other block through add_clause: it keeps no block rules of its own.
+// deleted clause.  add_block takes a Block (head + body for every head and
+// body), which only check_block makes, and nothing else; it stores the
+// block's clauses directly when it can, and otherwise sends each through
+// add_clause: it keeps no block rules of its own.
 //
 // Build: g++ -O2 -shared -fPIC -I<python include> _engine.cpp -o _engine<EXT_SUFFIX>
 
@@ -33,7 +34,7 @@ namespace {
 const int UNDEF = -1;
 const int NO_REASON = -1;
 
-PyObject *SolveResultType, *CheckedHeadsType, *SAT, *UNSAT, *UNKNOWN, *BODIES;
+PyObject *SolveResultType, *BlockType, *SAT, *UNSAT, *UNKNOWN;
 
 long long luby(long long i) {
     long long size = 1, seq = 0;
@@ -576,13 +577,14 @@ PyObject* Solver_add_clause(PyObject* self, PyObject* lits) {
     Py_RETURN_NONE;
 }
 
-// Store the clause head + body for every head and body of a block that
-// check_block made, reading its tuples in place, and watch head[0] and
-// head[1] in each.  check_block rules out repeated variables, but not float
-// literals, and vars(heads) can be changed, so this reads only tuples, of
-// literals naming declared variables, with at least two in each head.
-// False, with nothing stored and no exception set, when that does not hold.
-bool store_checked(Core& s, PyObject* heads, PyObject* bodies) {
+// Store the clause head + body for every head and body of a Block, reading
+// its tuples in place, and watch head[0] and head[1] in each.  check_block
+// rules out repeated variables and non-int literals, but a Block may name
+// undeclared variables or have a one-literal head, and tuple.__new__ can
+// forge one, so this reads only tuples, of literals naming declared
+// variables, with at least two in each head.  False, with nothing stored
+// and no exception set, when that does not hold.
+bool store_block(Core& s, PyObject* heads, PyObject* bodies) {
     std::vector<int> hl, hs, bl, bs;  // head and body literals, and their sizes
     auto read = [&s](PyObject* items, Py_ssize_t least, std::vector<int>& lits,
                      std::vector<int>& sizes) {
@@ -601,8 +603,7 @@ bool store_checked(Core& s, PyObject* heads, PyObject* bodies) {
         }
         return true;
     };
-    if (!PyTuple_Check(bodies) || !read(heads, 2, hl, hs) || !read(bodies, 0, bl, bs))
-        return false;
+    if (!read(heads, 2, hl, hs) || !read(bodies, 0, bl, bs)) return false;
     for (size_t h = 0, at = 0; h < hs.size(); at += hs[h++]) {
         const int* head = hl.data() + at;
         std::vector<int>& wa = s.watches[widx(head[0])];
@@ -623,48 +624,35 @@ bool store_checked(Core& s, PyObject* heads, PyObject* bodies) {
     return true;
 }
 
-// A block that check_block made, given with its own bodies while nothing is
-// assigned, is stored directly; every other block goes through add_clause,
-// clause by clause, with all its checks.  Both leave the same state.
-PyObject* Solver_add_block(PyObject* self, PyObject* args) {
-    PyObject *heads_arg, *bodies_arg;
-    if (!PyArg_ParseTuple(args, "OO:add_block", &heads_arg, &bodies_arg)) return nullptr;
+// A Block is stored directly while nothing is assigned, when its clauses
+// can be; otherwise its clauses go through add_clause, one by one, with all
+// its checks.  Both leave the same state.  Anything but a Block, forged
+// ones included, raises TypeError and changes nothing.
+PyObject* Solver_add_block(PyObject* self, PyObject* block) {
+    if (reinterpret_cast<PyObject*>(Py_TYPE(block)) != BlockType ||
+        PyTuple_GET_SIZE(block) != 4 || !PyTuple_Check(PyTuple_GET_ITEM(block, 0)) ||
+        !PyTuple_Check(PyTuple_GET_ITEM(block, 1)))
+        return PyErr_Format(PyExc_TypeError, "add_block takes a Block from check_block, not %s",
+                            Py_TYPE(block)->tp_name);
     Core& s = core_of(self);
     if (!s.ok) Py_RETURN_NONE;
-    if (reinterpret_cast<PyObject*>(Py_TYPE(heads_arg)) == CheckedHeadsType) {
-        PyObject* own = PyObject_GetAttr(heads_arg, BODIES);
-        if (own == nullptr) return nullptr;
-        Py_DECREF(own);  // only its identity is used
-        if (own == bodies_arg && s.trail.empty() && store_checked(s, heads_arg, bodies_arg))
-            Py_RETURN_NONE;
-    }
-    PyObject* heads = PySequence_Fast(heads_arg, "heads must be a sequence of clauses");
-    if (heads == nullptr) return nullptr;
-    PyObject* bodies = PySequence_Fast(bodies_arg, "bodies must be a sequence of clauses");
-    if (bodies == nullptr) {
-        Py_DECREF(heads);
-        return nullptr;
-    }
-    PyObject* result = Py_None;
-    for (Py_ssize_t h = 0; result != nullptr && h < PySequence_Fast_GET_SIZE(heads); h++) {
-        for (Py_ssize_t b = 0; result != nullptr && b < PySequence_Fast_GET_SIZE(bodies); b++) {
-            // [*head, *body], as the reference makes it: any two iterables
-            PyObject* head = PySequence_List(PySequence_Fast_GET_ITEM(heads, h));
-            PyObject* clause = head == nullptr ? nullptr
-                               : PyNumber_InPlaceAdd(head, PySequence_Fast_GET_ITEM(bodies, b));
-            PyObject* done = clause == nullptr
-                                 ? nullptr
-                                 : PyObject_CallMethod(self, "add_clause", "(O)", clause);
-            Py_XDECREF(head);
+    PyObject* heads = PyTuple_GET_ITEM(block, 0);
+    PyObject* bodies = PyTuple_GET_ITEM(block, 1);
+    if (s.trail.empty() && store_block(s, heads, bodies)) Py_RETURN_NONE;
+    for (Py_ssize_t h = 0; h < PyTuple_GET_SIZE(heads); h++) {
+        for (Py_ssize_t b = 0; b < PyTuple_GET_SIZE(bodies); b++) {
+            // [*head, *body], as the reference makes it
+            PyObject* clause = PySequence_List(PyTuple_GET_ITEM(heads, h));
+            PyObject* done = nullptr;
+            if (clause != nullptr && PyList_SetSlice(clause, PY_SSIZE_T_MAX, PY_SSIZE_T_MAX,
+                                                     PyTuple_GET_ITEM(bodies, b)) == 0)
+                done = PyObject_CallMethod(self, "add_clause", "(O)", clause);
             Py_XDECREF(clause);
-            if (done == nullptr) result = nullptr;
-            Py_XDECREF(done);
+            if (done == nullptr) return nullptr;
+            Py_DECREF(done);
         }
     }
-    Py_DECREF(heads);
-    Py_DECREF(bodies);
-    Py_XINCREF(result);
-    return result;
+    Py_RETURN_NONE;
 }
 
 PyObject* Solver_stats(PyObject* self, PyObject* = nullptr) {
@@ -723,8 +711,8 @@ PyMethodDef Solver_methods[] = {
      "Declare ``count`` new variables; returns the first new index."},
     {"add_clause", Solver_add_clause, METH_O,
      "Add a problem clause; must be called with no assumptions active."},
-    {"add_block", Solver_add_block, METH_VARARGS,
-     "Add the problem clause ``head + body`` for every head and body, head-major."},
+    {"add_block", Solver_add_block, METH_O,
+     "Add the problem clause ``head + body`` for every head and body of a Block, head-major."},
     {"solve", reinterpret_cast<PyCFunction>(reinterpret_cast<void (*)(void)>(Solver_solve)),
      METH_VARARGS | METH_KEYWORDS,
      "solve(assumptions=(), conflict_limit=None, time_limit=None) -> SolveResult"},
@@ -760,14 +748,12 @@ PyMODINIT_FUNC PyInit__engine() {
     PyObject* reference = PyImport_ImportModule("cutstock.satcore.engine");
     if (reference == nullptr) return nullptr;
     SolveResultType = PyObject_GetAttrString(reference, "SolveResult");
-    CheckedHeadsType = PyObject_GetAttrString(reference, "CheckedHeads");
-    BODIES = PyUnicode_InternFromString("bodies");
+    BlockType = PyObject_GetAttrString(reference, "Block");
     SAT = PyObject_GetAttrString(reference, "SAT");
     UNSAT = PyObject_GetAttrString(reference, "UNSAT");
     UNKNOWN = PyObject_GetAttrString(reference, "UNKNOWN");
     Py_DECREF(reference);
-    if (!SolveResultType || !CheckedHeadsType || !SAT || !UNSAT || !UNKNOWN || !BODIES)
-        return nullptr;
+    if (!SolveResultType || !BlockType || !SAT || !UNSAT || !UNKNOWN) return nullptr;
 
     PyObject* m = PyModule_Create(&module);
     if (m == nullptr) return nullptr;

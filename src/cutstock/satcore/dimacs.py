@@ -14,7 +14,7 @@ def _clause_texts(clauses, prefix: str) -> list[str]:
     """One line per clause: prefix, literals, 0.
 
     ``clauses`` is a list of literal lists, or has ``blocks`` as a
-    ``CnfFormula`` does: ``(heads, bodies)`` pairs standing for ``head +
+    ``CnfFormula`` does: Blocks, whose heads and bodies stand for ``head +
     body`` for every head and body, head-major, with non-empty heads.  Each
     head and each body is formatted once per block; a plain list is one
     block whose heads are its clauses.
@@ -23,7 +23,7 @@ def _clause_texts(clauses, prefix: str) -> list[str]:
     if blocks is None:
         blocks = [(clauses, [[]])]
     lines = []
-    for heads, bodies in blocks:
+    for heads, bodies, *_ in blocks:
         ends = ["".join([f" {lit}" for lit in body]) + " 0" for body in bodies]
         for head in heads:
             start = prefix + " ".join(map(str, head))

@@ -23,16 +23,16 @@ keeps the same heap, with ``(-activity, v)`` pairs for keys.
 
 ``add_clause`` checks every clause it is given: literals must name declared
 variables, and tautologies, repeated and top-level-false literals are
-dropped.  ``add_block(heads, bodies)`` adds ``head + body`` for every head
-and body in one call, leaving the engine exactly as ``add_clause`` on each
-of those clauses would.  ``check_block`` is the one check of a block's
-rules.  Both engines trust only heads that ``check_block`` made, such as
-the encoder's, given with their own bodies, and rely on no check made
-outside this module.  This engine checks any other pair with it and
-stores its clauses directly when none could need a per-clause check;
-the C++ engine sends any other block through ``add_clause``.
+dropped.  A block, the clause ``head + body`` for every head and body,
+head-major, enters only as a ``Block``, an immutable tuple that only
+``check_block`` makes, the one check of a block's rules.
+``add_block(block)`` takes a Block and nothing else, on both engines, and
+leaves the engine exactly as ``add_clause`` on each of its clauses would.
+When every head has two or more literals, every variable is declared and
+nothing is assigned at top level, the clauses are stored directly;
+otherwise each goes through ``add_clause``.
 
-Stored that way, the clauses of one head form a *run*: ``[prefix,
+Stored directly, the clauses of one head form a *run*: ``[prefix,
 bodies]``, where ``prefix`` is the shared head.  A run has one watch entry
 in each of two lists, marked by the negative cref ``~run index``, and its
 clauses have no cref and no arena slot of their own.  While some prefix
@@ -123,37 +123,38 @@ def _watch_pairs(refs: list[int], blocker: int) -> list[int]:
     return pairs
 
 
-class CheckedHeads(tuple):
-    """Heads, as int tuples, that passed ``check_block``, which alone makes
-    them, with the block's ``bodies`` (int tuples), its largest variable
-    ``max_var`` and ``wide``: whether every head has two or more literals."""
+class Block(tuple):
+    """``(heads, bodies, max_var, wide)``: the clauses ``head + body`` for
+    every head and body, head-major, with heads and bodies as int tuples
+    that passed ``check_block``, which alone makes Blocks; the largest
+    variable; and whether every head has two or more literals.  A Block has
+    no ``__dict__``, and its items cannot be reassigned."""
+
+    __slots__ = ()
 
     def __new__(cls, *args):
-        raise TypeError("only check_block makes CheckedHeads")
-
-    def __setattr__(self, *args):
-        raise AttributeError("a checked block cannot change")
-
-    __delattr__ = __setattr__
+        raise TypeError("only check_block makes a Block")
 
 
-def check_block(heads, bodies) -> tuple[CheckedHeads, tuple]:
-    """The block ``head + body`` for every head and body as ``(CheckedHeads,
-    bodies)``, or ValueError unless every head is non-empty and free of
-    repeated variables, no variable is twice among the bodies or in both a
-    body and a head, and no literal is 0: then no clause is empty or
-    repeats a variable."""
-    checked = tuple.__new__(CheckedHeads, map(tuple, heads))
+def check_block(heads, bodies) -> Block:
+    """The block ``head + body`` for every head and body as a ``Block``, or
+    ValueError unless every literal is a non-zero int, every head is
+    non-empty and free of repeated variables, and no variable is twice
+    among the bodies or in both a body and a head: then no clause is empty
+    or repeats a variable."""
+    heads = tuple(map(tuple, heads))
     bodies = tuple(map(tuple, bodies))
+    body_lits = tuple(chain.from_iterable(bodies))
+    if not set(map(type, chain(body_lits, chain.from_iterable(heads)))) <= {int}:
+        raise ValueError("non-int literal in clause")
     head_vars: set[int] = set()
-    for head in checked:
+    for head in heads:
         if not head:
             raise ValueError("empty clause emitted")
         vs = set(map(abs, head))
         if len(vs) != len(head):
             raise ValueError("repeated variable in clause")
         head_vars |= vs
-    body_lits = tuple(chain.from_iterable(bodies))
     used = head_vars.union(map(abs, body_lits))
     # no body variable repeats or is in a head: one per head variable and body literal
     if len(used) != len(head_vars) + len(body_lits):
@@ -161,9 +162,8 @@ def check_block(heads, bodies) -> tuple[CheckedHeads, tuple]:
     if 0 in used:
         raise ValueError("literal 0 in clause")
     # heads are non-empty, so none of length 1 means every one has two or more
-    vars(checked).update(bodies=bodies, max_var=max(used) if used else 0,
-                         wide=1 not in map(len, checked))
-    return checked, bodies
+    return tuple.__new__(Block, (heads, bodies, max(used) if used else 0,
+                                 1 not in map(len, heads)))
 
 
 class Solver:
@@ -282,28 +282,24 @@ class Solver:
         watches[a].extend((cref, b))
         watches[b].extend((cref, a))
 
-    def add_block(self, heads, bodies) -> None:
-        """Add the problem clause ``head + body`` for every head and body,
-        head-major, leaving the engine exactly as ``add_clause`` on each
-        clause in turn would.
+    def add_block(self, block) -> None:
+        """Add the problem clause ``head + body`` for every head and body of
+        a ``Block``, head-major, leaving the engine exactly as
+        ``add_clause`` on each clause in turn would; TypeError, with the
+        engine unchanged, for anything that is not a Block.
 
-        Heads made by ``check_block``, given with the bodies it returned
-        with them, are not checked again; any other pair is checked here.
-        When the check passes, every head has two or more literals, every
-        variable is declared and nothing is assigned at top level, the
-        clauses of each head are stored as one run watched on its two first
-        literals (a plain clause when there is one body) that keeps the
-        checked bodies; otherwise each goes through ``add_clause``.
+        When every head has two or more literals, every variable is
+        declared and nothing is assigned at top level, the clauses of each
+        head are stored as one run watched on its two first literals (a
+        plain clause when there is one body) that keeps the block's bodies;
+        otherwise each goes through ``add_clause``.
         """
+        if type(block) is not Block:
+            raise TypeError(f"add_block takes a Block from check_block, not {type(block).__name__}")
+        heads, bodies, max_var, wide = block
         if not self._ok or not bodies:
             return
-        try:
-            if type(heads) is not CheckedHeads or heads.bodies is not bodies:
-                heads, bodies = check_block(heads, bodies)
-            plain = heads.wide and heads.max_var <= self._nvars and not self._trail
-        except ValueError:  # add_clause gives the verdict, clause by clause
-            plain = False
-        if not plain:
+        if not wide or max_var > self._nvars or self._trail:
             add = self.add_clause
             for head in heads:
                 for body in bodies:
@@ -315,14 +311,13 @@ class Solver:
         m = len(bodies)
         for head in heads:
             a, b = head[0], head[1]
-            if m == 1:
-                ref = len(clauses)
-                clauses.append(list(head + bodies[0]))
-            else:
-                ref = ~len(runs)
-                runs.append([list(head), bodies])
+            ref = len(clauses) if m == 1 else ~len(runs)
             watches[a] += (ref, b)
             watches[b] += (ref, a)
+            if m == 1:
+                clauses.append(list(head + bodies[0]))
+            else:
+                runs.append([list(head), bodies])
         self._live += len(heads) * m
 
     def _attach(self, cref: int, c: list[int]) -> None:

@@ -176,9 +176,9 @@ class _Run:
     def load(self, formula):
         """A fresh engine holding the formula."""
         solver = self.engine(formula.num_vars)
-        for heads, bodies in formula.blocks:
+        for block in formula.blocks:
             self.check_time()
-            solver.add_block(heads, bodies)
+            solver.add_block(block)
         return solver
 
     def adopt(self, model, vm) -> Solution:

@@ -4,9 +4,10 @@ When ``g++`` and the Python headers are present, the committed
 ``src/cutstock/satcore/_engine.cpp`` is compiled once per session into a
 temporary directory and served as ``cutstock.satcore._engine``, so every
 engine-parametrised test runs on the compiled engine as well as on the
-pure-Python one.  Nothing is written under ``src/``.  When the toolchain is
-present but the build fails, ``test_compiled_engine_builds`` fails with
-g++'s error output.
+pure-Python one.  Nothing is written under ``src/``.  It is compiled with
+the CI workflow's flags, standard C++14 with every warning an error, so
+when the toolchain is present but the build fails or warns,
+``test_compiled_engine_builds`` fails with g++'s error output.
 """
 
 import atexit
@@ -57,7 +58,8 @@ def build_compiled_engine() -> EngineBuild:
     target = os.path.join(folder, "_engine" + sysconfig.get_config_var("EXT_SUFFIX"))
     started = time.perf_counter()
     proc = subprocess.run(
-        [compiler, "-O2", "-shared", "-fPIC", f"-I{include}", source, "-o", target],
+        [compiler, "-std=c++14", "-pedantic-errors", "-Wall", "-Werror", "-O2", "-shared",
+         "-fPIC", f"-I{include}", source, "-o", target],
         capture_output=True,
         text=True,
     )

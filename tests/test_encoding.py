@@ -243,26 +243,28 @@ def test_blocks_hold_the_clauses_in_order():
         ([[1, 2]], [[4], [4, 5]], None),  # ... among the bodies
         ([[1, 2]], [[4], [-4]], None),  # ... with opposite signs
         ([[1, 2], [3, 5]], [[4], [5]], None),  # in a head and a body
+        ([[1.0, 2]], [[3]], None),  # a literal that is not an int
     ],
 )
 def test_add_block_rejects_malformed_blocks(heads, bodies, count):
     """A block is accepted and counted only when every clause it stands
-    for is non-empty and free of repeated variables."""
+    for is non-empty, free of repeated variables and made of ints."""
     formula = CnfFormula(6)
     if count is None:
-        with pytest.raises(ValueError, match="empty clause|repeated variable"):
+        with pytest.raises(ValueError, match="empty clause|repeated variable|non-int literal"):
             formula.add_block("family", heads, bodies)
         assert (formula.blocks, formula.num_clauses, formula.family_counts) == ([], 0, {})
     else:
         formula.add_block("family", heads, bodies)
-        assert formula.blocks == [(tuple(map(tuple, heads)), tuple(map(tuple, bodies)))]
+        assert [block[:2] for block in formula.blocks] == [
+            (tuple(map(tuple, heads)), tuple(map(tuple, bodies)))]
         assert formula.num_clauses == len(formula.clauses) == count
         assert formula.family_counts == {"family": count}
 
 
 REFUSE_UNDER_O = """
 from cutstock.encoding import CnfFormula
-for heads, bodies in (([[1, 2, 1]], [[]]), ([[1, 2]], [[4], [4, 5]])):
+for heads, bodies in (([[1, 2, 1]], [[]]), ([[1, 2]], [[4], [4, 5]]), ([[1.0, 2]], [[3]])):
     try:
         CnfFormula(6).add_block("family", heads, bodies)
     except ValueError as exc:
@@ -272,11 +274,12 @@ for heads, bodies in (([[1, 2, 1]], [[]]), ([[1, 2]], [[4], [4, 5]])):
 
 def test_add_block_checks_survive_python_O():
     """The block checks are not asserts: python -O still refuses a
-    malformed block."""
+    malformed block, float literals included."""
     proc = subprocess.run([sys.executable, "-O", "-c", REFUSE_UNDER_O],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.splitlines() == ["repeated variable in clause"] * 2
+    assert proc.stdout.splitlines() == ["repeated variable in clause"] * 2 + [
+        "non-int literal in clause"]
 
 
 def test_decode_rejects_inconsistent_model(demo):

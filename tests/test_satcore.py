@@ -29,7 +29,7 @@ from cutstock import encoding as encoding_module
 from cutstock.encoding import CnfFormula, EncodeConfig, encode_formula
 from cutstock.model import Instance, ItemType, expand_demands
 from cutstock.satcore import engine as engine_module
-from cutstock.satcore.engine import CheckedHeads, check_block
+from cutstock.satcore.engine import Block, check_block
 from cutstock.search import solve_instance
 
 from conftest import ENGINE_BUILD, random_cnf, random_instance
@@ -92,9 +92,9 @@ def test_variable_range_checked(engine_cls):
         with pytest.raises(ValueError):
             s.add_clause([1, lit])
         with pytest.raises(ValueError):
-            s.add_block([[1, 2], [-1, 3]], [[lit]])
+            s.add_block(check_block([[1, 2], [-1, 3]], [[lit]]))
         with pytest.raises(ValueError):
-            s.add_block([[2, lit]], [[3], [-1]])
+            s.add_block(check_block([[2, lit]], [[3], [-1]]))
         with pytest.raises(ValueError):
             s.solve(assumptions=[1, lit])
     r = s.solve(assumptions=[-3])
@@ -345,8 +345,8 @@ def test_live_clause_count_survives_reductions():
     inst = Instance(4, 4, (ItemType(2, 4, 7),))
     _, formula = encode_formula(expand_demands(inst), inst, EncodeConfig(3, rotation=True))
     by_block = PurePythonSolver(formula.num_vars)
-    for heads, bodies in formula.blocks:
-        by_block.add_block(heads, bodies)
+    for block in formula.blocks:
+        by_block.add_block(block)
     for s in (by_clause, by_block):
         s._max_learnts = 20.0  # reduce the learned-clause database early and often
         for budget in (300, 600):
@@ -367,8 +367,8 @@ def test_dissolved_runs_keep_their_crefs_only_while_watched():
     inst = Instance(4, 4, (ItemType(2, 4, 7),))
     _, formula = encode_formula(expand_demands(inst), inst, EncodeConfig(3, rotation=True))
     s = PurePythonSolver(formula.num_vars)
-    for heads, bodies in formula.blocks:
-        s.add_block(heads, bodies)
+    for block in formula.blocks:
+        s.add_block(block)
     seen = set()
     for budget in (100, 300, 600):
         s.solve(conflict_limit=budget)
@@ -474,7 +474,8 @@ def test_engines_are_lockstep_through_add_vars():
 
 def head_slices(blocks, size):
     """The blocks cut into blocks of at most size heads, in order."""
-    return [(heads[i:i + size], bodies) for heads, bodies in blocks for i in range(0, len(heads), size)]
+    return [check_block(heads[i:i + size], bodies)
+            for heads, bodies, _, _ in blocks for i in range(0, len(heads), size)]
 
 
 def test_engines_are_lockstep_through_add_block():
@@ -488,8 +489,8 @@ def test_engines_are_lockstep_through_add_block():
 
     def load(cls, num_vars, blocks):
         s = cls(num_vars)
-        for heads, bodies in blocks:
-            s.add_block(heads, bodies)
+        for block in blocks:
+            s.add_block(block)
         return s
 
     def lockstep(solvers, **kwargs):
@@ -571,13 +572,30 @@ def engine_state(s):
     return state
 
 
+def keeps_block_rules(heads, bodies):
+    """The block rules, spelled out on int literals: no head is empty, and
+    no head together with all the bodies has literal 0 or a variable
+    twice."""
+    body_lits = [lit for body in bodies for lit in body]
+    rows = [[*head, *body_lits] for head in heads] or [body_lits]
+    return all(heads) and all(0 not in row and len(set(map(abs, row))) == len(row) for row in rows)
+
+
 def add_block_two_ways(by_block, by_clause, heads, bodies):
-    """add_block on one engine, add_clause on each clause on the other: the
-    same error, if any, and the same state after."""
+    """The block through add_block on one engine and clause by clause
+    through add_clause on the other: the same error, if any, and the same
+    state after.  check_block refuses exactly the blocks that break the
+    block rules, and those go clause by clause into both engines."""
+    try:
+        block = check_block(heads, bodies)
+    except ValueError:
+        block = None
+    assert (block is not None) == keeps_block_rules(heads, bodies), (heads, bodies)
+    by_clauses = lambda s: [s.add_clause([*h, *b]) for h in heads for b in bodies]
     errors = []
     for load in (
-        lambda: by_block.add_block(heads, bodies),
-        lambda: [by_clause.add_clause(h + b) for h in heads for b in bodies],
+        (lambda: by_block.add_block(block)) if block is not None else (lambda: by_clauses(by_block)),
+        lambda: by_clauses(by_clause),
     ):
         try:
             load()
@@ -596,8 +614,8 @@ def solve_two_ways(by_block, by_clause, **kwargs):
 
 
 def random_block(rng, n):
-    """Heads and bodies over variables 1..n: either disjoint as the plain
-    path needs, or drawn freely, with units, shared and repeated variables
+    """Heads and bodies over variables 1..n: either disjoint as the block
+    rules ask, or drawn freely, with units, shared and repeated variables
     and tautologies."""
     signed = lambda vs: [v if rng.random() < 0.5 else -v for v in vs]
     if rng.random() < 0.5:
@@ -617,19 +635,24 @@ def random_block(rng, n):
 
 def test_add_block_matches_add_clause_on_random_blocks(engine_cls):
     """Blocks on their own or after solves that left top-level assignments,
-    with and without the conditions of the plain path."""
+    with and without the conditions of the direct store, and blocks that
+    check_block refuses."""
     rng = random.Random(71)
+    kept = set()
     for _ in range(120):
         n = rng.randint(6, 14)
         by_block, by_clause = engine_cls(n), engine_cls(n)
         for _ in range(rng.randint(2, 12)):
             if rng.random() < 0.75:
-                add_block_two_ways(by_block, by_clause, *random_block(rng, n))
+                heads, bodies = random_block(rng, n)
+                kept.add(keeps_block_rules(heads, bodies))
+                add_block_two_ways(by_block, by_clause, heads, bodies)
             else:
                 assumptions = [v if rng.random() < 0.5 else -v
                                for v in rng.sample(range(1, n + 1), rng.randint(0, 3))]
                 solve_two_ways(by_block, by_clause, assumptions=assumptions)
         solve_two_ways(by_block, by_clause)
+    assert kept == {True, False}
 
 
 def test_add_block_matches_add_clause_on_encoded_formulas(engine_cls):
@@ -643,14 +666,14 @@ def test_add_block_matches_add_clause_on_encoded_formulas(engine_cls):
         config = EncodeConfig(k, rng.random() < 0.5, rng.random() < 0.5)
         vm, formula = encode_formula(expand_demands(inst), inst, config)
         by_block, by_clause = engine_cls(formula.num_vars), engine_cls(formula.num_vars)
-        for heads, bodies in formula.blocks:
+        for heads, bodies, _, _ in formula.blocks:
             add_block_two_ways(by_block, by_clause, heads, bodies)
         assert by_block.stats() == by_clause.stats()
         for m in range(k, 0, -1):
             solve_two_ways(by_block, by_clause,
                            assumptions=[-vm.used(j) for j in range(m + 1, k + 1)])
             add_block_two_ways(by_block, by_clause, [[-vm.used(m)]], [[]])
-        for heads, bodies in formula.blocks[1:2]:
+        for heads, bodies, _, _ in formula.blocks[1:2]:
             add_block_two_ways(by_block, by_clause, heads, bodies)
         solve_two_ways(by_block, by_clause)
 
@@ -664,7 +687,10 @@ def test_add_block_matches_add_clause_on_encoded_formulas(engine_cls):
     ([[1, 2], [0, 4]], [[5]], True),  # literal 0
 ])
 def test_add_block_falls_back_clause_by_clause(engine_cls, heads, bodies, raises):
-    """Same error, after the same clauses went in, as add_clause gives."""
+    """check_block refuses the first three blocks and the last, which
+    break the block rules; the other two it accepts, and add_block loads
+    them clause by clause.  Either way: the same error, after the same
+    clauses went in, as add_clause on each clause gives (``raises``)."""
     by_block, by_clause = engine_cls(10), engine_cls(10)
     error = add_block_two_ways(by_block, by_clause, heads, bodies)
     assert (error is not None) == raises
@@ -705,23 +731,26 @@ def test_add_block_matches_add_clause_after_learning_and_add_vars(engine_cls):
 
 
 def test_check_block_returns_tuples_that_cannot_change():
-    """A checked block is made of int tuples and records its largest
-    variable and whether every head can be watched; changing the lists it
-    was made from, or its own attributes, changes nothing."""
+    """A Block is made of int tuples and records its largest variable and
+    whether every head can be watched; changing the lists it was made
+    from changes nothing, and the Block itself cannot change."""
     heads, bodies = [[1, -2], [3, 4, -5]], [[6], [], [-7, 8]]
-    checked, tail = check_block(heads, bodies)
+    block = check_block(heads, bodies)
     heads[0].append(9)
     bodies[0][0] = 9
-    assert type(checked) is CheckedHeads and checked.bodies is tail
-    assert (checked, tail) == (((1, -2), (3, 4, -5)), ((6,), (), (-7, 8)))
-    assert all(type(part) is tuple for part in (*checked, tail, *tail))
-    assert (checked.max_var, checked.wide) == (8, True)
-    with pytest.raises(AttributeError):
-        checked.max_var = 1
+    assert type(block) is Block
+    assert block == (((1, -2), (3, 4, -5)), ((6,), (), (-7, 8)), 8, True)
+    assert all(type(part) is tuple for part in (*block[:2], *block[0], *block[1]))
     with pytest.raises(TypeError):
-        CheckedHeads([(1, 2)])
-    assert check_block([[1], [2, 3]], [[]])[0].wide is False
-    assert check_block([], [[]])[0].max_var == 0
+        vars(block)
+    with pytest.raises(AttributeError):
+        block.max_var = 1
+    with pytest.raises(TypeError):
+        block[2] = 1
+    with pytest.raises(TypeError):
+        Block(block)
+    assert check_block([[1], [2, 3]], [[]])[3] is False
+    assert check_block([], [[]])[2] == 0
     for heads, bodies in (([[1, 0]], [[]]), ([[1, 2]], [[0]])):
         with pytest.raises(ValueError, match="literal 0"):
             check_block(heads, bodies)
@@ -762,53 +791,80 @@ def test_solve_checks_each_block_once(engine_cls, check_calls, monkeypatch):
 
 
 def test_add_block_checks_every_pair_it_did_not_check(check_calls):
-    """Only heads from check_block, given with the very bodies they were
-    checked with, skip the check: equal heads or bodies made elsewhere are
-    checked again."""
-    checked, bodies = check_block([[1, 2], [3, 4]], [[5], [-6]])
+    """add_block never checks a Block again, and heads and bodies equal to
+    a Block's but made elsewhere load only once check_block has checked
+    them into a Block of their own: add_block refuses them as they are."""
+    block = check_block([[1, 2], [3, 4]], [[5], [-6]])
     assert len(check_calls) == 0  # the fixture counts only the calls below
-    for heads, tail, calls in ((checked, bodies, 0), (((1, 2), (3, 4)), bodies, 1),
-                               (checked, ((5,), (-6,)), 1), (checked, [[5], [-6]], 1)):
+    s = PurePythonSolver(6)
+    s.add_block(block)
+    assert len(check_calls) == 0 and len(s._runs) == 2
+    for heads, bodies in ((block[0], block[1]), (((1, 2), (3, 4)), ((5,), (-6,))),
+                          ([[1, 2], [3, 4]], [[5], [-6]])):
         s = PurePythonSolver(6)
-        s.add_block(heads, tail)
-        assert len(check_calls) == calls and len(s._runs) == 2
+        with pytest.raises(TypeError):
+            s.add_block((heads, bodies))
+        assert len(check_calls) == 0 and len(s._runs) == 0
+        s.add_block(engine_module.check_block(heads, bodies))
+        assert len(check_calls) == 1 and len(s._runs) == 2
         check_calls.clear()
 
 
 def test_checked_heads_with_other_bodies_load_as_add_clause(engine_cls):
-    """Checked heads given with bodies they were not checked with, which
-    break the block rules or name undeclared variables, leave the engine
-    exactly as add_clause on each clause would."""
-    checked, _ = check_block([[1, 2], [3, -4]], [[5], [6]])
+    """A Block's heads with bodies they were not checked with, which break
+    the block rules or name undeclared variables, leave the engine exactly
+    as add_clause on each clause would."""
+    heads = check_block([[1, 2], [3, -4]], [[5], [6]])[0]
     for bodies in (((5,), (1,)), ((5, -5),), ((0,),), ((7,), (-99,)), ((5,), (5, 6))):
         by_block, by_clause = engine_cls(8), engine_cls(8)
-        add_block_two_ways(by_block, by_clause, checked, bodies)
+        add_block_two_ways(by_block, by_clause, heads, bodies)
         solve_two_ways(by_block, by_clause)
 
 
+def test_add_block_takes_only_blocks(engine_cls):
+    """add_block raises TypeError, and changes nothing, for a raw pair, a
+    plain tuple equal to a Block, or heads in a tuple subclass that carries
+    bodies, max_var and wide in a writable ``__dict__``; a Block itself has
+    no ``__dict__``.  A Block forged with ``tuple.__new__`` is refused
+    too."""
+    block = check_block([[1, 2], [-1, 3]], [[4], [-5]])
+
+    class Token(tuple):
+        pass
+
+    token = Token(block[0])
+    vars(token).update(bodies=block[1], max_var=5, wide=True)
+    s = engine_cls(5)
+    s.add_clause([1, 2, 3])
+    before = engine_state(s)
+    for wrong in (block[:2], tuple(block), token):
+        with pytest.raises(TypeError):
+            s.add_block(wrong)
+        assert engine_state(s) == before
+    with pytest.raises(TypeError):
+        s.add_block(*block[:2])
+    with pytest.raises((TypeError, ValueError)):
+        s.add_block(tuple.__new__(Block, ()))
+    assert engine_state(s) == before
+    with pytest.raises(TypeError):
+        vars(block)
+    s.add_block(block)
+    assert s.stats()["clauses"] == 5
+
+
 def test_checked_blocks_cannot_mislead_the_engine(engine_cls):
-    """check_block lets float literals through, and vars(heads) can give
-    checked heads other bodies: such blocks end as add_clause ends, with
-    the same error and nothing stored."""
-    by_block, by_clause = engine_cls(3), engine_cls(3)
-    with pytest.raises(TypeError) as on_block:
-        by_block.add_block(*check_block([[1.0, 2]], [[3]]))
-    with pytest.raises(TypeError) as on_clause:
-        by_clause.add_clause([1.0, 2, 3])
-    assert str(on_block.value) == str(on_clause.value)
-    assert by_block.stats() == by_clause.stats()
+    """check_block refuses literals that are not ints, so they never reach
+    the engine; add_clause, which takes any integers, refuses a float with
+    TypeError and stores nothing."""
+    for heads, bodies in (([[1.0, 2]], [[3]]), ([[1, 2]], [[3.0]]), ([["1", 2]], [[3]])):
+        with pytest.raises(ValueError, match="non-int literal"):
+            check_block(heads, bodies)
+    s = engine_cls(3)
+    with pytest.raises(TypeError):
+        s.add_clause([1.0, 2, 3])
+    assert s.stats()["clauses"] == 0
     if engine_cls is PurePythonSolver:
-        return  # the reference engine trusts the attributes of checked heads
-    for bodies in (((5, -99), (6,)), [[5, -99], [6]]):
-        checked, _ = check_block([[1, 2], [-1, 3]], [[4]])
-        vars(checked)["bodies"] = bodies
-        s = engine_cls(6)
-        with pytest.raises(ValueError) as on_block:
-            s.add_block(checked, bodies)
-        with pytest.raises(ValueError) as on_clause:
-            engine_cls(6).add_clause([1, 2, 5, -99])
-        assert str(on_block.value) == str(on_clause.value)
-        assert s.stats()["clauses"] == 0
+        assert s._clauses == [] and not any(s._watches)
 
 
 def test_link_blocks_are_watched_once_per_head(demo):
@@ -818,10 +874,10 @@ def test_link_blocks_are_watched_once_per_head(demo):
     for k, rotation, sb in ((2, False, False), (3, True, False), (3, False, True)):
         vm, formula = encode_formula(expand_demands(demo), demo, EncodeConfig(k, rotation, sb))
         s = PurePythonSolver(formula.num_vars)
-        for heads, bodies in formula.blocks:
-            s.add_block(heads, bodies)
+        for block in formula.blocks:
+            s.add_block(block)
         stored = s.stats()["clauses"]
-        shared = sum(len(heads) * (len(bodies) - 1) for heads, bodies in formula.blocks)
+        shared = sum(len(heads) * (len(bodies) - 1) for heads, bodies, _, _ in formula.blocks)
         assert shared > stored // 2
         assert sum(map(len, s._watches)) // 2 == 2 * (stored - shared)
 
@@ -845,9 +901,10 @@ def test_block_clauses_take_no_arena_slot_until_their_run_dissolves():
         twin = PurePythonSolver(formula.num_vars)
         stored = []  # what the twin stores for the pieces that make no runs
         kinds = set()
-        for heads, bodies in pieces + [([[-vm.used(config.sheets)]], [[]])] + pieces:
+        for block in pieces + [check_block([[-vm.used(config.sheets)]], [[]])] + pieces:
+            heads, bodies, _, _ = block
             runs, before = len(s._runs), len(twin._clauses)
-            s.add_block(heads, bodies)
+            s.add_block(block)
             for head in heads:
                 for body in bodies:
                     twin.add_clause(head + body)

@@ -338,9 +338,9 @@ def test_deadline_stops_build_and_load(monkeypatch):
             counts["clauses"] += 1
             super().add_clause(lits)
 
-        def add_block(self, heads, bodies):
-            counts["clauses"] += len(heads) * len(bodies)
-            super().add_block(heads, bodies)
+        def add_block(self, block):
+            counts["clauses"] += len(block[0]) * len(block[1])
+            super().add_block(block)
 
         def solve(self, *args, **kwargs):
             counts["solves"] += 1
@@ -374,11 +374,11 @@ def test_deadline_passing_mid_load_stops_loading():
     loaded = []
 
     class SlowFirstBlock(satcore.Solver):
-        def add_block(self, heads, bodies):
+        def add_block(self, block):
             if not loaded:
                 time.sleep(max(0.0, started + 1.0 - time.perf_counter()) + 0.01)
-            loaded.append(len(heads) * len(bodies))
-            super().add_block(heads, bodies)
+            loaded.append(len(block[0]) * len(block[1]))
+            super().add_block(block)
 
         def solve(self, *args, **kwargs):
             raise AssertionError("solved after the deadline")
@@ -492,8 +492,8 @@ def test_corrupt_model_reported_not_trusted(engine_cls):
         def add_clause(self, lits):
             self.inner.add_clause(lits)
 
-        def add_block(self, heads, bodies):
-            self.inner.add_block(heads, bodies)
+        def add_block(self, block):
+            self.inner.add_block(block)
 
         def solve(self, **kwargs):
             result = self.inner.solve(**kwargs)
