@@ -5,13 +5,16 @@ input file cannot be read, decoded or parsed, an output path cannot be
 written, or an argument cannot be used; ``main`` is the one place that
 refuses.  Exit codes for ``solve``: 0 optimal, 10 feasible (no optimality
 proof), 20 unknown, 1 a solver model that fails verification
-(``INFEASIBLE_MODEL_ERROR``).  ``bench`` writes per-run CSV rows and prints
-a summary table aggregated per configuration; it can also re-aggregate an
-existing rows file.  Every bench run is a job in a worker process, and
-``--jobs`` (at least 1) sets how many run at once; a job that raises, or
-whose worker dies, gives a row with status ``error``, and then ``bench``
-exits with 1.  The ``CUTSTOCK_SOLVER_CMD`` environment variable supplies a
-default external MaxSAT solver command.
+(``INFEASIBLE_MODEL_ERROR``), 130 interrupted by Ctrl-C.  ``run``, the
+``cutstock`` command, turns Ctrl-C into one ``interrupted`` line on stderr
+and that exit; ``main`` lets the ``KeyboardInterrupt`` through.  ``bench``
+writes per-run CSV rows and prints a summary table aggregated per
+configuration; it can also re-aggregate an existing rows file.  Every
+bench run is a job in a worker process, and ``--jobs`` (at least 1) sets
+how many run at once; a job that raises, or whose worker dies, gives a row
+with status ``error``, and then ``bench`` exits with 1.  The
+``CUTSTOCK_SOLVER_CMD`` environment variable supplies a default external
+MaxSAT solver command.
 """
 
 from __future__ import annotations
@@ -501,5 +504,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """The ``cutstock`` command: ``main``, with Ctrl-C ending it as
+    ``interrupted`` on stderr and exit 130 instead of a traceback."""
+    try:
+        return main()
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -10,31 +10,34 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 
-def _clause_texts(clauses, prefix: str) -> list[str]:
-    """One line per clause: prefix, literals, 0.
+def _clause_texts(clauses, prefix: str) -> tuple[list[str], int]:
+    """The clause lines, one newline-terminated chunk per block, and the
+    number of clauses.  A line is prefix, literals, 0.
 
     ``clauses`` is a list of literal lists, or has ``blocks`` as a
     ``CnfFormula`` does: Blocks, whose heads and bodies stand for ``head +
     body`` for every head and body, head-major, with non-empty heads.  Each
-    head and each body is formatted once per block; a plain list is one
-    block whose heads are its clauses.
+    head and each body is formatted once per block, and no clause gets a
+    string of its own; a plain list is one block whose heads are its
+    clauses.
     """
     blocks = getattr(clauses, "blocks", None)
     if blocks is None:
         blocks = [(clauses, [[]])]
-    lines = []
+    chunks = []
+    count = 0
     for heads, bodies, *_ in blocks:
-        ends = ["".join([f" {lit}" for lit in body]) + " 0" for body in bodies]
-        for head in heads:
-            start = prefix + " ".join(map(str, head))
-            lines += [start + end for end in ends]
-    return lines
+        count += len(heads) * len(bodies)
+        # "" first: joined by a head's start, the ends give that head's lines
+        ends = ["", *["".join([f" {lit}" for lit in body]) + " 0\n" for body in bodies]]
+        chunks.append("".join([(prefix + " ".join(map(str, head))).join(ends) for head in heads]))
+    return chunks, count
 
 
 def format_dimacs(num_vars: int, clauses) -> str:
     """CNF text for literal lists, or for a CnfFormula's blocks."""
-    lines = _clause_texts(clauses, "")
-    return "\n".join([f"p cnf {num_vars} {len(lines)}", *lines]) + "\n"
+    chunks, count = _clause_texts(clauses, "")
+    return "".join([f"p cnf {num_vars} {count}\n", *chunks])
 
 
 def format_wcnf(num_vars: int, hard, soft: Iterable[tuple[int, Sequence[int]]]) -> str:
@@ -42,9 +45,9 @@ def format_wcnf(num_vars: int, hard, soft: Iterable[tuple[int, Sequence[int]]]) 
     then (weight, literals) soft clauses."""
     soft = list(soft)
     top = 1 + sum(weight for weight, _ in soft)
-    lines = _clause_texts(hard, f"{top} ")
-    lines += [f"{weight} " + " ".join(map(str, clause)) + " 0" for weight, clause in soft]
-    return "\n".join([f"p wcnf {num_vars} {len(lines)} {top}", *lines]) + "\n"
+    chunks, count = _clause_texts(hard, f"{top} ")
+    chunks += [f"{weight} " + " ".join(map(str, clause)) + " 0\n" for weight, clause in soft]
+    return "".join([f"p wcnf {num_vars} {count + len(soft)} {top}\n", *chunks])
 
 
 class DimacsError(ValueError):

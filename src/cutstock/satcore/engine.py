@@ -141,11 +141,17 @@ def check_block(heads, bodies) -> Block:
     ValueError unless every literal is a non-zero int, every head is
     non-empty and free of repeated variables, and no variable is twice
     among the bodies or in both a body and a head: then no clause is empty
-    or repeats a variable."""
+    or repeats a variable.
+
+    The first broken rule names the error, in this order: a non-int literal
+    anywhere; then, head by head, an empty head or a repeat within it; then
+    a body variable that repeats or is in a head; then literal 0.  The body
+    literals are read by set passes over ``chain.from_iterable(bodies)``;
+    no copy of them is made.
+    """
     heads = tuple(map(tuple, heads))
     bodies = tuple(map(tuple, bodies))
-    body_lits = tuple(chain.from_iterable(bodies))
-    if not set(map(type, chain(body_lits, chain.from_iterable(heads)))) <= {int}:
+    if not set(map(type, chain.from_iterable(chain(heads, bodies)))) <= {int}:
         raise ValueError("non-int literal in clause")
     head_vars: set[int] = set()
     for head in heads:
@@ -155,9 +161,9 @@ def check_block(heads, bodies) -> Block:
         if len(vs) != len(head):
             raise ValueError("repeated variable in clause")
         head_vars |= vs
-    used = head_vars.union(map(abs, body_lits))
+    used = head_vars.union(map(abs, chain.from_iterable(bodies)))
     # no body variable repeats or is in a head: one per head variable and body literal
-    if len(used) != len(head_vars) + len(body_lits):
+    if len(used) != len(head_vars) + sum(map(len, bodies)):
         raise ValueError("repeated variable in clause")
     if 0 in used:
         raise ValueError("literal 0 in clause")

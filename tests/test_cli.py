@@ -1,8 +1,10 @@
 import concurrent.futures
 import csv
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -531,6 +533,35 @@ def test_solver_errors_are_not_refusals(error, demo_file, tmp_path, monkeypatch)
     with pytest.raises(error, match="solver fault"):
         main(["solve", "--input", demo_file, "--out", str(out)])
     assert out.read_text() == "an earlier solution\n"
+
+
+# the cutstock command, run once its modules are imported
+INTERRUPTED_COMMAND = """
+import runpy
+import cutstock.cli
+print("ready", flush=True)
+runpy.run_module("cutstock", run_name="__main__")
+"""
+
+
+def test_ctrl_c_ends_solve_with_status_130(tmp_path):
+    """SIGINT a second into a solve that takes far longer on either engine
+    (eleven 3x3 copies on 5x5 sheets): one ``interrupted`` line on stderr,
+    no traceback, exit status 130."""
+    inst = tmp_path / "squares.txt"
+    inst.write_text("5 5\n1\n3 3 11\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_COMMAND, "solve", "--input", str(inst)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(1)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
 
 
 class _AtMostTwoWorkers(concurrent.futures.ProcessPoolExecutor):

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -227,44 +228,67 @@ def test_blocks_hold_the_clauses_in_order():
         assert result.status == UNSAT or formula.satisfied_by(result.model)
 
 
+EMPTY = "empty clause emitted"
+REPEAT = "repeated variable in clause"
+NON_INT = "non-int literal in clause"
+ZERO = "literal 0 in clause"
+
+
 @pytest.mark.parametrize(
-    "heads, bodies, count",
+    "heads, bodies, expected",
     [
         # plain clauses, the block (clauses, [[]])
         ([[1, 2], [-1, 3], [4]], [[]], 3),
-        ([[1, 2], []], [[]], None),  # an empty clause
-        ([[1, 2, 1]], [[]], None),  # a variable twice in a clause
-        ([[1, -1]], [[]], None),  # ... with opposite signs
+        ([[1, 2], []], [[]], EMPTY),  # an empty clause
+        ([[1, 2, 1]], [[]], REPEAT),  # a variable twice in a clause
+        ([[1, -1]], [[]], REPEAT),  # ... with opposite signs
         # heads times shared bodies
         ([[1, 2], [-1, 3]], [[4], [-5, 6]], 4),
-        ([[]], [[4], [5]], None),  # an empty head
-        ([[1, 2, -2]], [[4], [5]], None),  # a variable twice in a head
-        ([[1, 2]], [[4, -4]], None),  # ... in a body
-        ([[1, 2]], [[4], [4, 5]], None),  # ... among the bodies
-        ([[1, 2]], [[4], [-4]], None),  # ... with opposite signs
-        ([[1, 2], [3, 5]], [[4], [5]], None),  # in a head and a body
-        ([[1.0, 2]], [[3]], None),  # a literal that is not an int
+        ([[]], [[4], [5]], EMPTY),  # an empty head
+        ([[1, 2, -2]], [[4], [5]], REPEAT),  # a variable twice in a head
+        ([[1, 2]], [[4, -4]], REPEAT),  # ... in a body
+        ([[1, 2]], [[4], [4, 5]], REPEAT),  # ... among the bodies
+        ([[1, 2]], [[4], [-4]], REPEAT),  # ... with opposite signs
+        ([[1, 2], [3, 5]], [[4], [5]], REPEAT),  # in a head and a body
+        ([[1.0, 2]], [[3]], NON_INT),  # a literal that is not an int
+        ([[1, 2]], [[0]], ZERO),  # literal 0 only in a body
+        ([[1, 2]], [[True]], NON_INT),  # a bool, which is no int literal
+        ([[1, 2]], [[-2], [3]], REPEAT),  # in a head and a body, opposite signs
+        ([[1, 2, 7], [3, 4, 7]], [[5], [6]], 4),  # a variable shared by two heads
+        ([], [[4], [5]], 0),  # no heads
+        ([[1, 2]], [], 0),  # no bodies
+        # the first broken rule names the error
+        ([[], [1.0]], [[]], NON_INT),
+        ([[1, 1], []], [[0], [0]], REPEAT),
+        ([[1, 2], []], [[1]], EMPTY),
+        ([[1, 0]], [[0]], REPEAT),
+        ([[1, 0]], [[2]], ZERO),
     ],
+    # a refused case's id ends in None, as a clause count's ends in the count
+    ids=lambda value: "None" if isinstance(value, str) else None,
 )
-def test_add_block_rejects_malformed_blocks(heads, bodies, count):
+def test_add_block_rejects_malformed_blocks(heads, bodies, expected):
     """A block is accepted and counted only when every clause it stands
-    for is non-empty, free of repeated variables and made of ints."""
-    formula = CnfFormula(6)
-    if count is None:
-        with pytest.raises(ValueError, match="empty clause|repeated variable|non-int literal"):
+    for is non-empty, free of repeated variables and made of ints; the
+    message of a refusal names the first rule it breaks."""
+    formula = CnfFormula(7)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as refused:
             formula.add_block("family", heads, bodies)
+        assert str(refused.value) == expected
         assert (formula.blocks, formula.num_clauses, formula.family_counts) == ([], 0, {})
     else:
         formula.add_block("family", heads, bodies)
-        assert [block[:2] for block in formula.blocks] == [
-            (tuple(map(tuple, heads)), tuple(map(tuple, bodies)))]
-        assert formula.num_clauses == len(formula.clauses) == count
-        assert formula.family_counts == {"family": count}
+        kept = [(tuple(map(tuple, heads)), tuple(map(tuple, bodies)))] if expected else []
+        assert [block[:2] for block in formula.blocks] == kept
+        assert formula.num_clauses == len(formula.clauses) == expected
+        assert formula.family_counts == ({"family": expected} if expected else {})
 
 
 REFUSE_UNDER_O = """
 from cutstock.encoding import CnfFormula
-for heads, bodies in (([[1, 2, 1]], [[]]), ([[1, 2]], [[4], [4, 5]]), ([[1.0, 2]], [[3]])):
+for heads, bodies in (([[1, 2, 1]], [[]]), ([[1, 2]], [[4], [4, 5]]), ([[1.0, 2]], [[3]]),
+                      ([[1, 2]], [[0]])):
     try:
         CnfFormula(6).add_block("family", heads, bodies)
     except ValueError as exc:
@@ -278,8 +302,29 @@ def test_add_block_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", REFUSE_UNDER_O],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.splitlines() == ["repeated variable in clause"] * 2 + [
-        "non-int literal in clause"]
+    assert proc.stdout.splitlines() == [REPEAT, REPEAT, NON_INT, ZERO]
+
+
+def test_export_peak_stays_below_three_times_the_text():
+    """DIMACS and WCNF export of a formula the size of the external
+    workload's keeps no per-clause copy of it: the peak of traced Python
+    allocations while formatting stays below three times the text's
+    length, the chunks and the joined text."""
+    inst = Instance(10, 10, (ItemType(6, 6, 3), ItemType(4, 3, 2), ItemType(3, 4, 2),
+                             ItemType(2, 5, 3)))
+    vm, formula = encode_formula(expand_demands(inst), inst, EncodeConfig(3, True, True))
+    soft = [(1, [-vm.used(j)]) for j in range(1, 4)]
+    assert formula.num_clauses > 5000
+    for fmt in (lambda: format_wcnf(formula.num_vars, formula, soft),
+                lambda: format_dimacs(formula.num_vars, formula)):
+        fmt()  # anything made once per process is made before tracing
+        tracemalloc.start()
+        try:
+            text = fmt()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text), peak / len(text)
 
 
 def test_decode_rejects_inconsistent_model(demo):

@@ -29,6 +29,23 @@ def test_config_names():
     assert config_name("maxsat", True, True) == "CSP_MS_R_SB"
 
 
+def test_span_harness_finds_what_it_wraps():
+    """The benchmark's span harness swaps the names in ``WRAPPED`` on
+    ``cutstock.search`` and reads ``len()`` of what ``format_wcnf``
+    returns: each name must exist there, callable, and the export must be
+    a ``str``."""
+    from cutstock import search as search_mod
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name in spans.WRAPPED:
+        assert callable(getattr(search_mod, name, None)), name
+    text = search_mod.format_wcnf(2, [[1]], [(1, [-2])])
+    assert type(text) is str and text == "p wcnf 2 2 2\n2 1 0\n1 -2 0\n"
+
+
 def test_demo_all_strategies(demo, engine_cls):
     for strategy in ("sat", "inc", "maxsat"):
         for rotation in (False, True):
