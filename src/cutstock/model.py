@@ -14,11 +14,22 @@ Solution files::
 
 where ``type_index`` is 0-based, ``copy_ordinal`` and ``sheet`` are 1-based
 and ``rotated`` is 0 or 1.  All values are decimal integers.
+
+The records (``ItemType``, ``Instance``, ``Copy``, ``Placement``,
+``Solution``) are immutable named tuples, so parsing an instance loads
+neither ``dataclasses`` nor ``inspect``.  Keyword construction, defaults,
+``repr``, pickling and field-wise equality are what frozen dataclasses gave,
+with three deliberate differences: a record is iterable, it compares equal
+to a plain tuple of the same fields, and records order like tuples.
+``ItemType`` and ``Instance`` refuse a non-int or non-positive dimension or
+demand with InstanceError, also through ``_replace``.  An ``Instance``'s
+``name`` takes no part in equality or the hash, so an ``Instance`` equals
+the plain tuple of its first three fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 class InstanceError(ValueError):
@@ -47,17 +58,28 @@ def orientations(
     return [rot for rot, ok in ((False, plain), (True, turned)) if ok]
 
 
-@dataclass(frozen=True)
-class ItemType:
-    width: int
-    height: int
-    demand: int
+def _check_ints(**values) -> None:
+    """InstanceError naming the first value whose type is not int (a bool is
+    not an int here)."""
+    for what, value in values.items():
+        if type(value) is not int:
+            raise InstanceError(f"non-int {what} {value!r}")
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise InstanceError(f"non-positive item dimensions {self.width}x{self.height}")
-        if self.demand < 1:
-            raise InstanceError(f"non-positive demand {self.demand}")
+
+class ItemType(namedtuple("ItemType", "width height demand")):
+    __slots__ = ()
+
+    def __new__(cls, width: int, height: int, demand: int):
+        _check_ints(width=width, height=height, demand=demand)
+        if width < 1 or height < 1:
+            raise InstanceError(f"non-positive item dimensions {width}x{height}")
+        if demand < 1:
+            raise InstanceError(f"non-positive demand {demand}")
+        return super().__new__(cls, width, height, demand)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks too
+        return cls(*iterable)
 
     @property
     def area(self) -> int:
@@ -68,20 +90,33 @@ class ItemType:
         return bool(orientations(self.width, self.height, sheet_w, sheet_h, rotation))
 
 
-@dataclass(frozen=True)
-class Instance:
-    sheet_width: int
-    sheet_height: int
-    types: tuple[ItemType, ...]
-    name: str = field(default="instance", compare=False)
+class Instance(namedtuple("Instance", "sheet_width sheet_height types name")):
+    """A sheet size and item types.  ``name`` is a label only: equality and
+    the hash look at the first three fields."""
 
-    def __post_init__(self):
-        if self.sheet_width < 1 or self.sheet_height < 1:
-            raise InstanceError(
-                f"non-positive sheet size {self.sheet_width}x{self.sheet_height}"
-            )
-        if not self.types:
+    __slots__ = ()
+
+    def __new__(cls, sheet_width: int, sheet_height: int, types: tuple[ItemType, ...],
+                name: str = "instance"):
+        _check_ints(sheet_width=sheet_width, sheet_height=sheet_height)
+        if sheet_width < 1 or sheet_height < 1:
+            raise InstanceError(f"non-positive sheet size {sheet_width}x{sheet_height}")
+        if not types:
             raise InstanceError("instance has no item types")
+        return super().__new__(cls, sheet_width, sheet_height, types, name)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks too
+        return cls(*iterable)
+
+    def __eq__(self, other):
+        return self[:3] == (other[:3] if isinstance(other, Instance) else other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:3])
 
     @property
     def total_item_area(self) -> int:
@@ -98,14 +133,10 @@ class Instance:
                 )
 
 
-@dataclass(frozen=True)
-class Copy:
+class Copy(namedtuple("Copy", "type_index ordinal width height")):
     """One demanded unit of an item type; ordinals run 1..demand per type."""
 
-    type_index: int
-    ordinal: int
-    width: int
-    height: int
+    __slots__ = ()
 
     @property
     def area(self) -> int:
@@ -115,13 +146,8 @@ class Copy:
         return f"c{self.type_index + 1},{self.ordinal}"
 
 
-@dataclass(frozen=True)
-class Placement:
-    copy: Copy
-    sheet: int
-    x: int
-    y: int
-    rotated: bool = False
+class Placement(namedtuple("Placement", "copy sheet x y rotated", defaults=(False,))):
+    __slots__ = ()
 
     @property
     def placed_width(self) -> int:
@@ -132,10 +158,8 @@ class Placement:
         return self.copy.width if self.rotated else self.copy.height
 
 
-@dataclass(frozen=True)
-class Solution:
-    instance: Instance
-    placements: tuple[Placement, ...]
+class Solution(namedtuple("Solution", "instance placements")):
+    __slots__ = ()
 
     @property
     def sheets_used(self) -> int:

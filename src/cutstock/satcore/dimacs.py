@@ -7,7 +7,7 @@ hard clauses carry weight TOP, soft clauses their own weight.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 
 def _clause_texts(clauses, prefix: str) -> tuple[list[str], int]:

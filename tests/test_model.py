@@ -1,8 +1,11 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cutstock.model import (
+    Copy,
     Instance,
     InstanceError,
     ItemType,
@@ -79,6 +82,74 @@ def test_parse_errors(text, fragment):
 def test_parse_error_carries_line_number():
     with pytest.raises(InstanceError, match="line 3"):
         parse_instance("6 4\n2\nbad line here\n2 2 3\n")
+
+
+@pytest.mark.parametrize(
+    "record, args, field",
+    [
+        (ItemType, (2, 3, 1.5), "demand"),
+        (ItemType, (True, 3, 2), "width"),
+        (ItemType, (2, "3", 2), "height"),
+        (Instance, (10.5, 10, (ItemType(1, 1, 1),)), "sheet_width"),
+        (Instance, (10, False, (ItemType(1, 1, 1),)), "sheet_height"),
+    ],
+    ids=["float-demand", "bool-width", "str-height", "float-sheet-width", "bool-sheet-height"],
+)
+def test_records_refuse_non_int_fields(record, args, field):
+    with pytest.raises(InstanceError, match=f"^non-int {field} "):
+        record(*args)
+
+
+def test_record_repr_is_unchanged():
+    inst = Instance(6, 4, (ItemType(2, 3, 1),))
+    assert repr(ItemType(2, 3, 1)) == "ItemType(width=2, height=3, demand=1)"
+    assert repr(inst) == (
+        "Instance(sheet_width=6, sheet_height=4, "
+        "types=(ItemType(width=2, height=3, demand=1),), name='instance')"
+    )
+    copy = Copy(0, 1, 2, 3)
+    assert repr(copy) == "Copy(type_index=0, ordinal=1, width=2, height=3)"
+    assert repr(Placement(copy, 1, 0, 0)) == (
+        "Placement(copy=Copy(type_index=0, ordinal=1, width=2, height=3), "
+        "sheet=1, x=0, y=0, rotated=False)"
+    )
+    assert repr(Solution(inst, ())).startswith("Solution(instance=Instance(")
+
+
+def test_instance_equality_and_hash_ignore_the_name():
+    a = Instance(6, 4, (ItemType(2, 3, 1),), name="a")
+    b = Instance(6, 4, (ItemType(2, 3, 1),), name="b")
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a == (6, 4, a.types) and hash(a) == hash((6, 4, a.types))
+    c = Instance(6, 5, (ItemType(2, 3, 1),), name="a")
+    assert a != c and not a == c
+
+
+def test_keyword_construction_and_defaults():
+    inst = Instance(sheet_width=6, sheet_height=4, types=(ItemType(width=2, height=3, demand=1),))
+    assert inst.name == "instance"
+    placement = Placement(copy=Copy(0, 1, 2, 3), sheet=1, x=0, y=0)
+    assert placement.rotated is False
+
+
+def test_records_are_immutable_and_pickle(demo):
+    sol = demo_solution(demo)
+    placement = sol.placements[0]
+    named = Instance(6, 4, demo.types, name="named")
+    for record, field in [(demo, "sheet_width"), (named, "name"), (demo.types[0], "demand"),
+                          (placement.copy, "ordinal"), (placement, "x"), (sol, "placements")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        again = pickle.loads(pickle.dumps(record))
+        assert again == record and type(again) is type(record)
+    assert pickle.loads(pickle.dumps(named)).name == "named"
+
+
+def test_replace_checks_the_fields():
+    with pytest.raises(InstanceError, match="non-positive demand 0"):
+        ItemType(2, 3, 1)._replace(demand=0)
+    with pytest.raises(InstanceError, match="no item types"):
+        Instance(6, 4, (ItemType(2, 3, 1),))._replace(types=())
 
 
 def test_expand_demands_demo(demo):

@@ -34,13 +34,18 @@ HOMES = {
 PACKAGES = pytest.mark.parametrize("package", [cutstock, satcore], ids=lambda p: p.__name__)
 
 
+def run(code: str, *options: str) -> str:
+    """What code prints in a new interpreter started with options."""
+    proc = subprocess.run([sys.executable, *options, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def fresh(code: str) -> set[str]:
     """The cutstock modules loaded after code runs in a new interpreter."""
     code += "\nprint(*(m for m in __import__('sys').modules if m.split('.')[0] == 'cutstock'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return set(run(code).split())
 
 
 def test_bridge_loads_only_the_engine_and_the_dimacs_reader():
@@ -53,6 +58,15 @@ def test_bridge_loads_only_the_engine_and_the_dimacs_reader():
 
 def test_parse_instance_loads_only_the_model():
     assert fresh("from cutstock import parse_instance") == {"cutstock", "cutstock.model"}
+
+
+@pytest.mark.parametrize("code", ["from cutstock import parse_instance",
+                                  "import cutstock.satcore.extsolver_cli"])
+def test_parse_and_bridge_load_no_heavy_stdlib_modules(code):
+    # -S: no site hook preloads a module, so none can hide an import
+    added = run(f"import sys\nbefore = set(sys.modules)\n{code}\n"
+                "print(*set(sys.modules) - before)", "-S").split()
+    assert not {"dataclasses", "inspect", "typing"} & set(added), added
 
 
 def test_submodules_stay_reachable_as_attributes():
