@@ -17,8 +17,8 @@ import argparse
 import random
 import time
 
-from cutstock.encoding import EncodeConfig, encode_formula
-from cutstock.model import Instance, ItemType, expand_demands
+from cutstock.encoding import encode_formula
+from cutstock.model import Instance, ItemType
 from cutstock.satcore import available_engines
 from cutstock.satcore.engine import check_block
 
@@ -29,16 +29,14 @@ def packing_formula(k: int, rotation: bool):
         (ItemType(4, 3, 6), ItemType(3, 3, 4), ItemType(5, 2, 4), ItemType(2, 2, 6)),
         name="bench",
     )
-    copies = expand_demands(inst)
-    _, formula = encode_formula(copies, inst, EncodeConfig(k, rotation, True))
+    _, formula = encode_formula(inst, k, rotation, symmetry_breaking=True)
     return formula
 
 
 def packing_refutation():
     # eight 4x4 and four 3x3 on 7x7 sheets: seven sheets are not enough
     inst = Instance(7, 7, (ItemType(4, 4, 8), ItemType(3, 3, 4)), name="bench-unsat")
-    copies = expand_demands(inst)
-    _, formula = encode_formula(copies, inst, EncodeConfig(7, False, True))
+    _, formula = encode_formula(inst, 7, symmetry_breaking=True)
     return formula
 
 

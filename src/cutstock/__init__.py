@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 # home submodule -> the public names it gives this namespace
 _EXPORTS = {
     "bounds": ("Bounds", "area_lower_bound", "compute_bounds", "ffd_solution"),
-    "encoding": ("CnfFormula", "EncodeConfig", "VarMap", "decode_model", "encode_formula"),
+    "encoding": ("CnfFormula", "VarMap", "decode_model", "encode_formula"),
     "model": (
         "Copy",
         "Instance",

@@ -31,11 +31,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bounds import area_lower_bound
-from .encoding import EncodeConfig, encode_formula
+from .encoding import encode_formula
 from .model import (
     InstanceError,
     SolutionError,
-    expand_demands,
     parse_instance,
     read_solution,
     write_solution,
@@ -122,15 +121,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    try:
-        config = EncodeConfig(args.sheets, args.rotation, args.sb)
-    except ValueError as exc:
-        raise BadArgument(exc) from None
+    if args.sheets < 1:
+        raise BadArgument("sheet count must be >= 1")
     instance = _load_instance(args.input, args.rotation)
     # opened first, so that a path it cannot write costs no encoding, but not
     # emptied until the text is ready
     with open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        vm, formula = encode_formula(expand_demands(instance), instance, config)
+        vm, formula = encode_formula(instance, args.sheets, args.rotation, args.sb)
         if args.format == "dimacs":
             text = format_dimacs(formula.num_vars, formula)
         else:
@@ -254,9 +251,15 @@ def read_bks(path: str) -> dict[str, int]:
             if len(row) < 2:
                 raise csv.Error("expected instance,best-known-k")
             name, value = row[0].strip(), row[1].strip()
-            if not value.lstrip("-").isdigit():
+            if not any(ch.isdigit() for ch in value):
                 continue  # header line
-            bks[name] = int(value)
+            try:
+                count = int(value)
+            except ValueError:
+                count = 0  # refused as a count below 1 is
+            if count < 1:
+                raise csv.Error(f"best-known value {value!r} is not a whole number of sheets >= 1")
+            bks[name] = count
     except csv.Error as exc:
         raise BadArgument(f"{path} line {reader.line_num}: {exc}") from None
     return bks

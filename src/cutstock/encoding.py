@@ -26,47 +26,37 @@ and DIMACS/WCNF export formats each head and body once per block.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
-from .model import Copy, Instance, Placement, Solution, orientations
+from .model import Instance, Placement, Solution, expand_demands, orientations
 from .satcore.engine import Block, check_block
 
 
-@dataclass(frozen=True)
-class EncodeConfig:
-    sheets: int
-    rotation: bool = False
-    symmetry_breaking: bool = False
-
-    def __post_init__(self):
-        if self.sheets < 1:
-            raise ValueError("sheet count must be >= 1")
-
-
 class VarMap:
-    """Deterministic numbering of all Boolean variables, kind-major.
+    """Deterministic numbering of all Boolean variables of the formula for
+    ``sheets`` sheets of ``instance``, kind-major.
 
     Order: sheet assignment, x thresholds, y thresholds, left-of, below,
-    rotation (rotation mode only), sheet used.  Copies are 0-based, sheets
-    1-based.
+    rotation (rotation mode only), sheet used.  Copies, those of
+    ``expand_demands(instance)``, are 0-based, sheets 1-based.
     """
 
-    def __init__(self, num_copies: int, width: int, height: int, config: EncodeConfig):
-        if num_copies < 1:
-            raise ValueError("need at least one copy")
-        self.n = num_copies
-        self.width = width
-        self.height = height
-        self.sheets = config.sheets
-        self.rotation = config.rotation
-        n, k = num_copies, config.sheets
+    def __init__(self, instance: Instance, sheets: int, rotation: bool = False):
+        if sheets < 1:
+            raise ValueError("sheet count must be >= 1")
+        self.instance = instance
+        self.copies = expand_demands(instance)
+        self.n = n = len(self.copies)
+        self.width = width = instance.sheet_width
+        self.height = height = instance.sheet_height
+        self.sheets = k = sheets
+        self.rotation = rotation
         self._sheet0 = 0
         self._x0 = self._sheet0 + n * k
         self._y0 = self._x0 + n * (width - 1)
         self._left0 = self._y0 + n * (height - 1)
         self._below0 = self._left0 + n * (n - 1)
         self._rot0 = self._below0 + n * (n - 1)
-        self._used0 = self._rot0 + (n if config.rotation else 0)
+        self._used0 = self._rot0 + (n if rotation else 0)
         self.total = self._used0 + k
 
     def sheet(self, c: int, j: int) -> int:
@@ -145,17 +135,23 @@ class CnfFormula:
 
 
 def encode_formula(
-    copies: tuple[Copy, ...], instance: Instance, config: EncodeConfig, *, deadline=None
+    instance: Instance,
+    sheets: int,
+    rotation: bool = False,
+    symmetry_breaking: bool = False,
+    *,
+    deadline=None,
 ) -> tuple[VarMap, CnfFormula]:
-    """Build the feasibility formula for config.sheets sheets.
+    """Build the feasibility formula for packing ``instance`` onto ``sheets``
+    sheets; ValueError when ``sheets`` is below 1.
 
     With a ``deadline`` (a ``time.perf_counter()`` value), raises
     ``TimeoutError`` when it passes before the formula is complete; it is
     checked once per pair of copies of the ``link`` family, almost all of
     the formula.
     """
-    instance.validate(config.rotation)
-    vm = VarMap(len(copies), instance.sheet_width, instance.sheet_height, config)
+    vm = VarMap(instance, sheets, rotation)
+    instance.validate(rotation)
     formula = CnfFormula(vm.total)
     n, k = vm.n, vm.sheets
     width, height = vm.width, vm.height
@@ -165,13 +161,13 @@ def encode_formula(
     # each copy's shape per orientation as (selector, width, height); the
     # selector literal is satisfied when the copy is in the *other*
     # orientation, so a clause carrying it only binds in the named one
-    if config.rotation:
+    if rotation:
         shapes = [
             [(vm.rot(c), copy.width, copy.height), (-vm.rot(c), copy.height, copy.width)]
-            for c, copy in enumerate(copies)
+            for c, copy in enumerate(vm.copies)
         ]
     else:
-        shapes = [[(0, copy.width, copy.height)] for copy in copies]
+        shapes = [[(0, copy.width, copy.height)] for copy in vm.copies]
 
     # one sheet per copy
     exactly_one = []
@@ -249,17 +245,15 @@ def encode_formula(
     usage = [(-vm.sheet(c, j), vm.used(j)) for c in range(n) for j in range(1, k + 1)]
     formula.add_block("usage", usage, [()])
 
-    if config.symmetry_breaking:
-        _encode_symmetry_breaking(copies, config, vm, formula)
+    if symmetry_breaking:
+        _encode_symmetry_breaking(vm, formula)
     return vm, formula
 
 
-def _encode_symmetry_breaking(
-    copies: tuple[Copy, ...], config: EncodeConfig, vm: VarMap, formula: CnfFormula
-) -> None:
-    n, k = vm.n, vm.sheets
+def _encode_symmetry_breaking(vm: VarMap, formula: CnfFormula) -> None:
+    n, k, copies = vm.n, vm.sheets, vm.copies
     width, height = vm.width, vm.height
-    permitted = [orientations(c.width, c.height, width, height, config.rotation) for c in copies]
+    permitted = [orientations(c.width, c.height, width, height, vm.rotation) for c in copies]
     extents = [
         [(copy.height, copy.width) if rot else (copy.width, copy.height) for rot in rots]
         for copy, rots in zip(copies, permitted)
@@ -284,7 +278,7 @@ def _encode_symmetry_breaking(
     formula.add_block("sb_same_type", same_type, [()])
 
     # pin the rotation flag when only one orientation is possible
-    if config.rotation:
+    if vm.rotation:
         pins = []
         for c in range(n):
             if permitted[c] == [False]:
@@ -298,13 +292,12 @@ def _encode_symmetry_breaking(
     formula.add_block("sb_sheet_order", sheet_order, [()])
 
 
-def decode_model(
-    model: list[bool], vm: VarMap, copies: tuple[Copy, ...], instance: Instance
-) -> Solution:
-    """Read a satisfying assignment back into placements; RuntimeError when
-    the model puts a copy on no sheet or on two."""
+def decode_model(model: list[bool], vm: VarMap) -> Solution:
+    """Read a satisfying assignment of the formula behind ``vm`` back into
+    placements; RuntimeError when the model puts a copy on no sheet or on
+    two."""
     placements = []
-    for c, copy in enumerate(copies):
+    for c, copy in enumerate(vm.copies):
         sheets = [j for j in range(1, vm.sheets + 1) if model[vm.sheet(c, j)]]
         if len(sheets) != 1:
             raise RuntimeError(f"model puts copy {copy.label()} on {len(sheets)} sheets")
@@ -320,4 +313,4 @@ def decode_model(
                 break
         rotated = bool(vm.rotation and model[vm.rot(c)])
         placements.append(Placement(copy, sheets[0], x, y, rotated))
-    return Solution(instance, tuple(placements))
+    return Solution(vm.instance, tuple(placements))

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 from . import satcore
 from .bounds import compute_bounds
-from .encoding import EncodeConfig, decode_model, encode_formula
-from .model import Instance, Solution, expand_demands, relabel_sheets
+from .encoding import decode_model, encode_formula
+from .model import Instance, Solution, relabel_sheets
 from .satcore import SAT, UNSAT
 from .satcore.dimacs import format_wcnf
 from .satcore.external import run_external
@@ -141,7 +141,6 @@ class _Run:
         self.engine = engine or satcore.Solver
         self.started = started if started is not None else time.perf_counter()
         self.deadline = self.started + time_limit if time_limit is not None else None
-        self.copies = expand_demands(instance)
         bounds = compute_bounds(instance, rotation)
         self.lower = bounds.lower
         self.upper = bounds.upper
@@ -166,8 +165,9 @@ class _Run:
     def build(self, k: int):
         """Encode k sheets: (vm, formula)."""
         self.check_time()
-        config = EncodeConfig(sheets=k, rotation=self.rotation, symmetry_breaking=self.sb)
-        vm, formula = encode_formula(self.copies, self.instance, config, deadline=self.deadline)
+        vm, formula = encode_formula(
+            self.instance, k, self.rotation, self.sb, deadline=self.deadline
+        )
         self.builds += 1
         self.max_vars = max(self.max_vars, formula.num_vars)
         self.max_clauses = max(self.max_clauses, formula.num_clauses)
@@ -185,7 +185,7 @@ class _Run:
         """Decode, compact and verify a model of the formula behind vm, and
         keep it when it beats the incumbent."""
         try:
-            decoded = decode_model(model, vm, self.copies, self.instance)
+            decoded = decode_model(model, vm)
         except RuntimeError as exc:  # a copy on no sheet or on two
             raise _BadModel(exc) from exc
         solution = relabel_sheets(decoded)

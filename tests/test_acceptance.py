@@ -18,7 +18,7 @@ import pytest
 
 from cutstock.bounds import compute_bounds
 from cutstock.cli import aggregate_rows, read_bks
-from cutstock.encoding import EncodeConfig, encode_formula
+from cutstock.encoding import encode_formula
 from cutstock.model import Instance, expand_demands, parse_instance
 from cutstock.satcore import SAT, UNSAT, Solver
 from cutstock.search import OPTIMAL, solve_instance
@@ -91,10 +91,8 @@ def test_criterion_01_demo_instance():
                 assert verify_solution(inst, out.best_solution, rotation).ok
                 assert elapsed < 1.0, f"{strategy} took {elapsed:.2f}s"
     # the fixed-k formulas behave as drawn: two sheets pack, one cannot
-    copies = expand_demands(inst)
     for k, expected in ((2, SAT), (1, UNSAT)):
-        config = EncodeConfig(k)
-        _, formula = encode_formula(copies, inst, config)
+        _, formula = encode_formula(inst, k)
         solver = Solver(formula.num_vars)
         for clause in formula.clauses:
             solver.add_clause(clause)
@@ -136,21 +134,17 @@ def test_criterion_04_incremental_equivalence(suite):
     checked = 0
     for entry in suite:
         inst = entry.instance
-        copies = expand_demands(inst)
         for rotation in MODES:
             bounds = entry.bounds[rotation]
             for sb in SB_MODES:
-                config = EncodeConfig(bounds.upper, rotation, sb)
-                vm, formula = encode_formula(copies, inst, config)
+                vm, formula = encode_formula(inst, bounds.upper, rotation, sb)
                 handle = Solver(formula.num_vars)
                 for clause in formula.clauses:
                     handle.add_clause(clause)
                 for m in range(bounds.lower, bounds.upper + 1):
                     assumptions = [-vm.used(j) for j in range(m + 1, bounds.upper + 1)]
                     under = handle.solve(assumptions=assumptions).status
-                    _, fresh_formula = encode_formula(
-                        copies, inst, EncodeConfig(m, rotation, sb)
-                    )
+                    _, fresh_formula = encode_formula(inst, m, rotation, sb)
                     fresh = Solver(fresh_formula.num_vars)
                     for clause in fresh_formula.clauses:
                         fresh.add_clause(clause)
@@ -202,8 +196,7 @@ def test_criterion_06_cdcl_correctness():
 
 def test_criterion_07_encoding_audit():
     inst = parse_instance(DEMO_TEXT, name="demo")
-    copies = expand_demands(inst)
-    _, formula = encode_formula(copies, inst, EncodeConfig(2))
+    _, formula = encode_formula(inst, 2)
     assert formula.num_vars == 122
     assert formula.family_counts["exactly_one"] == 12
     assert formula.family_counts["separation"] == 30
@@ -215,7 +208,7 @@ def test_criterion_07_encoding_audit():
         w, h = inst.sheet_width, inst.sheet_height
         k = rng.randint(1, 4)
         for rotation in (False, True):
-            _, f = encode_formula(copies, inst, EncodeConfig(k, rotation, True))
+            _, f = encode_formula(inst, k, rotation, True)
             assert f.num_vars == (
                 n * k + n * (w - 1) + n * (h - 1) + 2 * n * (n - 1) + k
                 + (n if rotation else 0)

@@ -126,6 +126,12 @@ def test_encode_rejects_bad_sheet_count(demo_file):
     assert main(["encode", "--input", demo_file, "--sheets", "0"]) == 2
 
 
+def test_encode_checks_the_sheet_count_before_reading_the_input(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["encode", "--input", str(missing), "--sheets", "0"]) == 2
+    assert capsys.readouterr().err == "error: sheet count must be >= 1\n"
+
+
 def test_verify_detects_tampering(demo_file, tmp_path, capsys):
     sol = tmp_path / "s.sol"
     main(["solve", "--input", demo_file, "--out", str(sol)])
@@ -437,6 +443,18 @@ def test_bench_bks_line_without_value(tmp_path, capsys):
     assert f"error: {bks} line 3: expected instance,best-known-k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["--5", "²", "0", "-3"])
+def test_bench_bks_value_that_is_no_sheet_count(value, tmp_path, capsys):
+    """A best-known value with digits that is not a whole number of
+    sheets >= 1 is refused by its line, not taken or left to crash."""
+    bks = tmp_path / "b.csv"
+    bks.write_text(f"instance,bks\nfoo,{value}\n", encoding="utf-8")
+    (tmp_path / "empty").mkdir()
+    assert main(["bench", "--dir", str(tmp_path / "empty"), "--bks", str(bks)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bks} line 2: ") and err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------
 # refusals: main ends each with one error line and exit 2
 
@@ -487,8 +505,8 @@ def _no_solve(instance, **kwargs):
     raise AssertionError(f"solve ran {instance.name} before refusing")
 
 
-def _no_encode(copies, instance, config):
-    raise AssertionError(f"encode ran {instance.name} before refusing")
+def _no_encode(*args, **kwargs):
+    raise AssertionError(f"encode ran {args[0].name} before refusing")
 
 
 @pytest.mark.parametrize("command", REFUSALS)

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from cutstock.bounds import compute_bounds
-from cutstock.encoding import CnfFormula, EncodeConfig, VarMap, decode_model, encode_formula
+from cutstock.encoding import CnfFormula, VarMap, decode_model, encode_formula
 from cutstock.model import Instance, ItemType, expand_demands
 from cutstock.satcore import SAT, UNSAT, Solver, format_dimacs, format_wcnf
 from cutstock.verify import brute_force_optimal, verify_solution
@@ -26,13 +26,11 @@ def solve_formula(formula, engine_cls=Solver, assumptions=()):
 
 
 def feasible(instance, k, rotation, sb, engine_cls=Solver):
-    copies = expand_demands(instance)
-    config = EncodeConfig(k, rotation, sb)
-    vm, formula = encode_formula(copies, instance, config)
+    vm, formula = encode_formula(instance, k, rotation, sb)
     result = solve_formula(formula, engine_cls)
     assert result.status in (SAT, UNSAT)
     if result.status == SAT:
-        decoded = decode_model(result.model, vm, copies, instance)
+        decoded = decode_model(result.model, vm)
         report = verify_solution(instance, decoded, rotation)
         assert report.ok, str(report)
         assert decoded.sheets_used <= k
@@ -40,27 +38,30 @@ def feasible(instance, k, rotation, sb, engine_cls=Solver):
 
 
 def test_varmap_count_demo(demo):
-    copies = expand_demands(demo)
-    vm = VarMap(len(copies), demo.sheet_width, demo.sheet_height, EncodeConfig(2))
+    vm = VarMap(demo, 2)
     assert vm.total == 122 == closed_form_vars(6, 2, 6, 4, False)
-    vm_rot = VarMap(len(copies), demo.sheet_width, demo.sheet_height, EncodeConfig(2, rotation=True))
+    vm_rot = VarMap(demo, 2, rotation=True)
     assert vm_rot.total == 128
 
 
 def test_varmap_count_minimal():
     inst = Instance(1, 1, (ItemType(1, 1, 1),))
-    vm = VarMap(len(expand_demands(inst)), inst.sheet_width, inst.sheet_height, EncodeConfig(1))
+    vm = VarMap(inst, 1)
     assert vm.total == 2  # one assignment var, one usage var
 
 
+@pytest.mark.parametrize("build", [encode_formula, VarMap])
+def test_sheet_count_below_one_is_refused(demo, build):
+    with pytest.raises(ValueError, match=r"^sheet count must be >= 1$"):
+        build(demo, 0)
+
+
 def test_varmap_is_bijection(demo):
-    copies = expand_demands(demo)
-    for config in (EncodeConfig(2), EncodeConfig(3, rotation=True)):
-        vm = VarMap(len(copies), demo.sheet_width, demo.sheet_height, config)
+    for vm in (VarMap(demo, 2), VarMap(demo, 3, rotation=True)):
         seen = set()
-        n = len(copies)
+        n = len(vm.copies)
         for c in range(n):
-            for j in range(1, config.sheets + 1):
+            for j in range(1, vm.sheets + 1):
                 seen.add(vm.sheet(c, j))
             for e in range(demo.sheet_width - 1):
                 seen.add(vm.x_at_most(c, e))
@@ -70,16 +71,15 @@ def test_varmap_is_bijection(demo):
                 if c != d:
                     seen.add(vm.left(c, d))
                     seen.add(vm.below(c, d))
-            if config.rotation:
+            if vm.rotation:
                 seen.add(vm.rot(c))
-        for j in range(1, config.sheets + 1):
+        for j in range(1, vm.sheets + 1):
             seen.add(vm.used(j))
         assert seen == set(range(1, vm.total + 1))
 
 
 def test_family_counts_demo(demo):
-    copies = expand_demands(demo)
-    _, formula = encode_formula(copies, demo, EncodeConfig(2))
+    _, formula = encode_formula(demo, 2)
     n, k, w, h = 6, 2, 6, 4
     assert formula.family_counts["exactly_one"] == n * (1 + k * (k - 1) // 2) == 12
     assert formula.family_counts["separation"] == k * n * (n - 1) // 2 == 30
@@ -88,8 +88,7 @@ def test_family_counts_demo(demo):
 
 
 def test_family_counts_with_sb(demo):
-    copies = expand_demands(demo)
-    _, formula = encode_formula(copies, demo, EncodeConfig(3, symmetry_breaking=True))
+    _, formula = encode_formula(demo, 3, symmetry_breaking=True)
     assert formula.family_counts["sb_sheet_order"] == 2  # k - 1
     # three pairs per type, both types
     assert formula.family_counts["sb_same_type"] == 6
@@ -103,7 +102,7 @@ def test_family_counts_random():
         n = len(copies)
         k = rng.randint(1, 4)
         for rotation in (False, True):
-            _, formula = encode_formula(copies, inst, EncodeConfig(k, rotation, True))
+            _, formula = encode_formula(inst, k, rotation, True)
             w, h = inst.sheet_width, inst.sheet_height
             assert formula.family_counts["exactly_one"] == n * (1 + k * (k - 1) // 2)
             assert formula.family_counts.get("separation", 0) == k * n * (n - 1) // 2
@@ -115,8 +114,7 @@ def test_family_counts_random():
 
 
 def test_no_rotation_omits_rotation_vars(demo):
-    copies = expand_demands(demo)
-    vm, formula = encode_formula(copies, demo, EncodeConfig(2, rotation=False))
+    vm, formula = encode_formula(demo, 2, rotation=False)
     with pytest.raises(AssertionError):
         vm.rot(0)
     assert formula.num_vars == 122
@@ -129,12 +127,10 @@ def test_demo_sat_at_two_unsat_at_one(demo, engine_cls):
 
 def test_single_cell(engine_cls):
     inst = Instance(1, 1, (ItemType(1, 1, 1),))
-    copies = expand_demands(inst)
-    config = EncodeConfig(1)
-    vm, formula = encode_formula(copies, inst, config)
+    vm, formula = encode_formula(inst, 1)
     result = solve_formula(formula, engine_cls)
     assert result.status == SAT
-    decoded = decode_model(result.model, vm, copies, inst)
+    decoded = decode_model(result.model, vm)
     assert decoded.placements[0].x == 0 and decoded.placements[0].y == 0
 
 
@@ -153,9 +149,7 @@ def test_rotation_changes_verdict():
 
 def test_square_rotation_pinned():
     inst = Instance(2, 2, (ItemType(2, 2, 1),))
-    copies = expand_demands(inst)
-    config = EncodeConfig(1, rotation=True, symmetry_breaking=True)
-    vm, formula = encode_formula(copies, inst, config)
+    vm, formula = encode_formula(inst, 1, rotation=True, symmetry_breaking=True)
     assert [-vm.rot(0)] in formula.clauses
     result = solve_formula(formula)
     assert result.status == SAT and result.model[vm.rot(0)] is False
@@ -164,20 +158,17 @@ def test_square_rotation_pinned():
 def test_orientation_pinned_when_only_one_fits():
     # 5x2 on a 6x4 sheet: rotated would need height 5 > 4
     inst = Instance(6, 4, (ItemType(5, 2, 1),))
-    copies = expand_demands(inst)
-    vm, formula = encode_formula(copies, inst, EncodeConfig(1, True, True))
+    vm, formula = encode_formula(inst, 1, True, True)
     assert [-vm.rot(0)] in formula.clauses
     # 1x4 on a 3x4 sheet fits either way; 4x1 only rotated
     tall = Instance(3, 4, (ItemType(4, 1, 1),))
-    cp = expand_demands(tall)
-    vm2, f2 = encode_formula(cp, tall, EncodeConfig(1, True, True))
+    vm2, f2 = encode_formula(tall, 1, True, True)
     assert [vm2.rot(0)] in f2.clauses
 
 
 def test_wide_pair_never_side_by_side():
     inst = Instance(6, 4, (ItemType(4, 1, 2),))
-    copies = expand_demands(inst)
-    vm, formula = encode_formula(copies, inst, EncodeConfig(1, False, True))
+    vm, formula = encode_formula(inst, 1, False, True)
     assert [-vm.left(0, 1)] in formula.clauses
     assert [-vm.left(1, 0)] in formula.clauses
     # still satisfiable by stacking
@@ -185,14 +176,13 @@ def test_wide_pair_never_side_by_side():
 
 
 def test_clauses_well_formed(demo):
-    cases = [(demo, EncodeConfig(2)), (demo, EncodeConfig(2, True, True)),
-             (demo, EncodeConfig(1, False, True))]
+    cases = [(demo, 2, False, False), (demo, 2, True, True), (demo, 1, False, True)]
     rng = random.Random(5)
     for _ in range(30):
         inst = random_instance(rng, max_copies=7, max_dim=8)
-        cases.append((inst, EncodeConfig(rng.randint(1, 4), rng.random() < 0.5, rng.random() < 0.5)))
-    for inst, config in cases:
-        _, formula = encode_formula(expand_demands(inst), inst, config)
+        cases.append((inst, rng.randint(1, 4), rng.random() < 0.5, rng.random() < 0.5))
+    for case in cases:
+        _, formula = encode_formula(*case)
         for clause in formula.clauses:
             assert clause
             vars_in = [abs(l) for l in clause]
@@ -202,9 +192,8 @@ def test_clauses_well_formed(demo):
 
 
 def test_deterministic_output(demo):
-    copies = expand_demands(demo)
-    a = encode_formula(copies, demo, EncodeConfig(2, True, True))[1]
-    b = encode_formula(copies, demo, EncodeConfig(2, True, True))[1]
+    a = encode_formula(demo, 2, True, True)[1]
+    b = encode_formula(demo, 2, True, True)[1]
     assert a.clauses == b.clauses and a.family_counts == b.family_counts
 
 
@@ -213,8 +202,7 @@ def test_blocks_hold_the_clauses_in_order():
     rng = random.Random(6)
     for _ in range(20):
         inst = random_instance(rng, max_copies=6, max_dim=7)
-        config = EncodeConfig(rng.randint(1, 4), rng.random() < 0.5, rng.random() < 0.5)
-        _, formula = encode_formula(expand_demands(inst), inst, config)
+        _, formula = encode_formula(inst, rng.randint(1, 4), rng.random() < 0.5, rng.random() < 0.5)
         clauses = formula.clauses
         assert format_dimacs(formula.num_vars, formula) == format_dimacs(formula.num_vars, clauses)
         soft = [(1, [-v]) for v in range(1, 4)]
@@ -312,7 +300,7 @@ def test_export_peak_stays_below_three_times_the_text():
     length, the chunks and the joined text."""
     inst = Instance(10, 10, (ItemType(6, 6, 3), ItemType(4, 3, 2), ItemType(3, 4, 2),
                              ItemType(2, 5, 3)))
-    vm, formula = encode_formula(expand_demands(inst), inst, EncodeConfig(3, True, True))
+    vm, formula = encode_formula(inst, 3, True, True)
     soft = [(1, [-vm.used(j)]) for j in range(1, 4)]
     assert formula.num_clauses > 5000
     for fmt in (lambda: format_wcnf(formula.num_vars, formula, soft),
@@ -328,16 +316,14 @@ def test_export_peak_stays_below_three_times_the_text():
 
 
 def test_decode_rejects_inconsistent_model(demo):
-    copies = expand_demands(demo)
-    config = EncodeConfig(2)
-    vm, formula = encode_formula(copies, demo, config)
+    vm, formula = encode_formula(demo, 2)
     result = solve_formula(formula)
     assert result.status == SAT
     broken = list(result.model)
     for j in range(1, 3):
         broken[vm.sheet(0, j)] = False  # first copy now on no sheet at all
     with pytest.raises(RuntimeError, match="0 sheets"):
-        decode_model(broken, vm, copies, demo)
+        decode_model(broken, vm)
 
 
 def test_unit_width_sheet(engine_cls):
@@ -351,9 +337,7 @@ def test_unit_width_sheet(engine_cls):
 def test_demo_assumption_forces_one_sheet(demo, engine_cls):
     # disabling the second sheet through an assumption is a one-sheet test:
     # unsatisfiable by area, and the handle stays usable afterwards
-    copies = expand_demands(demo)
-    config = EncodeConfig(2)
-    vm, formula = encode_formula(copies, demo, config)
+    vm, formula = encode_formula(demo, 2)
     handle = engine_cls(formula.num_vars)
     for clause in formula.clauses:
         handle.add_clause(clause)
@@ -390,9 +374,7 @@ def test_model_space_decodes_to_exactly_the_valid_packings():
     """Enumerate all models of a tiny formula: every decode must verify,
     and together they must cover every geometrically valid packing."""
     inst = Instance(2, 1, (ItemType(1, 1, 2),))
-    copies = expand_demands(inst)
-    config = EncodeConfig(2)
-    vm, formula = encode_formula(copies, inst, config)
+    vm, formula = encode_formula(inst, 2)
     solver = Solver(formula.num_vars)
     for clause in formula.clauses:
         solver.add_clause(clause)
@@ -404,7 +386,7 @@ def test_model_space_decodes_to_exactly_the_valid_packings():
             break
         models += 1
         assert models < 20000, "blocking loop runaway"
-        decoded = decode_model(result.model, vm, copies, inst)
+        decoded = decode_model(result.model, vm)
         assert verify_solution(inst, decoded, False).ok
         packings.add(tuple((p.sheet, p.x, p.y) for p in decoded.placements))
         solver.add_clause(

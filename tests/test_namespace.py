@@ -18,7 +18,7 @@ SRC = os.path.dirname(os.path.dirname(cutstock.__file__))
 HOMES = {
     "cutstock": {
         "bounds": ["Bounds", "area_lower_bound", "compute_bounds", "ffd_solution"],
-        "encoding": ["CnfFormula", "EncodeConfig", "VarMap", "decode_model", "encode_formula"],
+        "encoding": ["CnfFormula", "VarMap", "decode_model", "encode_formula"],
         "model": ["Copy", "Instance", "InstanceError", "ItemType", "Placement", "Solution",
                   "SolutionError", "expand_demands", "format_instance", "parse_instance",
                   "read_solution", "relabel_sheets", "write_solution"],

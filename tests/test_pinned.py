@@ -13,8 +13,8 @@ import hashlib
 import random
 
 from cutstock.bounds import compute_bounds
-from cutstock.encoding import EncodeConfig, encode_formula
-from cutstock.model import Instance, ItemType, expand_demands, parse_instance
+from cutstock.encoding import encode_formula
+from cutstock.model import Instance, ItemType, parse_instance
 from cutstock.satcore import format_dimacs, format_wcnf
 from cutstock.search import solve_instance, soft_unused_sheets
 
@@ -28,26 +28,26 @@ def digest_configs():
     rotated_only = Instance(6, 4, (ItemType(5, 2, 1), ItemType(3, 5, 2)))
     mid = Instance(30, 20, (ItemType(7, 5, 3), ItemType(12, 4, 2), ItemType(4, 9, 2)))
     configs = [
-        ("demo", demo, EncodeConfig(2)),
-        ("demo", demo, EncodeConfig(3, True, True)),
-        ("rotated-only", rotated_only, EncodeConfig(2, True, False)),
-        ("rotated-only", rotated_only, EncodeConfig(2, True, True)),
-        ("mid", mid, EncodeConfig(3, True, True)),
-        ("mid", mid, EncodeConfig(2, False, False)),
+        ("demo", demo, (2, False, False)),
+        ("demo", demo, (3, True, True)),
+        ("rotated-only", rotated_only, (2, True, False)),
+        ("rotated-only", rotated_only, (2, True, True)),
+        ("mid", mid, (3, True, True)),
+        ("mid", mid, (2, False, False)),
     ]
     rng = random.Random(2604)
     for i in range(10):
         inst = random_instance(rng, max_copies=7, max_dim=9)
-        config = EncodeConfig(rng.randint(1, 4), rng.random() < 0.5, rng.random() < 0.5)
+        config = (rng.randint(1, 4), rng.random() < 0.5, rng.random() < 0.5)
         configs.append((f"random{i}", inst, config))
     return [
-        (f"{name} k={c.sheets} rot={int(c.rotation)} sb={int(c.symmetry_breaking)}", inst, c)
-        for name, inst, c in configs
+        (f"{name} k={k} rot={int(rotation)} sb={int(sb)}", inst, (k, rotation, sb))
+        for name, inst, (k, rotation, sb) in configs
     ]
 
 
 def formula_texts(inst, config):
-    vm, formula = encode_formula(expand_demands(inst), inst, config)
+    vm, formula = encode_formula(inst, *config)
     dimacs = format_dimacs(formula.num_vars, formula.clauses)
     wcnf = format_wcnf(formula.num_vars, formula.clauses, soft_unused_sheets(vm, 1))
     return dimacs, wcnf

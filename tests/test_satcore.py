@@ -26,7 +26,7 @@ from cutstock.satcore import (
 )
 
 from cutstock import encoding as encoding_module
-from cutstock.encoding import CnfFormula, EncodeConfig, encode_formula
+from cutstock.encoding import CnfFormula, encode_formula
 from cutstock.model import Instance, ItemType, expand_demands
 from cutstock.satcore import engine as engine_module
 from cutstock.satcore.engine import Block, check_block
@@ -343,7 +343,7 @@ def test_live_clause_count_survives_reductions():
         by_clause.add_clause(c)
     # seven 2x4 copies, at most two to a 4x4 sheet, do not fit on three
     inst = Instance(4, 4, (ItemType(2, 4, 7),))
-    _, formula = encode_formula(expand_demands(inst), inst, EncodeConfig(3, rotation=True))
+    _, formula = encode_formula(inst, 3, rotation=True)
     by_block = PurePythonSolver(formula.num_vars)
     for block in formula.blocks:
         by_block.add_block(block)
@@ -365,7 +365,7 @@ def test_dissolved_runs_keep_their_crefs_only_while_watched():
     a visit expands it into the run's clauses, then none, and a run with
     no entry left holds no crefs list."""
     inst = Instance(4, 4, (ItemType(2, 4, 7),))
-    _, formula = encode_formula(expand_demands(inst), inst, EncodeConfig(3, rotation=True))
+    _, formula = encode_formula(inst, 3, rotation=True)
     s = PurePythonSolver(formula.num_vars)
     for block in formula.blocks:
         s.add_block(block)
@@ -411,8 +411,7 @@ def test_engines_are_lockstep():
     for _ in range(12):
         inst = random_instance(rng, max_copies=7, max_dim=7)
         k = rng.randint(1, 4)
-        config = EncodeConfig(k, rng.random() < 0.5, rng.random() < 0.5)
-        vm, formula = encode_formula(expand_demands(inst), inst, config)
+        vm, formula = encode_formula(inst, k, rng.random() < 0.5, rng.random() < 0.5)
         solvers = [cls(formula.num_vars) for cls in engines.values()]
         for s in solvers:
             for c in formula.clauses:
@@ -502,8 +501,7 @@ def test_engines_are_lockstep_through_add_block():
     for i in range(12):
         inst = random_instance(rng, max_copies=7, max_dim=7)
         k = rng.randint(1, 4)
-        config = EncodeConfig(k, rng.random() < 0.5, rng.random() < 0.5)
-        vm, formula = encode_formula(expand_demands(inst), inst, config)
+        vm, formula = encode_formula(inst, k, rng.random() < 0.5, rng.random() < 0.5)
         blocks = head_slices(formula.blocks, 3) if i % 2 else formula.blocks
         solvers = [load(cls, formula.num_vars, blocks) for cls in engines.values()]
         for m in range(k, 0, -1):
@@ -513,7 +511,7 @@ def test_engines_are_lockstep_through_add_block():
         lockstep(solvers)
     # seven 2x4 copies, at most two to a 4x4 sheet, do not fit on three
     inst = Instance(4, 4, (ItemType(2, 4, 7),))
-    vm, formula = encode_formula(expand_demands(inst), inst, EncodeConfig(3, rotation=True))
+    vm, formula = encode_formula(inst, 3, rotation=True)
     blocks = head_slices(formula.blocks, 5)
     solvers = [load(engines[name], formula.num_vars, blocks) for name in ("compiled", "python")]
     first = lockstep(solvers, conflict_limit=4500)
@@ -663,8 +661,7 @@ def test_add_block_matches_add_clause_on_encoded_formulas(engine_cls):
     for i in range(16):
         inst = random_instance(rng, max_copies=7, max_dim=7)
         k = 1 if i % 4 == 0 else rng.randint(2, 4)
-        config = EncodeConfig(k, rng.random() < 0.5, rng.random() < 0.5)
-        vm, formula = encode_formula(expand_demands(inst), inst, config)
+        vm, formula = encode_formula(inst, k, rng.random() < 0.5, rng.random() < 0.5)
         by_block, by_clause = engine_cls(formula.num_vars), engine_cls(formula.num_vars)
         for heads, bodies, _, _ in formula.blocks:
             add_block_two_ways(by_block, by_clause, heads, bodies)
@@ -872,7 +869,7 @@ def test_link_blocks_are_watched_once_per_head(demo):
     or more bodies once, not each of its clauses: one watch entry in each
     of two lists per head and per other stored clause."""
     for k, rotation, sb in ((2, False, False), (3, True, False), (3, False, True)):
-        vm, formula = encode_formula(expand_demands(demo), demo, EncodeConfig(k, rotation, sb))
+        vm, formula = encode_formula(demo, k, rotation, sb)
         s = PurePythonSolver(formula.num_vars)
         for block in formula.blocks:
             s.add_block(block)
@@ -894,14 +891,14 @@ def test_block_clauses_take_no_arena_slot_until_their_run_dissolves():
         inst = random_instance(rng, max_copies=7, max_dim=7)
         while len(expand_demands(inst)) < 2:  # no link blocks without a pair of copies
             inst = random_instance(rng, max_copies=7, max_dim=7)
-        config = EncodeConfig(rng.randint(2, 4), rng.random() < 0.5, rng.random() < 0.5)
-        vm, formula = encode_formula(expand_demands(inst), inst, config)
+        k = rng.randint(2, 4)
+        vm, formula = encode_formula(inst, k, rng.random() < 0.5, rng.random() < 0.5)
         pieces = head_slices(formula.blocks, 3) if i % 2 else formula.blocks
         s = PurePythonSolver(formula.num_vars)
         twin = PurePythonSolver(formula.num_vars)
         stored = []  # what the twin stores for the pieces that make no runs
         kinds = set()
-        for block in pieces + [check_block([[-vm.used(config.sheets)]], [[]])] + pieces:
+        for block in pieces + [check_block([[-vm.used(k)]], [[]])] + pieces:
             heads, bodies, _, _ = block
             runs, before = len(s._runs), len(twin._clauses)
             s.add_block(block)

@@ -11,8 +11,8 @@ import pytest
 
 from cutstock import satcore
 from cutstock.bounds import compute_bounds
-from cutstock.encoding import EncodeConfig, encode_formula
-from cutstock.model import Instance, ItemType, expand_demands
+from cutstock.encoding import encode_formula
+from cutstock.model import Instance, ItemType
 from cutstock.satcore import SAT, UNKNOWN, UNSAT
 from cutstock.search import OPTIMAL, config_name, solve_instance
 from cutstock.verify import brute_force_optimal, verify_solution
@@ -206,20 +206,18 @@ def test_incremental_matches_fresh_verdicts(engine_cls):
     rng = random.Random(99)
     for _ in range(6):
         inst = random_instance(rng, max_copies=5, max_dim=5)
-        copies = expand_demands(inst)
         for rotation in (False, True):
             bounds = compute_bounds(inst, rotation)
             if bounds.lower >= bounds.upper:
                 continue
-            config = EncodeConfig(bounds.upper, rotation, False)
-            vm, formula = encode_formula(copies, inst, config)
+            vm, formula = encode_formula(inst, bounds.upper, rotation)
             handle = engine_cls(formula.num_vars)
             for c in formula.clauses:
                 handle.add_clause(c)
             for m in range(bounds.lower, bounds.upper + 1):
                 assumptions = [-vm.used(j) for j in range(m + 1, bounds.upper + 1)]
                 under = handle.solve(assumptions=assumptions).status
-                _, fresh_formula = encode_formula(copies, inst, EncodeConfig(m, rotation, False))
+                _, fresh_formula = encode_formula(inst, m, rotation)
                 fresh = engine_cls(fresh_formula.num_vars)
                 for c in fresh_formula.clauses:
                     fresh.add_clause(c)
@@ -416,9 +414,9 @@ def test_deadline_after_unsat_keeps_its_lower_bound(engine_cls, monkeypatch):
     started = time.perf_counter()
     builds = []
 
-    def slow_second_encode(copies, instance, config, **kwargs):
-        result = real_encode(copies, instance, config, **kwargs)
-        builds.append(config.sheets)
+    def slow_second_encode(instance, sheets, *args, **kwargs):
+        result = real_encode(instance, sheets, *args, **kwargs)
+        builds.append(sheets)
         if len(builds) == 2:
             time.sleep(max(0.0, started + 1.0 - time.perf_counter()) + 0.01)
         return result
@@ -544,10 +542,10 @@ def test_bad_decoded_placement_reported(strategy, solver_cmd, engine_cls, monkey
 
     real_decode = search_mod.decode_model
 
-    def squashing_decode(model, vm, copies, instance):
-        sol = real_decode(model, vm, copies, instance)
+    def squashing_decode(model, vm):
+        sol = real_decode(model, vm)
         piled = tuple(Placement(p.copy, 1, 0, 0, False) for p in sol.placements)
-        return Solution(instance, piled)
+        return Solution(vm.instance, piled)
 
     monkeypatch.setattr(search_mod, "decode_model", squashing_decode)
     out = solve_instance(force_gap_instance(), strategy, solver_cmd=solver_cmd, engine=engine_cls)
