@@ -124,6 +124,11 @@ def cmd_encode(args) -> int:
     if args.sheets < 1:
         raise BadArgument("sheet count must be >= 1")
     instance = _load_instance(args.input, args.rotation)
+    # exactly_one grows with the square of the count, and more sheets than
+    # copies are never needed
+    copies = sum(t.demand for t in instance.types)
+    if args.sheets > copies:
+        raise BadArgument(f"sheet count {args.sheets} is above the {copies} copies of the input")
     # opened first, so that a path it cannot write costs no encoding, but not
     # emptied until the text is ready
     with open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout) as out:

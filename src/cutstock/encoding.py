@@ -14,13 +14,18 @@ for ``head + body`` for every head and body, head-major.  The ``link``
 family, almost all of the formula, is one block per pair of copies, axis
 and orientation: a guard head per sheet times bodies shared by every sheet.
 Every other family is one block of plain clauses, with the one body ``()``.
-``CnfFormula.add_block`` is the only way in.  It passes each block once
-through ``satcore.engine.check_block``, the one home of the block rules,
-and keeps the ``Block`` it returns: an immutable tuple of int tuples, the
-only form in which either engine takes a block.  The engines load it
-without checking it again, storing its clauses directly or, when they
-cannot (a one-literal head, say), clause by clause through ``add_clause``,
-and DIMACS/WCNF export formats each head and body once per block.
+Blocks come in two ways, each through a maker in ``satcore.engine`` that
+holds them to the block rules, and the formula keeps the ``Block`` it
+returns: an immutable tuple of int tuples, the only form in which either
+engine takes a block.  ``CnfFormula.add_block`` passes heads and bodies
+through ``check_block``, which reads every literal.  ``CnfFormula.add_link``
+passes guard heads and two threshold ``Row``s, made once per build by
+``check_row``, through ``link_block``, which builds the bodies from the
+rows, so that they share the rows' int objects, and reads only the heads.
+The engines load a Block without checking it again, storing its clauses
+directly or, when they cannot (a one-literal head, say), clause by clause
+through ``add_clause``, and DIMACS/WCNF export formats each head and body
+once per block.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import time
 
 from .model import Instance, Placement, Solution, expand_demands, orientations
-from .satcore.engine import Block, check_block
+from .satcore.engine import Block, Row, check_block, check_row, link_block
 
 
 class VarMap:
@@ -95,11 +100,11 @@ class CnfFormula:
     max_var, wide)``.
 
     A block stands for the clause ``head + body`` for every head and body,
-    head-major.  ``add_block`` keeps the Block ``check_block`` returns, so
-    bodies are shared by every head and never copied; a list of plain
-    clauses is the block with the one body ``()``.  ``clauses`` lists every
-    clause in order, but building that list costs one list per clause, so
-    loading and export walk ``blocks`` instead.
+    head-major.  ``add_block`` and ``add_link`` keep the Block their
+    maker returns, so bodies are shared by every head and never copied; a
+    list of plain clauses is the block with the one body ``()``.
+    ``clauses`` lists every clause in order, but building that list costs
+    one list per clause, so loading and export walk ``blocks`` instead.
     """
 
     def __init__(self, num_vars: int):
@@ -126,7 +131,14 @@ class CnfFormula:
         Block ``check_block`` returns; a block that breaks its rules raises
         ValueError.  A block with no clauses leaves the formula as it was.
         """
-        heads, bodies, _, _ = block = check_block(heads, bodies)
+        self._keep(family, check_block(heads, bodies))
+
+    def add_link(self, heads, at: Row, not_at: Row, shift: int) -> None:
+        """Add the ``link`` block ``link_block(heads, at, not_at, shift)``."""
+        self._keep("link", link_block(heads, at, not_at, shift))
+
+    def _keep(self, family: str, block: Block) -> None:
+        heads, bodies, _, _ = block
         count = len(heads) * len(bodies)
         if count:
             self.blocks.append(block)
@@ -156,8 +168,9 @@ def encode_formula(
     n, k = vm.n, vm.sheets
     width, height = vm.width, vm.height
     not_sheet = [[-vm.sheet(c, j) for j in range(1, k + 1)] for c in range(n)]
-    xs = [[vm.x_at_most(c, e) for e in range(width - 1)] for c in range(n)]
-    ys = [[vm.y_at_most(c, f) for f in range(height - 1)] for c in range(n)]
+    # threshold rows, made once so that every body shares their int objects
+    xs = [check_row(vm.x_at_most(c, e) for e in range(width - 1)) for c in range(n)]
+    ys = [check_row(vm.y_at_most(c, f) for f in range(height - 1)) for c in range(n)]
     # each copy's shape per orientation as (selector, width, height); the
     # selector literal is satisfied when the copy is in the *other*
     # orientation, so a clause carrying it only binds in the named one
@@ -195,20 +208,11 @@ def encode_formula(
 
     # tie the separating directions to coordinates, per sheet and orientation:
     # one block per (c, d, axis, orientation) with a guard head per sheet
-    not_xs = [[-v for v in row] for row in xs]
-    not_ys = [[-v for v in row] for row in ys]
-
-    def link_bodies(at_c: list[int], not_at_d: list[int], extent: int, limit: int):
-        # x_d >= extent even when x_c = 0; a copy too long to fit leaves the
-        # bare head, which forbids the relation outright
-        bodies = [(not_at_d[extent - 1],)] if extent < limit else [()]
-        # x_c > e forces x_d > e + extent ...
-        bodies += zip(at_c, not_at_d[extent:])
-        # ... which past the last threshold is impossible
-        if extent < limit:
-            bodies.append((at_c[limit - extent - 1],))
-        return bodies
-
+    # x_d >= extent even when x_c = 0, x_c > e forces x_d > e + extent, which
+    # past the last threshold is impossible; a copy too long to fit leaves
+    # the bare head, which forbids the relation outright (see link_block)
+    not_xs = [check_row(-v for v in row) for row in xs]
+    not_ys = [check_row(-v for v in row) for row in ys]
     for c in range(n):
         for d in range(n):
             if c == d:
@@ -217,13 +221,12 @@ def encode_formula(
                 raise TimeoutError("deadline passed while encoding")
             guards = list(zip(not_sheet[c], not_sheet[d]))
             for orient, ew, eh in shapes[c]:
-                for rel, bodies in (
-                    (vm.left(c, d), link_bodies(xs[c], not_xs[d], ew, width)),
-                    (vm.below(c, d), link_bodies(ys[c], not_ys[d], eh, height)),
+                for rel, at, not_at, extent in (
+                    (vm.left(c, d), xs[c], not_xs[d], ew),
+                    (vm.below(c, d), ys[c], not_ys[d], eh),
                 ):
                     tail = (orient, -rel) if orient else (-rel,)
-                    heads = [guard + tail for guard in guards]
-                    formula.add_block("link", heads, bodies)
+                    formula.add_link([guard + tail for guard in guards], at, not_at, extent)
 
     # every copy fits inside its sheet: x in each orientation, then y
     domain = []

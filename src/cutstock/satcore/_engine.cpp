@@ -12,9 +12,10 @@
 // one add_block head as a single run until they differ.  Clauses live in one
 // flat arena: [size, lbd, lit...] at each reference offset; size < 0 marks a
 // deleted clause.  add_block takes a Block (head + body for every head and
-// body), which only check_block makes, and nothing else; it stores the
-// block's clauses directly when it can, and otherwise sends each through
-// add_clause: it keeps no block rules of its own.
+// body), which only the reference's check_block and link_block make, and
+// nothing else; it stores the block's clauses directly when it can, and
+// otherwise sends each through add_clause: it keeps no block rules of its
+// own.
 //
 // Build: g++ -O2 -shared -fPIC -I<python include> _engine.cpp -o _engine<EXT_SUFFIX>
 
@@ -578,8 +579,8 @@ PyObject* Solver_add_clause(PyObject* self, PyObject* lits) {
 }
 
 // Store the clause head + body for every head and body of a Block, reading
-// its tuples in place, and watch head[0] and head[1] in each.  check_block
-// rules out repeated variables and non-int literals, but a Block may name
+// its tuples in place, and watch head[0] and head[1] in each.  Its makers
+// rule out repeated variables and non-int literals, but a Block may name
 // undeclared variables or have a one-literal head, and tuple.__new__ can
 // forge one, so this reads only tuples, of literals naming declared
 // variables, with at least two in each head.  False, with nothing stored

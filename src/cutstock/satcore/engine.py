@@ -24,13 +24,17 @@ keeps the same heap, with ``(-activity, v)`` pairs for keys.
 ``add_clause`` checks every clause it is given: literals must name declared
 variables, and tautologies, repeated and top-level-false literals are
 dropped.  A block, the clause ``head + body`` for every head and body,
-head-major, enters only as a ``Block``, an immutable tuple that only
-``check_block`` makes, the one check of a block's rules.
-``add_block(block)`` takes a Block and nothing else, on both engines, and
-leaves the engine exactly as ``add_clause`` on each of its clauses would.
-When every head has two or more literals, every variable is declared and
-nothing is assigned at top level, the clauses are stored directly;
-otherwise each goes through ``add_clause``.
+head-major, enters only as a ``Block``, an immutable tuple made by one of
+two makers that hold a block to the same rules.  ``check_block`` reads
+every literal.  ``link_block`` builds the bodies of the encoder's ``link``
+family from two ``Row``s, int tuples over intervals of variables that only
+``check_row`` makes, so it proves the rules for the bodies from the
+intervals and reads only the heads.  ``add_block(block)`` takes a Block
+and nothing else, on both engines, and leaves the engine exactly as
+``add_clause`` on each of its clauses would.  When every head has two or
+more literals, every variable is declared and nothing is assigned at top
+level, the clauses are stored directly; otherwise each goes through
+``add_clause``.
 
 Stored directly, the clauses of one head form a *run*: ``[prefix,
 bodies]``, where ``prefix`` is the shared head.  A run has one watch entry
@@ -40,16 +44,24 @@ literal past position 1 is not false, every clause of the run would take
 the same step on a visit, so the visit takes it once for the run: the
 blocker check, the swap of positions 0/1, the first-literal-true check and
 the move of the watch to another prefix literal.  When every prefix literal
-past position 1 is false, the run dissolves: each clause is appended to the
-arena as ``prefix + body``, in body order, which gives the clauses their
-crefs, and the run becomes ``[None, crefs]``.  The run's entry in the
-visited list is replaced by one ``(cref, blocker)`` pair per clause, which
-the ordinary per-clause loop then visits.  The entry in the run's other
-list is replaced the same way, with the same cref objects, the next time a
-visit reaches it; that is the run's last watch entry, so the run then
-drops its crefs and becomes ``[None, None]``.  A cref is only an identity
-(of a reason, a watch entry or a learned clause), so the search is the one
-the engine would run with every clause watched on its own.
+past position 1 is false, the run dissolves: its clauses are appended to
+the arena in body order, which gives them their crefs, and the run becomes
+``[None, crefs]``.  In the same pass each clause takes the visit the
+per-clause loop would give it.  Only its body is scanned, since the rest
+of its prefix is false: a clause with a body literal that is not false
+moves its watch there; the first clause with none is a conflict, when the
+first literal is false, or sets it.  After a conflict the clauses not yet
+visited keep ``(cref, blocker)`` entries and their order from before the
+visit.  After a unit they see a true blocker, when the blocker is the
+literal just set, and keep that order, or else a true first literal, and
+keep the swap; both keep an entry ``(cref, first literal)``.  The entry in
+the run's other list is replaced by one ``(cref, blocker)`` pair per
+clause, with the same cref objects, the next time a visit reaches it, and
+the ordinary per-clause loop visits them; that is the run's last watch
+entry, so the run then drops its crefs and becomes ``[None, None]``.  A
+cref is only an identity (of a reason, a watch entry or a learned clause),
+so the search is the one the engine would run with every clause watched on
+its own.
 
 ``_val`` and ``_watches`` are indexed by the literal itself: slot 0 is
 unused, +v is at v, and -v at the v-th slot from the end, which is Python's
@@ -126,14 +138,54 @@ def _watch_pairs(refs: list[int], blocker: int) -> list[int]:
 class Block(tuple):
     """``(heads, bodies, max_var, wide)``: the clauses ``head + body`` for
     every head and body, head-major, with heads and bodies as int tuples
-    that passed ``check_block``, which alone makes Blocks; the largest
-    variable; and whether every head has two or more literals.  A Block has
-    no ``__dict__``, and its items cannot be reassigned."""
+    that passed the block rules; the largest variable; and whether every
+    head has two or more literals.  Only ``check_block`` and
+    ``link_block`` make Blocks.  A Block has no ``__dict__``, and its items
+    cannot be reassigned."""
 
     __slots__ = ()
 
     def __new__(cls, *args):
-        raise TypeError("only check_block makes a Block")
+        raise TypeError("only check_block and link_block make a Block")
+
+
+class Row(tuple):
+    """Literals of one sign over consecutive variables, ascending: an
+    immutable int tuple that only ``check_row`` makes, so the variables of
+    a non-empty row are the interval from ``abs(row[0])`` to
+    ``abs(row[-1])``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args):
+        raise TypeError("only check_row makes a Row")
+
+
+def check_row(lits) -> Row:
+    """``lits`` as a ``Row``, or ValueError unless they are non-zero int
+    literals of one sign over consecutive variables, ascending."""
+    lits = tuple(lits)
+    if not set(map(type, lits)) <= {int}:
+        raise ValueError("non-int literal in row")
+    if lits:
+        step = 1 if lits[0] > 0 else -1
+        if lits[0] == 0 or lits != tuple(range(lits[0], lits[0] + step * len(lits), step)):
+            raise ValueError("row is not one sign over consecutive variables")
+    return tuple.__new__(Row, lits)
+
+
+def _head_vars(heads: tuple) -> set[int]:
+    """The variables of ``heads``, int tuples; ValueError, head by head,
+    for an empty head or one that repeats a variable."""
+    head_vars: set[int] = set()
+    for head in heads:
+        if not head:
+            raise ValueError("empty clause emitted")
+        vs = set(map(abs, head))
+        if len(vs) != len(head):
+            raise ValueError("repeated variable in clause")
+        head_vars |= vs
+    return head_vars
 
 
 def check_block(heads, bodies) -> Block:
@@ -153,14 +205,7 @@ def check_block(heads, bodies) -> Block:
     bodies = tuple(map(tuple, bodies))
     if not set(map(type, chain.from_iterable(chain(heads, bodies)))) <= {int}:
         raise ValueError("non-int literal in clause")
-    head_vars: set[int] = set()
-    for head in heads:
-        if not head:
-            raise ValueError("empty clause emitted")
-        vs = set(map(abs, head))
-        if len(vs) != len(head):
-            raise ValueError("repeated variable in clause")
-        head_vars |= vs
+    head_vars = _head_vars(heads)
     used = head_vars.union(map(abs, chain.from_iterable(bodies)))
     # no body variable repeats or is in a head: one per head variable and body literal
     if len(used) != len(head_vars) + sum(map(len, bodies)):
@@ -170,6 +215,51 @@ def check_block(heads, bodies) -> Block:
     # heads are non-empty, so none of length 1 means every one has two or more
     return tuple.__new__(Block, (heads, bodies, max(used) if used else 0,
                                  1 not in map(len, heads)))
+
+
+def link_block(heads, at: Row, not_at: Row, shift: int) -> Block:
+    """The Block of ``heads`` and the bodies that put one coordinate at
+    least ``shift`` past another, on an axis with ``len(at) + 1``
+    positions: what ``check_block`` returns for the same heads and bodies.
+
+    ``at[e]`` stands for "the first coordinate is at most e" and
+    ``not_at[e]`` for "the second is not", both Rows of the same length L.
+    The bodies are ``(not_at[shift - 1],)``, then ``(at[e], not_at[e +
+    shift])`` for e from 0 to L - shift - 1, then ``(at[L - shift],)``;
+    a shift past L leaves the one body ``()``, the bare head.  The rows are
+    intervals of variables, so disjoint rows and heads outside both prove
+    the block rules for the bodies; only the heads are read literal by
+    literal.  TypeError for rows that are not Rows; ValueError for rows of
+    unequal length, a shift that is not an int of at least 1, a head that
+    breaks the block rules, as ``check_block`` names it, and for rows that
+    overlap or hold a head variable, as a repeated variable, even where
+    the bodies would not use it.
+    """
+    if type(at) is not Row or type(not_at) is not Row:
+        raise TypeError("rows not made by check_row")
+    if len(at) != len(not_at):
+        raise ValueError("rows of unequal length")
+    if type(shift) is not int or shift < 1:
+        raise ValueError("shift is not an int >= 1")
+    heads = tuple(map(tuple, heads))
+    if not set(map(type, chain.from_iterable(heads))) <= {int}:
+        raise ValueError("non-int literal in clause")
+    head_vars = _head_vars(heads)
+    top = max(head_vars, default=0)
+    if at:
+        a_lo, a_hi, d_lo, d_hi = abs(at[0]), abs(at[-1]), abs(not_at[0]), abs(not_at[-1])
+        if a_lo <= d_hi and d_lo <= a_hi or any(
+                a_lo <= v <= a_hi or d_lo <= v <= d_hi for v in head_vars):
+            raise ValueError("repeated variable in clause")
+    if 0 in head_vars:
+        raise ValueError("literal 0 in clause")
+    last = len(at) - shift
+    if last >= 0:
+        bodies = ((not_at[shift - 1],), *zip(at, not_at[shift:]), (at[last],))
+        top = max(top, abs(at[last]), abs(not_at[-1]))
+    else:
+        bodies = ((),)
+    return tuple.__new__(Block, (heads, bodies, top, 1 not in map(len, heads)))
 
 
 class Solver:
@@ -459,18 +549,53 @@ class Solver:
                 else:
                     if cref < 0:
                         # every prefix literal past position 1 is false, so
-                        # the clauses now differ in what they do: append them
-                        # as they were before this visit, each to make its
-                        # own swap, and visit their entries in its place
-                        if swapped:
-                            c[0], c[1] = c[1], c[0]
+                        # the run dissolves: its clauses join the arena and,
+                        # in body order, each takes the visit the per-clause
+                        # loop would give it, which scans only its body
+                        bodies = run[1]
+                        size = len(c)
                         start = len(clauses)
-                        clauses += [c + list(body) for body in run[1]]
-                        refs = list(range(start, len(clauses)))
+                        refs = list(range(start, start + len(bodies)))
                         run[0], run[1] = None, refs
-                        i -= 2
-                        wl[i:i + 2] = _watch_pairs(refs, blocker)
-                        n = len(wl)
+                        kept = []
+                        for r, body in zip(refs, bodies):
+                            cl = c + list(body)  # sized exactly, unlike [*c, *body]
+                            clauses.append(cl)
+                            for k in range(size, len(cl)):
+                                lk = cl[k]
+                                if val[lk] != 0:
+                                    cl[1], cl[k] = lk, false_lit
+                                    watches[lk] += (r, first)
+                                    break
+                            else:
+                                kept += (r, first)
+                                rest = r - start + 1
+                                if fv == 0:  # conflict: the rest stay unvisited
+                                    if swapped:
+                                        c = [false_lit, first, *c[2:]]
+                                    clauses += [c + list(b) for b in bodies[rest:]]
+                                    wl[j:i] = kept + _watch_pairs(refs[rest:], blocker)
+                                    self._qhead = len(trail)
+                                    self._propagations += props
+                                    return r
+                                val[first] = 1
+                                val[-first] = 0
+                                v = first if first > 0 else -first
+                                level[v] = lvl
+                                reason[v] = r
+                                trail.append(first)
+                                # the rest keep their entries: a true blocker
+                                # leaves a clause unswapped, a true first
+                                # literal after the swap
+                                if swapped and blocker == first:
+                                    c = [false_lit, first, *c[2:]]
+                                clauses += [c + list(b) for b in bodies[rest:]]
+                                kept += _watch_pairs(refs[rest:], first)
+                                break
+                        if kept:
+                            wl[j:i] = kept
+                            j = i = j + len(kept)
+                            n = len(wl)
                         continue
                     wl[j] = cref
                     wl[j + 1] = first

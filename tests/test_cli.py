@@ -126,6 +126,17 @@ def test_encode_rejects_bad_sheet_count(demo_file):
     assert main(["encode", "--input", demo_file, "--sheets", "0"]) == 2
 
 
+def test_encode_refuses_more_sheets_than_copies(demo_file, tmp_path, capsys):
+    """The demo has 6 copies: 7 sheets are refused with one error line and
+    nothing written to --out, 6 are encoded."""
+    out = tmp_path / "f.cnf"
+    assert main(["encode", "--input", demo_file, "--sheets", "7", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: sheet count 7 is above the 6 copies of the input\n"
+    assert not out.exists()
+    assert main(["encode", "--input", demo_file, "--sheets", "6", "--out", str(out)]) == 0
+    assert out.read_text().startswith("p cnf ")
+
+
 def test_encode_checks_the_sheet_count_before_reading_the_input(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     assert main(["encode", "--input", str(missing), "--sheets", "0"]) == 2

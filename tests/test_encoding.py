@@ -1,3 +1,4 @@
+import ast
 import random
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from cutstock.bounds import compute_bounds
 from cutstock.encoding import CnfFormula, VarMap, decode_model, encode_formula
 from cutstock.model import Instance, ItemType, expand_demands
 from cutstock.satcore import SAT, UNSAT, Solver, format_dimacs, format_wcnf
+from cutstock.satcore.engine import Block, Row, check_block, check_row, link_block
 from cutstock.verify import brute_force_optimal, verify_solution
 
 from conftest import random_instance
@@ -291,6 +293,142 @@ def test_add_block_checks_survive_python_O():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines() == [REPEAT, REPEAT, NON_INT, ZERO]
+
+
+def link_bodies(at_c, not_at_d, extent, limit):
+    """The bodies of a link block as the encoder spelled them out before
+    link_block made them."""
+    # x_d >= extent even when x_c = 0; a copy too long to fit leaves the
+    # bare head, which forbids the relation outright
+    bodies = [(not_at_d[extent - 1],)] if extent < limit else [()]
+    # x_c > e forces x_d > e + extent ...
+    bodies += zip(at_c, not_at_d[extent:])
+    # ... which past the last threshold is impossible
+    if extent < limit:
+        bodies.append((at_c[limit - extent - 1],))
+    return bodies
+
+
+def test_link_block_is_check_block_of_the_link_bodies():
+    """On sides 1 to 9, with every extent up to two past the side, and with
+    either row numbered first, link_block returns the Block check_block
+    makes of the same heads and bodies: a side of 1 has empty rows and an
+    extent at or past the side leaves the bare head.  The bodies share the
+    rows' int objects."""
+    heads = [(-1, -3, -5), (-2, -4, -5)]
+    for side in range(1, 10):
+        low = check_row(range(10, 10 + side - 1))
+        high = check_row(range(10 + side - 1, 10 + 2 * (side - 1)))
+        for at, other in ((low, high), (high, low)):
+            not_at = check_row(-v for v in other)
+            for extent in range(1, side + 3):
+                for hs in (heads, [(-6,), *heads]):
+                    block = link_block(hs, at, not_at, extent)
+                    assert type(block) is Block
+                    assert block == check_block(hs, link_bodies(at, not_at, extent, side))
+                    bodies = block[1]
+                    if extent < side:
+                        assert bodies[0][0] is not_at[extent - 1] and bodies[-1][0] is at[-extent]
+                    else:
+                        assert bodies == ((),)
+
+
+def test_rows_are_checked_and_cannot_change():
+    """check_row makes a Row of int literals of one sign over consecutive
+    variables, ascending, and refuses anything else; a Row is an int tuple
+    with no ``__dict__``, and nothing else makes one."""
+    assert check_row(range(3, 6)) == (3, 4, 5) and type(check_row([])) is Row
+    assert check_row([-7, -8]) == (-7, -8)
+    for lits in ([1, 3], [2, 1], [1, -2], [-2, -1], [0, 1], [0], [-1, 0]):
+        with pytest.raises(ValueError, match="one sign over consecutive"):
+            check_row(lits)
+    for lits in ([1.0, 2.0], [True], ["1"]):
+        with pytest.raises(ValueError, match="non-int literal"):
+            check_row(lits)
+    row = check_row([4, 5])
+    with pytest.raises(TypeError):
+        vars(row)
+    with pytest.raises(TypeError):
+        Row([4, 5])
+    with pytest.raises(TypeError):
+        Block(row)
+
+
+ROWS = "rows not made by check_row"
+SHIFT = "shift is not an int >= 1"
+
+# heads, at, not_at, shift, then a clause count or what refuses the block;
+# a row written ("row", first, count, sign) is made by check_row
+LINK_CASES = [
+    ([[-1, -2, -3], [-10, -11, -3]], ("row", 4, 3, 1), ("row", 7, 3, -1), 1, 8),
+    ([[-1, -2, -3]], ("row", 7, 3, 1), ("row", 4, 3, -1), 2, 3),  # at numbered after not_at
+    ([[-1, -2, -3]], ("row", 4, 3, 1), ("row", 7, 3, -1), 4, 1),  # the bare head
+    ([[-1, -2, -3]], ("row", 4, 0, 1), ("row", 7, 0, -1), 1, 1),  # a side of 1: empty rows
+    ([], ("row", 4, 3, 1), ("row", 7, 3, -1), 1, 0),  # no heads
+    # rows that overlap
+    ([[-1, -2]], ("row", 4, 3, 1), ("row", 6, 3, -1), 1, ("ValueError", REPEAT)),
+    ([[-1, -2]], ("row", 4, 3, 1), ("row", 4, 3, -1), 1, ("ValueError", REPEAT)),
+    ([[-1, -2]], ("row", 6, 3, 1), ("row", 4, 3, -1), 4, ("ValueError", REPEAT)),
+    # a head variable inside a row, also where the bodies would not use it
+    ([[-1, 5]], ("row", 4, 3, 1), ("row", 7, 3, -1), 1, ("ValueError", REPEAT)),
+    ([[-1, -2], [-9, 3]], ("row", 4, 3, 1), ("row", 7, 3, -1), 1, ("ValueError", REPEAT)),
+    ([[-1, 6]], ("row", 4, 3, 1), ("row", 7, 3, -1), 4, ("ValueError", REPEAT)),
+    # rows not made by check_row
+    ([[-1, -2]], (4, 5, 6), ("row", 7, 3, -1), 1, ("TypeError", ROWS)),
+    ([[-1, -2]], ("row", 4, 3, 1), [-7, -8, -9], 1, ("TypeError", ROWS)),
+    ([[-1, -2]], ("row", 4, 3, 1), ("row", 7, 2, -1), 1, ("ValueError", "rows of unequal length")),
+    # a shift below 1, or not an int
+    ([[-1, -2]], ("row", 4, 3, 1), ("row", 7, 3, -1), 0, ("ValueError", SHIFT)),
+    ([[-1, -2]], ("row", 4, 3, 1), ("row", 7, 3, -1), -2, ("ValueError", SHIFT)),
+    ([[-1, -2]], ("row", 4, 3, 1), ("row", 7, 3, -1), 1.0, ("ValueError", SHIFT)),
+    ([[-1, -2]], ("row", 4, 3, 1), ("row", 7, 3, -1), True, ("ValueError", SHIFT)),
+    # an empty, repeated, zero or non-int head literal
+    ([[]], ("row", 4, 3, 1), ("row", 7, 3, -1), 1, ("ValueError", EMPTY)),
+    ([[-1, -2], []], ("row", 4, 3, 1), ("row", 7, 3, -1), 1, ("ValueError", EMPTY)),
+    ([[-1, -1, -3]], ("row", 4, 3, 1), ("row", 7, 3, -1), 1, ("ValueError", REPEAT)),
+    ([[1, -1]], ("row", 4, 3, 1), ("row", 7, 3, -1), 1, ("ValueError", REPEAT)),
+    ([[0, -2]], ("row", 4, 3, 1), ("row", 7, 3, -1), 1, ("ValueError", ZERO)),
+    ([[-1.0, -2]], ("row", 4, 3, 1), ("row", 7, 3, -1), 1, ("ValueError", NON_INT)),
+    ([[True, -2]], ("row", 4, 3, 1), ("row", 7, 3, -1), 1, ("ValueError", NON_INT)),
+    ([["1", -2]], ("row", 4, 3, 1), ("row", 7, 3, -1), 1, ("ValueError", NON_INT)),
+]
+
+RUN_LINK_CASES = """
+import ast, sys
+from cutstock.encoding import CnfFormula
+from cutstock.satcore.engine import check_row
+
+def row(spec):
+    if isinstance(spec, tuple) and spec[:1] == ("row",):
+        _, first, count, sign = spec
+        return check_row(sign * v for v in range(first, first + count))
+    return spec
+
+for heads, at, not_at, shift in ast.literal_eval(sys.stdin.read()):
+    formula = CnfFormula(12)
+    try:
+        formula.add_link(heads, row(at), row(not_at), shift)
+    except (TypeError, ValueError) as exc:
+        print(repr((type(exc).__name__, str(exc))))
+    else:
+        print(repr(formula.num_clauses))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+def test_add_link_rejects_malformed_links(flags):
+    """A link block is kept and counted only when its rows come from
+    check_row, do not overlap and have the same length, its shift is an int
+    of at least 1 and its heads are non-empty, repeat-free, made of
+    non-zero ints and outside both rows; the refusal names the rule it
+    breaks, and python -O refuses alike, since the checks are not
+    asserts."""
+    cases = [case[:4] for case in LINK_CASES]
+    proc = subprocess.run([sys.executable, *flags, "-c", RUN_LINK_CASES], input=repr(cases),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = [ast.literal_eval(line) for line in proc.stdout.splitlines()]
+    assert got == [case[4] for case in LINK_CASES]
 
 
 def test_export_peak_stays_below_three_times_the_text():

@@ -727,6 +727,97 @@ def test_add_block_matches_add_clause_after_learning_and_add_vars(engine_cls):
     assert [r.model[n + i] for i in (1, 4, 5, 6, 7)] == [True, False, True, False, False]
 
 
+# A run dissolves when a visit finds every head literal past position 1
+# false.  Each case: a head over 1, 2 and more, bodies over 4..7, and the
+# literals made true, one decision level per list, propagated after each
+# level; then the trail after the last level, whether it ends in a conflict,
+# and the run's clauses as the arena keeps them.
+DISSOLUTIONS = {
+    # every clause moves its watch into its body, from the visit of 1 (a
+    # swap) or of 2 (none)
+    "all move, swapped": ([1, 2, 3], [[4], [-5, 6], [7]], [[5], [-3], [-1]],
+                          [5, -3, -1], False,
+                          [[2, 4, 3, 1], [2, 6, 3, -5, 1], [2, 7, 3, 1]]),
+    "all move": ([1, 2, 3], [[4], [-5, 6], [7]], [[5], [-3], [-2]],
+                 [5, -3, -2], False,
+                 [[1, 4, 3, 2], [1, 6, 3, -5, 2], [1, 7, 3, 2]]),
+    # the second clause is a unit; the blocker of the run's entry is the
+    # literal it sets, so the rest keep their entries unswapped
+    "unit, true blocker, swapped": ([1, 2, 3], [[4], [5], [6], [7]], [[-5], [-3], [-1]],
+                                    [-5, -3, -1, 2], False,
+                                    [[2, 4, 3, 1], [2, 1, 3, 5], [1, 2, 3, 6], [1, 2, 3, 7]]),
+    "unit, true blocker": ([1, 2, 3], [[4], [5], [6], [7]], [[-5], [-3], [-2]],
+                           [-5, -3, -2, 1], False,
+                           [[1, 4, 3, 2], [1, 2, 3, 5], [1, 2, 3, 6], [1, 2, 3, 7]]),
+    # the run's watch moved from 2 to 3 first, so its entry for 1 has the
+    # blocker 2, and the rest see a true first literal after the swap
+    "unit, true first literal": ([1, 2, 3, 8], [[4], [5], [6], [7]],
+                                 [[-5], [-2], [-8], [-1]], [-5, -2, -8, -1, 3], False,
+                                 [[3, 4, 2, 8, 1], [3, 1, 2, 8, 5], [3, 1, 2, 8, 6],
+                                  [3, 1, 2, 8, 7]]),
+    # 1 and 2 are false before the visit: the second clause is a conflict,
+    # and the rest stay unvisited, in their order from before the visit
+    "conflict, swapped": ([1, 2, 3], [[4], [5], [6], [7]], [[-5], [-3, -1, -2]],
+                          [-5, -3, -1, -2], True,
+                          [[2, 4, 3, 1], [2, 1, 3, 5], [1, 2, 3, 6], [1, 2, 3, 7]]),
+    "conflict": ([1, 2, 3], [[4], [5], [6], [7]], [[-5], [-3, -2, -1]],
+                 [-5, -3, -2, -1], True,
+                 [[1, 4, 3, 2], [1, 2, 3, 5], [1, 2, 3, 6], [1, 2, 3, 7]]),
+    "conflict at once": ([1, 2, 3], [[-4], [5], [6]], [[4], [-3, -1, -2]],
+                         [4, -3, -1, -2], True, [[2, 1, 3, -4], [1, 2, 3, 5], [1, 2, 3, 6]]),
+}
+
+
+@pytest.mark.parametrize("case", DISSOLUTIONS)
+def test_a_dissolving_run_gives_each_clause_its_own_visit(case):
+    """A run that dissolves leaves the engine as watching each of its
+    clauses on its own would: the same arena, watches, reasons and trail,
+    up to the naming of clauses, and the same conflict, if any."""
+    head, bodies, levels, trail, conflict, arena = DISSOLUTIONS[case]
+    n = 8
+    by_block, by_clause = PurePythonSolver(n), PurePythonSolver(n)
+    by_block.add_block(check_block([head], bodies))
+    for body in bodies:
+        by_clause.add_clause([*head, *body])
+    assert by_block._runs and not by_block._clauses
+    conflicts = []
+    for s in (by_block, by_clause):
+        for level in levels:
+            s._new_level()
+            for lit in level:
+                s._enqueue(lit, -1)
+            confl = s._propagate()
+        conflicts.append(None if confl < 0 else s._clauses[confl])
+    assert engine_state(by_block) == engine_state(by_clause)
+    assert conflicts[0] == conflicts[1] and (conflicts[0] is not None) == conflict
+    assert by_block._trail == trail
+    assert by_block._runs[0][0] is None and by_block._clauses == arena
+
+
+@pytest.mark.parametrize("case", DISSOLUTIONS)
+def test_a_dissolving_run_keeps_the_engines_lockstep(case):
+    """Solves under the case's literals as assumptions, then without: the
+    same verdicts, models and statistics from the block-loaded engines,
+    compiled and pure-Python, as from the pure-Python engine loaded clause
+    by clause."""
+    head, bodies, levels, _, _, _ = DISSOLUTIONS[case]
+    assumptions = [lit for level in levels for lit in level]
+    block = check_block([head], bodies)
+    runs = []
+    for cls, by in [(cls, "block") for cls in available_engines().values()] + [
+            (PurePythonSolver, "clause")]:
+        s = cls(8)
+        if by == "block":
+            s.add_block(block)
+        else:
+            for body in bodies:
+                s.add_clause([*head, *body])
+        calls = [s.solve(assumptions=assumptions), s.solve(assumptions=assumptions[:2]),
+                 s.solve()]
+        runs.append([(r.status, r.model, r.stats) for r in calls])
+    assert all(run == runs[0] for run in runs)
+
+
 def test_check_block_returns_tuples_that_cannot_change():
     """A Block is made of int tuples and records its largest variable and
     whether every head can be watched; changing the lists it was made
@@ -755,25 +846,30 @@ def test_check_block_returns_tuples_that_cannot_change():
 
 @pytest.fixture
 def check_calls(monkeypatch):
-    """check_block, counted wherever the encoder and the engine call it."""
+    """The two makers of Blocks, check_block and link_block, counted
+    wherever the encoder and the engine call them."""
     calls = []
+    for name in ("check_block", "link_block"):
+        maker = getattr(engine_module, name)
 
-    def counted(heads, bodies):
-        calls.append(1)
-        return check_block(heads, bodies)
+        def counted(*args, maker=maker):
+            calls.append(1)
+            return maker(*args)
 
-    monkeypatch.setattr(engine_module, "check_block", counted)
-    monkeypatch.setattr(encoding_module, "check_block", counted)
+        monkeypatch.setattr(engine_module, name, counted)
+        monkeypatch.setattr(encoding_module, name, counted)
     return calls
 
 
 def test_solve_checks_each_block_once(engine_cls, check_calls, monkeypatch):
-    """On the solve path every block is checked by the encoder, and the
-    engine loads it without checking it again."""
+    """On the solve path every block is made once by the encoder, through
+    check_block or, for a link block, link_block, and the engine loads it
+    without checking it again."""
     added = []
-    add_block = CnfFormula.add_block
-    monkeypatch.setattr(CnfFormula, "add_block",
-                        lambda self, *args: added.append(1) or add_block(self, *args))
+    for name in ("add_block", "add_link"):
+        add = getattr(CnfFormula, name)
+        monkeypatch.setattr(CnfFormula, name,
+                            lambda self, *args, add=add: added.append(1) or add(self, *args))
     # 60-unit sheets cut into a few large pieces: the area bound is 2 and
     # the optimum 3, so every strategy builds and loads a formula
     inst = Instance(60, 60, (ItemType(60, 20, 3), ItemType(30, 40, 2), ItemType(40, 30, 1)))
